@@ -1060,21 +1060,13 @@ let stream_1m_bench ?(scale = 20) ?(m = 4_200_000) ?(ref_scale = 14) ~reps ()
     compacted_min ~reps (fun () -> Stream.partition ~workspace:ws g c)
   in
   let gd = Metrics.goodness g c part in
-  (* End-to-end from METIS text, once each way (the instance is big
-     enough that one run is past noise): the fused ingest pipeline
-     against the parse-then-stream round trip it replaces. *)
-  let text =
-    let b = Buffer.create (1 lsl 24) in
-    Graph_io.to_metis_chunks g (Buffer.add_string b);
-    Buffer.contents b
-  in
+  (* End-to-end from METIS text, once (the instance is big enough that
+     one run is past noise): parse, then stream. *)
+  let text = Graph_io.to_metis g in
   let _, e2e_parse_s =
     time (fun () ->
         let g2 = Graph_io.of_metis text in
         Stream_parallel.partition ~workspace:ws g2 c)
-  in
-  let _, e2e_fused_s =
-    time (fun () -> Stream_parallel.ingest_text ~workspace:ws c text)
   in
   let e2e_bytes = String.length text in
   let ref_rng = Random.State.make [| 0x5354; ref_scale |] in
@@ -1099,7 +1091,6 @@ let stream_1m_bench ?(scale = 20) ?(m = 4_200_000) ?(ref_scale = 14) ~reps ()
       "workspace_words": %d, "state_words": %d,
       "violation": %d, "cut": %d,
       "e2e_bytes": %d, "e2e_parse_then_stream_s": %.4f,
-      "e2e_fused_s": %.4f, "e2e_vs_parse_ratio": %.3f,
       "multilevel_ref": { "scale": %d, "n": %d, "m": %d,
         "multilevel_s": %.4f, "multilevel_cut": %d, "stream_cut": %d,
         "cut_ratio": %.2f,
@@ -1108,8 +1099,7 @@ let stream_1m_bench ?(scale = 20) ?(m = 4_200_000) ?(ref_scale = 14) ~reps ()
     (float_of_int n /. stream_s)
     stats.Stream.iterations stats.Stream.converged (Workspace.words ws)
     stats.Stream.state_words gd.Metrics.violation gd.Metrics.cut_value
-    e2e_bytes e2e_parse_s e2e_fused_s
-    (e2e_fused_s /. e2e_parse_s)
+    e2e_bytes e2e_parse_s
     ref_scale
     (Wgraph.n_nodes g_ref)
     (Wgraph.n_edges g_ref)
@@ -1117,12 +1107,12 @@ let stream_1m_bench ?(scale = 20) ?(m = 4_200_000) ?(ref_scale = 14) ~reps ()
     (float_of_int gd_ref.Metrics.cut_value /. float_of_int (max 1 ml_ref_cut))
     ml_ref.Gp.goodness.Metrics.violation gd_ref.Metrics.violation
 
-(* METIS text ingest: [Graph_io.of_metis] is a single-pass cursor
-   tokenizer, and large streamed instances arrive through it, so its
-   throughput is part of the streaming story. Serialize a mid-size R-MAT
-   instance and time the parse (validation included — that *is* the
-   ingest path); the roundtrip shape check turns a silent tokenizer
-   regression into a loud one. *)
+(* METIS text ingest: [Graph_io.of_metis] (the [Graph_io.Rows] reader)
+   is how large streamed instances arrive, so its throughput is part of
+   the streaming story. Serialize a mid-size R-MAT instance and time the
+   parse (validation included — that *is* the ingest path); the
+   roundtrip shape check turns a silent tokenizer regression into a loud
+   one. *)
 let ingest_bench ~scale ~reps =
   let m = 4 * (1 lsl scale) in
   let rng = Random.State.make [| 0x494f; scale |] in
@@ -1207,62 +1197,6 @@ let stream_parallel_bench ~n ~reps () =
       gd.Metrics.cut_value quality_delta_pct gd.Metrics.violation
   in
   (row, seq_s, par1_s, deterministic && restart_identical)
-
-(* Pipelined ingest (fused parse + first streaming pass) vs the
-   parse-then-stream round trip it replaces, on a unit-edge-weight
-   instance with finite rmax — the regime where the header-estimated
-   normalizing constants are exact and the fused labels must match the
-   unfused ones bit for bit. The METIS text is produced through
-   [to_metis_chunks], so the chunked emitter is exercised on the same
-   row. *)
-let ingest_pipeline_bench ~scale ~reps =
-  let m = 4 * (1 lsl scale) in
-  let rng = Random.State.make [| 0x4950; scale |] in
-  let g =
-    Ppnpart_workloads.Rand_graph.rmat ~vw_range:(1, 8) ~ew_range:(1, 1) rng
-      ~scale ~m
-  in
-  let k = 16 in
-  let c =
-    Types.constraints ~k
-      ~rmax:((Wgraph.total_node_weight g / k * 4 / 3) + 1)
-      ~bmax:((Wgraph.total_edge_weight g / (2 * k)) + 1)
-  in
-  let text =
-    let b = Buffer.create (1 lsl 20) in
-    Graph_io.to_metis_chunks g (Buffer.add_string b);
-    Buffer.contents b
-  in
-  let ws = Workspace.create () in
-  ignore (Stream_parallel.ingest_text ~workspace:ws c text);
-  ignore (Stream_parallel.ingest_text ~workspace:ws c text);
-  let (unfused_part, _), parse_stream_s =
-    compacted_min ~reps (fun () ->
-        let g2 = Graph_io.of_metis text in
-        Stream_parallel.partition ~workspace:ws g2 c)
-  in
-  let (g3, fused_part, _), fused_s =
-    compacted_min ~reps (fun () ->
-        Stream_parallel.ingest_text ~workspace:ws c text)
-  in
-  if
-    Wgraph.n_nodes g3 <> Wgraph.n_nodes g
-    || Wgraph.n_edges g3 <> Wgraph.n_edges g
-  then
-    failwith "ingest_pipeline_bench: fused ingest changed the graph shape";
-  let labels_match = fused_part = unfused_part in
-  let bytes = String.length text in
-  let row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d, "bytes": %d,
-      "parse_then_stream_s": %.4f, "fused_s": %.4f,
-      "fused_vs_parse_ratio": %.3f, "labels_match": %b,
-      "fused_mb_per_s": %.1f }|}
-      (Wgraph.n_nodes g) (Wgraph.n_edges g) k bytes parse_stream_s fused_s
-      (fused_s /. parse_stream_s) labels_match
-      (float_of_int bytes /. fused_s /. 1e6)
-  in
-  (row, parse_stream_s, fused_s, labels_match)
 
 (* Incremental repartitioning vs from-scratch on a planted instance
    with a small edit (DESIGN.md §6.7): the daemon's steady-state
@@ -1532,7 +1466,6 @@ let bench_json () =
   let stream_1m_row = stream_1m_bench ~reps:3 () in
   let ingest_row = ingest_bench ~scale:17 ~reps:3 in
   let sp_row, _, _, _ = stream_parallel_bench ~n:1_000_000 ~reps:3 () in
-  let ip_row, _, _, _ = ingest_pipeline_bench ~scale:17 ~reps:3 in
   let repartition_row, scratch_s, incr_s, _ =
     repartition_bench ~n:50_000 ~k:8 ~edit_pct:1 ~reps:3 ()
   in
@@ -1543,7 +1476,7 @@ let bench_json () =
   let json =
     Printf.sprintf
       {|{
-  "schema": "ppnpart-bench-partition/9",
+  "schema": "ppnpart-bench-partition/10",
   "generated_unix": %.0f,
   "instances": [
 %s
@@ -1559,7 +1492,6 @@ let bench_json () =
   "hybrid_200k": %s,
   "ingest_131k": %s,
   "stream_parallel_1m": %s,
-  "ingest_pipeline_131k": %s,
   "repartition_50k": %s,
   "daemon": %s
 }
@@ -1567,8 +1499,8 @@ let bench_json () =
       (Unix.time ())
       (String.concat ",\n" instance_rows)
       fm_row refine_row refine_1m_row coarsen_row vc_row obs_row
-      stream_1m_row stream_row hybrid_row ingest_row sp_row ip_row
-      repartition_row daemon_row
+      stream_1m_row stream_row hybrid_row ingest_row sp_row repartition_row
+      daemon_row
   in
   let path = Filename.concat out_dir "BENCH_partition.json" in
   Graph_io.write_file path json;
@@ -1677,22 +1609,6 @@ let smoke () =
          "smoke: width-1 chunked restream slower than sequential beyond \
           tolerance (%.4fs > 1.10 * %.4fs)"
          sp_par1_s sp_seq_s);
-  (* Fused ingest at CI scale: on unit edge weights with finite rmax
-     the header-estimated constants are exact, so fused labels must
-     equal parse-then-stream labels bit for bit — and skipping the
-     intermediate round trip must actually be faster. *)
-  let ip_row, ip_parse_s, ip_fused_s, ip_match =
-    ingest_pipeline_bench ~scale:13 ~reps:2
-  in
-  Printf.printf "  ingest_pipeline_8k: %s\n%!" ip_row;
-  if not ip_match then
-    failwith "smoke: fused ingest labels differ from parse-then-stream";
-  if ip_fused_s > 1.10 *. ip_parse_s then
-    failwith
-      (Printf.sprintf
-         "smoke: fused ingest slower than parse-then-stream (%.4fs > 1.10 \
-          * %.4fs)"
-         ip_fused_s ip_parse_s);
   (* Incremental repartitioning at CI scale: same measurement code as
      the 50k JSON row. The whole point of the daemon's steady state is
      that a small-edit request is cheaper than a scratch run, so the
@@ -1741,14 +1657,13 @@ let bench_json_smoke () =
   in
   let ingest_row = ingest_bench ~scale:13 ~reps:2 in
   let sp_row, _, _, _ = stream_parallel_bench ~n:20_000 ~reps:5 () in
-  let ip_row, _, _, _ = ingest_pipeline_bench ~scale:13 ~reps:2 in
   let repart_row, _, _, _ =
     repartition_bench ~n:4_000 ~k:8 ~edit_pct:1 ~reps:2 ()
   in
   let json =
     Printf.sprintf
       {|{
-  "schema": "ppnpart-bench-smoke/4",
+  "schema": "ppnpart-bench-smoke/5",
   "generated_unix": %.0f,
   "fm_600": %s,
   "refine_4k": %s,
@@ -1761,13 +1676,12 @@ let bench_json_smoke () =
   "hybrid_20k": %s,
   "ingest_8k": %s,
   "stream_parallel_20k": %s,
-  "ingest_pipeline_8k": %s,
   "repartition_4k": %s
 }
 |}
       (Unix.time ()) fm_row refine_row refine_parallel_row report_row
       coarsen_row obs_row vc_row stream_row hybrid_row ingest_row sp_row
-      ip_row repart_row
+      repart_row
   in
   let path = Filename.concat out_dir "BENCH_smoke.json" in
   Graph_io.write_file path json;

@@ -36,13 +36,35 @@ let setup_logs_term =
   in
   Term.(const setup $ log_level_arg)
 
+(* The first non-blank line of [text], trimmed. *)
+let rec first_line text pos =
+  let stop =
+    Option.value ~default:(String.length text)
+      (String.index_from_opt text pos '\n')
+  in
+  let line = String.trim (String.sub text pos (stop - pos)) in
+  if line = "" && stop < String.length text then first_line text (stop + 1)
+  else line
+
+(* Both supported formats are told apart by their first line: an
+   adjacency matrix opens with its size alone, while a METIS file opens
+   with a [%] comment or a header of two or three fields. Only the
+   matching parser runs, so a malformed file is reported in its own
+   format's terms. *)
 let read_graph path =
-  let text = Graph_io.read_file path in
-  (* Accept both supported formats: try METIS first, then the adjacency
-     matrix. *)
-  match Graph_io.of_metis text with
-  | g -> g
-  | exception _ -> Graph_io.of_adjacency_matrix text
+  match Graph_io.read_file path with
+  | exception Sys_error msg -> Error msg
+  | text -> (
+    let line = first_line text 0 in
+    let matrix =
+      line <> ""
+      && line.[0] <> '%'
+      && not (String.exists (fun c -> c = ' ' || c = '\t') line)
+    in
+    let parse =
+      if matrix then Graph_io.of_adjacency_matrix else Graph_io.of_metis
+    in
+    match parse text with g -> Ok g | exception Failure msg -> Error msg)
 
 (* --- shared arguments --- *)
 
@@ -93,18 +115,6 @@ let stream_jobs_arg =
            honored exactly. Chunk boundaries and commit order are fixed \
            by node index, so the partition found is identical at every \
            width.")
-
-let stream_ingest_arg =
-  Arg.(
-    value & flag
-    & info [ "stream-ingest" ]
-        ~doc:
-          "Fuse METIS parsing with the first streaming pass \
-           ($(b,--mode stream)/$(b,hybrid) with $(b,--input), GP only): \
-           each adjacency row is placed as soon as it is tokenized, so \
-           no parse-then-stream round trip over the input happens. \
-           Validation is unchanged (deferred whole-graph checks run at \
-           end of input).")
 
 let k_arg =
   Arg.(
@@ -283,7 +293,7 @@ let check_arg =
 
 let resolve_input input paper seed =
   match (input, paper) with
-  | Some path, None -> Ok (read_graph path)
+  | Some path, None -> read_graph path
   | None, Some n -> (
     let module PG = Ppnpart_workloads.Paper_graphs in
     match n with
@@ -302,26 +312,14 @@ let resolve_input input paper seed =
 (* --- partition command --- *)
 
 let partition_cmd =
-  let run () input paper seed jobs refine_jobs stream_jobs stream_ingest k
-      bmax rmax algo mode stream_iterations dot save trace_out trace_jsonl
-      metrics_out report_json det_report stats check =
-    (* With --stream-ingest the file's text goes to the fused
-       parse+stream path unparsed; everything else resolves to a graph
-       up front as before. *)
-    let source =
-      match (input, paper, algo, mode) with
-      | ( Some path, None, `Gp,
-          (Ppnpart_core.Config.Stream | Ppnpart_core.Config.Hybrid) )
-        when stream_ingest ->
-        Ok (`Metis_text (Graph_io.read_file path))
-      | _ ->
-        Result.map (fun g -> `Graph g) (resolve_input input paper seed)
-    in
-    match source with
+  let run () input paper seed jobs refine_jobs stream_jobs k bmax rmax algo
+      mode stream_iterations dot save trace_out trace_jsonl metrics_out
+      report_json det_report stats check =
+    match resolve_input input paper seed with
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
-    | Ok source ->
+    | Ok g ->
       let c = Types.constraints ~k ~bmax ~rmax in
       (* Deterministic reports need span durations measured on the
          logical event clock, which lives in the trace buffers — so the
@@ -340,37 +338,26 @@ let partition_cmd =
       (* The report is computed exactly once per run: GP already returns
          one, the other algorithms build theirs from their own timing. *)
       let gp_result = ref None in
-      let g, (name, part, report) =
+      let name, part, report =
         let t0 = Unix.gettimeofday () in
         let rng = Random.State.make [| seed |] in
         match algo with
         | `Gp ->
           let config =
             { Ppnpart_core.Config.default with seed; jobs; refine_jobs;
-              stream_jobs; stream_ingest; mode; stream_iterations;
+              stream_jobs; mode; stream_iterations;
               debug_checks = Ppnpart_core.Config.default.debug_checks || check
             }
           in
-          let g, r =
-            match source with
-            | `Graph g -> (g, Ppnpart_core.Gp.partition ~config g c)
-            | `Metis_text text ->
-              Ppnpart_core.Gp.partition_metis ~config text c
-          in
+          let r = Ppnpart_core.Gp.partition ~config g c in
           gp_result := Some r;
           let name =
             match mode with
             | Ppnpart_core.Config.Multilevel -> "GP"
             | m -> "GP/" ^ Ppnpart_core.Config.mode_name m
           in
-          (g, (name, r.Ppnpart_core.Gp.part, r.Ppnpart_core.Gp.report))
+          (name, r.Ppnpart_core.Gp.part, r.Ppnpart_core.Gp.report)
         | (`Metis | `Spectral | `Fm | `Kl | `Exact) as algo ->
-          (* The ingest source is GP-gated above; unreachable here. *)
-          let g =
-            match source with
-            | `Graph g -> g
-            | `Metis_text text -> Graph_io.of_metis text
-          in
           let timed_report p =
             Metrics.report ~runtime_s:(Unix.gettimeofday () -. t0) g c p
           in
@@ -403,7 +390,7 @@ let partition_cmd =
                 Printf.printf "exact: no feasible partition exists\n";
                 exit 3)
           in
-          (g, res)
+          res
       in
       let capture = if tracing then Ppnpart_obs.Obs.finish () else None in
       let snapshot =
@@ -475,9 +462,8 @@ let partition_cmd =
   let term =
     Term.(
       const run $ setup_logs_term $ input_arg $ paper_arg $ seed_arg
-      $ jobs_arg $ refine_jobs_arg $ stream_jobs_arg $ stream_ingest_arg
-      $ k_arg $ bmax_arg $ rmax_arg
-      $ algo_arg $ mode_arg
+      $ jobs_arg $ refine_jobs_arg $ stream_jobs_arg $ k_arg $ bmax_arg
+      $ rmax_arg $ algo_arg $ mode_arg
       $ stream_iterations_arg $ dot_arg $ save_arg $ trace_out_arg
       $ trace_jsonl_arg $ metrics_out_arg $ report_json_arg
       $ det_report_arg $ stats_arg $ check_arg)

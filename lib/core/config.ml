@@ -20,7 +20,6 @@ type t = {
   stream_iterations : int;
   stream_jobs : int;
   stream_chunk : int;
-  stream_ingest : bool;
   repartition_gate : float;
 }
 
@@ -40,7 +39,6 @@ let default =
     stream_iterations = Ppnpart_partition.Stream.default_iterations;
     stream_jobs = 0;
     stream_chunk = Ppnpart_partition.Stream_parallel.default_chunk;
-    stream_ingest = false;
     repartition_gate = 0.25;
   }
 

@@ -77,13 +77,6 @@ type t = {
           {!Ppnpart_partition.Stream_parallel.default_chunk} = 4096).
           Inputs with [n <= stream_chunk] use the sequential streamer
           verbatim. Must be ≥ 1. *)
-  stream_ingest : bool;
-      (** when true, {!Gp.partition_metis} fuses METIS parsing with the
-          first streaming pass ({!Ppnpart_partition.Stream_parallel.ingest}):
-          placement starts while the text is still being tokenized and
-          no intermediate parse-then-stream round trip happens. Only
-          consulted by [Stream]/[Hybrid] modes; the CLI flag is
-          [--stream-ingest] (default false). *)
   repartition_gate : float;
       (** {!Gp.repartition} edit-ratio gate: when an edit touches more
           than this fraction of the edited graph's nodes, incremental

@@ -251,13 +251,7 @@ let exhaustive_best g (c : Types.constraints) =
   go 0 0;
   !best
 
-(* [stream_seed]: externally-produced streaming labels (the pipelined
-   ingest's fused first pass + restreams) standing in for the
-   [Stream]/[Hybrid] streaming stage. Ignored by [Multilevel] and by
-   the degenerate dispatch below — those inputs never reach the
-   streaming stage in the first place. *)
-let run_partition ?stream_seed ~(config : Config.t) g (c : Types.constraints)
-    =
+let run_partition ~(config : Config.t) g (c : Types.constraints) =
   Config.validate config;
   (* No jobs-dependent attribute may appear here: the exported trace is
      documented to be identical for every job count. *)
@@ -321,18 +315,12 @@ let run_partition ?stream_seed ~(config : Config.t) g (c : Types.constraints)
     in
     match mode with
     | Config.Stream ->
-        let part =
-          match stream_seed with
-          | Some part -> part
-          | None ->
-              let part, _stats =
-                with_stream_team config n (fun team ->
-                    Stream_parallel.partition ?team
-                      ~workspace:(Workspace.create ())
-                      ~max_iterations:config.Config.stream_iterations
-                      ~chunk_size:config.Config.stream_chunk g c)
-              in
-              part
+        let part, _stats =
+          with_stream_team config n (fun team ->
+              Stream_parallel.partition ?team
+                ~workspace:(Workspace.create ())
+                ~max_iterations:config.Config.stream_iterations
+                ~chunk_size:config.Config.stream_chunk g c)
         in
         if Ppnpart_check.Check.enabled () then
           Ppnpart_check.Check.partition ~site:"gp.stream" g c part;
@@ -349,17 +337,11 @@ let run_partition ?stream_seed ~(config : Config.t) g (c : Types.constraints)
            itself. *)
         let checking = Ppnpart_check.Check.enabled () in
         let ws = Workspace.create () in
-        let seed_part =
-          match stream_seed with
-          | Some part -> part
-          | None ->
-              let part, _stats =
-                with_stream_team config n (fun team ->
-                    Stream_parallel.partition ?team ~workspace:ws
-                      ~max_iterations:config.Config.stream_iterations
-                      ~chunk_size:config.Config.stream_chunk g c)
-              in
-              part
+        let seed_part, _stats =
+          with_stream_team config n (fun team ->
+              Stream_parallel.partition ?team ~workspace:ws
+                ~max_iterations:config.Config.stream_iterations
+                ~chunk_size:config.Config.stream_chunk g c)
         in
         if checking then
           Ppnpart_check.Check.partition ~site:"gp.stream" g c seed_part;
@@ -495,57 +477,9 @@ let partition_exn ?config g c =
        tool needs more iterations (increase max_cycles)";
   r
 
-let partition_metis ?(config = Config.default) text c =
-  let fused =
-    config.Config.stream_ingest
-    &&
-    match config.Config.mode with
-    | Config.Stream | Config.Hybrid -> true
-    | Config.Multilevel -> false
-  in
-  if not fused then begin
-    let g = Graph_io.of_metis text in
-    (g, partition ~config g c)
-  end
-  else begin
-    Config.validate config;
-    let run () =
-      (* The team must exist before parsing starts (the fused first
-         pass needs it for its restreams), i.e. before [n] is known —
-         so the width comes from the jobs budget alone, without
-         [stream_width]'s small-input gate. Ingest is for inputs whose
-         parse is worth pipelining; a small graph merely idles the
-         team. *)
-      let width =
-        if Domains.in_worker () then 1
-        else if config.Config.stream_jobs > 0 then config.Config.stream_jobs
-        else
-          min (Pool.resolve config.Config.jobs) (Domains.recommended ())
-      in
-      let ingest team =
-        Stream_parallel.ingest_text ?team
-          ~workspace:(Workspace.create ())
-          ~max_iterations:config.Config.stream_iterations
-          ~chunk_size:config.Config.stream_chunk c text
-      in
-      let g, seed, _stats =
-        if width <= 1 then ingest None
-        else begin
-          let tm = Team.create ~width in
-          Fun.protect
-            ~finally:(fun () -> Team.shutdown tm)
-            (fun () -> ingest (Some tm))
-        end
-      in
-      (* Degenerate inputs (empty, k = 1, n <= k, zero edges) never
-         reach the streaming stage, so the seed is simply unused
-         there — [run_partition] answers exactly as parse-then-partition
-         would. *)
-      (g, run_partition ~stream_seed:seed ~config g c)
-    in
-    if config.Config.debug_checks then Ppnpart_check.Check.with_checks run
-    else run ()
-  end
+let partition_metis ?config text c =
+  let g = Graph_io.of_metis text in
+  (g, partition ?config g c)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental repartitioning (DESIGN.md §6.7).

@@ -51,15 +51,7 @@ val partition_metis :
   ?config:Config.t -> string -> Types.constraints -> Wgraph.t * result
 (** [partition_metis text c]: partition a graph supplied as METIS
     [.graph] text, returning the parsed graph alongside the result.
-    Equivalent to {!Ppnpart_graph.Graph_io.of_metis} followed by
-    {!partition} — except when [config.stream_ingest] is set and the
-    mode is [Stream] or [Hybrid], where parsing is fused with the
-    first streaming pass ({!Ppnpart_partition.Stream_parallel.ingest}):
-    placement happens row by row while the text is tokenized, and the
-    remaining restream passes (then, for [Hybrid], refinement) run on
-    the graph the parse produced, with no separate parse-then-stream
-    round trip. Degenerate inputs (empty, [k = 1], [n <= k], zero
-    edges) answer exactly as the unfused path.
+    {!Ppnpart_graph.Graph_io.of_metis} followed by {!partition}.
     @raise Failure as {!Ppnpart_graph.Graph_io.of_metis} on malformed
     text. *)
 

@@ -2,17 +2,39 @@ let log_src = Logs.Src.create "ppnpart.graph" ~doc:"Graph serialization and I/O"
 
 let buf_add = Buffer.add_string
 
-let to_metis g =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "%d %d 011\n" (Wgraph.n_nodes g) (Wgraph.n_edges g));
+(* Row-aligned chunked serialization: the feeding side of {!Rows}. Each
+   integer goes into the buffer as its [string_of_int] digits, with no
+   per-edge format string. *)
+let to_metis_chunks ?(rows_per_chunk = 4096) g emit =
+  if rows_per_chunk < 1 then
+    invalid_arg "Graph_io.to_metis_chunks: rows_per_chunk < 1";
+  let b = Buffer.create 65536 in
+  let add_int i = buf_add b (string_of_int i) in
+  add_int (Wgraph.n_nodes g);
+  Buffer.add_char b ' ';
+  add_int (Wgraph.n_edges g);
+  buf_add b " 011\n";
   for u = 0 to Wgraph.n_nodes g - 1 do
-    Buffer.add_string b (string_of_int (Wgraph.node_weight g u));
+    add_int (Wgraph.node_weight g u);
     Wgraph.iter_neighbors g u (fun v w ->
-        Buffer.add_string b (Printf.sprintf " %d %d" (v + 1) w));
-    Buffer.add_char b '\n'
+        Buffer.add_char b ' ';
+        add_int (v + 1);
+        Buffer.add_char b ' ';
+        add_int w);
+    Buffer.add_char b '\n';
+    if (u + 1) mod rows_per_chunk = 0 then begin
+      emit (Buffer.contents b);
+      Buffer.clear b
+    end
   done;
-  Buffer.contents b
+  if Buffer.length b > 0 then emit (Buffer.contents b)
+
+(* With [rows_per_chunk = max_int] the header guarantees exactly one,
+   final, piece. *)
+let to_metis g =
+  let text = ref "" in
+  to_metis_chunks ~rows_per_chunk:max_int g (fun s -> text := s);
+  !text
 
 (* Readers promise "@raise Failure" and nothing else, but the
    constructors they finish with ([Edge_list.add], [Wgraph.build])
@@ -36,285 +58,123 @@ let ints_of_line line =
            | Some i -> Some i
            | None -> failwith ("Graph_io: not an integer: " ^ s))
 
-(* Single-pass METIS parser: one cursor over the raw text. The previous
-   parser split the whole input into a line list and every line into a
-   token string list before converting — on a multi-million-edge file
-   that transient list/string garbage dwarfed the graph itself and
-   dominated ingest time. Only the error paths allocate now. *)
-let of_metis text =
-  let len = String.length text in
-  let pos = ref 0 in
-  let is_hspace c = c = ' ' || c = '\t' || c = '\r' in
-  let skip_hspace () =
-    while !pos < len && is_hspace text.[!pos] do
-      incr pos
-    done
-  in
-  (* Advance to the first token of the next non-blank, non-comment line;
-     false at end of input. *)
-  let rec next_line () =
-    skip_hspace ();
-    if !pos >= len then false
-    else
-      match text.[!pos] with
-      | '\n' ->
-        incr pos;
-        next_line ()
-      | '%' ->
-        while !pos < len && text.[!pos] <> '\n' do
-          incr pos
-        done;
-        next_line ()
-      | _ -> true
-  in
-  let at_eol () =
-    skip_hspace ();
-    !pos >= len || text.[!pos] = '\n'
-  in
-  (* The token at the cursor as an int. The all-decimal hot path
-     accumulates in place; anything else (signs, hex/underscore forms,
-     garbage, > 18 digits) falls back to a substring + [int_of_string],
-     so acceptance and the "not an integer" failure match the line-list
-     tokenizer exactly. Callers guarantee [not (at_eol ())]. *)
-  let token_int () =
-    let start = !pos in
-    let v = ref 0 and digits = ref 0 and plain = ref true in
-    while !pos < len && (not (is_hspace text.[!pos])) && text.[!pos] <> '\n' do
-      let c = text.[!pos] in
-      if c >= '0' && c <= '9' then begin
-        v := (!v * 10) + (Char.code c - Char.code '0');
-        incr digits
-      end
-      else plain := false;
-      incr pos
-    done;
-    if !plain && !digits > 0 && !digits <= 18 then !v
-    else begin
-      let s = String.sub text start (!pos - start) in
-      match int_of_string_opt s with
-      | Some i -> i
-      | None -> failwith ("Graph_io: not an integer: " ^ s)
-    end
-  in
-  if not (next_line ()) then failwith "Graph_io.of_metis: empty input";
-  let h1 = token_int () in
-  if at_eol () then failwith "Graph_io.of_metis: bad header";
-  let h2 = token_int () in
-  let n, m_decl, has_vsize, has_vwgt, has_ewgt =
-    if at_eol () then (h1, h2, false, false, false)
-    else begin
-      let fmt = token_int () in
-      if not (at_eol ()) then failwith "Graph_io.of_metis: bad header";
-      (h1, h2, fmt / 100 mod 10 = 1, fmt / 10 mod 10 = 1, fmt mod 10 = 1)
-    end
-  in
-  if n < 0 then failwith "Graph_io.of_metis: bad header";
-  let vwgt = Array.make n 1 in
-  (* Every directed adjacency mention, keyed by the undirected pair.
-     Checking each pair individually — both directions present, listed
-     exactly once each, equal weights — catches asymmetries that
-     compensating errors (e.g. a duplicated upper-triangle entry merged
-     by weight addition) would slip past an aggregate edge count. *)
-  let seen = Hashtbl.create (max 16 (2 * m_decl)) in
-  let record u v w =
-    if v < 0 || v >= n then
-      failwith
-        (Printf.sprintf
-           "Graph_io.of_metis: neighbour %d of node %d out of range"
-           (v + 1) (u + 1));
-    if v = u then
-      failwith
-        (Printf.sprintf "Graph_io.of_metis: self loop on node %d" (u + 1));
-    let key = (min u v, max u v) in
-    let up, down =
-      Option.value ~default:([], []) (Hashtbl.find_opt seen key)
-    in
-    Hashtbl.replace seen key
-      (if u < v then (w :: up, down) else (up, w :: down))
-  in
-  for u = 0 to n - 1 do
-    if not (next_line ()) then
-      failwith
-        (Printf.sprintf "Graph_io.of_metis: expected %d node lines, got %d" n
-           u);
-    if has_vsize then begin
-      if at_eol () then failwith "Graph_io.of_metis: missing vertex size";
-      ignore (token_int ())
-    end;
-    if has_vwgt then begin
-      if at_eol () then failwith "Graph_io.of_metis: missing vertex weight";
-      vwgt.(u) <- token_int ()
-    end;
-    while not (at_eol ()) do
-      let v = token_int () in
-      if has_ewgt then begin
-        if at_eol () then
-          failwith
-            (Printf.sprintf
-               "Graph_io.of_metis: neighbour of node %d without a weight"
-               (u + 1));
-        record u (v - 1) (token_int ())
-      end
-      else record u (v - 1) 1
-    done
-  done;
-  if next_line () then begin
-    (* Error path only: count the surplus lines for the message. *)
-    let extra = ref 0 in
-    while next_line () do
-      incr extra;
-      while !pos < len && text.[!pos] <> '\n' do
-        incr pos
-      done
-    done;
-    failwith
-      (Printf.sprintf "Graph_io.of_metis: expected %d node lines, got %d" n
-         (n + !extra))
-  end;
-  failure_only ~reader:"Graph_io.of_metis" @@ fun () ->
-  begin
-    let el = Edge_list.create n in
-    Hashtbl.iter
-      (fun (u, v) (up, down) ->
-        let pair = Printf.sprintf "%d-%d" (u + 1) (v + 1) in
-        match (up, down) with
-        | [ wu ], [ wd ] ->
-          if wu <> wd then
-            failwith
-              (Printf.sprintf
-                 "Graph_io.of_metis: asymmetric weight on edge %s (%d vs %d)"
-                 pair wu wd);
-          Edge_list.add el u v wu
-        | _ :: _ :: _, _ | _, _ :: _ :: _ ->
-          failwith
-            (Printf.sprintf
-               "Graph_io.of_metis: duplicate adjacency entry for edge %s" pair)
-        | [], _ | _, [] ->
-          failwith
-            (Printf.sprintf
-               "Graph_io.of_metis: asymmetric adjacency: edge %s is listed \
-                on one endpoint only"
-               pair))
-      seen;
-    let g = Wgraph.build ~vwgt el in
-    if Wgraph.n_edges g <> m_decl then
-      failwith
-        (Printf.sprintf "Graph_io.of_metis: declared %d edges, found %d"
-           m_decl (Wgraph.n_edges g));
-    Wgraph.validate g;
-    g
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Incremental row-based construction (DESIGN.md §6.9).                *)
+(* The METIS reader (DESIGN.md §6.9).                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [Builder]: the CSR accumulator behind the incremental METIS reader.
-   Rows arrive in node order, each mention is range/self-loop checked on
-   arrival, and the whole-graph checks [of_metis] performs through its
-   per-pair hash table — duplicates, adjacency and weight symmetry, the
+(* [Builder]: the CSR accumulator behind {!Rows}. Rows arrive in node
+   order, each mention is range/self-loop checked on arrival, and the
+   whole-graph checks — duplicates, adjacency and weight symmetry, the
    declared edge count — run once at [finish] over the sorted adjacency
-   slices instead: O(m log d) with no per-pair heap cells, which is what
-   lets a first streaming pass overlap parsing without paying the
-   table.
+   slices: O(m log d) with no per-pair heap cells.
 
-   Error messages are kept byte-identical to [of_metis] (including its
-   [failure_only] constructor funnels), so the two paths are
-   differentially testable on the same malformed corpus. *)
+   The rows accumulate in growth buffers that double as rows and
+   mentions arrive, stopping at the sizes the header declares: memory
+   follows the input received, so a hostile header costs nothing until
+   its rows arrive. The buffers are Bigarrays, outside the OCaml heap:
+   their doubling garbage never grows the major heap, and their
+   malloc'd size is charged to the GC's pacing, so a stream of parses
+   does not let the major heap balloon between cycles. [finish] copies
+   them into the exact-size arrays the graph adopts. *)
 module Builder = struct
+  module A = Bigarray.Array1
+
+  type buf = (int, Bigarray.int_elt, Bigarray.c_layout) A.t
+
   type t = {
     n : int;
-    m_decl : int option;
-    vwgt : int array;
-    xadj : int array;
-    mutable adjncy : int array;
-    mutable adjwgt : int array;
+    m_decl : int;
+    mutable vwgt : buf;
+    mutable xadj : buf;  (* one longer than [vwgt] *)
+    mutable adjncy : buf;
+    mutable adjwgt : buf;
     mutable m2 : int;  (* directed mentions recorded so far *)
     mutable next_u : int;  (* rows completed *)
   }
 
   let fail_f fmt = Printf.ksprintf failwith fmt
+  let initial_cap = 4096
+  let buf cap : buf = A.create Bigarray.int Bigarray.c_layout cap
 
-  let create ?m_decl n =
-    if n < 0 then failwith "Graph_io.of_metis: bad header";
-    let cap =
-      (* Start from the declared size when it is sane, but never trust a
-         hostile header with a huge allocation: growth is amortized. *)
-      match m_decl with
-      | Some m when m > 0 -> max 64 (min (2 * m) (1 lsl 22))
-      | _ -> 64
-    in
+  (* Next capacity after [cap]: double, but stop at [limit] (the
+     declared size) while it is ahead. *)
+  let grow_cap ~limit cap =
+    let c = max 16 (2 * cap) in
+    if cap < limit then min limit c else c
+
+  let grow a cap len =
+    let b = buf cap in
+    A.blit (A.sub a 0 len) (A.sub b 0 len);
+    b
+
+  (* The declared mention count, when the header's [m] is sane. *)
+  let mention_limit m_decl =
+    if m_decl > 0 && m_decl <= Sys.max_array_length / 2 then 2 * m_decl
+    else 0
+
+  let create ~m_decl n =
+    if n < 0 || n >= Sys.max_array_length then
+      failwith "Graph_io.of_metis: bad header";
+    let rows = min n initial_cap in
+    let mentions = min (mention_limit m_decl) initial_cap in
+    let xadj = buf (rows + 1) in
+    xadj.{0} <- 0;
     {
       n;
       m_decl;
-      vwgt = Array.make n 1;
-      xadj = Array.make (n + 1) 0;
-      adjncy = Array.make cap 0;
-      adjwgt = Array.make cap 0;
+      vwgt = buf rows;
+      xadj;
+      adjncy = buf mentions;
+      adjwgt = buf mentions;
       m2 = 0;
       next_u = 0;
     }
 
   let rows_done t = t.next_u
 
-  let push t v w =
-    if t.m2 >= Array.length t.adjncy then begin
-      let cap = max 64 (2 * Array.length t.adjncy) in
-      let a = Array.make cap 0 and b = Array.make cap 0 in
-      Array.blit t.adjncy 0 a 0 t.m2;
-      Array.blit t.adjwgt 0 b 0 t.m2;
-      t.adjncy <- a;
-      t.adjwgt <- b
+  (* Start row [next_u] (callers never go past row [n - 1]) with the
+     default weight 1. *)
+  let begin_row t =
+    let len = A.dim t.vwgt in
+    if t.next_u >= len then begin
+      let cap = grow_cap ~limit:t.n len in
+      t.vwgt <- grow t.vwgt cap len;
+      t.xadj <- grow t.xadj (cap + 1) (len + 1)
     end;
-    t.adjncy.(t.m2) <- v;
-    t.adjwgt.(t.m2) <- w;
-    t.m2 <- t.m2 + 1
+    t.vwgt.{t.next_u} <- 1
 
-  (* One mention [v] (0-based) of weight [w] in the current row; checks
-     and messages match [of_metis]'s [record]. *)
+  (* One mention [v] (0-based) of weight [w] in the current row. *)
   let mention t v w =
     let u = t.next_u in
     if v < 0 || v >= t.n then
       fail_f "Graph_io.of_metis: neighbour %d of node %d out of range"
         (v + 1) (u + 1);
     if v = u then fail_f "Graph_io.of_metis: self loop on node %d" (u + 1);
-    push t v w
+    if t.m2 >= A.dim t.adjncy then begin
+      let cap = grow_cap ~limit:(mention_limit t.m_decl) t.m2 in
+      t.adjncy <- grow t.adjncy cap t.m2;
+      t.adjwgt <- grow t.adjwgt cap t.m2
+    end;
+    A.unsafe_set t.adjncy t.m2 v;
+    A.unsafe_set t.adjwgt t.m2 w;
+    t.m2 <- t.m2 + 1
 
-  let set_vwgt t w = t.vwgt.(t.next_u) <- w
+  let set_vwgt t w = t.vwgt.{t.next_u} <- w
 
   let end_row t =
-    if t.next_u >= t.n then
-      invalid_arg "Graph_io.Builder.end_row: all rows already added";
     t.next_u <- t.next_u + 1;
-    t.xadj.(t.next_u) <- t.m2
-
-  (* Convenience for programmatic producers (generators, tests): one
-     whole row from parallel arrays. *)
-  let add_row t ~vwgt ~deg ~adj ~adjw =
-    set_vwgt t vwgt;
-    for i = 0 to deg - 1 do
-      mention t adj.(i) adjw.(i)
-    done;
-    end_row t
+    t.xadj.{t.next_u} <- t.m2
 
   let pair_name u v =
     let a = min u v and b = max u v in
     Printf.sprintf "%d-%d" (a + 1) (b + 1)
 
+  let to_array (a : buf) len = Array.init len (fun i -> A.unsafe_get a i)
+
   let finish t =
-    if t.next_u < t.n then
-      fail_f "Graph_io.of_metis: expected %d node lines, got %d" t.n
-        t.next_u;
     let n = t.n in
-    let xadj = t.xadj in
-    let adjncy =
-      if Array.length t.adjncy = t.m2 then t.adjncy
-      else Array.sub t.adjncy 0 t.m2
-    in
-    let adjwgt =
-      if Array.length t.adjwgt = t.m2 then t.adjwgt
-      else Array.sub t.adjwgt 0 t.m2
-    in
+    let vwgt = to_array t.vwgt n and xadj = to_array t.xadj (n + 1) in
+    let adjncy = to_array t.adjncy t.m2 and adjwgt = to_array t.adjwgt t.m2 in
     (* Sort each slice by neighbour id. Rows emitted by [to_metis] (and
        by every generator in this repo) are already ascending, so the
        common case is a pure scan. *)
@@ -335,9 +195,9 @@ module Builder = struct
         done
       end
     done;
-    (* The per-pair checks of [of_metis], in a deterministic order:
-       duplicates within a row, then both-endpoint presence and weight
-       agreement via binary search in the mirror row. *)
+    (* Per-pair checks in a deterministic order: duplicates within a
+       row, then both-endpoint presence and weight agreement via binary
+       search in the mirror row. *)
     for u = 0 to n - 1 do
       for i = xadj.(u) + 1 to xadj.(u + 1) - 1 do
         if adjncy.(i) = adjncy.(i - 1) then
@@ -373,79 +233,61 @@ module Builder = struct
             adjwgt.(i) adjwgt.(j)
       done
     done;
-    (* Constructor checks, message-compatible with the legacy
-       [Edge_list.add] / [Wgraph.build] funnels. *)
+    (* Weight checks, worded as the [Edge_list.add] / [Wgraph.build]
+       constructor messages. *)
     for i = 0 to t.m2 - 1 do
       if adjwgt.(i) < 0 then
         failwith "Graph_io.of_metis: Edge_list.add: negative weight"
     done;
     for u = 0 to n - 1 do
-      if t.vwgt.(u) < 0 then
+      if vwgt.(u) < 0 then
         failwith "Graph_io.of_metis: Wgraph.build: negative vwgt"
     done;
-    (match t.m_decl with
-    | Some m_decl when t.m2 / 2 <> m_decl ->
-      fail_f "Graph_io.of_metis: declared %d edges, found %d" m_decl
-        (t.m2 / 2)
-    | _ -> ());
+    if t.m2 / 2 <> t.m_decl then
+      fail_f "Graph_io.of_metis: declared %d edges, found %d" t.m_decl
+        (t.m2 / 2);
     failure_only ~reader:"Graph_io.of_metis" @@ fun () ->
-    Wgraph.of_csr ~vwgt:t.vwgt ~n ~xadj ~adjncy ~adjwgt ()
+    Wgraph.of_csr ~vwgt ~n ~xadj ~adjncy ~adjwgt ()
 end
 
 (* [Rows]: a resumable cursor over METIS text fed in arbitrary pieces.
-   Complete lines are tokenized with the same cursor/token logic as
-   [of_metis] (incomplete trailing lines wait in a carry buffer for the
-   next [feed]), each finished adjacency row is pushed into a {!Builder}
-   and handed to [on_row] immediately — this is the hook the pipelined
-   streaming ingest hangs its first placement pass on — and [finish]
-   runs the deferred whole-graph validation. *)
+   Complete lines are tokenized in place (incomplete trailing lines
+   wait in a carry buffer for the next [feed]), each finished
+   adjacency row goes into the {!Builder}, and [finish] runs the
+   deferred whole-graph validation. *)
 module Rows = struct
   type phase =
     | Header
-    | Fields  (* header seen, waiting for node rows *)
-    | Done of int  (* all rows seen; counts surplus non-blank lines *)
+    | Fields of Builder.t  (* header seen, waiting for node rows *)
+    | Done of Builder.t * int
+        (* all rows seen; counts surplus non-blank lines *)
 
   type t = {
     mutable phase : phase;
-    mutable n : int;
-    mutable m_decl : int;
     mutable has_vsize : bool;
     mutable has_vwgt : bool;
     mutable has_ewgt : bool;
-    mutable builder : Builder.t option;
     pending : Buffer.t;
     mutable finished : bool;
-    on_header : (n:int -> m_decl:int -> unit) option;
-    on_row :
-      (u:int -> vwgt:int -> off:int -> deg:int -> adj:int array ->
-       adjw:int array -> unit)
-        option;
   }
 
-  let create ?on_header ?on_row () =
+  let create () =
     {
       phase = Header;
-      n = 0;
-      m_decl = 0;
       has_vsize = false;
       has_vwgt = false;
       has_ewgt = false;
-      builder = None;
       pending = Buffer.create 256;
       finished = false;
-      on_header;
-      on_row;
     }
 
-  let header t =
-    match t.phase with Header -> None | _ -> Some (t.n, t.m_decl)
-
   let rows_done t =
-    match t.builder with None -> 0 | Some b -> Builder.rows_done b
+    match t.phase with
+    | Header -> 0
+    | Fields b | Done (b, _) -> Builder.rows_done b
 
   (* Tokenize every complete line in [text.[lo .. hi - 1]], advancing
-     the parse state. Mirrors [of_metis]'s cursor exactly, including the
-     blank/comment-line skipping and the all-decimal fast path. *)
+     the parse state. Blank lines and [%] comment lines are skipped. *)
   let process t text lo hi =
     let pos = ref lo in
     let is_hspace c = c = ' ' || c = '\t' || c = '\r' in
@@ -454,6 +296,8 @@ module Rows = struct
         incr pos
       done
     in
+    (* Advance to the first token of the next non-blank, non-comment
+       line; false at the end of the range. *)
     let rec next_line () =
       skip_hspace ();
       if !pos >= hi then false
@@ -473,6 +317,10 @@ module Rows = struct
       skip_hspace ();
       !pos >= hi || text.[!pos] = '\n'
     in
+    (* The token at the cursor as an int. The all-decimal hot path
+       accumulates in place; anything else (signs, hex/underscore
+       forms, garbage, > 18 digits) falls back to a substring +
+       [int_of_string]. Callers guarantee [not (at_eol ())]. *)
     let token_int () =
       let start = !pos in
       let v = ref 0 and digits = ref 0 and plain = ref true in
@@ -498,9 +346,9 @@ module Rows = struct
     while next_line () do
       match t.phase with
       | Header ->
-        let h1 = token_int () in
+        let n = token_int () in
         if at_eol () then failwith "Graph_io.of_metis: bad header";
-        let h2 = token_int () in
+        let m_decl = token_int () in
         if not (at_eol ()) then begin
           let fmt = token_int () in
           if not (at_eol ()) then failwith "Graph_io.of_metis: bad header";
@@ -508,16 +356,11 @@ module Rows = struct
           t.has_vwgt <- fmt / 10 mod 10 = 1;
           t.has_ewgt <- fmt mod 10 = 1
         end;
-        if h1 < 0 then failwith "Graph_io.of_metis: bad header";
-        t.n <- h1;
-        t.m_decl <- h2;
-        t.builder <- Some (Builder.create ~m_decl:h2 h1);
-        t.phase <- (if h1 = 0 then Done 0 else Fields);
-        Option.iter (fun f -> f ~n:h1 ~m_decl:h2) t.on_header
-      | Fields ->
-        let b = Option.get t.builder in
+        let b = Builder.create ~m_decl n in
+        t.phase <- (if n = 0 then Done (b, 0) else Fields b)
+      | Fields b ->
         let u = Builder.rows_done b in
-        let row_off = b.Builder.m2 in
+        Builder.begin_row b;
         if t.has_vsize then begin
           if at_eol () then
             failwith "Graph_io.of_metis: missing vertex size";
@@ -541,17 +384,11 @@ module Rows = struct
           else Builder.mention b (v - 1) 1
         done;
         Builder.end_row b;
-        if Builder.rows_done b = t.n then t.phase <- Done 0;
-        Option.iter
-          (fun f ->
-            f ~u ~vwgt:b.Builder.vwgt.(u) ~off:row_off
-              ~deg:(b.Builder.m2 - row_off) ~adj:b.Builder.adjncy
-              ~adjw:b.Builder.adjwgt)
-          t.on_row
-      | Done extra ->
-        (* Surplus line: count it (for the message parity with
-           [of_metis]) and skip to its end. *)
-        t.phase <- Done (extra + 1);
+        if Builder.rows_done b = b.Builder.n then t.phase <- Done (b, 0)
+      | Done (b, extra) ->
+        (* Surplus line: count it for the message and skip to its
+           end. *)
+        t.phase <- Done (b, extra + 1);
         while !pos < hi && text.[!pos] <> '\n' do
           incr pos
         done
@@ -595,45 +432,21 @@ module Rows = struct
     t.finished <- true;
     match t.phase with
     | Header -> failwith "Graph_io.of_metis: empty input"
-    | Fields ->
+    | Fields b ->
       failwith
         (Printf.sprintf "Graph_io.of_metis: expected %d node lines, got %d"
-           t.n
-           (Builder.rows_done (Option.get t.builder)))
-    | Done extra ->
-      if extra > 0 then
-        failwith
-          (Printf.sprintf
-             "Graph_io.of_metis: expected %d node lines, got %d" t.n
-             (t.n + extra))
-      else Builder.finish (Option.get t.builder)
+           b.Builder.n (Builder.rows_done b))
+    | Done (b, 0) -> Builder.finish b
+    | Done (b, extra) ->
+      failwith
+        (Printf.sprintf "Graph_io.of_metis: expected %d node lines, got %d"
+           b.Builder.n (b.Builder.n + extra))
 end
 
-let of_metis_rows text =
+let of_metis text =
   let r = Rows.create () in
   Rows.feed r text;
   Rows.finish r
-
-(* Row-aligned chunked serialization: the feeding side of the
-   incremental reader. Emits the same bytes as {!to_metis}, cut at node
-   row boundaries, without ever holding the whole text. *)
-let to_metis_chunks ?(rows_per_chunk = 4096) g emit =
-  if rows_per_chunk < 1 then
-    invalid_arg "Graph_io.to_metis_chunks: rows_per_chunk < 1";
-  let b = Buffer.create 65536 in
-  Buffer.add_string b
-    (Printf.sprintf "%d %d 011\n" (Wgraph.n_nodes g) (Wgraph.n_edges g));
-  for u = 0 to Wgraph.n_nodes g - 1 do
-    Buffer.add_string b (string_of_int (Wgraph.node_weight g u));
-    Wgraph.iter_neighbors g u (fun v w ->
-        Buffer.add_string b (Printf.sprintf " %d %d" (v + 1) w));
-    Buffer.add_char b '\n';
-    if (u + 1) mod rows_per_chunk = 0 then begin
-      emit (Buffer.contents b);
-      Buffer.clear b
-    end
-  done;
-  if Buffer.length b > 0 then emit (Buffer.contents b)
 
 let to_adjacency_matrix g =
   let n = Wgraph.n_nodes g in

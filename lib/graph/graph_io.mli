@@ -17,92 +17,35 @@ val to_metis : Wgraph.t -> string
 val of_metis : string -> Wgraph.t
 (** Parses the output of {!to_metis}; also accepts fmt codes [0], [1], [10],
     [11], [100], [110], [111] (vertex-size field is parsed and ignored).
-    Comment lines starting with [%] are skipped.
+    Comment lines starting with [%] are skipped. One {!Rows.feed} of the
+    whole text followed by {!Rows.finish}.
     @raise Failure on malformed input or asymmetric weights — and {e
     only} [Failure]: checks the underlying constructors signal with
     [Invalid_argument] (negative node or edge weights, say) are
     re-raised as [Failure] too, so parsing untrusted text needs exactly
     one handler. *)
 
-module Builder : sig
-  (** Incremental CSR construction from adjacency rows supplied in node
-      order. Per-mention checks (neighbour range, self loops) run on
-      arrival; whole-graph checks ({!of_metis}'s duplicate, symmetry and
-      edge-count validation) run once at {!finish} over the sorted
-      slices. All error messages are byte-identical to {!of_metis}, so
-      both paths are interchangeable for callers and differentially
-      testable on the same corpus. *)
-
-  type t
-
-  val create : ?m_decl:int -> int -> t
-  (** [create ?m_decl n]: builder for an [n]-node graph. When [m_decl]
-      is given, {!finish} checks the undirected edge count against it
-      ("declared %d edges, found %d").
-      @raise Failure if [n < 0] (the {!of_metis} bad-header message). *)
-
-  val rows_done : t -> int
-  (** Number of completed rows, i.e. the id of the next row expected. *)
-
-  val set_vwgt : t -> int -> unit
-  (** Weight of the current (in-progress) row's node; default [1]. *)
-
-  val mention : t -> int -> int -> unit
-  (** [mention t v w]: one 0-based neighbour mention of weight [w] in
-      the current row.
-      @raise Failure on out-of-range or self-loop, with the
-      {!of_metis} message. *)
-
-  val end_row : t -> unit
-  (** Seal the current row and move to the next node. *)
-
-  val add_row :
-    t -> vwgt:int -> deg:int -> adj:int array -> adjw:int array -> unit
-  (** Whole row at once from parallel arrays (first [deg] entries). *)
-
-  val finish : t -> Wgraph.t
-  (** Run the deferred whole-graph validation and build.
-      @raise Failure (and only [Failure], as {!of_metis}) on missing
-      rows, duplicate or asymmetric adjacency, asymmetric or negative
-      weights, or an edge-count mismatch. *)
-end
-
 module Rows : sig
-  (** Resumable cursor over METIS [.graph] text fed in arbitrary
-      pieces. Complete lines are tokenized exactly as {!of_metis} does
-      (an incomplete trailing line is carried to the next {!feed});
-      each finished adjacency row is pushed into a {!Builder} and
-      reported to [on_row] immediately, which is what lets a first
-      streaming-partition pass overlap parsing. *)
+  (** The METIS [.graph] reader: a resumable cursor over text fed in
+      arbitrary pieces. Complete lines are tokenized as they arrive (an
+      incomplete trailing line is carried to the next {!feed}) and each
+      adjacency row goes straight into an incremental CSR builder.
+      Per-mention checks (neighbour range, self loops) run on arrival;
+      whole-graph checks (duplicates, symmetry, declared edge count) run
+      once at {!finish}. Memory grows with the rows actually received,
+      never with the counts a header merely declares. *)
 
   type t
 
-  val create :
-    ?on_header:(n:int -> m_decl:int -> unit) ->
-    ?on_row:
-      (u:int ->
-      vwgt:int ->
-      off:int ->
-      deg:int ->
-      adj:int array ->
-      adjw:int array ->
-      unit) ->
-    unit ->
-    t
-  (** [on_row] receives row [u]'s mentions as [adj.(off .. off+deg-1)]
-      / [adjw.(off .. off+deg-1)] (0-based neighbours, already
-      range/self-loop checked). The arrays are the builder's live
-      backing store: valid during the callback, but they may be
-      replaced by growth afterwards — consume or copy, don't retain. *)
-
-  val header : t -> (int * int) option
-  (** [(n, m_decl)] once the header line has been parsed. *)
+  val create : unit -> t
 
   val rows_done : t -> int
+  (** Number of complete node rows received so far. *)
 
   val feed : t -> string -> unit
-  (** Append a piece of text; chunk boundaries may fall anywhere.
-      @raise Failure as {!of_metis} on malformed complete lines. *)
+  (** Append a piece of text; piece boundaries may fall anywhere.
+      @raise Failure as {!of_metis} on malformed complete lines,
+      including a header whose node count cannot index an array. *)
 
   val finish : t -> Wgraph.t
   (** End of input: parse any carried partial line, then run the
@@ -112,15 +55,12 @@ module Rows : sig
       counts. *)
 end
 
-val of_metis_rows : string -> Wgraph.t
-(** {!of_metis} semantics via the incremental {!Rows} reader — same
-    graphs, same [Failure] messages. The differential twin used by
-    tests and fuzzing. *)
-
 val to_metis_chunks : ?rows_per_chunk:int -> Wgraph.t -> (string -> unit) -> unit
 (** [to_metis_chunks g emit]: {!to_metis} output delivered through
     [emit] in pieces cut at node-row boundaries ([rows_per_chunk] rows
-    per piece, default 4096), without materializing the whole text. *)
+    per piece, default 4096), without materializing the whole text.
+    {!to_metis} is this emitter collected into one string.
+    @raise Invalid_argument if [rows_per_chunk < 1]. *)
 
 val to_adjacency_matrix : Wgraph.t -> string
 (** Dense symmetric matrix of edge weights, one row per line, space

@@ -337,185 +337,3 @@ let partition ?workspace ?(max_iterations = Stream.default_iterations)
         } )
     end
   end
-
-(* ------------------------------------------------------------------ *)
-(* Pipelined streaming ingest                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* First-pass placement fused into METIS parsing: every adjacency row
-   the incremental reader completes is placed immediately by the
-   iteration-0 objective, so by the time the CSR exists the first
-   streaming pass is already done — no parse-then-stream round trip
-   over the input.
-
-   Iteration 0 only ever sees already-assigned neighbours, and rows
-   arrive in node order, so fused placement visits exactly the state
-   the sequential pass 0 would — except for the two normalizing
-   constants, which depend on totals the parser has not finished
-   summing. Both are estimated from the header: [a0] from the declared
-   edge count as if edges had unit weight (exact when they do), and
-   [rscale] from [rmax] (exact whenever the instance is
-   resource-constrained; the balanced-target fallback assumes unit
-   node weights). The restream passes that follow use the true
-   constants from the built graph. On unit-edge-weight inputs with
-   finite [rmax] the fused result is bit-identical to
-   parse-then-stream — the equivalence the ingest bench asserts — and
-   otherwise differs only through those two scalars.
-
-   Steady-state buffers (loads, bandwidth, connectivity, labels) all
-   live in the workspace via [ensure_stream]/[part_bank]: after
-   warmup, ingest allocates only what the graph itself needs. *)
-
-type ingest_state = {
-  mutable ig_part : int array;
-  mutable ig_n : int;
-  mutable ig_a0 : float;
-  mutable ig_rscale : float;
-}
-
-let ingest ?workspace ?(max_iterations = Stream.default_iterations)
-    ?(chunk_size = default_chunk) ?team (c : Types.constraints) producer =
-  if max_iterations < 1 then
-    invalid_arg "Stream_parallel.ingest: max_iterations < 1";
-  if chunk_size < 1 then invalid_arg "Stream_parallel.ingest: chunk_size < 1";
-  let k = c.Types.k in
-  let bmax = c.Types.bmax and rmax = c.Types.rmax in
-  let ws = match workspace with Some w -> w | None -> Workspace.create () in
-  Ppnpart_obs.Span.phase_result
-    ~args:(fun () ->
-      [ ("k", Ppnpart_obs.Obs.Int k);
-        ("chunk_size", Ppnpart_obs.Obs.Int chunk_size);
-        ("max_iterations", Ppnpart_obs.Obs.Int max_iterations) ])
-    ~result:(fun ((g : Wgraph.t), _, (st : Stream.stats)) ->
-      [ ("nodes", Ppnpart_obs.Obs.Int (Wgraph.n_nodes g));
-        ("edges", Ppnpart_obs.Obs.Int (Wgraph.n_edges g));
-        ("iterations", Ppnpart_obs.Obs.Int st.Stream.iterations);
-        ("converged", Ppnpart_obs.Obs.Bool st.Stream.converged) ])
-    "stream.chunk.ingest"
-  @@ fun () ->
-  Workspace.ensure_stream ws ~k;
-  let load = ws.Workspace.st_load in
-  let bw = ws.Workspace.st_bw in
-  let conn = ws.Workspace.st_conn in
-  let touched = ws.Workspace.st_touched in
-  Array.fill load 0 k 0;
-  Array.fill bw 0 (k * k) 0;
-  Array.fill conn 0 k 0;
-  let st = { ig_part = [||]; ig_n = 0; ig_a0 = sqrt 2.0; ig_rscale = 1.0 } in
-  let on_header ~n ~m_decl =
-    st.ig_n <- n;
-    st.ig_part <- Workspace.part_bank ws ~n;
-    Array.fill st.ig_part 0 n (-1);
-    st.ig_rscale <-
-      float_of_int
-        (max 1 (if rmax = max_int then (n + k - 1) / max 1 k else rmax));
-    let a0 =
-      sqrt 2.0 *. 2.0 *. float_of_int m_decl /. float_of_int (max 1 n)
-    in
-    st.ig_a0 <- (if a0 <= 0.0 then sqrt 2.0 else a0)
-  in
-  let on_row ~u ~vwgt ~off ~deg ~adj ~adjw =
-    let part = st.ig_part in
-    let a_i = st.ig_a0 and bw_w = st.ig_a0 and rscale = st.ig_rscale in
-    let w_u = vwgt in
-    let nt = ref 0 in
-    for i = off to off + deg - 1 do
-      let q = part.(adj.(i)) in
-      if q >= 0 then begin
-        if conn.(q) = 0 then begin
-          touched.(!nt) <- q;
-          incr nt
-        end;
-        conn.(q) <- conn.(q) + adjw.(i)
-      end
-    done;
-    let score q =
-      let aff = conn.(q) in
-      let disc = ref 0 in
-      for i = 0 to !nt - 1 do
-        let r = touched.(i) in
-        if r <> q then begin
-          let cur = bw.((q * k) + r) in
-          disc :=
-            !disc + excess_over bmax (cur + conn.(r)) - excess_over bmax cur
-        end
-      done;
-      if rmax <> max_int then
-        disc :=
-          !disc + excess_over rmax (load.(q) + w_u) - excess_over rmax load.(q);
-      let ratio = float_of_int (load.(q) + w_u) /. rscale in
-      float_of_int aff
-      -. (bw_w *. float_of_int !disc)
-      -. (a_i *. (ratio ** gamma))
-    in
-    let light = ref 0 in
-    for q = 1 to k - 1 do
-      if load.(q) < load.(!light) then light := q
-    done;
-    let best = ref !light and best_s = ref (score !light) in
-    for i = 0 to !nt - 1 do
-      let q = touched.(i) in
-      if q <> !light then begin
-        let s = score q in
-        if s > !best_s || (s = !best_s && q < !best) then begin
-          best := q;
-          best_s := s
-        end
-      end
-    done;
-    let t = !best in
-    part.(u) <- t;
-    load.(t) <- load.(t) + w_u;
-    for i = 0 to !nt - 1 do
-      let r = touched.(i) in
-      if r <> t then begin
-        let b = bw.((t * k) + r) + conn.(r) in
-        bw.((t * k) + r) <- b;
-        bw.((r * k) + t) <- b
-      end;
-      conn.(r) <- 0
-    done
-  in
-  let rows = Graph_io.Rows.create ~on_header ~on_row () in
-  producer (Graph_io.Rows.feed rows);
-  let g = Graph_io.Rows.finish rows in
-  let n = Wgraph.n_nodes g in
-  if Ppnpart_obs.Obs.recording () then begin
-    Ppnpart_obs.Counters.add "stream.chunk.ingest_rows" n;
-    Ppnpart_obs.Counters.sample "stream.state.words"
-      (float_of_int (n + (k * k) + (3 * k)));
-    Ppnpart_obs.Counters.sample "stream.workspace.words"
-      (float_of_int (Workspace.words ws))
-  end;
-  if max_iterations = 1 then
-    ( g,
-      st.ig_part,
-      {
-        Stream.iterations = 1;
-        moved = [| 0 |];
-        converged = false;
-        state_words = n + (k * k) + (3 * k);
-      } )
-  else begin
-    (* The fused pass left the exact (estimated-constant) pass-0 state
-       in the workspace; restream it with the true constants. The
-       placed labels sit in one bank, the other is the double
-       buffer. *)
-    let final, moved_rest, converged =
-      restream_passes ?team ~chunk_size ~max_iterations g c ~load0:load
-        ~bw0:bw ~next:(Workspace.part_bank ws ~n) st.ig_part
-    in
-    let moved = Array.append [| 0 |] moved_rest in
-    ( g,
-      final,
-      {
-        Stream.iterations = Array.length moved;
-        moved;
-        converged;
-        state_words = n + (k * k) + (3 * k);
-      } )
-  end
-
-let ingest_text ?workspace ?max_iterations ?chunk_size ?team c text =
-  ingest ?workspace ?max_iterations ?chunk_size ?team c (fun feed ->
-      feed text)

@@ -1,5 +1,4 @@
-(** Deterministic parallel chunked restreaming and pipelined streaming
-    ingest (DESIGN.md §6.9).
+(** Deterministic parallel chunked restreaming (DESIGN.md §6.9).
 
     Each restream pass of the sequential {!Stream} partitioner is
     split into fixed node-index chunks. Chunks are scored concurrently
@@ -20,12 +19,11 @@
     the differential oracle — tests compare the two paths bit for bit
     at one chunk and bound the frozen-state quality delta at many.
 
-    Observability: [stream.chunk.partition] / [stream.chunk.ingest]
-    phase spans, [stream.chunk.pass] per-pass spans, and
-    [stream.chunk.passes] / [.chunks] / [.moves] / [.commit_edges] /
-    [.ingest_rows] counters — all computed from width-independent
-    quantities on the calling domain, keeping [--deterministic-report]
-    byte-identical across widths. *)
+    Observability: the [stream.chunk.partition] phase span,
+    [stream.chunk.pass] per-pass spans, and [stream.chunk.passes] /
+    [.chunks] / [.moves] / [.commit_edges] counters — all computed
+    from width-independent quantities on the calling domain, keeping
+    [--deterministic-report] byte-identical across widths. *)
 
 open Ppnpart_graph
 
@@ -46,34 +44,3 @@ val partition :
     {!Stream.partition} when [n <= chunk_size].
     @raise Invalid_argument if [max_iterations < 1] or
     [chunk_size < 1]. *)
-
-val ingest :
-  ?workspace:Workspace.t ->
-  ?max_iterations:int ->
-  ?chunk_size:int ->
-  ?team:Ppnpart_exec.Team.t ->
-  Types.constraints ->
-  ((string -> unit) -> unit) ->
-  Wgraph.t * int array * Stream.stats
-(** [ingest c producer]: fused METIS parse + first streaming pass.
-    [producer feed] supplies the [.graph] text in arbitrary pieces via
-    [feed]; each adjacency row is placed by the iteration-0 objective
-    the moment it is tokenized (normalizing constants estimated from
-    the header — exact for unit edge weights and finite [rmax]), so no
-    parse-then-stream round trip over the input ever happens. When the
-    producer returns, validation completes ({!Graph_io.Rows.finish}:
-    {!Graph_io.of_metis} messages) and the remaining restream passes
-    run chunked with the true constants. Steady-state buffers live in
-    the workspace — zero allocation after warmup beyond the graph
-    itself.
-    @raise Failure as {!Graph_io.of_metis} on malformed input. *)
-
-val ingest_text :
-  ?workspace:Workspace.t ->
-  ?max_iterations:int ->
-  ?chunk_size:int ->
-  ?team:Ppnpart_exec.Team.t ->
-  Types.constraints ->
-  string ->
-  Wgraph.t * int array * Stream.stats
-(** {!ingest} of a whole in-memory document: one [feed] of [text]. *)

@@ -1,6 +1,7 @@
 (* Tests for the graph substrate: Edge_list, Wgraph, Union_find, Graph_io. *)
 
 open Ppnpart_graph
+module Metis_oracle = Ppnpart_test_oracle.Metis_oracle
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -352,46 +353,77 @@ let test_dot_contains_clusters () =
   check_bool "cluster 1" true (contains dot "cluster_1");
   check_bool "edge label" true (contains dot "label=\"5\"")
 
-(* --- Graph_io.Rows: the incremental reader (DESIGN.md §6.9) --- *)
+(* --- Graph_io.Rows: the METIS reader (DESIGN.md §6.9) --- *)
 
-(* The cursor-based reader must be indistinguishable from of_metis:
-   same graphs on valid input, byte-identical Failure messages on the
-   malformed corpus. Each entry below trips a different validation
-   (header, tokenizer, per-mention, end-of-stream). *)
+(* Each entry trips a different validation (header, tokenizer,
+   per-mention, end-of-stream). The messages are part of the contract:
+   they are pinned literally, and the batch-parser oracle must produce
+   the same ones. *)
 let malformed_corpus =
   [
-    ("empty input", "");
-    ("blank lines only", "% comment\n\n");
-    ("bad header: no m", "2\n");
-    ("bad header: negative n", "-1 0\n");
-    ("header not an integer", "two 1\n2\n1\n");
-    ("truncated node lines", "3 2\n2\n1 3\n");
-    ("surplus node lines", "2 1\n2\n1\n1 2\n");
-    ("wrong edge count", "2 5 000\n2\n1\n");
-    ("asymmetric adjacency", "3 2 000\n2 3\n1\n2\n");
-    ("asymmetric weight", "2 1 001\n2 5\n1 7\n");
-    ("duplicate adjacency", "2 2 000\n2 2\n1 1\n");
-    ("neighbour out of range", "2 1 000\n3\n1\n");
-    ("self loop", "2 1 000\n1\n1\n");
-    ("missing edge weight", "2 1 001\n2\n1 5\n");
-    ("negative vertex weight", "2 1 010\n-1 2\n1 2\n");
-    ("body not an integer", "2 1\n2x\n1\n");
+    ("empty input", "", "Graph_io.of_metis: empty input");
+    ("blank lines only", "% comment\n\n", "Graph_io.of_metis: empty input");
+    ("bad header: no m", "2\n", "Graph_io.of_metis: bad header");
+    ("bad header: negative n", "-1 0\n", "Graph_io.of_metis: bad header");
+    ("header not an integer", "two 1\n2\n1\n", "Graph_io: not an integer: two");
+    ( "truncated node lines",
+      "3 2\n2\n1 3\n",
+      "Graph_io.of_metis: expected 3 node lines, got 2" );
+    ( "surplus node lines",
+      "2 1\n2\n1\n1 2\n",
+      "Graph_io.of_metis: expected 2 node lines, got 3" );
+    ( "wrong edge count",
+      "2 5 000\n2\n1\n",
+      "Graph_io.of_metis: declared 5 edges, found 1" );
+    ( "asymmetric adjacency",
+      "3 2 000\n2 3\n1\n2\n",
+      "Graph_io.of_metis: asymmetric adjacency: edge 1-3 is listed on one \
+       endpoint only" );
+    ( "asymmetric weight",
+      "2 1 001\n2 5\n1 7\n",
+      "Graph_io.of_metis: asymmetric weight on edge 1-2 (5 vs 7)" );
+    ( "duplicate adjacency",
+      "2 2 000\n2 2\n1 1\n",
+      "Graph_io.of_metis: duplicate adjacency entry for edge 1-2" );
+    ( "neighbour out of range",
+      "2 1 000\n3\n1\n",
+      "Graph_io.of_metis: neighbour 3 of node 1 out of range" );
+    ("self loop", "2 1 000\n1\n1\n", "Graph_io.of_metis: self loop on node 1");
+    ( "missing edge weight",
+      "2 1 001\n2\n1 5\n",
+      "Graph_io.of_metis: neighbour of node 1 without a weight" );
+    ( "negative vertex weight",
+      "2 1 010\n-1 2\n1 2\n",
+      "Graph_io.of_metis: self loop on node 2" );
+    ("body not an integer", "2 1\n2x\n1\n", "Graph_io: not an integer: 2x");
   ]
+
+(* [text] fed to a fresh reader in pieces of [piece] bytes. *)
+let feed_pieces ~piece text =
+  let r = Graph_io.Rows.create () in
+  let len = String.length text in
+  let pos = ref 0 in
+  while !pos < len do
+    let l = min piece (len - !pos) in
+    Graph_io.Rows.feed r (String.sub text !pos l);
+    pos := !pos + l
+  done;
+  Graph_io.Rows.finish r
+
+let failure_of name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: malformed input accepted" name
+  | exception Failure msg -> msg
 
 let test_rows_malformed_parity () =
   List.iter
-    (fun (name, text) ->
-      let expected =
-        match Graph_io.of_metis text with
-        | _ -> Alcotest.failf "%s: of_metis accepted %S" name text
-        | exception Failure msg -> msg
+    (fun (name, text, expected) ->
+      let check how f =
+        Alcotest.(check string) (name ^ ", " ^ how) expected (failure_of name f)
       in
-      let got =
-        match Graph_io.of_metis_rows text with
-        | _ -> Alcotest.failf "%s: of_metis_rows accepted %S" name text
-        | exception Failure msg -> msg
-      in
-      Alcotest.(check string) name expected got)
+      check "of_metis" (fun () -> Graph_io.of_metis text);
+      check "byte at a time" (fun () -> feed_pieces ~piece:1 text);
+      check "oracle" (fun () -> Metis_oracle.of_metis text))
     malformed_corpus
 
 let test_rows_split_feed () =
@@ -402,44 +434,28 @@ let test_rows_split_feed () =
   let text = Graph_io.to_metis g in
   List.iter
     (fun piece ->
-      let r = Graph_io.Rows.create () in
-      let len = String.length text in
-      let pos = ref 0 in
-      while !pos < len do
-        let l = min piece (len - !pos) in
-        Graph_io.Rows.feed r (String.sub text !pos l);
-        pos := !pos + l
-      done;
-      let g' = Graph_io.Rows.finish r in
       check_bool (Printf.sprintf "piece size %d" piece) true
-        (Wgraph.equal g g'))
+        (Wgraph.equal g (feed_pieces ~piece text)))
     [ 1; 2; 3; 7; 64; max 1 (String.length text) ]
 
-let test_rows_callbacks () =
-  (* on_header fires once with the declared sizes; on_row fires once
-     per node, in node order, with range-checked 0-based mentions. *)
-  let text = "3 2 011\n4 2 6\n5 1 6 3 2\n6 2 2\n" in
-  let headers = ref [] and rows = ref [] in
-  let r =
-    Graph_io.Rows.create
-      ~on_header:(fun ~n ~m_decl -> headers := (n, m_decl) :: !headers)
-      ~on_row:(fun ~u ~vwgt ~off ~deg ~adj ~adjw ->
-        let ns = Array.to_list (Array.sub adj off deg) in
-        let ws = Array.to_list (Array.sub adjw off deg) in
-        rows := (u, vwgt, ns, ws) :: !rows)
-      ()
-  in
-  Graph_io.Rows.feed r text;
-  let g = Graph_io.Rows.finish r in
-  Alcotest.(check (list (pair int int))) "header once" [ (3, 2) ] !headers;
-  Alcotest.(check int) "three rows" 3 (List.length !rows);
-  (match List.rev !rows with
-  | [ (0, 4, [ 1 ], [ 6 ]); (1, 5, [ 0; 2 ], [ 6; 2 ]); (2, 6, [ 1 ], [ 2 ]) ]
-    ->
-      ()
-  | _ -> Alcotest.fail "row callback order or payload wrong");
-  check_bool "same graph as of_metis" true
-    (Wgraph.equal g (Graph_io.of_metis text))
+let test_rows_hostile_headers () =
+  (* A header's counts are only claims: the first cannot index an array
+     and is rejected outright; the second is legal but never backed by
+     rows, so nothing of its size is ever allocated. *)
+  Alcotest.(check string) "n = max_int" "Graph_io.of_metis: bad header"
+    (failure_of "max_int" (fun () ->
+         Graph_io.of_metis "4611686018427387903 0\n"));
+  Alcotest.(check string) "n = 2^40"
+    "Graph_io.of_metis: expected 1099511627776 node lines, got 0"
+    (failure_of "2^40" (fun () -> Graph_io.of_metis "1099511627776 0\n"));
+  Alcotest.(check string) "n = 2^40, two rows"
+    "Graph_io.of_metis: expected 1099511627776 node lines, got 2"
+    (failure_of "2^40 rows" (fun () ->
+         Graph_io.of_metis "1099511627776 1\n2\n1\n"));
+  Alcotest.(check string) "m = max_int"
+    "Graph_io.of_metis: declared 4611686018427387903 edges, found 1"
+    (failure_of "m" (fun () ->
+         Graph_io.of_metis "2 4611686018427387903\n2\n1\n"))
 
 let test_to_metis_chunks_bytes () =
   (* Chunked emission is a pure re-plumbing of to_metis: concatenating
@@ -505,7 +521,27 @@ let prop_rows_reader_matches_of_metis =
       List.iter (fun (u, v, w) -> Edge_list.add el u v (w + 1)) edges;
       let g = Wgraph.build el in
       let text = Graph_io.to_metis g in
-      Wgraph.equal (Graph_io.of_metis text) (Graph_io.of_metis_rows text))
+      Wgraph.equal (Metis_oracle.of_metis text) (Graph_io.of_metis text))
+
+let prop_rows_split_matches_whole =
+  QCheck2.Test.make ~name:"random piece split = whole feed" ~count:100
+    QCheck2.Gen.(pair (arbitrary_edges 8 9) (list (int_range 1 40)))
+    (fun (edges, cuts) ->
+      let el = Edge_list.create 8 in
+      List.iter (fun (u, v, w) -> Edge_list.add el u v (w + 1)) edges;
+      let text = Graph_io.to_metis (Wgraph.build el) in
+      let r = Graph_io.Rows.create () in
+      let pos =
+        List.fold_left
+          (fun pos l ->
+            let l = min l (String.length text - pos) in
+            Graph_io.Rows.feed r (String.sub text pos l);
+            pos + l)
+          0 cuts
+      in
+      Graph_io.Rows.feed r
+        (String.sub text pos (String.length text - pos));
+      Wgraph.equal (Graph_io.Rows.finish r) (Graph_io.of_metis text))
 
 let prop_normalized_sorted =
   QCheck2.Test.make
@@ -570,6 +606,7 @@ let qcheck_cases =
       prop_of_soa_edges_matches_edge_list;
       prop_metis_roundtrip;
       prop_rows_reader_matches_of_metis;
+      prop_rows_split_matches_whole;
       prop_relabel_preserves_structure;
     ]
 
@@ -649,7 +686,8 @@ let () =
           Alcotest.test_case "malformed parity with of_metis" `Quick
             test_rows_malformed_parity;
           Alcotest.test_case "split feed" `Quick test_rows_split_feed;
-          Alcotest.test_case "callbacks" `Quick test_rows_callbacks;
+          Alcotest.test_case "hostile headers" `Quick
+            test_rows_hostile_headers;
           Alcotest.test_case "to_metis_chunks bytes" `Quick
             test_to_metis_chunks_bytes;
         ] );

@@ -438,6 +438,51 @@ let test_service_chunked_submit_errors () =
   check_bool "old graph feasible" true
     (field "partition" v "feasible" = Json.Bool true)
 
+let test_service_hostile_headers () =
+  (* A header's node count is only a claim. One that cannot index an
+     array fails on the piece that carries it; a huge but legal one
+     costs nothing until rows back it, and fails at submit-end. Either
+     way the answer is an error frame, the upload is gone and the next
+     request is served. *)
+  let svc = Service.create () in
+  let uploads () =
+    let v, _ = ok_json "stats" (handle svc "{\"op\":\"stats\"}") in
+    field "stats" v "uploads"
+  in
+  let rows text =
+    handle svc
+      (Printf.sprintf
+         "{\"op\":\"submit-rows\",\"graph\":\"h\",\"metis\":%s}"
+         (Json.to_string (Json.Str text)))
+  in
+  let begin_ () =
+    ignore
+      (ok_json "begin h"
+         (handle svc "{\"op\":\"submit-begin\",\"graph\":\"h\"}"))
+  in
+  begin_ ();
+  let msg = err_json "n = max_int" (rows "4611686018427387903 0\n") in
+  Alcotest.(check string) "bad header" "Graph_io.of_metis: bad header" msg;
+  check_bool "max_int upload dropped" true (uploads () = Json.int 0);
+  begin_ ();
+  ignore (ok_json "n = 2^40 header" (rows "1099511627776 1\n2\n1\n"));
+  let msg =
+    err_json "n = 2^40 end"
+      (handle svc "{\"op\":\"submit-end\",\"graph\":\"h\"}")
+  in
+  Alcotest.(check string) "truncated"
+    "Graph_io.of_metis: expected 1099511627776 node lines, got 2" msg;
+  check_bool "2^40 upload dropped" true (uploads () = Json.int 0);
+  let submit text =
+    handle svc
+      (Printf.sprintf "{\"op\":\"submit\",\"graph\":\"h\",\"metis\":%s}"
+         (Json.to_string (Json.Str text)))
+  in
+  ignore (err_json "whole max_int" (submit "4611686018427387903 0\n"));
+  ignore (err_json "whole 2^40" (submit "1099511627776 0\n"));
+  let v, _ = ok_json "next request served" (submit metis_text) in
+  check_bool "installed" true (field "submit" v "nodes" = Json.int 4)
+
 (* --- Daemon end to end --- *)
 
 let daemon_socket () =
@@ -572,6 +617,8 @@ let quick_tests =
       test_service_chunked_submit;
     Alcotest.test_case "service chunked submit errors" `Quick
       test_service_chunked_submit_errors;
+    Alcotest.test_case "service hostile headers" `Quick
+      test_service_hostile_headers;
     Alcotest.test_case "daemon end to end" `Quick test_daemon_end_to_end ]
 
 let slow_tests =

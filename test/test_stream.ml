@@ -320,70 +320,6 @@ let test_chunked_workspace_reuse () =
   ignore (Stream_parallel.partition ~workspace:ws g c);
   check_int "warm runs allocate nothing" warm (Workspace.words ws)
 
-(* --- Stream_parallel.ingest: pipelined streaming ingest --- *)
-
-let test_ingest_matches_parse_then_stream () =
-  (* Unit edge weights and finite rmax make the header-estimated
-     normalizing constants exact, so the fused path must bit-match
-     parse-then-chunked. *)
-  let r = rng 9 in
-  let g =
-    Rand_graph.gnm ~vw_range:(1, 5) ~ew_range:(1, 1) r ~n:4_000 ~m:12_000
-  in
-  let k = 8 in
-  let c =
-    {
-      Types.k;
-      rmax = (Wgraph.total_node_weight g / k * 4 / 3) + 1;
-      bmax = (Wgraph.total_edge_weight g / (2 * k)) + 1;
-    }
-  in
-  let ws = Workspace.create () in
-  let unfused = Array.copy (fst (Stream_parallel.partition ~workspace:ws g c)) in
-  let text = Graph_io.to_metis g in
-  let g2, fused, _ = Stream_parallel.ingest_text ~workspace:ws c text in
-  check_bool "ingested graph equal" true (Wgraph.equal g2 g);
-  check_parts "fused labels = parse-then-chunked" unfused (Array.copy fused);
-  (* Feeding the same bytes in arbitrary pieces must not change
-     anything: the reader is cursor-based, not line-based. *)
-  let g3, fused2, _ =
-    Stream_parallel.ingest ~workspace:ws c (fun feed ->
-        let len = String.length text in
-        let pos = ref 0 in
-        while !pos < len do
-          let l = min 1009 (len - !pos) in
-          feed (String.sub text !pos l);
-          pos := !pos + l
-        done)
-  in
-  check_bool "split-feed graph equal" true (Wgraph.equal g3 g);
-  check_parts "split-feed labels identical" unfused fused2
-
-let test_ingest_rejects_malformed () =
-  (* End-of-stream validation must speak with of_metis's voice: for
-     every malformed document the fused path raises the identical
-     Failure message the batch parser does. *)
-  List.iter
-    (fun text ->
-      let expected =
-        match Graph_io.of_metis text with
-        | _ -> Alcotest.failf "of_metis accepted malformed %S" text
-        | exception Failure msg -> msg
-      in
-      Alcotest.check_raises
-        (Printf.sprintf "ingest rejects %S like of_metis" text)
-        (Failure expected)
-        (fun () ->
-          ignore
-            (Stream_parallel.ingest_text (Types.unconstrained ~k:2) text)))
-    [
-      "";
-      "2 5 000\n2\n1\n";
-      "2 1 001\n2 3\n1 4\n";
-      "3 2\n2\n1 3\n";
-      "2 1\n2\n\n";
-    ]
-
 (* --- scale smoke: the point of the whole exercise --- *)
 
 let test_stream_scale_smoke () =
@@ -441,13 +377,6 @@ let () =
             test_chunked_validation;
           Alcotest.test_case "workspace reuse" `Quick
             test_chunked_workspace_reuse;
-        ] );
-      ( "ingest",
-        [
-          Alcotest.test_case "matches parse-then-stream" `Quick
-            test_ingest_matches_parse_then_stream;
-          Alcotest.test_case "rejects malformed input" `Quick
-            test_ingest_rejects_malformed;
         ] );
       ( "scale",
         [ Alcotest.test_case "rmat smoke" `Slow test_stream_scale_smoke ] );
