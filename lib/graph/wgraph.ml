@@ -63,20 +63,6 @@ let checked_vwgt ~who n vwgt =
       w;
     Array.copy w
 
-(* Binary search used before the record exists (validation of raw CSR
-   arrays); mirrors [neighbor_index]. *)
-let raw_neighbor_index xadj adjncy u v =
-  let lo = ref xadj.(u) and hi = ref (xadj.(u + 1) - 1) in
-  let found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = adjncy.(mid) in
-    if x = v then found := mid
-    else if x < v then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
 let of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
   let fail fmt = Format.kasprintf invalid_arg ("Wgraph.of_csr: " ^^ fmt) in
   if n < 0 then fail "negative node count";
@@ -89,6 +75,13 @@ let of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
   if xadj.(n) <> m2 then fail "xadj.(n) <> |adjncy|";
   if Array.length adjwgt <> m2 then fail "adjwgt length <> |adjncy|";
   let vwgt = checked_vwgt ~who:"Wgraph.of_csr" n vwgt in
+  (* Symmetry (ids and weights) in the same ascending sweep: rows are
+     visited in order, so the edges [(u, v)] with [u < v] reach [v]'s
+     slice in ascending [u] — the order of [v]'s lower neighbours, a
+     prefix of its sorted slice. A cursor per node pairs each with its
+     mirror, and a lower neighbour the cursor has not passed by the time
+     its own row is visited is an entry listed on one side only. *)
+  let cursor = Array.sub xadj 0 n in
   for u = 0 to n - 1 do
     for i = xadj.(u) to xadj.(u + 1) - 1 do
       let v = adjncy.(i) in
@@ -96,18 +89,19 @@ let of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
       if v = u then fail "self loop at node %d" u;
       if i > xadj.(u) && adjncy.(i - 1) >= v then
         fail "adjacency slice of node %d not strictly ascending" u;
-      if adjwgt.(i) < 0 then fail "negative edge weight at node %d" u
-    done
-  done;
-  (* Symmetry (ids and weights), via binary search on the mirror slice. *)
-  for u = 0 to n - 1 do
-    for i = xadj.(u) to xadj.(u + 1) - 1 do
-      let v = adjncy.(i) in
-      if u < v then begin
-        let j = raw_neighbor_index xadj adjncy v u in
-        if j < 0 then fail "edge (%d, %d) missing its mirror" u v;
+      if adjwgt.(i) < 0 then fail "negative edge weight at node %d" u;
+      if v < u then begin
+        if i >= cursor.(u) then fail "edge (%d, %d) missing its mirror" v u
+      end
+      else begin
+        let j = cursor.(v) in
+        if j >= xadj.(v + 1) || adjncy.(j) > u then
+          fail "edge (%d, %d) missing its mirror" u v;
+        if adjncy.(j) < u then
+          fail "edge (%d, %d) missing its mirror" adjncy.(j) v;
         if adjwgt.(j) <> adjwgt.(i) then
-          fail "asymmetric weight on edge (%d, %d)" u v
+          fail "asymmetric weight on edge (%d, %d)" u v;
+        cursor.(v) <- j + 1
       end
     done
   done;

@@ -39,7 +39,7 @@ val of_csr :
   t
 (** [of_csr ~n ~xadj ~adjncy ~adjwgt ()] adopts ready-made CSR arrays
     without copying them — the caller transfers ownership and must not
-    mutate them afterwards. The arrays are validated in O(n + m log d):
+    mutate them afterwards. The arrays are validated in one O(n + m) sweep:
     row pointers monotone and exhaustive, every adjacency slice strictly
     ascending (sorted, duplicate-free), neighbours in range, no self
     loops, non-negative weights, and ids/weights symmetric. [vwgt]

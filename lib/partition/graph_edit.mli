@@ -56,4 +56,12 @@ val apply : Wgraph.t -> op list -> Wgraph.t * int array * stats
     [u'] ([-1] when the node was added by the batch). [ops] are applied
     in order; an empty batch rebuilds [g] unchanged under the identity
     map. Deterministic: equal [(g, ops)] give byte-identical results.
+
+    Cost: each op is O(degree) on lazily materialized rows. The edited
+    CSR is spliced, not rebuilt from an edge list: rows no op touched
+    are copied from [g]'s arrays, renumbered past removed nodes; the
+    touched rows are sorted by neighbour id; and the result goes
+    through the validating {!Wgraph.of_csr}. A batch of a few ops on an
+    [m]-edge graph is O(n + m) integer copying and checking, with no
+    global sort.
     @raise Invalid_edit on the first malformed op (see above). *)

@@ -8,6 +8,13 @@ type t =
 
 exception Bad of string
 
+(* 2^53: every integer up to here is an exact float. *)
+let max_exact = 9007199254740992.
+
+(* Protocol frames nest at most 5 deep. The bound keeps a hostile line
+   of brackets from recursing once per byte. *)
+let max_depth = 64
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -135,10 +142,12 @@ let parse (s : string) : (t, string) result =
       | Some f -> Num f
       | None -> fail ("bad number " ^ text)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -153,7 +162,7 @@ let parse (s : string) : (t, string) result =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           fields := (key, v) :: !fields;
           skip_ws ();
           match peek () with
@@ -176,7 +185,7 @@ let parse (s : string) : (t, string) result =
       else begin
         let items = ref [] in
         let rec go () =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           items := v :: !items;
           skip_ws ();
           match peek () with
@@ -196,7 +205,7 @@ let parse (s : string) : (t, string) result =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v
@@ -218,9 +227,14 @@ let escape b s =
       | c -> Buffer.add_char b c)
     s
 
+(* Integers are most of what the daemon prints (one per label), so they
+   skip [Printf]: below 2^53 every integral float is an exact [int] and
+   [string_of_int] writes the digits "%.0f" would, except for the sign
+   of [-0.]. *)
 let add_num b f =
-  if Float.is_integer f && Float.abs f <= 2. ** 53. then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
+  if Float.is_integer f && Float.abs f <= max_exact then
+    if f = 0. && Float.sign_bit f then Buffer.add_string b "-0"
+    else Buffer.add_string b (string_of_int (int_of_float f))
   else Buffer.add_string b (Printf.sprintf "%.12g" f)
 
 let to_string v =
@@ -264,7 +278,7 @@ let member key = function
   | _ -> None
 
 let to_int = function
-  | Num f when Float.is_integer f && Float.abs f <= 2. ** 53. ->
+  | Num f when Float.is_integer f && Float.abs f <= max_exact ->
     Some (int_of_float f)
   | _ -> None
 

@@ -17,7 +17,9 @@ type t =
 
 val parse : string -> (t, string) result
 (** Whole-string parse; trailing non-whitespace is an error (one request
-    per line — framing is the caller's job). *)
+    per line — framing is the caller's job). Arrays and objects nest at
+    most 64 deep; deeper input is
+    [Error "nesting deeper than 64 at byte P"]. *)
 
 val to_string : t -> string
 (** Compact one-line rendering (no newlines — NDJSON-safe), valid input

@@ -14,7 +14,9 @@ type entry = {
   mutable labels : int array option;
   mutable c : Types.constraints option;
   mutable config : Config.t option;
-  mutable report : string option;
+  mutable report : string Lazy.t option;
+      (** rendered on the first [report] request, then memoized: most
+          answers are never asked for their report *)
 }
 
 (* An in-progress chunked submission ([submit-begin] .. [submit-end]):
@@ -146,10 +148,10 @@ let do_partition t ~id ~graph ~c ~mode ~seed ~jobs ~stream_jobs =
         e.labels <- Some r.Gp.part;
         e.c <- Some c;
         e.config <- Some config;
-        e.report <-
-          Some
-            (Run_report.of_result ~algo:("gp-" ^ Config.mode_name mode)
-               e.graph c r);
+        (* Bind the graph now: [e.graph] moves on with the next
+           repartition, and the report describes this answer. *)
+        let g = e.graph and algo = "gp-" ^ Config.mode_name mode in
+        e.report <- Some (lazy (Run_report.of_result ~algo g c r));
         Ok
           (Protocol.ok ?id
              (("graph", Json.Str graph) :: result_fields r)))
@@ -171,13 +173,13 @@ let do_repartition t ~id ~graph ~edits ~workspace =
           in
           e.graph <- rp.Gp.rp_graph;
           e.labels <- Some rp.Gp.rp_result.Gp.part;
+          let algo =
+            if rp.Gp.rp_incremental then "gp-incremental" else "gp-scratch"
+          in
           e.report <-
             Some
-              (Run_report.of_result
-                 ~algo:
-                   (if rp.Gp.rp_incremental then "gp-incremental"
-                    else "gp-scratch")
-                 rp.Gp.rp_graph c rp.Gp.rp_result);
+              (lazy
+                (Run_report.of_result ~algo rp.Gp.rp_graph c rp.Gp.rp_result));
           Ok
             (Protocol.ok ?id
                (("graph", Json.Str graph)
@@ -205,7 +207,7 @@ let do_report t ~id ~graph =
           Ok
             (Protocol.ok_with_raw ?id
                [ ("graph", Json.Str graph) ]
-               ("report", report)))
+               ("report", Lazy.force report)))
 
 let stats t =
   with_lock t.lock (fun () ->

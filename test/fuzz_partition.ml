@@ -17,6 +17,7 @@
 open Ppnpart_graph
 open Ppnpart_partition
 module Check = Ppnpart_check.Check
+module Graph_edit_oracle = Ppnpart_test_oracle.Graph_edit_oracle
 
 let mode =
   if Sys.getenv_opt "PPNPART_FUZZ" = Some "full" then `Full
@@ -624,6 +625,211 @@ let test_repartition_vs_scratch () =
     true
     (!incremental > !total / 2)
 
+(* --- spliced Graph_edit.apply vs the Edge_list oracle --- *)
+
+(* [Graph_edit.apply] splices the edited CSR straight from the base
+   arrays; [Graph_edit_oracle] is the rebuild it replaced (every edge
+   through [Edge_list], one global sort, [Wgraph.build]). On every batch
+   the two must return identical CSR arrays, node maps and stats, or
+   raise [Invalid_edit] with the same message. *)
+let edit_outcome apply g ops =
+  match apply g ops with
+  | g', node_map, stats ->
+    Ok
+      ( (g'.Wgraph.xadj, g'.Wgraph.adjncy, g'.Wgraph.adjwgt, g'.Wgraph.vwgt),
+        node_map,
+        stats )
+  | exception Graph_edit.Invalid_edit msg -> Error msg
+
+let check_splice name g ops =
+  let arr = Alcotest.(array int) in
+  match
+    ( edit_outcome Graph_edit.apply g ops,
+      edit_outcome Graph_edit_oracle.apply g ops )
+  with
+  | Ok ((xadj, adjncy, adjwgt, vwgt), map, st),
+    Ok ((xadj', adjncy', adjwgt', vwgt'), map', st') ->
+    Alcotest.check arr (name ^ ": xadj") xadj' xadj;
+    Alcotest.check arr (name ^ ": adjncy") adjncy' adjncy;
+    Alcotest.check arr (name ^ ": adjwgt") adjwgt' adjwgt;
+    Alcotest.check arr (name ^ ": vwgt") vwgt' vwgt;
+    Alcotest.check arr (name ^ ": node_map") map' map;
+    check_bool (name ^ ": stats") true (st = st');
+    true
+  | Error msg, Error msg' ->
+    Alcotest.(check string) (name ^ ": Invalid_edit message") msg' msg;
+    false
+  | Ok _, Error msg ->
+    Alcotest.failf "%s: oracle raised %S, splice did not" name msg
+  | Error msg, Ok _ ->
+    Alcotest.failf "%s: splice raised %S, oracle did not" name msg
+
+(* A batch of all six ops drawn against a model of the graph as the
+   batch edits it (live handles, current edges), so most batches are
+   valid and reach the rebuild. Weights start at 0 to cover zero-weight
+   nodes and edges. With [bad], one op somewhere in the batch is
+   malformed in a random way, to compare error messages too. *)
+let random_splice_batch rng g ~bad =
+  let module GE = Graph_edit in
+  let next = ref (Wgraph.n_nodes g) in
+  let dead = Hashtbl.create 8 in
+  let edges = Hashtbl.create 64 in
+  Wgraph.iter_edges g (fun u v w -> Hashtbl.replace edges (u, v) w);
+  let key u v = (min u v, max u v) in
+  let live () =
+    let rec go tries =
+      if !next = 0 then None
+      else
+        let u = Random.State.int rng !next in
+        if not (Hashtbl.mem dead u) then Some u
+        else if tries = 0 then None
+        else go (tries - 1)
+    in
+    go 8
+  in
+  let incident u =
+    Hashtbl.fold
+      (fun (a, b) _ acc ->
+        if a = u then b :: acc else if b = u then a :: acc else acc)
+      edges []
+    |> List.sort compare
+  in
+  let wgt () = Random.State.int rng 10 in
+  let malformed () =
+    let u = Option.value ~default:0 (live ()) in
+    match Random.State.int rng 7 with
+    | 0 -> GE.Set_node_weight (!next + Random.State.int rng 3, 1)
+    | 1 -> GE.Add_edge (u, u, 1)
+    | 2 -> GE.Set_node_weight (u, -1 - Random.State.int rng 3)
+    | 3 -> GE.Add_node { weight = 1; neighbors = [ (u, 1); (u, 2) ] }
+    | 4 -> (
+      match Hashtbl.fold (fun k _ _ -> Some k) edges None with
+      | Some (a, b) -> GE.Add_edge (b, a, 1)
+      | None -> GE.Remove_edge (u, u))
+    | 5 -> (
+      match Hashtbl.fold (fun k () _ -> Some k) dead None with
+      | Some d -> GE.Remove_node d
+      | None -> GE.Remove_node (-1))
+    | _ -> GE.Set_edge_weight (u, !next, 1)
+  in
+  let n_ops = Random.State.int rng 9 in
+  let bad_at = if bad then Random.State.int rng (n_ops + 1) else -1 in
+  let ops = ref [] in
+  for i = 0 to n_ops do
+    if i = bad_at then ops := malformed () :: !ops
+    else if i < n_ops then
+      match (Random.State.int rng 6, live (), live ()) with
+      | 0, _, _ ->
+        let neighbors = ref [] in
+        for _ = 1 to Random.State.int rng 4 do
+          match live () with
+          | Some v when not (List.mem_assoc v !neighbors) ->
+            neighbors := (v, wgt ()) :: !neighbors
+          | _ -> ()
+        done;
+        let u = !next in
+        incr next;
+        List.iter (fun (v, w) -> Hashtbl.replace edges (key u v) w) !neighbors;
+        ops := GE.Add_node { weight = wgt (); neighbors = !neighbors } :: !ops
+      | 1, Some u, _ ->
+        List.iter (fun v -> Hashtbl.remove edges (key u v)) (incident u);
+        Hashtbl.replace dead u ();
+        ops := GE.Remove_node u :: !ops
+      | 2, Some u, Some v when u <> v && not (Hashtbl.mem edges (key u v)) ->
+        let w = wgt () in
+        Hashtbl.replace edges (key u v) w;
+        ops := GE.Add_edge (u, v, w) :: !ops
+      | 3, Some u, _ -> (
+        match incident u with
+        | [] -> ()
+        | vs ->
+          let v = List.nth vs (Random.State.int rng (List.length vs)) in
+          Hashtbl.remove edges (key u v);
+          ops := GE.Remove_edge (v, u) :: !ops)
+      | 4, Some u, _ -> ops := GE.Set_node_weight (u, wgt ()) :: !ops
+      | 5, Some u, _ -> (
+        match incident u with
+        | [] -> ()
+        | vs ->
+          let v = List.nth vs (Random.State.int rng (List.length vs)) in
+          let w = wgt () in
+          Hashtbl.replace edges (key u v) w;
+          ops := GE.Set_edge_weight (u, v, w) :: !ops)
+      | _ -> ()
+  done;
+  List.rev !ops
+
+let test_graph_edit_splice () =
+  let module GE = Graph_edit in
+  (* Pinned cases on a small graph with a zero-weight edge; node 2's
+     neighbours are 0, 1, 3 and 4. *)
+  let g =
+    Wgraph.of_edges ~vwgt:[| 1; 2; 3; 4; 5; 6 |] 6
+      [ (0, 1, 3); (0, 2, 1); (1, 2, 4); (2, 3, 2); (2, 4, 0); (3, 5, 7);
+        (4, 5, 1) ]
+  in
+  List.iter
+    (fun (name, ops) -> ignore (check_splice name g ops))
+    [ ("empty batch", []);
+      ("add isolated node", [ GE.Add_node { weight = 3; neighbors = [] } ]);
+      ( "isolated node, then edges elsewhere",
+        [ GE.Add_node { weight = 0; neighbors = [] };
+          GE.Add_node { weight = 2; neighbors = [] };
+          GE.Add_edge (6, 0, 1);
+          GE.Remove_node 1 ] );
+      ( "remove a node the batch added",
+        [ GE.Add_node { weight = 1; neighbors = [ (0, 2); (3, 1) ] };
+          GE.Remove_node 6 ] );
+      ( "remove then re-add an edge",
+        [ GE.Remove_edge (0, 1); GE.Add_edge (1, 0, 5) ] );
+      ( "zero weights",
+        [ GE.Add_edge (0, 4, 0);
+          GE.Set_edge_weight (0, 1, 0);
+          GE.Set_node_weight (3, 0);
+          GE.Add_node { weight = 0; neighbors = [ (2, 0) ] } ] );
+      ( "remove every neighbour edge of a node",
+        [ GE.Remove_edge (2, 0); GE.Remove_edge (1, 2); GE.Remove_edge (2, 3);
+          GE.Remove_edge (4, 2) ] );
+      ( "remove every neighbour node of a node",
+        [ GE.Remove_node 0; GE.Remove_node 1; GE.Remove_node 3;
+          GE.Remove_node 4 ] );
+      ("remove every node", List.init 6 (fun u -> GE.Remove_node u));
+      ("removed node reused", [ GE.Remove_node 2; GE.Set_node_weight (2, 1) ]);
+      ("out of range", [ GE.Add_edge (0, 6, 1) ]);
+      ("self loop", [ GE.Add_edge (3, 3, 1) ]);
+      ("negative weight", [ GE.Add_node { weight = -1; neighbors = [] } ]);
+      ("existing edge", [ GE.Add_edge (5, 3, 1) ]);
+      ("missing edge", [ GE.Remove_edge (0, 5) ]);
+      ( "duplicate neighbour",
+        [ GE.Add_node { weight = 1; neighbors = [ (1, 1); (1, 2) ] } ] ) ];
+  ignore (check_splice "empty graph, empty batch" (Wgraph.of_edges 0 []) []);
+  ignore
+    (check_splice "empty graph, isolated node" (Wgraph.of_edges 0 [])
+       [ GE.Add_node { weight = 1; neighbors = [] } ]);
+  let batches =
+    match mode with `Quick -> 60 | `Default -> 300 | `Full -> 2000
+  in
+  let valid = ref 0 in
+  for seed = 1 to batches do
+    let rng = Random.State.make [| 0x5911CE; seed |] in
+    let n = Random.State.int rng 120 in
+    let g =
+      if n < 2 then Wgraph.of_edges n []
+      else
+        Ppnpart_workloads.Rand_graph.gnm ~vw_range:(0, 9) ~ew_range:(0, 9) rng
+          ~n ~m:(min (n * (n - 1) / 2) (2 * n))
+    in
+    let ops = random_splice_batch rng g ~bad:(seed mod 4 = 0) in
+    if check_splice (Printf.sprintf "seed %d (n=%d)" seed n) g ops then
+      incr valid
+  done;
+  (* Malformed ops go into a quarter of the batches; the rest must
+     mostly reach the rebuild, or the comparison above is vacuous. *)
+  check_bool
+    (Printf.sprintf "most batches reach the rebuild (%d/%d)" !valid batches)
+    true
+    (!valid >= batches * 2 / 3)
+
 (* --- serialization round-trips --- *)
 
 let test_io_round_trips () =
@@ -664,7 +870,9 @@ let () =
           Alcotest.test_case "chunked vs sequential vs multilevel" `Quick
             test_chunked_vs_sequential_vs_multilevel;
           Alcotest.test_case "repartition vs scratch oracle" `Quick
-            test_repartition_vs_scratch ] );
+            test_repartition_vs_scratch;
+          Alcotest.test_case "graph_edit splice vs oracle" `Quick
+            test_graph_edit_splice ] );
       ( "structure",
         [ Alcotest.test_case "matching validity" `Quick
             test_matching_validity;

@@ -224,6 +224,31 @@ let test_of_csr_validation () =
         ~xadj:[| 0; 2; 4; 7; 7 |]
         ~adjncy:[| 1; 2; 0; 2; 0; 1; 3; |]
         ~adjwgt:[| 3; 1; 3; 2; 1; 2; 5 |] ());
+  (* Listed on the higher endpoint only: the mirror search from the
+     lower side never sees these. *)
+  let one_sided name msg f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument m -> Alcotest.(check string) name msg m
+  in
+  one_sided "one-sided edge, higher endpoint"
+    "Wgraph.of_csr: edge (2, 3) missing its mirror" (fun () ->
+      mk
+        ~xadj:[| 0; 2; 4; 6; 7 |]
+        ~adjncy:[| 1; 2; 0; 2; 0; 1; 2 |]
+        ~adjwgt:[| 3; 1; 3; 2; 1; 2; 5 |] ());
+  one_sided "one-sided edge before a mirrored one"
+    "Wgraph.of_csr: edge (0, 1) missing its mirror" (fun () ->
+      mk
+        ~xadj:[| 0; 1; 3; 6; 7 |]
+        ~adjncy:[| 2; 0; 2; 0; 1; 3; 2 |]
+        ~adjwgt:[| 1; 3; 2; 1; 2; 5; 5 |] ());
+  one_sided "one-sided edge while matching"
+    "Wgraph.of_csr: edge (0, 2) missing its mirror" (fun () ->
+      mk
+        ~xadj:[| 0; 1; 3; 6; 7 |]
+        ~adjncy:[| 1; 0; 2; 0; 1; 3; 2 |]
+        ~adjwgt:[| 3; 3; 2; 1; 2; 5; 5 |] ());
   rejects_invalid "asymmetric weight" (fun () ->
       mk ~adjwgt:[| 3; 1; 3; 2; 1; 2; 5; 4 |] ());
   rejects_invalid "vwgt wrong length" (fun () -> mk ~vwgt:[| 1; 1 |] ());

@@ -19,6 +19,28 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+let strip_runtime line =
+  (* runtime_s is wall-clock by design; blank its value out before
+     comparing responses byte for byte. *)
+  let marker = "\"runtime_s\":" in
+  match String.index_opt line 'r' with
+  | None -> line
+  | Some _ -> (
+    let nl = String.length line and nm = String.length marker in
+    let rec find i =
+      if i + nm > nl then None
+      else if String.sub line i nm = marker then Some i
+      else find (i + 1)
+    in
+    match find 0 with
+    | None -> line
+    | Some i ->
+      let j = ref (i + nm) in
+      while !j < nl && line.[!j] <> ',' && line.[!j] <> '}' do
+        incr j
+      done;
+      String.sub line 0 (i + nm) ^ "_" ^ String.sub line !j (nl - !j))
+
 (* --- Json --- *)
 
 let test_json_roundtrip () =
@@ -58,6 +80,48 @@ let test_json_string_escapes () =
   match Json.parse "\"tab\\tnl\\nu\\u0041\"" with
   | Ok (Json.Str s) -> check_string "escapes decoded" "tab\tnl\nuA" s
   | _ -> Alcotest.fail "escaped string did not parse"
+
+(* The integer fast path in the printer must write the bytes "%.0f"
+   wrote before it; everything else still goes through "%.12g". *)
+let test_json_printer_bytes () =
+  List.iter
+    (fun (f, expect) ->
+      check_string (Printf.sprintf "%h" f) expect (Json.to_string (Json.Num f)))
+    [ (0., "0"); (-0., "-0"); (1., "1"); (-1., "-1");
+      (9007199254740992., "9007199254740992");
+      (-9007199254740992., "-9007199254740992");
+      (9007199254740994., "9.00719925474e+15"); (0.5, "0.5");
+      (1e300, "1e+300"); (3.25, "3.25"); (-1.5, "-1.5"); (0.1, "0.1");
+      (1. /. 3., "0.333333333333"); (123456.789, "123456.789") ]
+
+let max_exact = 1 lsl 53
+
+let prop_json_int_roundtrip =
+  QCheck2.Test.make ~name:"json int prints as %.0f and round-trips"
+    ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [ int_range (-max_exact) max_exact; int_range (-1000) 1000;
+          oneofl [ max_exact; -max_exact; max_exact - 1; 1 - max_exact ] ])
+    (fun i ->
+      let s = Json.to_string (Json.int i) in
+      s = Printf.sprintf "%.0f" (float_of_int i)
+      && Result.to_option (Json.parse s) |> Fun.flip Option.bind Json.to_int
+         = Some i)
+
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let test_json_nesting_bound () =
+  (match Json.parse (nested 64) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "64 levels rejected: %s" e);
+  (match Json.parse (nested 65) with
+  | Error e -> check_string "65 levels" "nesting deeper than 64 at byte 64" e
+  | Ok _ -> Alcotest.fail "65 levels accepted");
+  match Json.parse ("{\"a\":" ^ nested 64 ^ "}") with
+  | Error e ->
+    check_string "object counts" "nesting deeper than 64 at byte 68" e
+  | Ok _ -> Alcotest.fail "65 levels through an object accepted"
 
 (* --- Protocol --- *)
 
@@ -483,6 +547,91 @@ let test_service_hostile_headers () =
   let v, _ = ok_json "next request served" (submit metis_text) in
   check_bool "installed" true (field "submit" v "nodes" = Json.int 4)
 
+let test_service_deep_nesting () =
+  (* A megabyte of '[' used to keep a worker in the parser for seconds
+     (the cost grew with the square of the depth). It must now come back
+     as an error frame at once, and the next request must be served. *)
+  let svc = Service.create () in
+  let line = String.make (1 lsl 20) '[' in
+  let t0 = Unix.gettimeofday () in
+  let msg = err_json "1 MB of [" (handle svc line) in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_string "names the bound"
+    "bad JSON: nesting deeper than 64 at byte 64" msg;
+  check_bool (Printf.sprintf "answered in %.3f s" dt) true (dt < 0.25);
+  let v, _ = ok_json "next request served" (handle svc "{\"op\":\"stats\"}") in
+  check_bool "error counted" true (field "stats" v "errors" = Json.int 1)
+
+(* The raw report spliced into a [report] response. *)
+let report_of name response =
+  let prefix = "{\"ok\":true,\"graph\":\"g\",\"report\":" in
+  let lp = String.length prefix and lr = String.length response in
+  if lr > lp + 1 && String.sub response 0 lp = prefix then
+    String.sub response lp (lr - lp - 1)
+  else Alcotest.failf "%s: not a report frame: %s" name response
+
+let test_service_report_bytes () =
+  (* Reports are rendered on the first [report] request, not with every
+     answer. The bytes must be those of rendering the answer eagerly:
+     the same run, replayed here, gives the same report up to its
+     wall-clock runtime_s. *)
+  let module Gp = Ppnpart_core.Gp in
+  let module Run_report = Ppnpart_core.Run_report in
+  let rng = Random.State.make [| 0x8e7; 1 |] in
+  let g0, c0 =
+    Ppnpart_workloads.Rand_graph.random_partitionable rng ~n:120 ~k:3
+  in
+  let metis = Graph_io.to_metis g0 in
+  let g = Graph_io.of_metis metis in
+  let svc = Service.create () in
+  ignore
+    (ok_json "submit"
+       (handle svc
+          (Printf.sprintf "{\"op\":\"submit\",\"graph\":\"g\",\"metis\":%s}"
+             (Json.to_string (Json.Str metis)))));
+  let partition =
+    Printf.sprintf
+      "{\"op\":\"partition\",\"graph\":\"g\",\"k\":%d,\"bmax\":%d,\"rmax\":%d}"
+      c0.Types.k c0.Types.bmax c0.Types.rmax
+  in
+  let config, c, mode =
+    match Protocol.parse partition with
+    | _, Ok (Protocol.Partition { c; mode; seed; jobs; stream_jobs; _ }) ->
+      ({ Config.default with Config.mode; seed; jobs; stream_jobs }, c, mode)
+    | _ -> Alcotest.fail "partition frame did not parse"
+  in
+  ignore (ok_json "partition" (handle svc partition));
+  let report () =
+    let response, _ = handle svc "{\"op\":\"report\",\"graph\":\"g\"}" in
+    report_of "report" response
+  in
+  let r = Gp.partition ~config g c in
+  let after_partition = report () in
+  check_string "report after partition"
+    (strip_runtime
+       (Run_report.of_result ~algo:("gp-" ^ Config.mode_name mode) g c r))
+    (strip_runtime after_partition);
+  check_string "memoized" after_partition (report ());
+  let repartition =
+    "{\"op\":\"repartition\",\"graph\":\"g\",\"edits\":["
+    ^ "{\"op\":\"set_node_weight\",\"node\":3,\"w\":2},"
+    ^ "{\"op\":\"add_node\",\"weight\":1,\"neighbors\":[[0,1],[5,2]]}]}"
+  in
+  let edits =
+    match Protocol.parse repartition with
+    | _, Ok (Protocol.Repartition { edits; _ }) -> edits
+    | _ -> Alcotest.fail "repartition frame did not parse"
+  in
+  let v, _ = ok_json "repartition" (handle svc repartition) in
+  check_bool "stayed incremental" true
+    (field "repartition" v "incremental" = Json.Bool true);
+  let rp = Gp.repartition ~config ~prev:r.Gp.part g c edits in
+  check_string "report after repartition"
+    (strip_runtime
+       (Run_report.of_result ~algo:"gp-incremental" rp.Gp.rp_graph c
+          rp.Gp.rp_result))
+    (strip_runtime (report ()))
+
 (* --- Daemon end to end --- *)
 
 let daemon_socket () =
@@ -568,28 +717,6 @@ let test_daemon_deterministic_across_workers_and_restarts () =
   (* Same scripted session against a fresh daemon, 1 worker vs 4
      workers: byte-identical responses (modulo the runtime_s field,
      which is wall-clock by design). *)
-  let strip_runtime line =
-    (* runtime_s is wall-clock by design; blank its value out before
-       comparing responses byte for byte. *)
-    let marker = "\"runtime_s\":" in
-    match String.index_opt line 'r' with
-    | None -> line
-    | Some _ -> (
-      let nl = String.length line and nm = String.length marker in
-      let rec find i =
-        if i + nm > nl then None
-        else if String.sub line i nm = marker then Some i
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> line
-      | Some i ->
-        let j = ref (i + nm) in
-        while !j < nl && line.[!j] <> ',' && line.[!j] <> '}' do
-          incr j
-        done;
-        String.sub line 0 (i + nm) ^ "_" ^ String.sub line !j (nl - !j))
-  in
   let run () = List.map strip_runtime (with_daemon ~workers:1 script) in
   let a = run () in
   let b = List.map strip_runtime (with_daemon ~workers:4 script) in
@@ -602,6 +729,9 @@ let quick_tests =
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
     Alcotest.test_case "json numbers" `Quick test_json_numbers;
     Alcotest.test_case "json string escapes" `Quick test_json_string_escapes;
+    Alcotest.test_case "json printer bytes" `Quick test_json_printer_bytes;
+    QCheck_alcotest.to_alcotest prop_json_int_roundtrip;
+    Alcotest.test_case "json nesting bound" `Quick test_json_nesting_bound;
     Alcotest.test_case "protocol parse ok" `Quick test_protocol_parse_ok;
     Alcotest.test_case "protocol parse edits" `Quick test_protocol_parse_edits;
     Alcotest.test_case "protocol parse errors" `Quick test_protocol_parse_errors;
@@ -619,6 +749,8 @@ let quick_tests =
       test_service_chunked_submit_errors;
     Alcotest.test_case "service hostile headers" `Quick
       test_service_hostile_headers;
+    Alcotest.test_case "service deep nesting" `Quick test_service_deep_nesting;
+    Alcotest.test_case "service report bytes" `Quick test_service_report_bytes;
     Alcotest.test_case "daemon end to end" `Quick test_daemon_end_to_end ]
 
 let slow_tests =
