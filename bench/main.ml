@@ -13,7 +13,6 @@ module Gp = Ppnpart_core.Gp
 module Config = Ppnpart_core.Config
 module Report = Ppnpart_core.Report
 module Run_report = Ppnpart_core.Run_report
-module Team = Ppnpart_exec.Team
 module Metis_like = Ppnpart_baselines.Metis_like
 
 let out_dir = "bench_out"
@@ -632,122 +631,38 @@ let refine_bench ?(reps = 3) ~n ~k () =
   in
   (row, legacy_s, boundary_s)
 
-(* Deterministic parallel refinement (Refine_parallel) vs the serial
-   boundary refiner it reproduces. Bit-identity of partition and
-   goodness is asserted against the serial side at every width on every
-   benchmark run, so the timing spread is pure scheduling: speculative
-   proposal waves across a resident team vs the one-slot-at-a-time
-   serial sweep. Width 1 runs the full wave machinery inline and is
-   gated (compare.exe) to never cost more than 10% over the serial
-   refiner — the speculation bookkeeping must stay in the noise when it
-   cannot buy anything. On a single-core host the wider rows time-slice
-   one core, so their wall clock sits at ~1x and [speedup_4] only means
-   something on a >= 4-core machine; the structural fields (identity,
-   never-slower at width 1) are what CI keys on. *)
-let refine_parallel_bench ?(reps = 3) ~n ~k () =
+(* The serial boundary refiner at scale, on the same mostly-converged
+   shape as [refine_bench] (a perturbed planted clustering): one wall
+   time plus the seeded, machine-independent cut and violation. *)
+let serial_refine_bench ?(reps = 3) ~n ~k () =
   let rng = Random.State.make [| n; k; 0x5250 |] in
   let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
-  (* Same regime as refine_bench: the planted clustering with 2% of the
-     nodes kicked — the mostly-converged shape every un-coarsening
-     level hands the refiner. *)
   let part0 = Array.init n (fun u -> u * k / n) in
   for _ = 1 to n / 100 do
     let u = Random.State.int rng n in
     part0.(u) <- (part0.(u) + 1 + Random.State.int rng (k - 1)) mod k
   done;
-  let mk_rng () = Random.State.make [| 7 |] in
   let ws = Workspace.create () in
-  let run_serial () =
-    Refine_constrained.refine ~workspace:ws (mk_rng ()) g c
+  let run () =
+    Refine_constrained.refine ~workspace:ws (Random.State.make [| 7 |]) g c
       (Array.copy part0)
   in
-  ignore (run_serial () (* warm the workspace *));
-  let (sp, sg), serial_s = compacted_min ~reps run_serial in
-  let time_width w =
-    let tm = if w = 1 then None else Some (Team.create ~width:w) in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Team.shutdown tm)
-      (fun () ->
-        let run () =
-          Refine_parallel.refine ~workspace:ws ?team:tm (mk_rng ()) g c
-            (Array.copy part0)
-        in
-        ignore (run () (* warm the wave scratch at this width *));
-        let (pp, pg), t = compacted_min ~reps run in
-        if
-          pp <> sp
-          || pg.Metrics.violation <> sg.Metrics.violation
-          || pg.Metrics.cut_value <> sg.Metrics.cut_value
-        then
-          failwith
-            (Printf.sprintf
-               "refine_parallel_bench n=%d width=%d: diverged from serial \
-                (violation %d vs %d, cut %d vs %d, partitions %s)"
-               n w pg.Metrics.violation sg.Metrics.violation
-               pg.Metrics.cut_value sg.Metrics.cut_value
-               (if pp = sp then "equal" else "differ"));
-        t)
-  in
-  let t1 = time_width 1 in
-  let t2 = time_width 2 in
-  let t4 = time_width 4 in
-  let t8 = time_width 8 in
-  (* One capture-instrumented width-4 rep records how much speculation
-     was wasted: conflicting slots and serial re-scores per run. *)
-  let waves, conflicts, rescored =
-    let tm = Team.create ~width:4 in
-    Fun.protect
-      ~finally:(fun () -> Team.shutdown tm)
-      (fun () ->
-        let _, cap =
-          Ppnpart_obs.Obs.with_capture (fun () ->
-              Refine_parallel.refine ~workspace:ws ~team:tm (mk_rng ()) g c
-                (Array.copy part0))
-        in
-        let totals = Ppnpart_obs.Trace_export.counter_totals cap in
-        let total name =
-          match List.assoc_opt name totals with Some v -> v | None -> 0
-        in
-        ( total "refine.wave.count",
-          total "refine.wave.conflicts",
-          total "refine.wave.rescored" ))
-  in
-  (* Divergence at any width failed hard above, so reaching the row
-     means every width reproduced the serial refiner bit-for-bit. The
-     1 ms absolute slack keeps the sub-10 ms smoke instance out of
-     timer-noise territory; at the 1M row it is negligible. *)
-  let never_slower = t1 <= (serial_s *. 1.10) +. 0.001 in
-  let row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "serial_refine_s": %.4f, "par_refine_1_s": %.4f,
-      "par_refine_2_s": %.4f, "par_refine_4_s": %.4f,
-      "par_refine_8_s": %.4f, "speedup_4": %.2f,
-      "waves": %d, "wave_conflicts": %d, "wave_rescored": %d,
-      "violation": %d, "cut": %d,
-      "deterministic_across_jobs": true,
-      "parallel_refine_never_slower_than_serial": %b }|}
-      n (Wgraph.n_edges g) k serial_s t1 t2 t4 t8 (serial_s /. t4) waves
-      conflicts rescored sg.Metrics.violation sg.Metrics.cut_value
-      never_slower
-  in
-  (row, serial_s, t1, never_slower)
+  ignore (run () (* warm the workspace *));
+  let (_, gd), serial_s = compacted_min ~reps run in
+  Printf.sprintf
+    {|{ "n": %d, "m": %d, "k": %d, "serial_refine_s": %.4f,
+      "violation": %d, "cut": %d }|}
+    n (Wgraph.n_edges g) k serial_s gd.Metrics.violation gd.Metrics.cut_value
 
 (* The consolidated deterministic run report must be byte-identical
-   when only the execution width changes. Runs the full GP pipeline on
-   an instance past the serial-fallback gate twice — jobs/refine-jobs
-   1 vs 4, the second with a real width-4 refinement team even on a
-   single-core host, since an explicit --refine-jobs is honored
-   uncapped — and byte-compares the [~deterministic] reports. *)
+   when only the execution width changes. Runs the full GP pipeline
+   twice — jobs 1 vs 4 — and byte-compares the [~deterministic]
+   reports. *)
 let report_determinism_row ~n ~k () =
   let rng = Random.State.make [| n; k; 0x5253 |] in
   let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
-  let run jobs refine_jobs =
-    Gp.partition
-      ~config:{ Config.default with Config.jobs; refine_jobs }
-      g c
-  in
-  let r1 = run 1 1 and r4 = run 4 4 in
+  let run jobs = Gp.partition ~config:{ Config.default with Config.jobs } g c in
+  let r1 = run 1 and r4 = run 4 in
   let report r =
     Run_report.of_result ~deterministic:true ~algo:"gp" g c r
   in
@@ -1066,7 +981,7 @@ let stream_1m_bench ?(scale = 20) ?(m = 4_200_000) ?(ref_scale = 14) ~reps ()
   let _, e2e_parse_s =
     time (fun () ->
         let g2 = Graph_io.of_metis text in
-        Stream_parallel.partition ~workspace:ws g2 c)
+        Stream.partition ~workspace:ws g2 c)
   in
   let e2e_bytes = String.length text in
   let ref_rng = Random.State.make [| 0x5354; ref_scale |] in
@@ -1134,69 +1049,6 @@ let ingest_bench ~scale ~reps =
     (Wgraph.n_nodes g) (Wgraph.n_edges g) bytes to_s of_s
     (float_of_int bytes /. of_s /. 1e6)
     (float_of_int (Wgraph.n_edges g) /. of_s)
-
-(* Chunked restreaming vs the sequential streamer (DESIGN.md §6.9) on
-   one instance: pass 0 of the chunked path *is* the sequential
-   streamer, so the comparison isolates the frozen-state restream
-   passes. Three properties are recorded machine-checkably: width-1
-   wall-clock within 10% of sequential ([par1_vs_seq_ratio], an
-   absolute same-run bound — no baseline drift), labels bit-identical
-   across team widths 1/2/4 and across a restart, and the quality
-   price of frozen-state scoring ([quality_ratio_pct], seeded and
-   therefore exact). *)
-let stream_parallel_bench ~n ~reps () =
-  let rng = Random.State.make [| 0x5350; n |] in
-  let g =
-    Ppnpart_workloads.Rand_graph.gnm ~vw_range:(1, 7) ~ew_range:(1, 9) rng
-      ~n ~m:(3 * n)
-  in
-  let k = 8 in
-  let c =
-    Types.constraints ~k
-      ~rmax:((Wgraph.total_node_weight g / k * 4 / 3) + 1)
-      ~bmax:((Wgraph.total_edge_weight g / (2 * k)) + 1)
-  in
-  let ws = Workspace.create () in
-  ignore (Stream.partition ~workspace:ws g c);
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  let (seq_part, _), seq_s =
-    compacted_min ~reps (fun () -> Stream.partition ~workspace:ws g c)
-  in
-  let (par_part, par_stats), par1_s =
-    compacted_min ~reps (fun () ->
-        Stream_parallel.partition ~workspace:ws g c)
-  in
-  let at_width w =
-    let team = Team.create ~width:w in
-    Fun.protect
-      ~finally:(fun () -> Team.shutdown team)
-      (fun () -> fst (Stream_parallel.partition ~workspace:ws ~team g c))
-  in
-  let deterministic = par_part = at_width 2 && par_part = at_width 4 in
-  let restart_identical =
-    par_part = fst (Stream_parallel.partition ~workspace:ws g c)
-  in
-  let seq_cut = (Metrics.goodness g c seq_part).Metrics.cut_value in
-  let gd = Metrics.goodness g c par_part in
-  let quality_delta_pct =
-    100.
-    *. float_of_int (gd.Metrics.cut_value - seq_cut)
-    /. float_of_int (max 1 seq_cut)
-  in
-  let row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d, "chunk": %d,
-      "seq_s": %.4f, "par1_s": %.4f, "par1_vs_seq_ratio": %.3f,
-      "deterministic_across_jobs": %b, "restart_identical": %b,
-      "passes": %d, "converged": %b,
-      "seq_cut": %d, "chunked_cut": %d, "quality_ratio_pct": %.2f,
-      "violation": %d }|}
-      n (Wgraph.n_edges g) k Stream_parallel.default_chunk seq_s par1_s
-      (par1_s /. seq_s) deterministic restart_identical
-      par_stats.Stream.iterations par_stats.Stream.converged seq_cut
-      gd.Metrics.cut_value quality_delta_pct gd.Metrics.violation
-  in
-  (row, seq_s, par1_s, deterministic && restart_identical)
 
 (* Incremental repartitioning vs from-scratch on a planted instance
    with a small edit (DESIGN.md §6.7): the daemon's steady-state
@@ -1449,8 +1301,8 @@ let bench_json () =
           r.Gp.feasible r.Gp.runtime_s r.Gp.cycles_used r.Gp.levels
           Config.default.Config.jobs (p "coarsen.level")
           (p "initial.greedy")
-          (p "refine.constrained" +. p "refine.parallel"
-          +. p "refine.tabu" +. p "refine.state_init")
+          (p "refine.constrained" +. p "refine.tabu"
+          +. p "refine.state_init")
           (p "gp.cycle"))
       PG.all
   in
@@ -1458,9 +1310,7 @@ let bench_json () =
      numbers remain comparable with earlier records. *)
   let _, _, fm_row = fm_bench ~n:5000 ~m:20000 ~k:8 in
   let refine_row, _, _ = refine_bench ~n:50_000 ~k:8 () in
-  let refine_1m_row, _, _, _ =
-    refine_parallel_bench ~n:1_000_000 ~k:16 ~reps:2 ()
-  in
+  let refine_1m_row = serial_refine_bench ~n:1_000_000 ~k:16 ~reps:2 () in
   let coarsen_row = coarsen_bench ~n:50_000 ~m:200_000 in
   let vc_row = vcycle_bench () in
   let obs_row = obs_overhead () in
@@ -1469,7 +1319,6 @@ let bench_json () =
   in
   let stream_1m_row = stream_1m_bench ~reps:3 () in
   let ingest_row = ingest_bench ~scale:17 ~reps:3 in
-  let sp_row, _, _, _ = stream_parallel_bench ~n:1_000_000 ~reps:3 () in
   let repartition_row, scratch_s, incr_s, _ =
     repartition_bench ~n:50_000 ~k:8 ~edit_pct:1 ~reps:3 ()
   in
@@ -1480,7 +1329,7 @@ let bench_json () =
   let json =
     Printf.sprintf
       {|{
-  "schema": "ppnpart-bench-partition/10",
+  "schema": "ppnpart-bench-partition/11",
   "generated_unix": %.0f,
   "instances": [
 %s
@@ -1495,7 +1344,6 @@ let bench_json () =
   "stream_200k": %s,
   "hybrid_200k": %s,
   "ingest_131k": %s,
-  "stream_parallel_1m": %s,
   "repartition_50k": %s,
   "daemon": %s
 }
@@ -1503,7 +1351,7 @@ let bench_json () =
       (Unix.time ())
       (String.concat ",\n" instance_rows)
       fm_row refine_row refine_1m_row coarsen_row vc_row obs_row
-      stream_1m_row stream_row hybrid_row ingest_row sp_row repartition_row
+      stream_1m_row stream_row hybrid_row ingest_row repartition_row
       daemon_row
   in
   let path = Filename.concat out_dir "BENCH_partition.json" in
@@ -1535,23 +1383,8 @@ let smoke () =
       (Printf.sprintf
          "smoke: boundary refine slower than legacy (%.4fs > %.4fs)"
          boundary_s legacy_s);
-  (* Wave-parallel refinement at CI size: bit-identity against the
-     serial refiner is asserted inside the bench at widths 1/2/4/8, and
-     the width-1 wave machinery must stay within 10% of the serial
-     sweep — speculation that costs when it cannot pay is a
-     regression. *)
-  let rp_row, rp_serial_s, rp_par1_s, rp_never_slower =
-    refine_parallel_bench ~n:20_000 ~k:8 ~reps:3 ()
-  in
-  Printf.printf "  refine_parallel_20k: %s\n%!" rp_row;
-  if not rp_never_slower then
-    failwith
-      (Printf.sprintf
-         "smoke: width-1 wave refine slower than serial beyond tolerance \
-          (%.4fs > 1.10 * %.4fs)"
-         rp_par1_s rp_serial_s);
   (* Jobs-determinism of the consolidated report: the deterministic
-     report must be byte-identical between jobs/refine-jobs 1 and 4. *)
+     report must be byte-identical between jobs 1 and 4. *)
   let report_row, report_identical = report_determinism_row ~n:2_000 ~k:8 () in
   Printf.printf "  report_2k: %s\n%!" report_row;
   if not report_identical then
@@ -1594,25 +1427,6 @@ let smoke () =
          stream_cut ml_cut);
   let ingest_row = ingest_bench ~scale:13 ~reps:2 in
   Printf.printf "  ingest_8k: %s\n%!" ingest_row;
-  (* Chunked restreaming at CI scale: width determinism and restart
-     identity are hard structural properties, and the width-1 chunked
-     machinery must stay within 10% of the sequential streamer it
-     wraps — chunking that costs when it cannot pay is a regression. *)
-  let sp_row, sp_seq_s, sp_par1_s, sp_identical =
-    (* min over 5 reps: at ~20 ms a pass, 2 reps is not enough to shake
-       off a transient background load spike, and this row gates. *)
-    stream_parallel_bench ~n:20_000 ~reps:5 ()
-  in
-  Printf.printf "  stream_parallel_20k: %s\n%!" sp_row;
-  if not sp_identical then
-    failwith
-      "smoke: chunked restreaming not bit-identical across widths/restart";
-  if sp_par1_s > 1.10 *. sp_seq_s then
-    failwith
-      (Printf.sprintf
-         "smoke: width-1 chunked restream slower than sequential beyond \
-          tolerance (%.4fs > 1.10 * %.4fs)"
-         sp_par1_s sp_seq_s);
   (* Incremental repartitioning at CI scale: same measurement code as
      the 50k JSON row. The whole point of the daemon's steady state is
      that a small-edit request is cheaper than a scratch run, so the
@@ -1641,9 +1455,6 @@ let bench_json_smoke () =
   ensure_out_dir ();
   let _, _, fm_row = fm_bench ~n:600 ~m:2400 ~k:4 in
   let refine_row, _, _ = refine_bench ~n:4_000 ~k:8 () in
-  let refine_parallel_row, _, _, _ =
-    refine_parallel_bench ~n:20_000 ~k:8 ~reps:3 ()
-  in
   let report_row, _ = report_determinism_row ~n:2_000 ~k:8 () in
   let coarsen_row = coarsen_bench ~n:4_000 ~m:16_000 in
   let obs_row = obs_overhead ~reps:3 () in
@@ -1660,18 +1471,16 @@ let bench_json_smoke () =
     mode_bench ~n_target:20_000 ~reps:2
   in
   let ingest_row = ingest_bench ~scale:13 ~reps:2 in
-  let sp_row, _, _, _ = stream_parallel_bench ~n:20_000 ~reps:5 () in
   let repart_row, _, _, _ =
     repartition_bench ~n:4_000 ~k:8 ~edit_pct:1 ~reps:2 ()
   in
   let json =
     Printf.sprintf
       {|{
-  "schema": "ppnpart-bench-smoke/5",
+  "schema": "ppnpart-bench-smoke/6",
   "generated_unix": %.0f,
   "fm_600": %s,
   "refine_4k": %s,
-  "refine_parallel_20k": %s,
   "report_2k": %s,
   "coarsen_4k": %s,
   "obs_overhead": %s,
@@ -1679,13 +1488,11 @@ let bench_json_smoke () =
   "stream_20k": %s,
   "hybrid_20k": %s,
   "ingest_8k": %s,
-  "stream_parallel_20k": %s,
   "repartition_4k": %s
 }
 |}
-      (Unix.time ()) fm_row refine_row refine_parallel_row report_row
-      coarsen_row obs_row vc_row stream_row hybrid_row ingest_row sp_row
-      repart_row
+      (Unix.time ()) fm_row refine_row report_row coarsen_row obs_row vc_row
+      stream_row hybrid_row ingest_row repart_row
   in
   let path = Filename.concat out_dir "BENCH_smoke.json" in
   Graph_io.write_file path json;

@@ -94,28 +94,6 @@ let jobs_arg =
            auto: $(b,PPNPART_JOBS) or the recommended domain count. The \
            partition found is identical for every job count.")
 
-let refine_jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "refine-jobs" ] ~docv:"N"
-        ~doc:
-          "Team width for deterministic parallel refinement inside one \
-           run (GP only). 0 means follow $(b,--jobs) capped at the \
-           recommended domain count; an explicit value is honored \
-           exactly. The partition found is identical at every width.")
-
-let stream_jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "stream-jobs" ] ~docv:"N"
-        ~doc:
-          "Team width for chunked parallel restreaming in $(b,--mode \
-           stream)/$(b,hybrid) (GP only). 0 means follow $(b,--jobs) \
-           capped at the recommended domain count; an explicit value is \
-           honored exactly. Chunk boundaries and commit order are fixed \
-           by node index, so the partition found is identical at every \
-           width.")
-
 let k_arg =
   Arg.(
     value & opt int 4
@@ -312,9 +290,9 @@ let resolve_input input paper seed =
 (* --- partition command --- *)
 
 let partition_cmd =
-  let run () input paper seed jobs refine_jobs stream_jobs k bmax rmax algo
-      mode stream_iterations dot save trace_out trace_jsonl metrics_out
-      report_json det_report stats check =
+  let run () input paper seed jobs k bmax rmax algo mode stream_iterations
+      dot save trace_out trace_jsonl metrics_out report_json det_report stats
+      check =
     match resolve_input input paper seed with
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
@@ -344,8 +322,8 @@ let partition_cmd =
         match algo with
         | `Gp ->
           let config =
-            { Ppnpart_core.Config.default with seed; jobs; refine_jobs;
-              stream_jobs; mode; stream_iterations;
+            { Ppnpart_core.Config.default with seed; jobs; mode;
+              stream_iterations;
               debug_checks = Ppnpart_core.Config.default.debug_checks || check
             }
           in
@@ -462,8 +440,7 @@ let partition_cmd =
   let term =
     Term.(
       const run $ setup_logs_term $ input_arg $ paper_arg $ seed_arg
-      $ jobs_arg $ refine_jobs_arg $ stream_jobs_arg $ k_arg $ bmax_arg
-      $ rmax_arg $ algo_arg $ mode_arg
+      $ jobs_arg $ k_arg $ bmax_arg $ rmax_arg $ algo_arg $ mode_arg
       $ stream_iterations_arg $ dot_arg $ save_arg $ trace_out_arg
       $ trace_jsonl_arg $ metrics_out_arg $ report_json_arg
       $ det_report_arg $ stats_arg $ check_arg)

@@ -14,12 +14,9 @@ type t = {
   tabu_iterations : int;
   seed : int;
   jobs : int;
-  refine_jobs : int;
   debug_checks : bool;
   mode : mode;
   stream_iterations : int;
-  stream_jobs : int;
-  stream_chunk : int;
   repartition_gate : float;
 }
 
@@ -33,12 +30,9 @@ let default =
     tabu_iterations = 0;
     seed = 0;
     jobs = 1;
-    refine_jobs = 0;
     debug_checks = Ppnpart_check.Check.env_enabled ();
     mode = Multilevel;
     stream_iterations = Ppnpart_partition.Stream.default_iterations;
-    stream_jobs = 0;
-    stream_chunk = Ppnpart_partition.Stream_parallel.default_chunk;
     repartition_gate = 0.25;
   }
 
@@ -49,10 +43,7 @@ let validate t =
   if t.refine_passes < 1 then invalid_arg "Config: refine_passes < 1";
   if t.tabu_iterations < 0 then invalid_arg "Config: tabu_iterations < 0";
   if t.jobs < 0 then invalid_arg "Config: jobs < 0";
-  if t.refine_jobs < 0 then invalid_arg "Config: refine_jobs < 0";
   if t.stream_iterations < 1 then invalid_arg "Config: stream_iterations < 1";
-  if t.stream_jobs < 0 then invalid_arg "Config: stream_jobs < 0";
-  if t.stream_chunk < 1 then invalid_arg "Config: stream_chunk < 1";
   (* Negated comparison so NaN is rejected too. *)
   if not (t.repartition_gate >= 0.0) then
     invalid_arg "Config: repartition_gate < 0";

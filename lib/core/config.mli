@@ -44,13 +44,6 @@ type t = {
           means auto ([PPNPART_JOBS] or
           [Domain.recommended_domain_count ()]). The partition returned
           is identical for every job count (default 1). *)
-  refine_jobs : int;
-      (** team width for deterministic parallel refinement
-          ({!Ppnpart_partition.Refine_parallel}) inside a single run.
-          [0] (the default) follows [jobs], clamped to the hardware
-          parallelism budget; an explicit positive value is honored
-          exactly. Width never affects results — the refinement waves
-          are bit-identical at every width by construction. *)
   debug_checks : bool;
       (** when true, [Gp.partition] installs the [Ppnpart_check]
           validators for the duration of the run: every phase boundary
@@ -64,19 +57,6 @@ type t = {
       (** restream passes for [Stream]/[Hybrid] modes (default
           {!Ppnpart_partition.Stream.default_iterations} = 3); ignored
           by [Multilevel]. Must be ≥ 1. *)
-  stream_jobs : int;
-      (** team width for chunked parallel restreaming
-          ({!Ppnpart_partition.Stream_parallel}) in [Stream]/[Hybrid]
-          modes. [0] (the default) follows [jobs], clamped to the
-          hardware parallelism budget; an explicit positive value is
-          honored exactly. As with [refine_jobs], width never affects
-          results — chunk boundaries and commit order are functions of
-          node index alone. The CLI flag is [--stream-jobs]. *)
-  stream_chunk : int;
-      (** node-index chunk size for chunked restreaming (default
-          {!Ppnpart_partition.Stream_parallel.default_chunk} = 4096).
-          Inputs with [n <= stream_chunk] use the sequential streamer
-          verbatim. Must be ≥ 1. *)
   repartition_gate : float;
       (** {!Gp.repartition} edit-ratio gate: when an edit touches more
           than this fraction of the edited graph's nodes, incremental

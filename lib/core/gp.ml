@@ -1,7 +1,6 @@
 open Ppnpart_graph
 open Ppnpart_partition
 module Pool = Ppnpart_exec.Pool
-module Team = Ppnpart_exec.Team
 module Domains = Ppnpart_exec.Domains
 
 type result = {
@@ -26,45 +25,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    resource-bounded growth (Section IV.B) and — the "partitioning phase
    (randomly)" of the cyclic scheme (Section IV.C) — a uniformly random
    assignment; the refined candidate of better goodness descends. *)
-(* Width of the refinement team for an [n]-node instance. Below the
-   parallel gate the serial refiner wins outright. On a pooled worker
-   domain (a speculative V-cycle task, a daemon request) the hardware
-   budget is already spent on the pool — refine at width 1 rather than
-   spawn a second domain set. An explicit [--refine-jobs] is honored
-   exactly (no hardware clamp): the determinism tests rely on running
-   real multi-domain teams regardless of the host's core count; only
-   the jobs-derived default is clamped. Width never affects results. *)
-let refine_width (cfg : Config.t) n =
-  if n <= Refine_constrained.exact_fallback_limit || Domains.in_worker ()
-  then 1
-  else if cfg.Config.refine_jobs > 0 then cfg.Config.refine_jobs
-  else min (Pool.resolve cfg.Config.jobs) (Domains.recommended ())
-
-let with_refine_team (cfg : Config.t) n f =
-  let width = refine_width cfg n in
-  if width <= 1 then f None
-  else begin
-    let tm = Team.create ~width in
-    Fun.protect ~finally:(fun () -> Team.shutdown tm) (fun () -> f (Some tm))
-  end
-
-(* Width of the chunked-streaming team: same policy as [refine_width],
-   gated on the chunk size — an input that fits one chunk runs the
-   sequential streamer verbatim, so a team would idle. *)
-let stream_width (cfg : Config.t) n =
-  if n <= cfg.Config.stream_chunk || Domains.in_worker () then 1
-  else if cfg.Config.stream_jobs > 0 then cfg.Config.stream_jobs
-  else min (Pool.resolve cfg.Config.jobs) (Domains.recommended ())
-
-let with_stream_team (cfg : Config.t) n f =
-  let width = stream_width cfg n in
-  if width <= 1 then f None
-  else begin
-    let tm = Team.create ~width in
-    Fun.protect ~finally:(fun () -> Team.shutdown tm) (fun () -> f (Some tm))
-  end
-
-let descend (cfg : Config.t) ?workspace ?team ~jobs rng hierarchy c =
+let descend (cfg : Config.t) ?workspace ~jobs rng hierarchy c =
   Ppnpart_obs.Span.phase
     ~args:(fun () ->
       let coarsest = Coarsen.coarsest hierarchy in
@@ -79,7 +40,7 @@ let descend (cfg : Config.t) ?workspace ?team ~jobs rng hierarchy c =
   in
   let coarsest = Coarsen.coarsest hierarchy in
   let refine_initial initial =
-    Refine_parallel.refine ~workspace:ws ?team
+    Refine_constrained.refine ~workspace:ws
       ~max_passes:cfg.Config.refine_passes rng coarsest c initial
   in
   let greedy =
@@ -128,8 +89,8 @@ let descend (cfg : Config.t) ?workspace ?team ~jobs rng hierarchy c =
           Ppnpart_check.Check.part_state ~site:"gp.uncoarsen.project"
             fine_st
         end;
-        Refine_parallel.refine_state ?team
-          ~max_passes:cfg.Config.refine_passes rng fine_st;
+        Refine_constrained.refine_state ~max_passes:cfg.Config.refine_passes
+          rng fine_st;
         if checking then
           Ppnpart_check.Check.partition ~site:"gp.uncoarsen.refined"
             (Coarsen.graph_at hierarchy level)
@@ -316,11 +277,7 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
     match mode with
     | Config.Stream ->
         let part, _stats =
-          with_stream_team config n (fun team ->
-              Stream_parallel.partition ?team
-                ~workspace:(Workspace.create ())
-                ~max_iterations:config.Config.stream_iterations
-                ~chunk_size:config.Config.stream_chunk g c)
+          Stream.partition ~max_iterations:config.Config.stream_iterations g c
         in
         if Ppnpart_check.Check.enabled () then
           Ppnpart_check.Check.partition ~site:"gp.stream" g c part;
@@ -331,25 +288,21 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
            refiner only ever commits strict improvements, so the result
            is never worse than the streaming seed; its goodness is kept
            as the single [history] entry so callers can see what
-           refinement bought. Pool-free; refinement runs wave-parallel
-           on a team whose width never affects results, so the hybrid
+           refinement bought. Pool-free and sequential, so the hybrid
            stays bit-identical across [--jobs] like the stream
            itself. *)
         let checking = Ppnpart_check.Check.enabled () in
         let ws = Workspace.create () in
         let seed_part, _stats =
-          with_stream_team config n (fun team ->
-              Stream_parallel.partition ?team ~workspace:ws
-                ~max_iterations:config.Config.stream_iterations
-                ~chunk_size:config.Config.stream_chunk g c)
+          Stream.partition ~workspace:ws
+            ~max_iterations:config.Config.stream_iterations g c
         in
         if checking then
           Ppnpart_check.Check.partition ~site:"gp.stream" g c seed_part;
         let seed_goodness = Metrics.goodness g c seed_part in
         let st = Part_state.init ~workspace:ws g c seed_part in
-        with_refine_team config n (fun team ->
-            Refine_parallel.refine_state ?team
-              ~max_passes:config.Config.refine_passes rng st);
+        Refine_constrained.refine_state ~max_passes:config.Config.refine_passes
+          rng st;
         if checking then begin
           Ppnpart_check.Check.part_state ~site:"gp.hybrid.refined" st;
           Ppnpart_check.Check.partition ~site:"gp.hybrid.refined" g c
@@ -403,9 +356,7 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
     in
     let best_part =
       ref
-        (with_refine_team config n (fun team ->
-             descend config ~workspace:workspaces.(0) ?team ~jobs rng
-               hierarchy c))
+        (descend config ~workspace:workspaces.(0) ~jobs rng hierarchy c)
     in
     let best_goodness = ref (Metrics.goodness g c !best_part) in
     let history = ref [ !best_goodness ] in
@@ -576,9 +527,8 @@ let run_repartition ~(config : Config.t) ?workspace ~prev g c ops =
     let seed_goodness = Metrics.goodness g' c labels in
     let rng = Random.State.make [| config.Config.seed; 0x6770; 0x7270 |] in
     let st = Part_state.init ~workspace:ws g' c labels in
-    with_refine_team config n' (fun team ->
-        Refine_parallel.refine_state ?team
-          ~max_passes:config.Config.refine_passes rng st);
+    Refine_constrained.refine_state ~max_passes:config.Config.refine_passes
+      rng st;
     if checking then
       Ppnpart_check.Check.partition ~site:"gp.repartition.refined" g' c
         st.Part_state.part;

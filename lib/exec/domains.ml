@@ -1,24 +1,8 @@
-(* Shared domain lifecycle for [Pool], [Worker_pool] and [Team].
-
-   Every worker domain spawned through this module is tagged (in
-   domain-local storage) as "nested": code running on it that would
-   itself like to parallelize — e.g. refinement inside a daemon
-   request, or inside a speculative V-cycle task — can ask
-   [in_worker] and degrade to width 1 instead of spawning a second
-   domain set on top of the first. *)
+(* Shared domain lifecycle for [Pool] and [Worker_pool]. *)
 
 let recommended () = Domain.recommended_domain_count ()
 
-let nested_key = Domain.DLS.new_key (fun () -> false)
-
-let in_worker () = Domain.DLS.get nested_key
-
-let as_worker f =
-  let prev = Domain.DLS.get nested_key in
-  Domain.DLS.set nested_key true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set nested_key prev) f
-
 let spawn_workers count body =
-  Array.init count (fun i -> Domain.spawn (fun () -> as_worker (fun () -> body i)))
+  Array.init count (fun i -> Domain.spawn (fun () -> body i))
 
 let join_all domains = Array.iter Domain.join domains

@@ -1,28 +1,14 @@
 (** Shared domain lifecycle for the execution backends.
 
-    [Pool], [Worker_pool] and [Team] all spawn their domains through
-    this module so that (a) the spawn/join idiom lives in one place
-    and (b) every worker domain carries a domain-local "nested" flag.
-    Code that can parallelize checks [in_worker] and runs at width 1
-    when it is already executing on a pooled domain, preventing a
-    request handled by a daemon worker (or a speculative V-cycle
-    task) from spawning a second domain set on top of the first. *)
+    [Pool] and [Worker_pool] spawn their domains through this module so
+    that the spawn/join idiom lives in one place. *)
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism
     budget shared by every backend. *)
 
-val in_worker : unit -> bool
-(** True when the calling domain is a pooled worker (or is executing
-    a task on behalf of one). *)
-
-val as_worker : (unit -> 'a) -> 'a
-(** Run [f] with the nested flag set on the current domain, restoring
-    the previous value afterwards. Used by [Pool] for the task that
-    runs inline on the main domain. *)
-
 val spawn_workers : int -> (int -> unit) -> unit Domain.t array
 (** [spawn_workers count body] spawns [count] domains, each running
-    [body i] with the nested flag set. *)
+    [body i]. *)
 
 val join_all : unit Domain.t array -> unit

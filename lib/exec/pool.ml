@@ -37,11 +37,6 @@ let run_deferred ?(jobs = 0) tasks =
     | Some g ->
       Array.mapi (fun i f () -> Ppnpart_obs.Obs.in_task g i f) tasks
   in
-  (* Every task runs under the nested flag — including the sequential
-     branch and the share executed inline on the main domain — so that
-     code inside a task (e.g. parallel refinement) sees a uniform
-     "already pooled" signal and never spawns a second domain set. *)
-  let tasks = Array.map (fun f () -> Domains.as_worker f) tasks in
   let results =
     if jobs <= 1 || n <= 1 then Array.map (fun f -> f ()) tasks
     else begin

@@ -28,23 +28,6 @@
 
 open Ppnpart_graph
 
-val exact_fallback_limit : int
-(** Node-count ceiling (512) below which {!refine} rescues a stalled
-    bucket pass with {!exact_fm_pass} — also reused by
-    {!Refine_parallel} as its serial-fallback gate. *)
-
-val observe_active : Part_state.t -> int -> unit
-(** Emit the [refine.active.size] / [refine.active.fraction] counters
-    for a cached state ([n] = node count). Shared with
-    {!Refine_parallel} so both refiners record identically. *)
-
-val run_rounds : int -> Random.State.t -> Part_state.t -> unit
-(** The round loop of {!refine} without the span: greedy sweeps, one
-    {!fm_pass}, exact rescue below {!exact_fallback_limit}, until no
-    improvement or [max_passes] rounds. Exposed as the serial core
-    {!Refine_parallel} falls back to (and is differentially tested
-    against). *)
-
 val fm_pass : Part_state.t -> bool
 (** One tentative FM pass over the state: every node moves at most once,
     worsening moves are allowed, and the state is rolled back to the best

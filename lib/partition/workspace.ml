@@ -54,22 +54,9 @@ type t = {
   mutable rf_conn : int array;
   mutable rf_tabu : int array;
   mutable rf_bucket : Bucket.t option;
-  (* Parallel-refinement wave scratch (Refine_parallel): per-slot
-     proposal verdicts and part masks, plus a per-node generation mark
-     ("neighbor of a committed move this wave"). [rp_epoch] is the
-     current mark generation; 0 is reserved so freshly grown (zeroed)
-     [rp_nmark] arrays are valid without clearing. *)
-  mutable rp_verdict : int array;
-  mutable rp_mask : int array;
-  mutable rp_nmark : int array;
-  mutable rp_epoch : int;
   (* Per-graph maximum weighted degree, keyed by physical identity. *)
   mutable cc_graph : Ppnpart_graph.Wgraph.t option;
   mutable cc_value : int;
-  (* Per-graph maximum node weight, keyed by physical identity — the
-     load-margin bound used by the parallel wave validity rule. *)
-  mutable nw_graph : Ppnpart_graph.Wgraph.t option;
-  mutable nw_value : int;
   (* Streaming partitioner state (Stream): per-part loads, the flat k x k
      pairwise bandwidth matrix, and the per-node connectivity scratch
      (values + touched-part list, reset in O(degree) per node). Together
@@ -113,14 +100,8 @@ let create () =
     rf_conn = [||];
     rf_tabu = [||];
     rf_bucket = None;
-    rp_verdict = [||];
-    rp_mask = [||];
-    rp_nmark = [||];
-    rp_epoch = 0;
     cc_graph = None;
     cc_value = 0;
-    nw_graph = None;
-    nw_value = 0;
     st_load = [||];
     st_bw = [||];
     st_conn = [||];
@@ -200,13 +181,6 @@ let ensure_state t ~n ~k =
   end;
   finish_ensure ~counter:"refine.alloc" grown
 
-let ensure_wave t ~n ~slots =
-  let grown = ref 0 in
-  t.rp_verdict <- grow grown t.rp_verdict slots;
-  t.rp_mask <- grow grown t.rp_mask slots;
-  t.rp_nmark <- grow grown t.rp_nmark n;
-  finish_ensure ~counter:"refine.alloc" grown
-
 let ensure_stream t ~k =
   let grown = ref 0 in
   t.st_load <- grow grown t.st_load k;
@@ -257,20 +231,6 @@ let cut_cap t g =
     t.cc_value <- !m;
     !m
 
-let weight_cap t g =
-  match t.nw_graph with
-  | Some g0 when g0 == g -> t.nw_value
-  | _ ->
-    let n = Ppnpart_graph.Wgraph.n_nodes g in
-    let m = ref 1 in
-    for u = 0 to n - 1 do
-      let w = Ppnpart_graph.Wgraph.node_weight g u in
-      if w > !m then m := w
-    done;
-    t.nw_graph <- Some g;
-    t.nw_value <- !m;
-    !m
-
 let words t =
   Array.length t.mark + Array.length t.pos_tbl + Array.length t.cxadj
   + Array.length t.cadj + Array.length t.cwgt
@@ -291,7 +251,5 @@ let words t =
   + Array.length t.rf_order + Array.length t.rf_locked
   + Array.length t.rf_moves_u + Array.length t.rf_moves_from
   + Array.length t.rf_conn + Array.length t.rf_tabu
-  + Array.length t.rp_verdict + Array.length t.rp_mask
-  + Array.length t.rp_nmark
   + Array.length t.st_load + Array.length t.st_bw + Array.length t.st_conn
   + Array.length t.st_touched

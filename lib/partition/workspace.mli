@@ -67,22 +67,9 @@ type t = {
   mutable rf_conn : int array;  (** shared connectivity row, length ≥ k *)
   mutable rf_tabu : int array;  (** tabu expiry steps, length ≥ n *)
   mutable rf_bucket : Bucket.t option;  (** reused FM gain bucket *)
-  mutable rp_verdict : int array;
-      (** parallel-wave per-slot verdicts (−2 skip, −1 reject, t ≥ 0
-          proposed target), length ≥ wave slots *)
-  mutable rp_mask : int array;
-      (** parallel-wave per-slot part bitmask (source part ∪ connected
-          parts), length ≥ wave slots *)
-  mutable rp_nmark : int array;
-      (** per-node "neighbor of a commit this wave" generation marks,
-          length ≥ n; 0 = never marked *)
-  mutable rp_epoch : int;  (** current wave-mark generation *)
   mutable cc_graph : Ppnpart_graph.Wgraph.t option;
       (** graph the {!cut_cap} memo belongs to (physical identity) *)
   mutable cc_value : int;  (** memoized maximum weighted degree *)
-  mutable nw_graph : Ppnpart_graph.Wgraph.t option;
-      (** graph the {!weight_cap} memo belongs to (physical identity) *)
-  mutable nw_value : int;  (** memoized maximum node weight *)
   mutable st_load : int array;
       (** streaming per-part resource loads, length ≥ k *)
   mutable st_bw : int array;
@@ -116,11 +103,6 @@ val ensure_state : t -> n:int -> k:int -> unit
     [n]-node, [k]-part instance. Emits [refine.alloc] (words grown) or
     [workspace.reuse]. *)
 
-val ensure_wave : t -> n:int -> slots:int -> unit
-(** Grow the parallel-refinement wave scratch to [slots] proposal
-    slots over an [n]-node instance. Emits [refine.alloc] (words
-    grown) or [workspace.reuse]. *)
-
 val ensure_stream : t -> k:int -> unit
 (** Grow the {!Stream} scratch (loads, flat bandwidth matrix, per-node
     connectivity row and touched list) to a [k]-part instance. Together
@@ -142,11 +124,6 @@ val cut_cap : t -> Ppnpart_graph.Wgraph.t -> int
 (** Maximum weighted degree of the graph (≥ 1), memoized per physical
     graph — the FM gain-scale bound that was previously rescanned on
     every pass. *)
-
-val weight_cap : t -> Ppnpart_graph.Wgraph.t -> int
-(** Maximum node weight of the graph (≥ 1), memoized per physical
-    graph — the load-margin bound of the parallel wave validity
-    rule. *)
 
 val words : t -> int
 (** Total words currently owned, for tests and benchmarks. *)

@@ -12,7 +12,6 @@ type command =
       mode : Config.mode;
       seed : int;
       jobs : int;
-      stream_jobs : int;
     }
   | Repartition of { graph : string; edits : Graph_edit.op list }
   | Report of { graph : string }
@@ -145,14 +144,12 @@ let parse_command obj =
     let* mode = parse_mode obj in
     let* seed = field_int_opt obj "seed" ~default:0 in
     let* jobs = field_int_opt obj "jobs" ~default:1 in
-    let* stream_jobs = field_int_opt obj "stream_jobs" ~default:0 in
     let* c =
       try Ok (Types.constraints ~k ~bmax ~rmax)
       with Invalid_argument msg -> Error msg
     in
     if jobs < 0 then Error "field \"jobs\" must be >= 0"
-    else if stream_jobs < 0 then Error "field \"stream_jobs\" must be >= 0"
-    else Ok (Partition { graph; c; mode; seed; jobs; stream_jobs })
+    else Ok (Partition { graph; c; mode; seed; jobs })
   | "repartition" ->
     let* graph = field_str obj "graph" in
     let* edits = parse_edits obj in

@@ -20,12 +20,10 @@
       piece drops the upload with an error frame and leaves the
       connection and any previously installed graph untouched.
     - [{"op":"partition","graph":ID,"k":K,"bmax":B,"rmax":R,"mode":M,
-       "seed":S,"jobs":J,"stream_jobs":SJ}] — partition a submitted
-      graph. [bmax]/[rmax] default to unconstrained, [mode] to
-      ["multilevel"], [seed] to 0, [jobs] to 1, [stream_jobs] (chunked
-      restreaming team width for stream/hybrid modes; width never
-      affects results) to 0 = auto. The labelling is retained for
-      subsequent [repartition] calls.
+       "seed":S,"jobs":J}] — partition a submitted graph.
+      [bmax]/[rmax] default to unconstrained, [mode] to
+      ["multilevel"], [seed] to 0, [jobs] to 1. The labelling is
+      retained for subsequent [repartition] calls.
     - [{"op":"repartition","graph":ID,"edits":[...]}] — apply an edit
       batch and incrementally repartition from the retained labelling
       (see {!Ppnpart_core.Gp.repartition}); edits use the op spellings
@@ -38,6 +36,10 @@
       ([ppnpart-run-report/1]) of the last (re)partition.
     - [{"op":"stats"}] — server counters.
     - [{"op":"shutdown"}] — drain and exit.
+
+    Fields an op does not use are ignored, so a [partition] frame from
+    an older client that still carries ["stream_jobs"] parses as if it
+    did not.
 
     Error responses are [{"ok":false,"id":...,"error":MSG}] and never
     close the connection; only EOF (or [shutdown]) does. *)
@@ -56,7 +58,6 @@ type command =
       mode : Config.mode;
       seed : int;
       jobs : int;
-      stream_jobs : int;
     }
   | Repartition of { graph : string; edits : Graph_edit.op list }
   | Report of { graph : string }

@@ -76,8 +76,7 @@ let result_fields (r : Gp.result) =
     ("runtime_s", Json.Num r.Gp.runtime_s);
     ("labels", labels_json r.Gp.part) ]
 
-let config_for ~mode ~seed ~jobs ~stream_jobs =
-  { Config.default with Config.mode; seed; jobs; stream_jobs }
+let config_for ~mode ~seed ~jobs = { Config.default with Config.mode; seed; jobs }
 
 let installed_reply ~id ~graph g =
   Protocol.ok ?id
@@ -138,12 +137,12 @@ let do_submit_end t ~id ~graph =
         install t graph g;
         Ok (installed_reply ~id ~graph g))
 
-let do_partition t ~id ~graph ~c ~mode ~seed ~jobs ~stream_jobs =
+let do_partition t ~id ~graph ~c ~mode ~seed ~jobs =
   match find t graph with
   | None -> Error (Printf.sprintf "unknown graph %S" graph)
   | Some e ->
     with_lock e.elock (fun () ->
-        let config = config_for ~mode ~seed ~jobs ~stream_jobs in
+        let config = config_for ~mode ~seed ~jobs in
         let r = Gp.partition ~config e.graph c in
         e.labels <- Some r.Gp.part;
         e.c <- Some c;
@@ -252,8 +251,8 @@ let handle t ~workspace (id, parsed) =
       | Protocol.Submit_rows { graph; metis } ->
         do_submit_rows t ~id ~graph ~metis
       | Protocol.Submit_end { graph } -> do_submit_end t ~id ~graph
-      | Protocol.Partition { graph; c; mode; seed; jobs; stream_jobs } ->
-        do_partition t ~id ~graph ~c ~mode ~seed ~jobs ~stream_jobs
+      | Protocol.Partition { graph; c; mode; seed; jobs } ->
+        do_partition t ~id ~graph ~c ~mode ~seed ~jobs
       | Protocol.Repartition { graph; edits } ->
         do_repartition t ~id ~graph ~edits ~workspace
       | Protocol.Report { graph } -> do_report t ~id ~graph

@@ -12,6 +12,80 @@ let random_graph ?(n = 14) r =
   let m = min (n * (n - 1) / 2) (2 * n) in
   Ppnpart_workloads.Rand_graph.gnm ~vw_range:(1, 9) ~ew_range:(1, 9) r ~n ~m
 
+(* --- constrained refinement on degenerate shapes --- *)
+
+(* Past the 512-node exact-pass rescue, so only the boundary path runs. *)
+let n_large = 700
+
+(* Refine [part0] with the boundary refiner and with the legacy
+   full-scan oracle from identical rng states; partitions, goodness and
+   rng consumption must agree bit-for-bit, and the result may never be
+   worse than the start. Returns the common partition. *)
+let assert_matches_legacy name g c part0 =
+  let r_fast = Random.State.make [| 0xA1; 7 |] in
+  let r_legacy = Random.State.copy r_fast in
+  let part, gd = Refine_constrained.refine r_fast g c (Array.copy part0) in
+  let part_legacy, gd_legacy =
+    Refine_constrained.refine ~legacy:true r_legacy g c (Array.copy part0)
+  in
+  check_bool (name ^ ": partitions bit-identical") true (part = part_legacy);
+  check_int (name ^ ": violation") gd_legacy.Metrics.violation
+    gd.Metrics.violation;
+  check_int (name ^ ": cut") gd_legacy.Metrics.cut_value gd.Metrics.cut_value;
+  check_int
+    (name ^ ": same rng draws consumed")
+    (Random.State.int r_legacy 1_000_000)
+    (Random.State.int r_fast 1_000_000);
+  check_bool (name ^ ": never worse") true
+    (Metrics.compare_goodness gd (Metrics.goodness g c part0) <= 0);
+  part
+
+(* k = 2: one part pair only — every move touches both parts. *)
+let test_refine_k2_single_pair () =
+  let r = Random.State.make [| 21 |] in
+  let g, c =
+    Ppnpart_workloads.Rand_graph.random_partitionable r ~n:n_large ~k:2
+  in
+  let part0 = Array.init n_large (fun u -> u * 2 / n_large) in
+  for _ = 1 to n_large / 50 do
+    let u = Random.State.int r n_large in
+    part0.(u) <- 1 - part0.(u)
+  done;
+  ignore (assert_matches_legacy "k2" g c part0)
+
+(* Alternating labels on a connected graph: every node is boundary, so
+   the active set is the whole graph. *)
+let test_refine_all_nodes_active () =
+  let r = Random.State.make [| 22 |] in
+  let g, c =
+    Ppnpart_workloads.Rand_graph.random_partitionable r ~n:n_large ~k:4
+  in
+  let part0 = Array.init n_large (fun u -> u mod 4) in
+  let st = Part_state.init g c (Array.copy part0) in
+  check_int "everything starts active" n_large st.Part_state.n_active;
+  ignore (assert_matches_legacy "all-active" g c part0)
+
+(* Disjoint rings, each wholly inside one part, loads within Rmax: the
+   active set is empty and the partition must come back untouched. *)
+let test_refine_empty_active_set () =
+  let k = 4 in
+  let per = n_large / k in
+  let n = per * k in
+  let edges = ref [] in
+  for comp = 0 to k - 1 do
+    let base = comp * per in
+    for i = 0 to per - 1 do
+      edges := (base + i, base + ((i + 1) mod per), 2) :: !edges
+    done
+  done;
+  let g = Wgraph.of_edges ~vwgt:(Array.make n 1) n !edges in
+  let c = Types.constraints ~k ~bmax:1 ~rmax:(per + 10) in
+  let part0 = Array.init n (fun u -> u / per) in
+  let st = Part_state.init g c (Array.copy part0) in
+  check_int "active set empty" 0 st.Part_state.n_active;
+  let refined = assert_matches_legacy "empty-active" g c part0 in
+  check_bool "partition untouched" true (refined = part0)
+
 (* --- graph algebra --- *)
 
 let test_induced_all_nodes_is_identity () =
@@ -158,6 +232,15 @@ let qcheck_cases =
 let () =
   Alcotest.run "edge_cases"
     [
+      ( "edge-cases",
+        [
+          Alcotest.test_case "k=2 single part-pair" `Quick
+            test_refine_k2_single_pair;
+          Alcotest.test_case "all nodes active" `Quick
+            test_refine_all_nodes_active;
+          Alcotest.test_case "empty active set" `Quick
+            test_refine_empty_active_set;
+        ] );
       ( "graph_algebra",
         [
           Alcotest.test_case "induced identity" `Quick

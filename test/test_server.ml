@@ -132,19 +132,29 @@ let test_protocol_parse_ok () =
   (match Protocol.parse "{\"op\":\"shutdown\"}" with
   | None, Ok Protocol.Shutdown -> ()
   | _ -> Alcotest.fail "shutdown");
-  (match
-     Protocol.parse
-       "{\"op\":\"partition\",\"graph\":\"g\",\"k\":3,\"rmax\":9,\"seed\":5}"
-   with
-  | ( _,
-      Ok
-        (Protocol.Partition
-           { graph = "g"; c; mode; seed = 5; jobs = 1; stream_jobs = 0 }) ) ->
+  let frame extra =
+    "{\"op\":\"partition\",\"graph\":\"g\",\"k\":3,\"rmax\":9,\"seed\":5"
+    ^ extra ^ "}"
+  in
+  let plain = Protocol.parse (frame "") in
+  (match plain with
+  | _, Ok (Protocol.Partition { graph = "g"; c; mode; seed = 5; jobs = 1 })
+    ->
     check_int "k" 3 c.Types.k;
     check_int "rmax" 9 c.Types.rmax;
     check_int "bmax default" max_int c.Types.bmax;
     check_bool "mode default" true (mode = Config.Multilevel)
-  | _ -> Alcotest.fail "partition defaults")
+  | _ -> Alcotest.fail "partition defaults");
+  (* Frames from clients that still send the removed [stream_jobs]
+     field — including the once-rejected negative value — parse to the
+     same command: unknown fields are ignored. *)
+  List.iter
+    (fun extra ->
+      check_bool
+        (Printf.sprintf "partition%s = partition" extra)
+        true
+        (Protocol.parse (frame extra) = plain))
+    [ ",\"stream_jobs\":4"; ",\"stream_jobs\":-1" ]
 
 let test_protocol_parse_edits () =
   match
@@ -351,9 +361,25 @@ let test_service_flow () =
   in
   check_bool "partition feasible" true
     (field "partition" v "feasible" = Json.Bool true);
-  (match field "partition" v "labels" with
+  let labels = field "partition" v "labels" in
+  (match labels with
   | Json.Arr labels -> check_int "labels for every node" 4 (List.length labels)
   | _ -> Alcotest.fail "labels not an array");
+  (* The removed [stream_jobs] field is ignored, whatever its value. *)
+  List.iter
+    (fun sj ->
+      let v, _ =
+        ok_json "partition with stream_jobs"
+          (handle svc
+             (Printf.sprintf
+                "{\"op\":\"partition\",\"graph\":\"g\",\"k\":2,\"stream_jobs\":%d}"
+                sj))
+      in
+      check_bool
+        (Printf.sprintf "stream_jobs %d: same labels" sj)
+        true
+        (field "partition" v "labels" = labels))
+    [ 4; -1 ];
   let v, _ =
     ok_json "repartition"
       (handle svc
@@ -596,8 +622,8 @@ let test_service_report_bytes () =
   in
   let config, c, mode =
     match Protocol.parse partition with
-    | _, Ok (Protocol.Partition { c; mode; seed; jobs; stream_jobs; _ }) ->
-      ({ Config.default with Config.mode; seed; jobs; stream_jobs }, c, mode)
+    | _, Ok (Protocol.Partition { c; mode; seed; jobs; _ }) ->
+      ({ Config.default with Config.mode; seed; jobs }, c, mode)
     | _ -> Alcotest.fail "partition frame did not parse"
   in
   ignore (ok_json "partition" (handle svc partition));

@@ -206,119 +206,35 @@ let test_gp_stream_iterations_validation () =
              { (config_of Config.Stream) with Config.stream_iterations = 0 }
            g c))
 
-(* --- Stream_parallel: chunked restreaming (DESIGN.md §6.9) --- *)
-
-module Team = Ppnpart_exec.Team
-
-let with_team w f =
-  let team = Team.create ~width:w in
-  Fun.protect ~finally:(fun () -> Team.shutdown team) (fun () -> f team)
-
-(* Big enough that the default chunk size (4096) yields several chunks,
-   so the frozen-state merge path actually runs. *)
-let chunked_instance seed =
-  let r = rng seed in
+(* Above 4096 nodes — the size at which the removed chunked restreamer
+   used to take over — stream mode is the sequential streamer verbatim,
+   and hybrid mode is that same seed after one serial boundary
+   refinement (no tabu rescue at this size). *)
+let test_gp_large_modes_are_sequential () =
+  let r = rng 21 in
   let n = 9_000 + Random.State.int r 3_000 in
   let g = Rand_graph.gnm ~vw_range:(1, 7) ~ew_range:(1, 9) r ~n ~m:(3 * n) in
   let k = 8 in
   let c =
-    {
-      Types.k;
-      rmax = (Wgraph.total_node_weight g / k * 4 / 3) + 1;
-      bmax = (Wgraph.total_edge_weight g / (2 * k)) + 1;
-    }
+    Types.constraints ~k
+      ~rmax:((Wgraph.total_node_weight g / k * 4 / 3) + 1)
+      ~bmax:((Wgraph.total_edge_weight g / (2 * k)) + 1)
   in
-  (g, c)
-
-let test_chunked_width_determinism () =
-  (* The house contract: chunk boundaries and commit order depend on
-     node index alone, so the labelling is bit-identical across team
-     widths (including no team at all) and across restarts on a warm
-     workspace. *)
-  let ws = Workspace.create () in
-  let g, c = chunked_instance 21 in
-  let base, st_base = Stream_parallel.partition ~workspace:ws g c in
-  let base = Array.copy base in
-  List.iter
-    (fun w ->
-      let p, st =
-        with_team w (fun team ->
-            let p, st = Stream_parallel.partition ~workspace:ws ~team g c in
-            (Array.copy p, st))
-      in
-      check_parts (Printf.sprintf "width %d = no team" w) base p;
-      check_bool
-        (Printf.sprintf "width %d: same stats" w)
-        true
-        (st.Stream.moved = st_base.Stream.moved
-        && st.Stream.converged = st_base.Stream.converged
-        && st.Stream.iterations = st_base.Stream.iterations))
-    [ 1; 2; 4; 8 ];
-  let restart, _ = Stream_parallel.partition ~workspace:ws g c in
-  check_parts "restart identical" base (Array.copy restart);
-  let fresh, _ = Stream_parallel.partition g c in
-  check_parts "fresh-workspace restart identical" base fresh
-
-let test_chunked_oracle_at_one_chunk () =
-  (* With n <= chunk_size the whole input is one chunk, whose visibility
-     rule degenerates to the sequential pass: Stream_parallel must fall
-     back to (and bit-match) the sequential oracle. *)
-  for seed = 0 to 9 do
-    let g, c = random_instance seed in
-    let seq, s_seq = Stream.partition g c in
-    let par, s_par = Stream_parallel.partition g c in
-    check_parts (Printf.sprintf "seed %d: one chunk = oracle" seed) seq par;
-    check_int
-      (Printf.sprintf "seed %d: same iterations" seed)
-      s_seq.Stream.iterations s_par.Stream.iterations;
-    (* Explicit chunk_size >= n behaves the same as the default. *)
-    let par2, _ =
-      Stream_parallel.partition ~chunk_size:(Wgraph.n_nodes g) g c
-    in
-    check_parts (Printf.sprintf "seed %d: chunk_size = n" seed) seq par2
-  done
-
-let test_chunked_boundary_cases () =
-  (* Chunk sizes that tile n exactly, leave a short tail, or degenerate
-     to one node per chunk must all be valid and width-deterministic. *)
-  let r = rng 33 in
-  let g = Rand_graph.gnm ~vw_range:(1, 3) ~ew_range:(1, 4) r ~n:50 ~m:120 in
-  let c =
-    { Types.k = 4; rmax = (Wgraph.total_node_weight g / 3) + 1; bmax = max_int }
+  let cfg = { (config_of Config.Stream) with Config.seed = 3 } in
+  let seed_part =
+    fst (Stream.partition ~max_iterations:cfg.Config.stream_iterations g c)
   in
-  List.iter
-    (fun cs ->
-      let p1 = fst (Stream_parallel.partition ~chunk_size:cs g c) in
-      Types.check_partition ~n:50 ~k:4 p1;
-      let p3 =
-        with_team 3 (fun team ->
-            Array.copy
-              (fst (Stream_parallel.partition ~chunk_size:cs ~team g c)))
-      in
-      check_parts (Printf.sprintf "chunk_size %d: width 3 = width 1" cs) p1 p3)
-    [ 1; 2; 7; 25; 49; 50 ]
-
-let test_chunked_validation () =
-  let g, c = random_instance 0 in
-  Alcotest.check_raises "chunk_size < 1"
-    (Invalid_argument "Stream_parallel.partition: chunk_size < 1") (fun () ->
-      ignore (Stream_parallel.partition ~chunk_size:0 g c));
-  Alcotest.check_raises "max_iterations < 1"
-    (Invalid_argument "Stream_parallel.partition: max_iterations < 1")
-    (fun () -> ignore (Stream_parallel.partition ~max_iterations:0 g c))
-
-let test_chunked_workspace_reuse () =
-  (* Like the sequential streamer, two warm-up runs fill both label
-     banks plus the chunked scratch; thereafter a run allocates nothing
-     in the workspace. *)
-  let ws = Workspace.create () in
-  let g, c = chunked_instance 5 in
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  let warm = Workspace.words ws in
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  ignore (Stream_parallel.partition ~workspace:ws g c);
-  check_int "warm runs allocate nothing" warm (Workspace.words ws)
+  let stream = Gp.partition ~config:cfg g c in
+  check_parts "stream mode = Stream.partition" seed_part stream.Gp.part;
+  let hybrid =
+    Gp.partition ~config:{ cfg with Config.mode = Config.Hybrid } g c
+  in
+  let st = Part_state.init g c (Array.copy seed_part) in
+  Refine_constrained.refine_state ~max_passes:cfg.Config.refine_passes
+    (Random.State.make [| cfg.Config.seed; 0x6770 |])
+    st;
+  check_parts "hybrid mode = refined stream seed" (Part_state.snapshot st)
+    hybrid.Gp.part
 
 (* --- scale smoke: the point of the whole exercise --- *)
 
@@ -364,19 +280,8 @@ let () =
             test_gp_modes_deterministic_across_jobs;
           Alcotest.test_case "stream_iterations validated" `Quick
             test_gp_stream_iterations_validation;
-        ] );
-      ( "chunked",
-        [
-          Alcotest.test_case "width determinism" `Quick
-            test_chunked_width_determinism;
-          Alcotest.test_case "oracle at one chunk" `Quick
-            test_chunked_oracle_at_one_chunk;
-          Alcotest.test_case "chunk boundary cases" `Quick
-            test_chunked_boundary_cases;
-          Alcotest.test_case "parameters validated" `Quick
-            test_chunked_validation;
-          Alcotest.test_case "workspace reuse" `Quick
-            test_chunked_workspace_reuse;
+          Alcotest.test_case "large stream and hybrid = sequential oracle"
+            `Quick test_gp_large_modes_are_sequential;
         ] );
       ( "scale",
         [ Alcotest.test_case "rmat smoke" `Slow test_stream_scale_smoke ] );
