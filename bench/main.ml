@@ -14,6 +14,8 @@ module Config = Ppnpart_core.Config
 module Report = Ppnpart_core.Report
 module Run_report = Ppnpart_core.Run_report
 module Metis_like = Ppnpart_baselines.Metis_like
+module Coarsen_oracle = Ppnpart_test_oracle.Coarsen_oracle
+module Refine_oracle = Ppnpart_test_oracle.Refine_oracle
 
 let out_dir = "bench_out"
 
@@ -549,7 +551,8 @@ let fm_bench ~n ~m ~k =
       (quadratic_est_s /. bucket_pass_s)
       refine_s gd.Metrics.violation gd.Metrics.cut_value )
 
-(* Boundary-driven constrained refinement vs the legacy full-scan path.
+(* Boundary-driven constrained refinement vs the legacy full-scan path
+   ([Refine_oracle], the cache-less refiner kept in test/oracle/).
    The two consume identical rng draws and promise a bit-identical
    partition, so equality is asserted on *every* benchmark run (not only
    in the fuzz harness) and the timing difference is pure
@@ -580,10 +583,7 @@ let refine_bench ?(reps = 3) ~n ~k () =
     Refine_constrained.refine ~workspace:ws (mk_rng ()) g c
       (Array.copy part0)
   in
-  let run_legacy () =
-    Refine_constrained.refine ~legacy:true (mk_rng ()) g c
-      (Array.copy part0)
-  in
+  let run_legacy () = Refine_oracle.refine (mk_rng ()) g c (Array.copy part0) in
   ignore (run_boundary () (* warm the workspace *));
   let (bp, bg), boundary_s = compacted_min ~reps run_boundary in
   let (lp, lg), legacy_s = compacted_min ~reps:(max 2 (reps - 1)) run_legacy in
@@ -675,7 +675,8 @@ let report_determinism_row ~n ~k () =
   (row, identical)
 
 (* Hierarchy construction: the legacy Edge_list pipeline (boxed tuples,
-   polymorphic sorts) vs the direct CSR kernel against a reusable
+   polymorphic sorts; [Coarsen_oracle] in test/oracle/) vs the direct CSR
+   kernel against a reusable
    workspace. Both consume identical rng draws and must produce
    bit-identical hierarchies; the fast path is measured in its steady
    state (workspace warmed by a first build), which is how the GP
@@ -687,7 +688,7 @@ let coarsen_bench ~n ~m =
       ~n ~m
   in
   let mk_rng () = Random.State.make [| 0x636f; n |] in
-  let build_legacy () = Coarsen.build ~legacy:true ~target:100 (mk_rng ()) g in
+  let build_legacy () = Coarsen_oracle.build ~target:100 (mk_rng ()) g in
   let ws = Workspace.create () in
   let build_fast () = Coarsen.build ~workspace:ws ~target:100 (mk_rng ()) g in
   Gc.compact ();
@@ -705,14 +706,14 @@ let coarsen_bench ~n ~m =
     && a.Wgraph.vwgt = b.Wgraph.vwgt
   in
   let identical =
-    Coarsen.levels h_fast = Coarsen.levels h_legacy
+    let legacy_graphs, _ = h_legacy in
+    Coarsen.levels h_fast = Array.length legacy_graphs
     &&
     let ok = ref true in
     for l = 0 to Coarsen.levels h_fast - 1 do
       if
         not
-          (graphs_identical (Coarsen.graph_at h_fast l)
-             (Coarsen.graph_at h_legacy l))
+          (graphs_identical (Coarsen.graph_at h_fast l) legacy_graphs.(l))
       then ok := false
     done;
     !ok

@@ -5,6 +5,7 @@
 open Ppnpart_partition
 module Gp = Ppnpart_core.Gp
 module Config = Ppnpart_core.Config
+module Coarsen_oracle = Ppnpart_test_oracle.Coarsen_oracle
 
 let time name f =
   Gc.compact ();
@@ -79,21 +80,21 @@ let profile_coarsen () =
       Coarsen.build ~workspace:ws ~target:100 (rng ()) g));
   ignore (time "fast build (steady)" (fun () ->
       Coarsen.build ~workspace:ws ~target:100 (rng ()) g));
-  ignore (time "legacy build" (fun () ->
-      Coarsen.build ~legacy:true ~target:100 (rng ()) g));
+  ignore (time "oracle build" (fun () ->
+      Coarsen_oracle.build ~target:100 (rng ()) g));
   (* Level-0 component costs. *)
   let r = rng () in
   let rm = time "random_maximal" (fun () -> Matching.random_maximal r g) in
   let he = time "heavy_edge fast" (fun () ->
       Matching.heavy_edge ~workspace:ws (rng ()) g) in
-  ignore (time "heavy_edge legacy" (fun () ->
-      Matching.heavy_edge_legacy (rng ()) g));
+  ignore (time "heavy_edge oracle" (fun () ->
+      Coarsen_oracle.heavy_edge (rng ()) g));
   ignore (time "k_means fast" (fun () ->
       Matching.k_means ~workspace:ws (rng ()) g));
-  ignore (time "k_means legacy" (fun () -> Matching.k_means_legacy (rng ()) g));
+  ignore (time "k_means oracle" (fun () -> Coarsen_oracle.k_means (rng ()) g));
   ignore rm;
   ignore (time "contract fast" (fun () -> Coarsen.contract ~workspace:ws g he));
-  ignore (time "contract legacy" (fun () -> Coarsen.contract_legacy g he))
+  ignore (time "contract oracle" (fun () -> Coarsen_oracle.contract g he))
 
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "repart" then

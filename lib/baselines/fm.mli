@@ -1,13 +1,39 @@
-(** Standalone Fiduccia–Mattheyses baseline.
+(** Standalone Fiduccia–Mattheyses baseline: two-way refinement, a
+    random balanced bisection, and a K-way variant by recursive
+    bisection.
 
-    Thin facade over {!Ppnpart_partition.Fm2} (where the bucket-based pass
-    lives, shared with the multilevel partitioners), plus a K-way variant by
-    recursive bisection. *)
+    One pass moves each node at most once, always the highest-gain
+    movable node (gain buckets, {!Ppnpart_partition.Bucket}), tentatively
+    accepting negative-gain moves (the hill-climbing ability the paper
+    credits FM with) and finally rolling back to the best prefix of the
+    move sequence. Passes repeat until a pass brings no improvement.
+    Linear time per pass in the number of edge endpoints touched. *)
 
 open Ppnpart_graph
 
-val bisect : Random.State.t -> Wgraph.t -> int array * int
-(** Random balanced start + FM refinement. *)
+val refine :
+  ?max_passes:int ->
+  ?balance_tolerance:float ->
+  Wgraph.t ->
+  int array ->
+  int array * int
+(** [refine g part] returns a refined copy of [part] and its cut. A state is
+    balanced when both side weights are at most
+    [balance_tolerance *. total /. 2.] (default tolerance 1.1); rollback
+    targets the best balanced prefix, or the most balanced prefix if none is
+    balanced (so an unbalanced input is repaired rather than rejected).
+    [max_passes] defaults to 8.
+    @raise Invalid_argument if [part] contains labels other than 0 and 1. *)
+
+val bisect :
+  ?max_passes:int ->
+  ?balance_tolerance:float ->
+  Random.State.t ->
+  Wgraph.t ->
+  int array * int
+(** Random balanced initial bisection followed by {!refine} — the standalone
+    FM baseline of Section II.A.2. *)
 
 val kway : Random.State.t -> Wgraph.t -> k:int -> int array
-(** Recursive FM bisection; best balanced for [k] a power of two. *)
+(** Recursive FM bisection ({!bisect} with default parameters); best
+    balanced for [k] a power of two. *)

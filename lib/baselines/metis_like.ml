@@ -41,9 +41,7 @@ let partition ?(seed = 0) ?(imbalance = 1.03) ?coarsen_target
       match initial with
       | Graph_growing -> Initial.graph_growing rng coarsest ~k
       | Recursive_bisection ->
-        Recursive_bisection.kway
-          (fun rng g -> Ppnpart_partition.Fm2.bisect rng g)
-          rng coarsest ~k
+        Recursive_bisection.kway (fun rng g -> Fm.bisect rng g) rng coarsest ~k
     in
     let part = ref (refine coarsest seed_part) in
     for level = levels - 2 downto 0 do

@@ -1,4 +1,5 @@
 open Ppnpart_graph
+open Ppnpart_partition
 
 (* Best legal target of [u] under the balance limit: maximizes
    conn(t) - conn(p); returns (gain, target) or None. *)

@@ -21,7 +21,7 @@ val refine :
     emptied. *)
 
 val refine_fm :
-  ?workspace:Workspace.t ->
+  ?workspace:Ppnpart_partition.Workspace.t ->
   ?max_passes:int ->
   ?imbalance:float ->
   Wgraph.t ->

@@ -87,79 +87,77 @@ let part_state ?(site = "part_state") (st : Part_state.t) =
   diff_int ~site ~field:"res_excess"
     ~expected:(Metrics.resource_excess g c part)
     ~actual:st.Part_state.res_excess;
-  if st.Part_state.cache then begin
-    let n = Wgraph.n_nodes g in
-    let rmax = c.Types.rmax in
-    (* Connectivity rows and external degrees: recompute each node's row
-       by a neighbour sweep and diff against the incremental cache. *)
-    let row = Array.make k 0 in
-    let n_active = ref 0 in
-    for u = 0 to n - 1 do
-      Array.fill row 0 k 0;
-      let wdeg = ref 0 in
-      Wgraph.iter_neighbors g u (fun v w ->
-          row.(part.(v)) <- row.(part.(v)) + w;
-          wdeg := !wdeg + w);
-      for q = 0 to k - 1 do
-        diff_int ~site
-          ~field:(Printf.sprintf "conn.(%d).(%d)" u q)
-          ~expected:row.(q)
-          ~actual:st.Part_state.conn.((u * k) + q)
-      done;
+  let n = Wgraph.n_nodes g in
+  let rmax = c.Types.rmax in
+  (* Connectivity rows and external degrees: recompute each node's row
+     by a neighbour sweep and diff against the incremental cache. *)
+  let row = Array.make k 0 in
+  let n_active = ref 0 in
+  for u = 0 to n - 1 do
+    Array.fill row 0 k 0;
+    let wdeg = ref 0 in
+    Wgraph.iter_neighbors g u (fun v w ->
+        row.(part.(v)) <- row.(part.(v)) + w;
+        wdeg := !wdeg + w);
+    for q = 0 to k - 1 do
       diff_int ~site
-        ~field:(Printf.sprintf "ed.(%d)" u)
-        ~expected:(!wdeg - row.(part.(u)))
-        ~actual:st.Part_state.ed.(u);
-      (* Active-set invariant: present iff boundary or over-Rmax part. *)
-      let should = st.Part_state.ed.(u) > 0 || load.(part.(u)) > rmax in
-      let pos = st.Part_state.apos.(u) in
-      if should <> (pos >= 0) then
+        ~field:(Printf.sprintf "conn.(%d).(%d)" u q)
+        ~expected:row.(q)
+        ~actual:st.Part_state.conn.((u * k) + q)
+    done;
+    diff_int ~site
+      ~field:(Printf.sprintf "ed.(%d)" u)
+      ~expected:(!wdeg - row.(part.(u)))
+      ~actual:st.Part_state.ed.(u);
+    (* Active-set invariant: present iff boundary or over-Rmax part. *)
+    let should = st.Part_state.ed.(u) > 0 || load.(part.(u)) > rmax in
+    let pos = st.Part_state.apos.(u) in
+    if should <> (pos >= 0) then
+      fail ~site
+        ~field:(Printf.sprintf "active.(%d)" u)
+        ~expected:(string_of_bool should)
+        ~actual:(string_of_bool (pos >= 0));
+    if pos >= 0 then begin
+      if pos >= st.Part_state.n_active then
         fail ~site
-          ~field:(Printf.sprintf "active.(%d)" u)
-          ~expected:(string_of_bool should)
-          ~actual:(string_of_bool (pos >= 0));
-      if pos >= 0 then begin
-        if pos >= st.Part_state.n_active then
-          fail ~site
-            ~field:(Printf.sprintf "apos.(%d)" u)
-            ~expected:(Printf.sprintf "< n_active (%d)" st.Part_state.n_active)
-            ~actual:(string_of_int pos);
-        diff_int ~site
-          ~field:(Printf.sprintf "active.(apos.(%d))" u)
-          ~expected:u
-          ~actual:st.Part_state.active.(pos);
-        incr n_active
-      end
-    done;
-    diff_int ~site ~field:"n_active" ~expected:!n_active
-      ~actual:st.Part_state.n_active;
-    (* Part member chains: every part's chain holds exactly its members,
-       all correctly labelled, and the chains cover every node. *)
-    let total = ref 0 in
-    for p = 0 to k - 1 do
-      let count = ref 0 in
-      let x = ref st.Part_state.pl_head.(p) in
-      while !x >= 0 do
-        if !count > n then
-          fail ~site
-            ~field:(Printf.sprintf "chain.(%d)" p)
-            ~expected:(Printf.sprintf "<= %d members" n)
-            ~actual:"cycle";
-        if part.(!x) <> p then
-          fail ~site
-            ~field:(Printf.sprintf "chain.(%d) member %d" p !x)
-            ~expected:(string_of_int p)
-            ~actual:(string_of_int part.(!x));
-        incr count;
-        incr total;
-        x := st.Part_state.pl_next.(!x)
-      done;
+          ~field:(Printf.sprintf "apos.(%d)" u)
+          ~expected:(Printf.sprintf "< n_active (%d)" st.Part_state.n_active)
+          ~actual:(string_of_int pos);
       diff_int ~site
-        ~field:(Printf.sprintf "chain.(%d).length" p)
-        ~expected:members.(p) ~actual:!count
+        ~field:(Printf.sprintf "active.(apos.(%d))" u)
+        ~expected:u
+        ~actual:st.Part_state.active.(pos);
+      incr n_active
+    end
+  done;
+  diff_int ~site ~field:"n_active" ~expected:!n_active
+    ~actual:st.Part_state.n_active;
+  (* Part member chains: every part's chain holds exactly its members,
+     all correctly labelled, and the chains cover every node. *)
+  let total = ref 0 in
+  for p = 0 to k - 1 do
+    let count = ref 0 in
+    let x = ref st.Part_state.pl_head.(p) in
+    while !x >= 0 do
+      if !count > n then
+        fail ~site
+          ~field:(Printf.sprintf "chain.(%d)" p)
+          ~expected:(Printf.sprintf "<= %d members" n)
+          ~actual:"cycle";
+      if part.(!x) <> p then
+        fail ~site
+          ~field:(Printf.sprintf "chain.(%d) member %d" p !x)
+          ~expected:(string_of_int p)
+          ~actual:(string_of_int part.(!x));
+      incr count;
+      incr total;
+      x := st.Part_state.pl_next.(!x)
     done;
-    diff_int ~site ~field:"chain.total" ~expected:n ~actual:!total
-  end
+    diff_int ~site
+      ~field:(Printf.sprintf "chain.(%d).length" p)
+      ~expected:members.(p) ~actual:!count
+  done;
+  diff_int ~site ~field:"chain.total" ~expected:n ~actual:!total
 
 let projection ?(site = "projection") ~map ~coarse ~fine () =
   Ppnpart_obs.Counters.incr ("check." ^ site);

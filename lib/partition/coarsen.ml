@@ -1,9 +1,9 @@
 open Ppnpart_graph
 
-(* Both contraction paths share the cmap/vwgt construction: matched pairs
-   are numbered by their smaller endpoint in ascending order, so the
-   coarse node ids — and hence the whole coarse CSR — are identical
-   between the legacy and fast kernels. *)
+(* Matched pairs are numbered by their smaller endpoint in ascending
+   order — the same numbering as the Edge_list oracle in
+   test/oracle/coarsen_oracle.ml, so the coarse node ids, and hence the
+   whole coarse CSR, are identical between the two. *)
 let coarse_map g partner =
   if not (Matching.is_valid g partner) then
     invalid_arg "Coarsen.contract: invalid matching";
@@ -25,15 +25,6 @@ let coarse_map g partner =
   done;
   (n', cmap, vwgt)
 
-let contract_legacy g partner =
-  let n', cmap, vwgt = coarse_map g partner in
-  let el = Edge_list.create n' in
-  Wgraph.iter_edges g (fun u v w ->
-      (* Self loops in the coarse graph (intra-pair edges) are dropped by
-         Edge_list; parallel edges are merged by weight addition. *)
-      Edge_list.add el cmap.(u) cmap.(v) w);
-  (Wgraph.build ~vwgt el, cmap)
-
 (* Direct CSR -> CSR contraction. Coarse nodes are visited in id order;
    for each one, the adjacency slices of its (at most two) members are
    streamed and duplicate coarse neighbours merged through the
@@ -41,7 +32,7 @@ let contract_legacy g partner =
    sorted in place by neighbour id. No edge list, no tuples — the only
    allocations are the coarse graph's own arrays. Summing duplicates is
    commutative, so the merged weights — and after sorting, the whole
-   slice — match the legacy Edge_list path bit for bit. *)
+   slice — match the Edge_list oracle bit for bit. *)
 let contract ?workspace g partner =
   let n', cmap, vwgt = coarse_map g partner in
   let ws =
@@ -90,8 +81,8 @@ let contract ?workspace g partner =
   done;
   let total = !ptr in
   (* The merge loop above emits each coarse slice sorted, self-loop-free
-     and weight-symmetric by construction (asserted against the legacy
-     contraction by the differential fuzz stage), so the validating
+     and weight-symmetric by construction (asserted against the Edge_list
+     oracle by the differential fuzz stage), so the validating
      {!Wgraph.of_csr} would re-prove a known invariant on every level. *)
   let coarse =
     Wgraph.unsafe_of_csr ~vwgt ~n:n'
@@ -109,8 +100,12 @@ let finest h = h.graphs.(0)
 let coarsest h = h.graphs.(levels h - 1)
 let graph_at h l = h.graphs.(l)
 
-let build_from ?workspace ?(legacy = false) ?(target = 100) ?strategies
-    ?(min_shrink = 0.05) ?jobs rng g0 ~prefix_graphs ~prefix_maps =
+(* A level that removes fewer than this fraction of its nodes means the
+   matching has stalled: coarsening stops there. *)
+let min_shrink = 0.05
+
+let build_from ?workspace ?(target = 100) ?strategies ?jobs rng g0
+    ~prefix_graphs ~prefix_maps =
   let graphs = ref prefix_graphs and maps = ref prefix_maps in
   let current = ref g0 in
   let continue = ref true in
@@ -134,12 +129,9 @@ let build_from ?workspace ?(legacy = false) ?(target = 100) ?strategies
           "coarsen.level"
           (fun () ->
             let strategy, partner =
-              Matching.best_of ?workspace ~legacy ?strategies ?jobs rng g
+              Matching.best_of ?workspace ?strategies ?jobs rng g
             in
-            let coarse, cmap =
-              if legacy then contract_legacy g partner
-              else contract ?workspace g partner
-            in
+            let coarse, cmap = contract ?workspace g partner in
             (strategy, coarse, cmap))
       in
       if Ppnpart_obs.Obs.recording () then
@@ -160,12 +152,11 @@ let build_from ?workspace ?(legacy = false) ?(target = 100) ?strategies
     maps = Array.of_list (List.rev !maps);
   }
 
-let build ?workspace ?legacy ?target ?strategies ?min_shrink ?jobs rng g =
-  build_from ?workspace ?legacy ?target ?strategies ?min_shrink ?jobs rng g
-    ~prefix_graphs:[ g ] ~prefix_maps:[]
+let build ?workspace ?target ?strategies ?jobs rng g =
+  build_from ?workspace ?target ?strategies ?jobs rng g ~prefix_graphs:[ g ]
+    ~prefix_maps:[]
 
-let extend ?workspace ?legacy ?target ?strategies ?min_shrink ?jobs rng h
-    ~from_level =
+let extend ?workspace ?target ?strategies ?jobs rng h ~from_level =
   if from_level < 0 || from_level >= levels h then
     invalid_arg "Coarsen.extend: level out of range";
   let prefix_graphs =
@@ -174,8 +165,8 @@ let extend ?workspace ?legacy ?target ?strategies ?min_shrink ?jobs rng h
   let prefix_maps =
     List.rev (Array.to_list (Array.sub h.maps 0 from_level))
   in
-  build_from ?workspace ?legacy ?target ?strategies ?min_shrink ?jobs rng
-    h.graphs.(from_level) ~prefix_graphs ~prefix_maps
+  build_from ?workspace ?target ?strategies ?jobs rng h.graphs.(from_level)
+    ~prefix_graphs ~prefix_maps
 
 let project_one map coarse_part = Array.map (fun c -> coarse_part.(c)) map
 

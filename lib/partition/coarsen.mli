@@ -16,13 +16,9 @@ val contract :
     holding fine node [u]. Runs the direct CSR→CSR kernel: the coarse
     adjacency is built in [workspace] scratch (a private workspace if
     omitted) with generation-marked duplicate merging, allocating only the
-    coarse graph itself. The result is bit-identical to
-    {!contract_legacy}.
+    coarse graph itself. The result is bit-identical to the
+    [Edge_list]-based contraction in [test/oracle/coarsen_oracle.ml].
     @raise Invalid_argument if [partner] is not a valid matching. *)
-
-val contract_legacy : Wgraph.t -> int array -> Wgraph.t * int array
-(** The original tuple-based contraction through {!Edge_list} — kept as
-    the oracle for differential tests and benchmarks. *)
 
 (** A coarsening hierarchy. [graphs.(0)] is the input (finest) graph;
     [maps.(l).(u)] sends node [u] of level [l] to its node at level
@@ -39,31 +35,24 @@ val graph_at : hierarchy -> int -> Wgraph.t
 
 val build :
   ?workspace:Workspace.t ->
-  ?legacy:bool ->
   ?target:int ->
   ?strategies:Matching.strategy list ->
-  ?min_shrink:float ->
   ?jobs:int ->
   Random.State.t ->
   Wgraph.t ->
   hierarchy
 (** Coarsen until at most [target] nodes remain (default 100, the paper's
-    default), a level shrinks by less than [min_shrink] (default 0.05, i.e.
-    stop when fewer than 5% of nodes disappear — the matching has stalled),
-    or no edges remain. At every level the best of [strategies] (default all
+    default), a level shrinks by less than 5% of its nodes (the matching
+    has stalled), or no edges remain. At every level the best of [strategies] (default all
     three) by {!Matching.matched_weight} is used; with [jobs > 1] the
     strategies race concurrently (see {!Matching.best_of} — the hierarchy
     is identical for every job count). [workspace] is reused across all
-    levels (and across calls, e.g. V-cycle re-coarsenings); [legacy]
-    routes matching and contraction through the boxed-tuple reference
-    path — the hierarchy is bit-identical either way. *)
+    levels (and across calls, e.g. V-cycle re-coarsenings). *)
 
 val extend :
   ?workspace:Workspace.t ->
-  ?legacy:bool ->
   ?target:int ->
   ?strategies:Matching.strategy list ->
-  ?min_shrink:float ->
   ?jobs:int ->
   Random.State.t ->
   hierarchy ->

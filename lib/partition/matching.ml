@@ -54,32 +54,18 @@ let random_maximal rng g =
     order;
   partner
 
-(* Order the edges by weight (descending), breaking weight ties by an
-   explicit rank so the comparator is a total order: [Array.sort] is not
-   stable, so sorting shuffled edges on weight alone would leave the tie
-   order at the sort algorithm's mercy instead of the rank's. *)
-let sort_edges_by_weight_rank edges =
-  let m = Array.length edges in
-  let order = Array.init m (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      let _, _, wi = edges.(i) and _, _, wj = edges.(j) in
-      if wi <> wj then compare wj wi else compare i j)
-    order;
-  order
-
-(* --- SoA edge machinery (the allocation-light fast path) ------------
+(* --- SoA edge machinery (the allocation-light path) ----------------
 
    The edge-sorting strategies used to materialize [Wgraph.edges] (a
    boxed-tuple list), shuffle it, and sort an index array through a
    closure over the tuples — polymorphic compare on every coarsening
-   level. The fast path instead streams the edges into flat int arrays
-   taken from a {!Workspace} and sorts packed
-   [(weight lsl shift) lor rank] int keys in place. The processed order
-   is the exact (weight descending, rank ascending) total order of the
-   legacy comparator, so the resulting matching — and hence the whole
-   hierarchy — is bit-identical (asserted by the differential fuzz
-   stage). *)
+   level. They now stream the edges into flat int arrays taken from a
+   {!Workspace} and sort packed [(weight lsl shift) lor rank] int keys
+   in place. The processed order is the exact (weight descending, rank
+   ascending) total order of the tuple comparator, so the resulting
+   matching — and hence the whole hierarchy — is bit-identical to the
+   boxed-tuple oracle in test/oracle/coarsen_oracle.ml (asserted by the
+   differential fuzz stage). *)
 
 (* Smallest [s] with [m <= 2^s]: every rank in [0 .. m-1] fits in [s]
    bits. *)
@@ -147,9 +133,9 @@ let heavy_edge ?workspace rng g =
   in
   Workspace.ensure_edges bufs ~m ~perm:true;
   let m, wmax = fill_edges_soa g bufs (fun _ _ -> true) in
-  (* Shuffle a rank permutation with the same draws the legacy path
-     spends shuffling the tuple array, so the tie-breaking rank — and
-     the matching — is identical. *)
+  (* Shuffle a rank permutation with the same draws the tuple oracle
+     spends shuffling its edge array, so the tie-breaking rank — and the
+     matching — is identical. *)
   let perm = bufs.Workspace.e_perm in
   for i = 0 to m - 1 do
     perm.(i) <- i
@@ -170,31 +156,10 @@ let heavy_edge ?workspace rng g =
       end);
   partner
 
-let heavy_edge_legacy rng g =
-  let n = Wgraph.n_nodes g in
-  let partner = Array.init n (fun i -> i) in
-  let edges = Array.of_list (Wgraph.edges g) in
-  (* Shuffle first so that the tie-breaking rank is uniformly random. *)
-  let m = Array.length edges in
-  for i = m - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = edges.(i) in
-    edges.(i) <- edges.(j);
-    edges.(j) <- t
-  done;
-  Array.iter
-    (fun idx ->
-      let u, v, _ = edges.(idx) in
-      if partner.(u) = u && partner.(v) = v then begin
-        partner.(u) <- v;
-        partner.(v) <- u
-      end)
-    (sort_edges_by_weight_rank edges);
-  partner
+(* Roughly this many nodes per k-means cluster. *)
+let cluster_size = 8
 
-(* Cluster construction shared by the fast and legacy k-means paths;
-   both consume exactly the same [rng] draws. *)
-let k_means_clusters ~cluster_size rng g =
+let k_means_clusters rng g =
   let n = Wgraph.n_nodes g in
   let nclusters = max 1 ((n + cluster_size - 1) / cluster_size) in
   (* Seeds spread across the node-weight range: sort by weight, take
@@ -291,7 +256,7 @@ let k_means_clusters ~cluster_size rng g =
   done;
   cluster
 
-(* Make the matching maximal across clusters (shared tail). *)
+(* Make the matching maximal across clusters. *)
 let k_means_maximalize rng g partner =
   let xadj = g.Wgraph.xadj
   and adjncy = g.Wgraph.adjncy
@@ -315,15 +280,15 @@ let k_means_maximalize rng g partner =
       end)
     (random_permutation rng (Wgraph.n_nodes g))
 
-let k_means ?workspace ?(cluster_size = 8) rng g =
+let k_means ?workspace rng g =
   let n = Wgraph.n_nodes g in
   if n = 0 then [||]
   else begin
-    let cluster = k_means_clusters ~cluster_size rng g in
+    let cluster = k_means_clusters rng g in
     (* Heavy-edge matching restricted to intra-cluster edges, streamed
        into the workspace's SoA buffers (rank = position in the
-       lexicographic edge order, exactly the legacy filtered-array
-       index)... *)
+       lexicographic edge order, exactly the tuple oracle's
+       filtered-array index)... *)
     let partner = Array.init n (fun i -> i) in
     let bufs =
       (match workspace with Some ws -> ws | None -> Workspace.create ())
@@ -346,44 +311,11 @@ let k_means ?workspace ?(cluster_size = 8) rng g =
     partner
   end
 
-let k_means_legacy ?(cluster_size = 8) rng g =
-  let n = Wgraph.n_nodes g in
-  if n = 0 then [||]
-  else begin
-    let cluster = k_means_clusters ~cluster_size rng g in
-    (* Heavy-edge matching restricted to intra-cluster edges... *)
-    let partner = Array.init n (fun i -> i) in
-    let intra =
-      List.filter (fun (u, v, _) -> cluster.(u) = cluster.(v)) (Wgraph.edges g)
-    in
-    let intra = Array.of_list intra in
-    Array.iter
-      (fun idx ->
-        let u, v, _ = intra.(idx) in
-        if partner.(u) = u && partner.(v) = v then begin
-          partner.(u) <- v;
-          partner.(v) <- u
-        end)
-      (sort_edges_by_weight_rank intra);
-    (* ... then make the matching maximal across clusters. *)
-    k_means_maximalize rng g partner;
-    partner
-  end
-
 let compute ?workspace strategy rng g =
   match strategy with
   | Random_maximal -> random_maximal rng g
   | Heavy_edge -> heavy_edge ?workspace rng g
   | K_means -> k_means ?workspace rng g
-
-(* The boxed-tuple reference path, kept as the oracle the differential
-   fuzz stage and the coarsening benchmark compare the fast kernels
-   against. Consumes the same rng draws and produces the same matching. *)
-let compute_legacy strategy rng g =
-  match strategy with
-  | Random_maximal -> random_maximal rng g
-  | Heavy_edge -> heavy_edge_legacy rng g
-  | K_means -> k_means_legacy rng g
 
 let matched_weight g partner =
   let acc = ref 0 in
@@ -415,8 +347,7 @@ let is_valid g partner =
    the result does not depend on [jobs]. *)
 let parallel_node_threshold = 512
 
-let best_of ?workspace ?(legacy = false) ?(strategies = all_strategies)
-    ?(jobs = 1) rng g =
+let best_of ?workspace ?(strategies = all_strategies) ?(jobs = 1) rng g =
   if strategies = [] then invalid_arg "Matching.best_of: no strategies";
   let strategies = Array.of_list strategies in
   let n_strats = Array.length strategies in
@@ -434,10 +365,7 @@ let best_of ?workspace ?(legacy = false) ?(strategies = all_strategies)
       (Array.init n_strats (fun i () ->
            let s = strategies.(i) in
            Ppnpart_obs.Span.with_ (span_name s) (fun () ->
-               let m =
-                 if legacy then compute_legacy s states.(i) g
-                 else compute ?workspace s states.(i) g
-               in
+               let m = compute ?workspace s states.(i) g in
                if Ppnpart_obs.Obs.recording () then
                  Ppnpart_obs.Counters.add (pairs_counter s)
                    (count_matched_pairs m);

@@ -15,12 +15,9 @@
     A matching is encoded as a partner array: [m.(u) = v] and [m.(v) = u]
     for a matched pair, [m.(u) = u] for an unmatched node.
 
-    The edge-sorting strategies ({!heavy_edge}, {!k_means}) come in two
-    implementations that consume the same rng draws and return the same
-    matching: the default fast path streams edges into flat int buffers
-    (optionally borrowed from a {!Workspace.t}) and sorts packed
-    [(weight, rank)] int keys, while the [_legacy] boxed-tuple path is
-    kept as the oracle for differential tests and benchmarks. *)
+    The edge-sorting strategies ({!heavy_edge}, {!k_means}) stream edges
+    into flat int buffers (optionally borrowed from a {!Workspace.t}) and
+    sort packed [(weight, rank)] int keys. *)
 
 type strategy = Random_maximal | Heavy_edge | K_means
 
@@ -34,12 +31,6 @@ val compute :
   Ppnpart_graph.Wgraph.t ->
   int array
 
-val compute_legacy :
-  strategy -> Random.State.t -> Ppnpart_graph.Wgraph.t -> int array
-(** The boxed-tuple reference implementation of each strategy. Same rng
-    draws, same matching as {!compute}; used by the differential fuzz
-    stage and the coarsening benchmark. *)
-
 val random_maximal : Random.State.t -> Ppnpart_graph.Wgraph.t -> int array
 
 val heavy_edge :
@@ -48,22 +39,16 @@ val heavy_edge :
   Ppnpart_graph.Wgraph.t ->
   int array
 
-val heavy_edge_legacy : Random.State.t -> Ppnpart_graph.Wgraph.t -> int array
-
 val k_means :
   ?workspace:Workspace.t ->
-  ?cluster_size:int ->
   Random.State.t ->
   Ppnpart_graph.Wgraph.t ->
   int array
-(** Clusters of roughly [cluster_size] (default 8) nodes are seeded by
+(** Clusters of roughly 8 nodes are seeded by
     weight-spread nodes, grown by strongest-connection assignment with one
     k-means-style refinement sweep on node weight, then matched
     heavy-edge-first within clusters; remaining nodes are matched maximally
     across clusters. *)
-
-val k_means_legacy :
-  ?cluster_size:int -> Random.State.t -> Ppnpart_graph.Wgraph.t -> int array
 
 val matched_weight : Ppnpart_graph.Wgraph.t -> int array -> int
 (** Total weight of matched edges — the criterion used to pick the best of
@@ -78,7 +63,6 @@ val is_valid : Ppnpart_graph.Wgraph.t -> int array -> bool
 
 val best_of :
   ?workspace:Workspace.t ->
-  ?legacy:bool ->
   ?strategies:strategy list ->
   ?jobs:int ->
   Random.State.t ->
@@ -90,5 +74,4 @@ val best_of :
     the strategies race on a domain pool (on graphs large enough for it
     to pay off) and the result is identical for every job count.
     [workspace] lends the racing strategies their (per-strategy, hence
-    race-safe) edge buffers; [legacy] routes through {!compute_legacy}
-    instead — same result either way. *)
+    race-safe) edge buffers. *)

@@ -16,9 +16,8 @@ open Ppnpart_graph
      (intrusive doubly linked lists, head marked [-p - 1] in [pl_prev])
      so an Rmax crossing can refresh exactly the affected part's members.
 
-   A state built with [cache = false] carries none of this and behaves
-   exactly like the pre-boundary implementation — the differential
-   oracle the fuzz harness runs the fast path against. *)
+   test/oracle/refine_oracle.ml keeps a cache-less full-scan state as
+   the differential oracle for all of this. *)
 
 type t = {
   g : Wgraph.t;
@@ -31,7 +30,6 @@ type t = {
   mutable res_excess : int;
   mutable cut : int;
   ws : Workspace.t;
-  cache : bool;
   conn : int array;
   ed : int array;
   active : int array;
@@ -112,105 +110,70 @@ let build_node_caches st =
     if should_be_active st u then active_add st u
   done
 
-(* The pre-boundary initialization, verbatim: fresh allocations through
-   [Metrics], no caches. This is the state the [~legacy] oracle runs on,
-   so its cost model must stay that of the original implementation. *)
-let init_alloc g (c : Types.constraints) part =
+let init ?workspace g (c : Types.constraints) part0 =
+  let ws =
+    match workspace with Some w -> w | None -> Workspace.create ()
+  in
   let k = c.Types.k in
-  let bw = Metrics.bandwidth_matrix g ~k part in
-  let load = Metrics.part_resources g ~k part in
-  let members = Array.make k 0 in
-  Array.iter (fun p -> members.(p) <- members.(p) + 1) part;
-  {
-    g;
-    c;
-    part = Array.copy part;
-    bw;
-    load;
-    members;
-    bw_excess = Metrics.bandwidth_excess g c part;
-    res_excess = Metrics.resource_excess g c part;
-    cut = Metrics.cut g part;
-    ws = Workspace.create ();
-    cache = false;
-    conn = [||];
-    ed = [||];
-    active = [||];
-    apos = [||];
-    n_active = 0;
-    pl_next = [||];
-    pl_prev = [||];
-    pl_head = [||];
-  }
-
-let init ?workspace ?(cache = true) g (c : Types.constraints) part0 =
-  if not cache then init_alloc g c part0
-  else begin
-    let ws =
-      match workspace with Some w -> w | None -> Workspace.create ()
-    in
-    let k = c.Types.k in
-    let n = Wgraph.n_nodes g in
-    Workspace.ensure_state ws ~n ~k;
-    let part = Workspace.part_bank ws ~n in
-    Array.blit part0 0 part 0 n;
-    let bw = ws.Workspace.ps_bw in
-    for p = 0 to k - 1 do
-      Array.fill bw.(p) 0 k 0
-    done;
-    let load = ws.Workspace.ps_load in
-    let members = ws.Workspace.ps_members in
-    Array.fill load 0 k 0;
-    Array.fill members 0 k 0;
-    for u = 0 to n - 1 do
-      let p = part.(u) in
-      load.(p) <- load.(p) + Wgraph.node_weight g u;
-      members.(p) <- members.(p) + 1
-    done;
-    let cut = ref 0 in
-    Wgraph.iter_edges g (fun u v w ->
-        let p = part.(u) and q = part.(v) in
-        if p <> q then begin
-          bw.(p).(q) <- bw.(p).(q) + w;
-          bw.(q).(p) <- bw.(q).(p) + w;
-          cut := !cut + w
-        end);
-    let bw_excess = ref 0 in
-    for p = 0 to k - 1 do
-      for q = p + 1 to k - 1 do
-        bw_excess := !bw_excess + excess_over c.Types.bmax bw.(p).(q)
-      done
-    done;
-    let res_excess = ref 0 in
-    for p = 0 to k - 1 do
-      res_excess := !res_excess + excess_over c.Types.rmax load.(p)
-    done;
-    let st =
-      {
-        g;
-        c;
-        part;
-        bw;
-        load;
-        members;
-        bw_excess = !bw_excess;
-        res_excess = !res_excess;
-        cut = !cut;
-        ws;
-        cache = true;
-        conn = ws.Workspace.ps_conn;
-        ed = ws.Workspace.ps_ed;
-        active = ws.Workspace.ps_active;
-        apos = ws.Workspace.ps_apos;
-        n_active = 0;
-        pl_next = ws.Workspace.pl_next;
-        pl_prev = ws.Workspace.pl_prev;
-        pl_head = ws.Workspace.pl_head;
-      }
-    in
-    build_node_caches st;
-    st
-  end
+  let n = Wgraph.n_nodes g in
+  Workspace.ensure_state ws ~n ~k;
+  let part = Workspace.part_bank ws ~n in
+  Array.blit part0 0 part 0 n;
+  let bw = ws.Workspace.ps_bw in
+  for p = 0 to k - 1 do
+    Array.fill bw.(p) 0 k 0
+  done;
+  let load = ws.Workspace.ps_load in
+  let members = ws.Workspace.ps_members in
+  Array.fill load 0 k 0;
+  Array.fill members 0 k 0;
+  for u = 0 to n - 1 do
+    let p = part.(u) in
+    load.(p) <- load.(p) + Wgraph.node_weight g u;
+    members.(p) <- members.(p) + 1
+  done;
+  let cut = ref 0 in
+  Wgraph.iter_edges g (fun u v w ->
+      let p = part.(u) and q = part.(v) in
+      if p <> q then begin
+        bw.(p).(q) <- bw.(p).(q) + w;
+        bw.(q).(p) <- bw.(q).(p) + w;
+        cut := !cut + w
+      end);
+  let bw_excess = ref 0 in
+  for p = 0 to k - 1 do
+    for q = p + 1 to k - 1 do
+      bw_excess := !bw_excess + excess_over c.Types.bmax bw.(p).(q)
+    done
+  done;
+  let res_excess = ref 0 in
+  for p = 0 to k - 1 do
+    res_excess := !res_excess + excess_over c.Types.rmax load.(p)
+  done;
+  let st =
+    {
+      g;
+      c;
+      part;
+      bw;
+      load;
+      members;
+      bw_excess = !bw_excess;
+      res_excess = !res_excess;
+      cut = !cut;
+      ws;
+      conn = ws.Workspace.ps_conn;
+      ed = ws.Workspace.ps_ed;
+      active = ws.Workspace.ps_active;
+      apos = ws.Workspace.ps_apos;
+      n_active = 0;
+      pl_next = ws.Workspace.pl_next;
+      pl_prev = ws.Workspace.pl_prev;
+      pl_head = ws.Workspace.pl_head;
+    }
+  in
+  build_node_caches st;
+  st
 
 (* Contraction preserves cut, pairwise bandwidth and per-part loads
    exactly (the multilevel invariant, Coarsen's module doc), so the fine
@@ -225,8 +188,6 @@ let init_projected ~map coarse fine_g =
       [ ("nodes", Ppnpart_obs.Obs.Int (Wgraph.n_nodes fine_g)) ])
     "refine.state_init"
   @@ fun () ->
-  if not coarse.cache then
-    invalid_arg "Part_state.init_projected: coarse state has no caches";
   let ws = coarse.ws in
   let c = coarse.c in
   let k = c.Types.k in
@@ -256,7 +217,6 @@ let init_projected ~map coarse fine_g =
       res_excess = coarse.res_excess;
       cut = coarse.cut;
       ws;
-      cache = true;
       conn = ws.Workspace.ps_conn;
       ed = ws.Workspace.ps_ed;
       active = ws.Workspace.ps_active;
@@ -272,12 +232,7 @@ let init_projected ~map coarse fine_g =
 
 let connectivity st conn u =
   let k = st.c.Types.k in
-  if st.cache then Array.blit st.conn (u * k) conn 0 k
-  else begin
-    Array.fill conn 0 k 0;
-    Wgraph.iter_neighbors st.g u (fun v w ->
-        conn.(st.part.(v)) <- conn.(st.part.(v)) + w)
-  end
+  Array.blit st.conn (u * k) conn 0 k
 
 let move_deltas st u t conn =
   let c = st.c in
@@ -326,8 +281,8 @@ let apply_move st u t conn =
   st.bw.(t).(p) <- pt';
   let w_u = Wgraph.node_weight st.g u in
   let rmax = st.c.Types.rmax in
-  let p_was_over = st.cache && st.load.(p) > rmax in
-  let t_was_over = st.cache && st.load.(t) > rmax in
+  let p_was_over = st.load.(p) > rmax in
+  let t_was_over = st.load.(t) > rmax in
   st.load.(p) <- st.load.(p) - w_u;
   st.load.(t) <- st.load.(t) + w_u;
   st.members.(p) <- st.members.(p) - 1;
@@ -336,40 +291,38 @@ let apply_move st u t conn =
   st.bw_excess <- st.bw_excess + d_bw;
   st.res_excess <- st.res_excess + d_res;
   st.cut <- st.cut + d_cut;
-  if st.cache then begin
-    (* Patch the caches from the *true* edge weights — never from the
-       caller's [conn], so a corrupted delta still leaves the caches in
-       sync with the labels and the validator pins the divergence on the
-       scalar totals. u's own row is unchanged by its own move. *)
-    let row_u = u * k in
-    st.ed.(u) <- st.ed.(u) + st.conn.(row_u + p) - st.conn.(row_u + t);
-    Wgraph.iter_neighbors st.g u (fun v w ->
-        let rv = v * k in
-        st.conn.(rv + p) <- st.conn.(rv + p) - w;
-        st.conn.(rv + t) <- st.conn.(rv + t) + w;
-        let pv = st.part.(v) in
-        if pv = p then st.ed.(v) <- st.ed.(v) + w
-        else if pv = t then st.ed.(v) <- st.ed.(v) - w;
-        active_refresh st v);
-    chain_unlink st u;
-    chain_push st t u;
-    active_refresh st u;
-    (* An Rmax crossing flips the activity of a whole part's interior:
-       refresh exactly that part's members via its chain. *)
-    if p_was_over && st.load.(p) <= rmax then begin
-      let x = ref st.pl_head.(p) in
-      while !x >= 0 do
-        active_refresh st !x;
-        x := st.pl_next.(!x)
-      done
-    end;
-    if (not t_was_over) && st.load.(t) > rmax then begin
-      let x = ref st.pl_head.(t) in
-      while !x >= 0 do
-        active_add st !x;
-        x := st.pl_next.(!x)
-      done
-    end
+  (* Patch the caches from the *true* edge weights — never from the
+     caller's [conn], so a corrupted delta still leaves the caches in
+     sync with the labels and the validator pins the divergence on the
+     scalar totals. u's own row is unchanged by its own move. *)
+  let row_u = u * k in
+  st.ed.(u) <- st.ed.(u) + st.conn.(row_u + p) - st.conn.(row_u + t);
+  Wgraph.iter_neighbors st.g u (fun v w ->
+      let rv = v * k in
+      st.conn.(rv + p) <- st.conn.(rv + p) - w;
+      st.conn.(rv + t) <- st.conn.(rv + t) + w;
+      let pv = st.part.(v) in
+      if pv = p then st.ed.(v) <- st.ed.(v) + w
+      else if pv = t then st.ed.(v) <- st.ed.(v) - w;
+      active_refresh st v);
+  chain_unlink st u;
+  chain_push st t u;
+  active_refresh st u;
+  (* An Rmax crossing flips the activity of a whole part's interior:
+     refresh exactly that part's members via its chain. *)
+  if p_was_over && st.load.(p) <= rmax then begin
+    let x = ref st.pl_head.(p) in
+    while !x >= 0 do
+      active_refresh st !x;
+      x := st.pl_next.(!x)
+    done
+  end;
+  if (not t_was_over) && st.load.(t) > rmax then begin
+    let x = ref st.pl_head.(t) in
+    while !x >= 0 do
+      active_add st !x;
+      x := st.pl_next.(!x)
+    done
   end
 
 let violation st =
@@ -394,7 +347,7 @@ let best_target st conn u =
      everywhere but at [p], so [move_deltas] degenerates to a closed
      form — only the (p, t) bandwidth pair and the two loads change.
      Algebraically identical to the general case, O(1) per target. *)
-  let interior = st.cache && st.ed.(u) = 0 in
+  let interior = st.ed.(u) = 0 in
   let bmax = st.c.Types.bmax and rmax = st.c.Types.rmax in
   let w_u = Wgraph.node_weight st.g u in
   let cp = conn.(p) in
@@ -411,88 +364,6 @@ let best_target st conn u =
             cp )
         end
         else move_deltas st u t conn
-      in
-      let v =
-        Metrics.normalized_violation st.c
-          ~bw_excess:(st.bw_excess + d_bw)
-          ~res_excess:(st.res_excess + d_res)
-      in
-      let cut' = st.cut + d_cut in
-      if
-        ((not singleton) || v < cur_v)
-        && (v < !best_v || (v = !best_v && cut' < !best_cut))
-      then begin
-        best_v := v;
-        best_cut := cut';
-        best_t := t
-      end
-    end
-  done;
-  (!best_v, !best_cut, !best_t)
-
-(* [best_target] against the cached connectivity row of [u] read in
-   place ([st.conn.(u*k + q)]) instead of a caller-filled scratch row.
-   The parallel proposal phase evaluates many nodes concurrently, so a
-   shared scratch row is unavailable and a per-evaluation blit would be
-   wasted work; everything else is line-for-line [move_deltas] /
-   [best_target]. Requires [st.cache]. *)
-let move_deltas_row st u t =
-  let c = st.c in
-  let k = c.Types.k in
-  let row = u * k in
-  let p = st.part.(u) in
-  let bmax = c.Types.bmax and rmax = c.Types.rmax in
-  let d_bw = ref 0 in
-  for q = 0 to k - 1 do
-    if q <> p && q <> t && st.conn.(row + q) <> 0 then begin
-      let cq = st.conn.(row + q) in
-      d_bw :=
-        !d_bw
-        + excess_over bmax (st.bw.(p).(q) - cq)
-        - excess_over bmax st.bw.(p).(q)
-        + excess_over bmax (st.bw.(t).(q) + cq)
-        - excess_over bmax st.bw.(t).(q)
-    end
-  done;
-  let pt = st.bw.(p).(t) in
-  let pt' = pt - st.conn.(row + t) + st.conn.(row + p) in
-  d_bw := !d_bw + excess_over bmax pt' - excess_over bmax pt;
-  let w_u = Wgraph.node_weight st.g u in
-  let d_res =
-    excess_over rmax (st.load.(p) - w_u)
-    - excess_over rmax st.load.(p)
-    + excess_over rmax (st.load.(t) + w_u)
-    - excess_over rmax st.load.(t)
-  in
-  let d_cut = st.conn.(row + p) - st.conn.(row + t) in
-  (!d_bw, d_res, d_cut)
-
-let best_target_row st u =
-  assert st.cache;
-  let k = st.c.Types.k in
-  let row = u * k in
-  let p = st.part.(u) in
-  let best_t = ref (-1) in
-  let best_v = ref max_int and best_cut = ref max_int in
-  let singleton = st.members.(p) = 1 in
-  let cur_v = if singleton then violation st else max_int in
-  let interior = st.ed.(u) = 0 in
-  let bmax = st.c.Types.bmax and rmax = st.c.Types.rmax in
-  let w_u = Wgraph.node_weight st.g u in
-  let cp = st.conn.(row + p) in
-  let d_res_p = excess_over rmax (st.load.(p) - w_u) - excess_over rmax st.load.(p) in
-  for t = 0 to k - 1 do
-    if t <> p then begin
-      let d_bw, d_res, d_cut =
-        if interior then begin
-          let pt = st.bw.(p).(t) in
-          ( excess_over bmax (pt + cp) - excess_over bmax pt,
-            d_res_p
-            + excess_over rmax (st.load.(t) + w_u)
-            - excess_over rmax st.load.(t),
-            cp )
-        end
-        else move_deltas_row st u t
       in
       let v =
         Metrics.normalized_violation st.c

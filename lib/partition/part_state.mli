@@ -7,17 +7,14 @@
     ({!Refine_constrained}), tabu search ({!Refine_tabu}) and the
     simulated-annealing baseline.
 
-    A state built with [cache = true] (the default) additionally maintains
-    the boundary-refinement caches (DESIGN.md §6.4): per-node connectivity
-    rows and external degrees patched in O(degree) per move, per-part
-    member chains, and a dense {e active set} — the nodes with an external
-    neighbour or sitting in a part whose load exceeds Rmax, i.e. exactly
-    the nodes that can have a strictly improving move. All of it lives in
-    a {!Workspace} (passed in or private), so repeated states across
-    un-coarsening levels and V-cycles allocate nothing in steady state.
-    [cache = false] reproduces the original implementation — fresh
-    allocations, no caches, full neighbour sweeps — and serves as the
-    differential oracle. *)
+    It also maintains the boundary-refinement caches (DESIGN.md §6.4):
+    per-node connectivity rows and external degrees patched in O(degree)
+    per move, per-part member chains, and a dense {e active set} — the
+    nodes with an external neighbour or sitting in a part whose load
+    exceeds Rmax, i.e. exactly the nodes that can have a strictly
+    improving move. All of it lives in a {!Workspace} (passed in or
+    private), so repeated states across un-coarsening levels and V-cycles
+    allocate nothing in steady state. *)
 
 open Ppnpart_graph
 
@@ -32,10 +29,8 @@ type t = private {
   mutable res_excess : int;
   mutable cut : int;
   ws : Workspace.t;  (** backing store of every cache below *)
-  cache : bool;  (** whether the boundary caches are maintained *)
   conn : int array;
-      (** connectivity rows, [u*k + q] = u's weight toward part [q];
-          empty when [cache = false] *)
+      (** connectivity rows, [u*k + q] = u's weight toward part [q] *)
   ed : int array;  (** external degree per node *)
   active : int array;  (** dense active list, first [n_active] entries *)
   apos : int array;  (** position in [active], −1 when inactive *)
@@ -46,18 +41,10 @@ type t = private {
 }
 
 val init :
-  ?workspace:Workspace.t ->
-  ?cache:bool ->
-  Wgraph.t ->
-  Types.constraints ->
-  int array ->
-  t
-(** Copies the partition; the caller's array is not mutated. With
-    [cache = true] (default) the state is workspace-backed and maintains
-    the boundary caches; [workspace] supplies the backing store (a
-    private one is created when omitted). [cache = false] ignores
-    [workspace] and reproduces the original allocate-per-call
-    implementation, the [~legacy] differential oracle. *)
+  ?workspace:Workspace.t -> Wgraph.t -> Types.constraints -> int array -> t
+(** Copies the partition; the caller's array is not mutated.
+    [workspace] supplies the backing store (a private one is created
+    when omitted). *)
 
 val init_projected : map:int array -> t -> Wgraph.t -> t
 (** [init_projected ~map coarse fine_g] is the fine-graph state whose
@@ -67,15 +54,12 @@ val init_projected : map:int array -> t -> Wgraph.t -> t
     coarse state's arrays in place — rather than recomputed; only member
     counts and the per-node caches are rebuilt (O(m + nk)). The coarse
     state is {e consumed}: it shares storage with the result and must not
-    be used afterwards. Requires [coarse.cache]; runs under a
-    [refine.state_init] span.
-    @raise Invalid_argument on a wrong-length [map] or a cache-less
-    coarse state. *)
+    be used afterwards. Runs under a [refine.state_init] span.
+    @raise Invalid_argument on a wrong-length [map]. *)
 
 val connectivity : t -> int array -> int -> unit
 (** [connectivity st conn u] fills [conn] (length [k]) with [u]'s total
-    edge weight toward every part — a blit of the cached row when
-    [cache], a neighbour sweep otherwise. *)
+    edge weight toward every part — a blit of the cached row. *)
 
 val move_deltas : t -> int -> int -> int array -> int * int * int
 (** [move_deltas st u target conn] is
@@ -84,12 +68,12 @@ val move_deltas : t -> int -> int -> int array -> int * int * int
 
 val apply_move : t -> int -> int -> int array -> unit
 (** Applies the move and updates every maintained quantity. [conn] must be
-    [u]'s current connectivity (as produced by {!connectivity}). With
-    [cache], additionally patches the connectivity rows and external
-    degrees of [u]'s neighbours, moves [u] between member chains and
-    refreshes the active set — O(degree + k) total; an Rmax crossing
-    refreshes the members of the crossing part via its chain. The cache
-    patch reads true edge weights, never [conn]. *)
+    [u]'s current connectivity (as produced by {!connectivity}). Also
+    patches the connectivity rows and external degrees of [u]'s
+    neighbours, moves [u] between member chains and refreshes the active
+    set — O(degree + k) total; an Rmax crossing refreshes the members of
+    the crossing part via its chain. The cache patch reads true edge
+    weights, never [conn]. *)
 
 val goodness : t -> Metrics.goodness
 val violation : t -> int
@@ -101,17 +85,9 @@ val best_target : t -> int array -> int -> int * int * int
     that would empty [u]'s part is considered only when it strictly
     reduces the violation — otherwise every part stays occupied, but a
     frozen singleton may always evacuate to repair an Rmax/Bmax
-    violation (relevant on coarse graphs with n close to k). When
-    [cache] and [u] is interior ([ed u = 0]) the scan runs a closed-form
-    O(k) fast path that is algebraically identical to the general
-    O(k²) one. *)
-
-val best_target_row : t -> int -> int * int * int
-(** [best_target st conn u] with [conn] read in place from the cached
-    connectivity row of [u] — no scratch row, no blit, so many nodes
-    can be evaluated concurrently against a read-only state (the
-    parallel proposal phase). Identical results to {!best_target}
-    fed {!connectivity}. Requires [cache]. *)
+    violation (relevant on coarse graphs with n close to k). When [u] is
+    interior ([ed u = 0]) the scan runs a closed-form O(k) fast path
+    that is algebraically identical to the general O(k²) one. *)
 
 val snapshot : t -> int array
 (** Copy of the current partition. *)

@@ -2,9 +2,9 @@ open Ppnpart_graph
 
 (* Greedy sweeps: strictly improving moves only, random node order.
 
-   Boundary-driven: on a cached state only nodes in the active set are
-   evaluated. An inactive node u (ed u = 0 and its part p within Rmax)
-   can never have an accepted move: its connectivity is zero except at
+   Boundary-driven: only nodes in the active set are evaluated. An
+   inactive node u (ed u = 0 and its part p within Rmax) can never
+   have an accepted move: its connectivity is zero except at
    p, so for any target t the cut delta is conn p >= 0, the resource
    delta is excess(load t + w) - excess(load t) >= 0 (the p side
    contributes 0 since load p <= rmax), and the only bandwidth pair that
@@ -12,25 +12,18 @@ open Ppnpart_graph
    under a monotone violation, so the strict-improvement acceptance (and
    the stricter singleton rule in best_target) rejects it. The full
    identity permutation is still shuffled, so the rng draw sequence and
-   the visit order of active nodes are bit-identical to the legacy full
-   scan — inactive nodes are skipped in O(1) at visit time, against the
-   active set as it stands at that moment. *)
+   the visit order of active nodes are bit-identical to a full scan of
+   every node (the cache-less oracle in test/oracle/refine_oracle.ml) —
+   inactive nodes are skipped in O(1) at visit time, against the active
+   set as it stands at that moment. *)
 let greedy_sweeps max_passes rng (st : Part_state.t) =
   Ppnpart_obs.Span.with_ "refine.greedy" @@ fun () ->
   let n = Wgraph.n_nodes st.Part_state.g in
-  let k = st.Part_state.c.Types.k in
-  let cache = st.Part_state.cache in
-  let conn, order =
-    if cache then begin
-      let ws = st.Part_state.ws in
-      let order = ws.Workspace.rf_order in
-      for i = 0 to n - 1 do
-        order.(i) <- i
-      done;
-      (ws.Workspace.rf_conn, order)
-    end
-    else (Array.make k 0, Array.init n (fun i -> i))
-  in
+  let ws = st.Part_state.ws in
+  let conn = ws.Workspace.rf_conn and order = ws.Workspace.rf_order in
+  for i = 0 to n - 1 do
+    order.(i) <- i
+  done;
   let shuffle () =
     for i = n - 1 downto 1 do
       let j = Random.State.int rng (i + 1) in
@@ -49,7 +42,7 @@ let greedy_sweeps max_passes rng (st : Part_state.t) =
     shuffle ();
     for i = 0 to n - 1 do
       let u = order.(i) in
-      if (not cache) || st.Part_state.apos.(u) >= 0 then begin
+      if st.Part_state.apos.(u) >= 0 then begin
         Part_state.connectivity st conn u;
         let cur_violation = Part_state.violation st in
         let v, cut', t = Part_state.best_target st conn u in
@@ -98,10 +91,10 @@ let exact_fallback_limit = 512
    churn activates join the bucket then. What the restriction drops is
    tentative worsening churn through untouched interior regions, which
    is exactly the work that made a pass O(n) even on a converged
-   partition. Both implementations seed the same set in the same
-   ascending-u order — the cached path skips by membership table in
-   O(1), the full-scan oracle recomputes the predicate per node by
-   neighbour sweep — so the two stay bit-identical, move for move. *)
+   partition. The full-scan oracle (test/oracle/refine_oracle.ml) seeds
+   the same set in the same ascending-u order, recomputing the predicate
+   per node by neighbour sweep where this pass reads the membership
+   table in O(1), so the two stay bit-identical, move for move. *)
 
 let violation_cap = 32
 
@@ -112,23 +105,11 @@ let fm_pass (st : Part_state.t) =
   @@ fun () ->
   let g = st.Part_state.g in
   let n = Wgraph.n_nodes g in
-  let k = st.Part_state.c.Types.k in
-  let cache = st.Part_state.cache in
   let ws = st.Part_state.ws in
-  let cut_cap =
-    if cache then Workspace.cut_cap ws g
-    else begin
-      let m = ref 1 in
-      for u = 0 to n - 1 do
-        let d = Wgraph.weighted_degree g u in
-        if d > !m then m := d
-      done;
-      !m
-    end
-  in
+  let cut_cap = Workspace.cut_cap ws g in
   let scale = (2 * cut_cap) + 3 in
   let clamp lo hi v = if v < lo then lo else if v > hi then hi else v in
-  let conn = if cache then ws.Workspace.rf_conn else Array.make k 0 in
+  let conn = ws.Workspace.rf_conn in
   (* Best move of [u] under the (violation, cut) order, encoded as a
      bucket gain. Leaves [conn] filled with u's connectivity. *)
   let best_move u =
@@ -147,21 +128,11 @@ let fm_pass (st : Part_state.t) =
      so every bound-derived quantity below uses the *logical* gain bound,
      never [Bucket.max_gain]. *)
   let logical_max_gain = (violation_cap + 1) * scale in
-  let bucket =
-    if cache then Workspace.bucket ws ~n ~max_gain:logical_max_gain
-    else Bucket.create ~n ~max_gain:logical_max_gain
-  in
-  let locked =
-    if cache then begin
-      Array.fill ws.Workspace.rf_locked 0 n false;
-      ws.Workspace.rf_locked
-    end
-    else Array.make n false
-  in
-  let moves_u, moves_from =
-    if cache then (ws.Workspace.rf_moves_u, ws.Workspace.rf_moves_from)
-    else (Array.make (max n 1) (-1), Array.make (max n 1) (-1))
-  in
+  let bucket = Workspace.bucket ws ~n ~max_gain:logical_max_gain in
+  let locked = ws.Workspace.rf_locked in
+  Array.fill locked 0 n false;
+  let moves_u = ws.Workspace.rf_moves_u
+  and moves_from = ws.Workspace.rf_moves_from in
   let n_moves = ref 0 in
   let start = Part_state.goodness st in
   let best = ref start and best_prefix = ref 0 in
@@ -173,29 +144,9 @@ let fm_pass (st : Part_state.t) =
   (* Small graphs seed every node: there the exhaustive pass is cheap
      and pairs with the exact rescue, and restricting it only shifts
      exploration onto that costlier rescue. *)
-  if n <= exact_fallback_limit then
-    for u = 0 to n - 1 do
-      seed u
-    done
-  else if cache then
-    for u = 0 to n - 1 do
-      if st.Part_state.apos.(u) >= 0 then seed u
-    done
-  else begin
-    let rmax = st.Part_state.c.Types.rmax in
-    for u = 0 to n - 1 do
-      let p = st.Part_state.part.(u) in
-      let active =
-        st.Part_state.load.(p) > rmax
-        ||
-        let ed = ref 0 in
-        Wgraph.iter_neighbors g u (fun v w ->
-            if st.Part_state.part.(v) <> p then ed := !ed + w);
-        !ed > 0
-      in
-      if active then seed u
-    done
-  end;
+  for u = 0 to n - 1 do
+    if n <= exact_fallback_limit || st.Part_state.apos.(u) >= 0 then seed u
+  done;
   (* Stale re-queues strictly lower a node's priority, so they terminate;
      the budget is a safety net against pathological thrashing. *)
   let pops = ref 0 in
@@ -279,21 +230,12 @@ let exact_fm_pass (st : Part_state.t) =
     "refine.exact_pass"
   @@ fun () ->
   let n = Wgraph.n_nodes st.Part_state.g in
-  let k = st.Part_state.c.Types.k in
-  let cache = st.Part_state.cache in
   let ws = st.Part_state.ws in
-  let conn = if cache then ws.Workspace.rf_conn else Array.make k 0 in
-  let locked =
-    if cache then begin
-      Array.fill ws.Workspace.rf_locked 0 n false;
-      ws.Workspace.rf_locked
-    end
-    else Array.make n false
-  in
-  let moves_u, moves_from =
-    if cache then (ws.Workspace.rf_moves_u, ws.Workspace.rf_moves_from)
-    else (Array.make (max n 1) (-1), Array.make (max n 1) (-1))
-  in
+  let conn = ws.Workspace.rf_conn in
+  let locked = ws.Workspace.rf_locked in
+  Array.fill locked 0 n false;
+  let moves_u = ws.Workspace.rf_moves_u
+  and moves_from = ws.Workspace.rf_moves_from in
   let n_moves = ref 0 in
   let start = Part_state.goodness st in
   let best = ref start and best_prefix = ref 0 in
@@ -339,7 +281,7 @@ let exact_fm_pass (st : Part_state.t) =
   Metrics.compare_goodness !best start < 0
 
 let observe_active (st : Part_state.t) n =
-  if st.Part_state.cache && Ppnpart_obs.Obs.recording () then begin
+  if Ppnpart_obs.Obs.recording () then begin
     Ppnpart_obs.Counters.add "refine.active.size" st.Part_state.n_active;
     Ppnpart_obs.Counters.sample "refine.active.fraction"
       (float_of_int st.Part_state.n_active /. float_of_int (max 1 n))
@@ -372,8 +314,7 @@ let refine_state ?(max_passes = 16) rng (st : Part_state.t) =
     "refine.constrained"
   @@ fun () -> run_rounds max_passes rng st
 
-let refine ?(max_passes = 16) ?workspace ?(legacy = false) rng g
-    (c : Types.constraints) part0 =
+let refine ?(max_passes = 16) ?workspace rng g (c : Types.constraints) part0 =
   let n = Wgraph.n_nodes g in
   let k = c.Types.k in
   Ppnpart_obs.Span.phase_result
@@ -385,9 +326,6 @@ let refine ?(max_passes = 16) ?workspace ?(legacy = false) rng g
     "refine.constrained"
   @@ fun () ->
   Types.check_partition ~n ~k part0;
-  let st =
-    if legacy then Part_state.init ~cache:false g c part0
-    else Part_state.init ?workspace g c part0
-  in
+  let st = Part_state.init ?workspace g c part0 in
   run_rounds max_passes rng st;
   (Part_state.snapshot st, Part_state.goodness st)

@@ -47,12 +47,11 @@ val refine_state : ?max_passes:int -> Random.State.t -> Part_state.t -> unit
     neither the state nor the refinement scratch is reallocated between
     levels. Same rounds as {!refine}; runs under the [refine.constrained]
     span and emits the [refine.active.size] / [refine.active.fraction]
-    observability counters on cached states. *)
+    observability counters. *)
 
 val refine :
   ?max_passes:int ->
   ?workspace:Workspace.t ->
-  ?legacy:bool ->
   Random.State.t ->
   Wgraph.t ->
   Types.constraints ->
@@ -63,8 +62,6 @@ val refine :
     sweeps followed by one tentative {!fm_pass}, and stops when the FM
     pass no longer improves the goodness. [workspace] backs the state and
     all refinement scratch (a private workspace is used when omitted).
-    [legacy] runs the pre-boundary full-scan path — cache-less state,
-    per-call allocations, neighbour-sweep connectivity — kept as the
-    differential oracle; it consumes the same rng draw sequence and
-    produces a bit-identical partition (the fuzz harness asserts this
-    across its corpus). *)
+    The result, goodness and rng consumption are bit-identical to the
+    cache-less full-scan refiner in [test/oracle/refine_oracle.ml] (the
+    fuzz harness asserts this across its corpus). *)

@@ -18,6 +18,8 @@ open Ppnpart_graph
 open Ppnpart_partition
 module Check = Ppnpart_check.Check
 module Graph_edit_oracle = Ppnpart_test_oracle.Graph_edit_oracle
+module Coarsen_oracle = Ppnpart_test_oracle.Coarsen_oracle
+module Refine_oracle = Ppnpart_test_oracle.Refine_oracle
 
 let mode =
   if Sys.getenv_opt "PPNPART_FUZZ" = Some "full" then `Full
@@ -145,20 +147,43 @@ let test_bucket_vs_exact_pass () =
       (Refine_constrained.exact_fm_pass st)
   done
 
-(* --- boundary-driven refine vs the legacy full-scan oracle --- *)
+(* --- boundary-driven refine vs the full-scan oracle --- *)
 
-(* The boundary path promises *bit*-identity with the legacy full-scan
-   refine, not merely equal quality: both consume the same rng draw
-   sequence (the greedy sweep still shuffles the full n-permutation and
-   only skips inactive nodes), so the partitions and goodness must match
-   exactly. One workspace serves the whole sweep — sizes go up and down
-   across seeds, exercising both growth and steady-state reuse of the
-   state banks and refinement scratch — and every fifth seed runs under
-   installed invariant checks, revalidating the connectivity caches and
-   active set at each phase boundary along the way. *)
-let test_boundary_vs_legacy_refine () =
+(* The boundary path promises *bit*-identity with the cache-less
+   full-scan refiner of [Refine_oracle], not merely equal quality: both
+   consume the same rng draw sequence (the greedy sweep still shuffles
+   the full n-permutation and only skips inactive nodes), so the
+   partitions and goodness must match exactly. Each seed runs two
+   inputs: a freshly initialised state, and the state the multilevel
+   path refines — one level of [Coarsen.build], a random coarse
+   labelling, and [Part_state.init_projected] (bandwidth matrix and
+   loads inherited, caches rebuilt) fed to [refine_state] — against the
+   oracle on the projected labels. One workspace serves the whole
+   sweep — sizes go up and down across seeds, exercising both growth
+   and steady-state reuse of the state banks and refinement scratch —
+   and every fifth seed runs under installed invariant checks,
+   revalidating the connectivity caches and active set at each phase
+   boundary along the way. *)
+let assert_same_refine name ~fast:(part_fast, (gd_fast : Metrics.goodness))
+    ~oracle:(part_oracle, (gd_oracle : Metrics.goodness)) r_fast r_oracle =
+  check_bool (name ^ ": partitions bit-identical") true
+    (part_fast = part_oracle);
+  check_int
+    (name ^ ": violation identical")
+    gd_oracle.Metrics.violation gd_fast.Metrics.violation;
+  check_int (name ^ ": cut identical") gd_oracle.Metrics.cut_value
+    gd_fast.Metrics.cut_value;
+  (* Equal rng consumption: after both runs the streams must be in the
+     same state, so their next draws coincide. *)
+  check_int
+    (name ^ ": same rng draws consumed")
+    (Random.State.int r_oracle 1_000_000)
+    (Random.State.int r_fast 1_000_000)
+
+let test_boundary_vs_oracle_refine () =
   let seeds = match mode with `Quick -> 8 | `Default -> 18 | `Full -> 48 in
   let ws = Workspace.create () in
+  let projected = ref 0 in
   for seed = 1 to seeds do
     let rng = Random.State.make [| 0xF8; seed |] in
     let n = 2 + (43 * seed mod 800) in
@@ -167,36 +192,51 @@ let test_boundary_vs_legacy_refine () =
     let name = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
     let guard f = if seed mod 5 = 0 then Check.with_checks f else f () in
     let r_fast = Random.State.make [| 0xF9; seed |] in
-    let r_legacy = Random.State.copy r_fast in
-    let part_fast, gd_fast =
+    let r_oracle = Random.State.copy r_fast in
+    let fast =
       guard (fun () ->
           Refine_constrained.refine ~workspace:ws r_fast g c
             (Array.copy part0))
     in
-    let part_legacy, gd_legacy =
-      guard (fun () ->
-          Refine_constrained.refine ~legacy:true r_legacy g c
-            (Array.copy part0))
-    in
-    check_bool (name ^ ": partitions bit-identical") true
-      (part_fast = part_legacy);
-    check_int
-      (name ^ ": violation identical")
-      gd_legacy.Metrics.violation gd_fast.Metrics.violation;
-    check_int (name ^ ": cut identical") gd_legacy.Metrics.cut_value
-      gd_fast.Metrics.cut_value;
-    (* Equal rng consumption: after both runs the streams must be in the
-       same state, so their next draws coincide. *)
-    check_int
-      (name ^ ": same rng draws consumed")
-      (Random.State.int r_legacy 1_000_000)
-      (Random.State.int r_fast 1_000_000)
-  done
+    let oracle = Refine_oracle.refine r_oracle g c (Array.copy part0) in
+    assert_same_refine name ~fast ~oracle r_fast r_oracle;
+    (* Projected input: refine the fine state inherited from one level
+       of coarsening. *)
+    let h = Coarsen.build ~workspace:ws ~target:(n - 1) rng g in
+    if Coarsen.levels h >= 2 then begin
+      incr projected;
+      let coarse_g = Coarsen.graph_at h 1 and map = h.Coarsen.maps.(0) in
+      let coarse_part =
+        Array.init (Wgraph.n_nodes coarse_g) (fun _ -> Random.State.int rng k)
+      in
+      let r_fast = Random.State.make [| 0xFA; seed |] in
+      let r_oracle = Random.State.copy r_fast in
+      let fast =
+        guard (fun () ->
+            let coarse_st =
+              Part_state.init ~workspace:ws coarse_g c coarse_part
+            in
+            let st = Part_state.init_projected ~map coarse_st g in
+            Refine_constrained.refine_state r_fast st;
+            (Part_state.snapshot st, Part_state.goodness st))
+      in
+      let oracle =
+        Refine_oracle.refine r_oracle g c
+          (Coarsen.project_one map coarse_part)
+      in
+      assert_same_refine (name ^ " projected") ~fast ~oracle r_fast r_oracle
+    end
+  done;
+  check_bool
+    (Printf.sprintf "projected inputs exercised (%d of %d seeds)" !projected
+       seeds)
+    true
+    (!projected * 2 >= seeds)
 
 (* --- allocation-free coarsening kernels vs the boxed-tuple oracle --- *)
 
 (* The CSR fast paths promise *bit*-identity, not just isomorphism:
-   every array of the coarse graph must match the legacy result exactly
+   every array of the coarse graph must match the oracle's result exactly
    (same neighbour order, same weight sums, same cmap). Compare raw
    private-record fields — [Wgraph.equal] would also accept reordered
    slices. *)
@@ -207,7 +247,7 @@ let bit_identical (a : Wgraph.t) (b : Wgraph.t) =
   && a.Wgraph.adjwgt = b.Wgraph.adjwgt
   && a.Wgraph.vwgt = b.Wgraph.vwgt
 
-let test_contract_fast_vs_legacy () =
+let test_contract_fast_vs_oracle () =
   let seeds = match mode with `Quick -> 6 | `Default -> 14 | `Full -> 36 in
   (* One workspace for the whole sweep: sizes go up and down across
      seeds, exercising both growth and reuse of the scratch arrays. *)
@@ -224,43 +264,44 @@ let test_contract_fast_vs_legacy () =
       (fun s ->
         let r1 = Random.State.copy rng and r2 = Random.State.copy rng in
         let fast = Matching.compute ~workspace:ws s r1 g in
-        let legacy = Matching.compute_legacy s r2 g in
+        let oracle = Coarsen_oracle.compute s r2 g in
         check_bool
-          (Printf.sprintf "%s fast = legacy (%s)" (Matching.strategy_name s)
+          (Printf.sprintf "%s fast = oracle (%s)" (Matching.strategy_name s)
              name)
-          true (fast = legacy))
+          true (fast = oracle))
       Matching.all_strategies;
     (* Contraction: same matching through both kernels must yield the
        same coarse graph bit for bit, and the same cmap. *)
     let partner = Matching.compute ~workspace:ws Matching.Heavy_edge rng g in
     let fast_g, fast_map = Coarsen.contract ~workspace:ws g partner in
-    let legacy_g, legacy_map = Coarsen.contract_legacy g partner in
+    let oracle_g, oracle_map = Coarsen_oracle.contract g partner in
     check_bool (name ^ ": contract cmap identical") true
-      (fast_map = legacy_map);
+      (fast_map = oracle_map);
     check_bool (name ^ ": contract graph bit-identical") true
-      (bit_identical fast_g legacy_g)
+      (bit_identical fast_g oracle_g)
   done;
-  (* Whole hierarchies: the workspace path and the legacy path must
-     agree level by level, maps included. *)
+  (* Whole hierarchies: the workspace path and the oracle must agree
+     level by level, maps included. *)
   let h_seeds = match mode with `Quick -> 3 | `Default -> 6 | `Full -> 12 in
   for seed = 1 to h_seeds do
     let mk () = Random.State.make [| 0xF7; seed |] in
     let n = 120 + (97 * seed mod 900) in
     let g, _, _ = random_instance ~n ~k:4 (mk ()) in
     let h_fast = Coarsen.build ~workspace:ws ~target:16 (mk ()) g in
-    let h_legacy = Coarsen.build ~legacy:true ~target:16 (mk ()) g in
+    let oracle_graphs, oracle_maps =
+      Coarsen_oracle.build ~target:16 (mk ()) g
+    in
     let name = Printf.sprintf "hierarchy n=%d seed=%d" n seed in
-    check_int (name ^ ": same level count") (Coarsen.levels h_legacy)
+    check_int (name ^ ": same level count") (Array.length oracle_graphs)
       (Coarsen.levels h_fast);
     for l = 0 to Coarsen.levels h_fast - 1 do
       check_bool
         (Printf.sprintf "%s: level %d bit-identical" name l)
         true
-        (bit_identical (Coarsen.graph_at h_fast l)
-           (Coarsen.graph_at h_legacy l))
+        (bit_identical (Coarsen.graph_at h_fast l) oracle_graphs.(l))
     done;
     check_bool (name ^ ": maps identical") true
-      (h_fast.Coarsen.maps = h_legacy.Coarsen.maps)
+      (h_fast.Coarsen.maps = oracle_maps)
   done
 
 (* --- matching validity, all three strategies --- *)
@@ -769,9 +810,9 @@ let () =
           Alcotest.test_case "bucket FM vs exact pass" `Quick
             test_bucket_vs_exact_pass;
           Alcotest.test_case "boundary refine vs legacy oracle" `Quick
-            test_boundary_vs_legacy_refine;
+            test_boundary_vs_oracle_refine;
           Alcotest.test_case "coarsen fast path vs legacy" `Quick
-            test_contract_fast_vs_legacy;
+            test_contract_fast_vs_oracle;
           Alcotest.test_case "stream vs multilevel feasibility" `Quick
             test_stream_vs_multilevel_feasibility;
           Alcotest.test_case "sequential stream vs multilevel" `Quick

@@ -3,6 +3,7 @@
 
 open Ppnpart_graph
 open Ppnpart_partition
+module Refine_oracle = Ppnpart_test_oracle.Refine_oracle
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -17,24 +18,24 @@ let random_graph ?(n = 14) r =
 (* Past the 512-node exact-pass rescue, so only the boundary path runs. *)
 let n_large = 700
 
-(* Refine [part0] with the boundary refiner and with the legacy
-   full-scan oracle from identical rng states; partitions, goodness and
-   rng consumption must agree bit-for-bit, and the result may never be
+(* Refine [part0] with the boundary refiner and with the full-scan
+   oracle from identical rng states; partitions, goodness and rng
+   consumption must agree bit-for-bit, and the result may never be
    worse than the start. Returns the common partition. *)
-let assert_matches_legacy name g c part0 =
+let assert_matches_oracle name g c part0 =
   let r_fast = Random.State.make [| 0xA1; 7 |] in
-  let r_legacy = Random.State.copy r_fast in
+  let r_oracle = Random.State.copy r_fast in
   let part, gd = Refine_constrained.refine r_fast g c (Array.copy part0) in
-  let part_legacy, gd_legacy =
-    Refine_constrained.refine ~legacy:true r_legacy g c (Array.copy part0)
+  let part_oracle, gd_oracle =
+    Refine_oracle.refine r_oracle g c (Array.copy part0)
   in
-  check_bool (name ^ ": partitions bit-identical") true (part = part_legacy);
-  check_int (name ^ ": violation") gd_legacy.Metrics.violation
+  check_bool (name ^ ": partitions bit-identical") true (part = part_oracle);
+  check_int (name ^ ": violation") gd_oracle.Metrics.violation
     gd.Metrics.violation;
-  check_int (name ^ ": cut") gd_legacy.Metrics.cut_value gd.Metrics.cut_value;
+  check_int (name ^ ": cut") gd_oracle.Metrics.cut_value gd.Metrics.cut_value;
   check_int
     (name ^ ": same rng draws consumed")
-    (Random.State.int r_legacy 1_000_000)
+    (Random.State.int r_oracle 1_000_000)
     (Random.State.int r_fast 1_000_000);
   check_bool (name ^ ": never worse") true
     (Metrics.compare_goodness gd (Metrics.goodness g c part0) <= 0);
@@ -51,7 +52,7 @@ let test_refine_k2_single_pair () =
     let u = Random.State.int r n_large in
     part0.(u) <- 1 - part0.(u)
   done;
-  ignore (assert_matches_legacy "k2" g c part0)
+  ignore (assert_matches_oracle "k2" g c part0)
 
 (* Alternating labels on a connected graph: every node is boundary, so
    the active set is the whole graph. *)
@@ -63,7 +64,7 @@ let test_refine_all_nodes_active () =
   let part0 = Array.init n_large (fun u -> u mod 4) in
   let st = Part_state.init g c (Array.copy part0) in
   check_int "everything starts active" n_large st.Part_state.n_active;
-  ignore (assert_matches_legacy "all-active" g c part0)
+  ignore (assert_matches_oracle "all-active" g c part0)
 
 (* Disjoint rings, each wholly inside one part, loads within Rmax: the
    active set is empty and the partition must come back untouched. *)
@@ -83,7 +84,7 @@ let test_refine_empty_active_set () =
   let part0 = Array.init n (fun u -> u / per) in
   let st = Part_state.init g c (Array.copy part0) in
   check_int "active set empty" 0 st.Part_state.n_active;
-  let refined = assert_matches_legacy "empty-active" g c part0 in
+  let refined = assert_matches_oracle "empty-active" g c part0 in
   check_bool "partition untouched" true (refined = part0)
 
 (* --- graph algebra --- *)

@@ -1,8 +1,12 @@
 (* Tests for the partitioning infrastructure: Types, Metrics, Bucket,
-   Matching, Coarsen, Fm2, Refine_kway, Refine_constrained, Initial. *)
+   Matching, Coarsen, Refine_constrained, Initial — plus the two
+   balance-driven refiners of the baselines library, Fm and
+   Refine_kway. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
+module Fm = Ppnpart_baselines.Fm
+module Refine_kway = Ppnpart_baselines.Refine_kway
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -469,14 +473,14 @@ let prop_contract_edge_weight_conserved =
       Wgraph.total_edge_weight g
       = Wgraph.total_edge_weight coarse + inside)
 
-(* --- Fm2 --- *)
+(* --- Fm (two-way FM) --- *)
 
 let test_fm2_finds_bridge () =
   let g = two_triangles () in
   (* Worst start: interleaved. *)
   (* nodes weigh 3 of a total 18, so intermediate states need a
      tolerance above 12/9 for any single move to be legal *)
-  let part, cut = Fm2.refine ~balance_tolerance:1.4 g [| 0; 1; 0; 1; 0; 1 |] in
+  let part, cut = Fm.refine ~balance_tolerance:1.4 g [| 0; 1; 0; 1; 0; 1 |] in
   check_int "optimal cut" 1 cut;
   check_bool "sides intact" true (part.(0) = part.(1) && part.(1) = part.(2))
 
@@ -484,18 +488,18 @@ let test_fm2_never_worsens () =
   let g = grid ~w:5 ~h:5 in
   let start = Array.init 25 (fun i -> i mod 2) in
   let start_cut = Metrics.cut g start in
-  let _, cut = Fm2.refine g start in
+  let _, cut = Fm.refine g start in
   check_bool "no worse" true (cut <= start_cut)
 
 let test_fm2_rejects_bad_labels () =
   let g = two_triangles () in
   Alcotest.check_raises "three-way"
-    (Invalid_argument "Fm2.refine: not two-way") (fun () ->
-      ignore (Fm2.refine g [| 0; 1; 2; 0; 1; 2 |]))
+    (Invalid_argument "Fm.refine: not two-way") (fun () ->
+      ignore (Fm.refine g [| 0; 1; 2; 0; 1; 2 |]))
 
 let test_fm2_bisect_balanced () =
   let g = grid ~w:6 ~h:6 in
-  let part, _ = Fm2.bisect (rng ()) g in
+  let part, _ = Fm.bisect (rng ()) g in
   let r = Metrics.part_resources g ~k:2 part in
   let total = Wgraph.total_node_weight g in
   check_bool "both sides within tolerance" true
@@ -513,7 +517,7 @@ let prop_fm2_improves_or_keeps =
       in
       let start = Array.init n (fun i -> i mod 2) in
       let before = Metrics.cut g start in
-      let _, after = Fm2.refine g start in
+      let _, after = Fm.refine g start in
       after <= before)
 
 (* --- Refine_kway --- *)
