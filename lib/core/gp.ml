@@ -461,7 +461,31 @@ type repartition = {
   rp_edit : Graph_edit.stats;
 }
 
-let run_repartition ~(config : Config.t) ?workspace ~prev g c ops =
+(* The refinement state behind the last incremental answer, kept for
+   the next request. It is valid for exactly the graph and labelling it
+   answered (checked by physical equality), and its storage is a
+   workspace of its own, so nothing else can overwrite it between
+   requests. [dropped] names why the last state was let go, for the
+   rebuild counter of the request that finds the slot empty. *)
+type held = { h_graph : Wgraph.t; h_labels : int array; h_state : Part_state.t }
+
+type resident = {
+  mutable held : held option;
+  rs_ws : Workspace.t;  (** empty until the first state grows it *)
+  mutable dropped : string option;
+}
+
+let resident () = { held = None; rs_ws = Workspace.create (); dropped = None }
+
+let forget r =
+  r.held <- None;
+  r.dropped <- None
+
+let rebuilt reason =
+  Ppnpart_obs.Counters.incr "gp.repartition.rebuilt";
+  Ppnpart_obs.Counters.incr ("gp.repartition.rebuilt." ^ reason)
+
+let run_repartition ~(config : Config.t) ?workspace ?resident ~prev g c ops =
   Config.validate config;
   if Array.length prev <> Wgraph.n_nodes g then
     invalid_arg "Gp.repartition: previous labelling has wrong length";
@@ -486,6 +510,19 @@ let run_repartition ~(config : Config.t) ?workspace ~prev g c ops =
   let t0 = Unix.gettimeofday () in
   let g', node_map, edit = Graph_edit.apply g ops in
   let n' = Wgraph.n_nodes g' in
+  (* Empty the slot before anything can go wrong: from here on it never
+     holds a state this request may have consumed. *)
+  let held, dropped =
+    match resident with
+    | None -> (None, None)
+    | Some r ->
+      let h = r.held and d = r.dropped in
+      forget r;
+      (h, d)
+  in
+  let drop reason =
+    Option.iter (fun r -> r.dropped <- Some reason) resident
+  in
   let edit_ratio =
     float_of_int edit.Graph_edit.touched /. float_of_int (max 1 n')
   in
@@ -502,44 +539,82 @@ let run_repartition ~(config : Config.t) ?workspace ~prev g c ops =
       rp_edit = edit;
     }
   in
-  let scratch ?seeded () = mk ?seeded (run_partition ~config g' c) in
   (* The degenerate classes route through [run_partition]'s canonical
      dispatch — with no boundary to refine there is nothing incremental
      to save. *)
   let degenerate =
     n' = 0 || c.Types.k = 1 || n' <= c.Types.k || Wgraph.n_edges g' = 0
   in
-  if degenerate || edit_ratio > config.Config.repartition_gate then
-    scratch ()
+  if degenerate || edit_ratio > config.Config.repartition_gate then begin
+    rebuilt "gate";
+    mk (run_partition ~config g' c)
+  end
   else begin
     let checking = Ppnpart_check.Check.enabled () in
-    let ws =
-      match workspace with Some w -> w | None -> Workspace.create ()
+    (* Scratch for hole seeding and the tabu rescue: the caller's, or a
+       private one. The state itself lives in the resident's own
+       workspace when there is a resident slot to keep it in. *)
+    let side_ws =
+      lazy (match workspace with Some w -> w | None -> Workspace.create ())
     in
-    let labels =
-      Array.init n' (fun u ->
-          let o = node_map.(u) in
-          if o >= 0 then prev.(o) else -1)
+    let id_stable =
+      edit.Graph_edit.added_nodes = 0 && edit.Graph_edit.removed_nodes = 0
     in
-    let seeded = Stream.seed_partial ~workspace:ws g' c labels in
+    let st, seeded =
+      match held with
+      | Some h
+        when id_stable && h.h_graph == g && h.h_labels == prev
+             && h.h_state.Part_state.c = c ->
+        (* [node_map] is the identity: patch the last answer's state by
+           the edit instead of rebuilding it from the labels. *)
+        Ppnpart_obs.Counters.incr "gp.repartition.resident";
+        ( Part_state.rebase h.h_state g'
+            ~touched:edit.Graph_edit.touched_nodes,
+          0 )
+      | _ ->
+        rebuilt
+          (if not id_stable then "node_ids"
+           else Option.value dropped ~default:"new_state");
+        let labels =
+          Array.init n' (fun u ->
+              let o = node_map.(u) in
+              if o >= 0 then prev.(o) else -1)
+        in
+        let seeded =
+          if Array.mem (-1) labels then
+            Stream.seed_partial ~workspace:(Lazy.force side_ws) g' c labels
+          else 0
+        in
+        if checking then
+          Ppnpart_check.Check.partition ~site:"gp.repartition.seed" g' c
+            labels;
+        let ws =
+          match resident with
+          | Some r -> r.rs_ws
+          | None -> Lazy.force side_ws
+        in
+        (Part_state.init ~workspace:ws g' c labels, seeded)
+    in
     if checking then
-      Ppnpart_check.Check.partition ~site:"gp.repartition.seed" g' c labels;
-    let seed_goodness = Metrics.goodness g' c labels in
+      Ppnpart_check.Check.part_state ~site:"gp.repartition.state" st;
+    (* Seed and refined goodness come from the maintained state, O(k²)
+       each; the one O(m) pass below is the answer's certificate. *)
+    let seed_goodness = Part_state.goodness st in
     let rng = Random.State.make [| config.Config.seed; 0x6770; 0x7270 |] in
-    let st = Part_state.init ~workspace:ws g' c labels in
     Refine_constrained.refine_state ~max_passes:config.Config.refine_passes
       rng st;
     if checking then
       Ppnpart_check.Check.partition ~site:"gp.repartition.refined" g' c
         st.Part_state.part;
     let best_part = ref (Part_state.snapshot st) in
-    let best_goodness = ref (Metrics.goodness g' c !best_part) in
+    let best_goodness = ref (Part_state.goodness st) in
+    let from_state = ref true in
     let history = ref [ seed_goodness ] in
     if !best_goodness.Metrics.violation > 0 && n' <= tabu_rescue_limit
     then begin
       let rescued, gd =
         Refine_tabu.refine ~iterations:(tabu_rescue_iterations n')
-          ~workspace:ws g' c !best_part
+          ~workspace:(Lazy.force side_ws) g' c !best_part
       in
       if Metrics.compare_goodness gd !best_goodness < 0 then begin
         if checking then
@@ -547,42 +622,48 @@ let run_repartition ~(config : Config.t) ?workspace ~prev g c ops =
             rescued;
         best_part := rescued;
         best_goodness := gd;
+        from_state := false;
         history := gd :: !history
       end
     end;
-    if !best_goodness.Metrics.violation > 0 then begin
-      (* Feasibility agreement with the from-scratch oracle: whenever
-         the incremental path ends infeasible, the full pipeline gets
-         its say, and the better of the two answers — so an instance
-         the pipeline can solve is never reported infeasible just
-         because it arrived as an edit. *)
-      let full = run_partition ~config g' c in
-      if Metrics.compare_goodness full.goodness !best_goodness < 0 then
-        mk ~seeded full
-      else begin
-        let q = Metrics.quality g' c !best_part in
-        let runtime_s = Unix.gettimeofday () -. t0 in
-        mk ~incremental:true ~seeded
-          {
-            part = !best_part;
-            feasible = false;
-            goodness = !best_goodness;
-            report = Metrics.report_of_quality ~runtime_s q;
-            cycles_used = 0;
-            levels = 0;
-            runtime_s;
-            history = List.rev !history;
-          }
-      end
-    end
-    else begin
+    (* Feasibility agreement with the from-scratch oracle: whenever the
+       incremental path ends infeasible, the full pipeline gets its say,
+       and the better of the two answers — so an instance the pipeline
+       can solve is never reported infeasible just because it arrived as
+       an edit. *)
+    let full =
+      if !best_goodness.Metrics.violation > 0 then
+        Some (run_partition ~config g' c)
+      else None
+    in
+    match full with
+    | Some full when Metrics.compare_goodness full.goodness !best_goodness < 0
+      ->
+      drop "fallback";
+      mk ~seeded full
+    | _ ->
       let q = Metrics.quality g' c !best_part in
       let goodness = Metrics.goodness_of_quality c q in
+      if Metrics.compare_goodness goodness !best_goodness <> 0 then begin
+        Ppnpart_obs.Counters.incr "gp.repartition.certificate_mismatch";
+        Log.err (fun m ->
+            m "repartition certificate %a disagrees with the search's %a"
+              Metrics.pp_goodness goodness Metrics.pp_goodness
+              !best_goodness);
+        drop "certificate"
+      end
+      else if not !from_state then drop "fallback"
+      else
+        Option.iter
+          (fun r ->
+            r.held <-
+              Some { h_graph = g'; h_labels = !best_part; h_state = st })
+          resident;
       let runtime_s = Unix.gettimeofday () -. t0 in
       mk ~incremental:true ~seeded
         {
           part = !best_part;
-          feasible = true;
+          feasible = goodness.Metrics.violation = 0;
           goodness;
           report = Metrics.report_of_quality ~runtime_s q;
           cycles_used = 0;
@@ -590,11 +671,11 @@ let run_repartition ~(config : Config.t) ?workspace ~prev g c ops =
           runtime_s;
           history = List.rev !history;
         }
-    end
   end
 
-let repartition ?(config = Config.default) ?workspace ~prev g c ops =
+let repartition ?(config = Config.default) ?workspace ?resident ~prev g c ops
+    =
   if config.Config.debug_checks then
     Ppnpart_check.Check.with_checks (fun () ->
-        run_repartition ~config ?workspace ~prev g c ops)
-  else run_repartition ~config ?workspace ~prev g c ops
+        run_repartition ~config ?workspace ?resident ~prev g c ops)
+  else run_repartition ~config ?workspace ?resident ~prev g c ops

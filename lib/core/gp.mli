@@ -61,15 +61,22 @@ val partition_metis :
     transformation; {!repartition} answers the re-partition request
     without a fresh V-cycle. The previous labels are projected through
     the edit's node map, {!Ppnpart_partition.Stream.seed_partial}
-    places the holes (nodes the edit added or evicted) by the streaming
-    objective, and only the boundary-driven refiner — plus the small-n
+    places the holes (nodes the edit added; skipped when there are
+    none), and only the boundary-driven refiner — plus the small-n
     tabu rescue — runs on top. Two gates guard quality: an edit
     touching more than [config.repartition_gate] of the nodes goes
     straight to the full pipeline, and an incremental result that stays
     infeasible is raced against a full from-scratch run with the better
     goodness kept, so feasibility is never lost to the shortcut.
     Sequential except for that fallback, hence — like {!partition} —
-    bit-identical across [config.jobs]. *)
+    bit-identical across [config.jobs].
+
+    Seed and refined goodness are read from the refinement state; the
+    one O(m) pass per answer is a {!Ppnpart_partition.Metrics.quality}
+    recomputation of the final labels, the {e certificate}: the
+    reported goodness, feasibility and report come from it, and a
+    disagreement with the search's own goodness bumps
+    [gp.repartition.certificate_mismatch]. *)
 
 type repartition = {
   rp_result : result;  (** labelling of the {e edited} graph *)
@@ -84,9 +91,24 @@ type repartition = {
   rp_edit : Graph_edit.stats;
 }
 
+type resident
+(** A slot for the refinement state ({!Ppnpart_partition.Part_state})
+    behind the last incremental answer, kept between requests on one
+    graph (a daemon keeps one per graph). It owns a workspace of its
+    own, empty until the first {!repartition} that fills the slot grows
+    it to about [(k + 12) · n] words. *)
+
+val resident : unit -> resident
+(** An empty slot. *)
+
+val forget : resident -> unit
+(** Drop the held state (the workspace stays for reuse). For a caller
+    whose labelling moved on by other means, e.g. a new {!partition}. *)
+
 val repartition :
   ?config:Config.t ->
   ?workspace:Workspace.t ->
+  ?resident:resident ->
   prev:int array ->
   Wgraph.t ->
   Types.constraints ->
@@ -95,10 +117,30 @@ val repartition :
 (** [repartition ~prev g c ops] edits [g] by [ops] and partitions the
     result, seeded from [prev] (the labelling of [g], length
     [Wgraph.n_nodes g], labels in [0 .. c.k - 1]). [workspace] backs
-    the seeding and refinement scratch — a daemon worker passes its
-    resident workspace so the steady state allocates nothing.
-    Deterministic for fixed [(config.seed, prev, g, ops)].
+    hole seeding and the tabu rescue, and the refinement state too when
+    no [resident] is given — a daemon worker passes its resident
+    workspace so the steady state allocates nothing.
+    Deterministic for fixed [(config.seed, prev, g, ops)]; passing a
+    [resident] or not never changes the answer.
+
+    With [resident]: if the slot holds the state of exactly this [g]
+    and [prev] (physical equality — the [rp_graph] and [rp_result.part]
+    of the call that filled it, which the caller must not mutate) under
+    the same constraints, and the
+    batch keeps node ids stable (no [Add_node]/[Remove_node]), that
+    state is patched by the edit
+    ({!Ppnpart_partition.Part_state.rebase}, O(edit · (degree + k)))
+    instead of rebuilt from the labels (O(n·k + m)); the request counts
+    [gp.repartition.resident]. Every other request counts
+    [gp.repartition.rebuilt] and [gp.repartition.rebuilt.<reason>]:
+    [gate] (edit-ratio gate or a degenerate class), [node_ids] (nodes
+    added or removed), [fallback] (the last answer came from the tabu
+    rescue or the full pipeline, not from the state), [certificate]
+    (the last answer's certificate disagreed with its state) or
+    [new_state] (nothing held for this graph and labelling). After the
+    call the slot holds this answer's state when the answer is the
+    refined state's own labels, and is empty otherwise.
     @raise Invalid_argument on a [prev] that is not a valid labelling
     of [g].
     @raise Ppnpart_partition.Graph_edit.Invalid_edit on a malformed
-    edit batch. *)
+    edit batch (the slot is left as it was). *)

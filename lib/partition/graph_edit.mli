@@ -48,6 +48,11 @@ type stats = {
       (** distinct node handles an op named or was incident to —
           the numerator of the edit ratio gating incremental
           repartitioning *)
+  touched_nodes : int array;
+      (** the touched handles that survive the batch, as ids of the
+          edited graph, ascending. A node outside this set has the same
+          weight and the same adjacency row (under the node map) before
+          and after the edit — what {!Part_state.rebase} relies on. *)
 }
 
 val apply : Wgraph.t -> op list -> Wgraph.t * int array * stats

@@ -73,6 +73,15 @@ let active_refresh st u =
 
 (* Part member chains, the same intrusive-list idiom as {!Bucket}. *)
 
+(* An Rmax crossing flips the activity of a whole part's interior:
+   refresh exactly that part's members via its chain. *)
+let refresh_members st p =
+  let x = ref st.pl_head.(p) in
+  while !x >= 0 do
+    active_refresh st !x;
+    x := st.pl_next.(!x)
+  done
+
 let chain_unlink st u =
   let nx = st.pl_next.(u) and pv = st.pl_prev.(u) in
   if pv >= 0 then st.pl_next.(pv) <- nx else st.pl_head.(-pv - 1) <- nx;
@@ -85,30 +94,45 @@ let chain_push st p u =
   if h >= 0 then st.pl_prev.(h) <- u;
   st.pl_head.(p) <- u
 
+(* u's connectivity row and external degree, from its neighbours'
+   current labels. *)
+let fill_row st u =
+  let k = st.c.Types.k in
+  let row = u * k in
+  Array.fill st.conn row k 0;
+  let wdeg = ref 0 in
+  Wgraph.iter_neighbors st.g u (fun v w ->
+      let q = st.part.(v) in
+      st.conn.(row + q) <- st.conn.(row + q) + w;
+      wdeg := !wdeg + w);
+  st.ed.(u) <- !wdeg - st.conn.(row + st.part.(u))
+
 (* One O(m + nk) sweep filling connectivity rows, external degrees,
    member chains and the active set from the current labels and loads. *)
 let build_node_caches st =
-  let g = st.g in
   let k = st.c.Types.k in
-  let n = Wgraph.n_nodes g in
+  let n = Wgraph.n_nodes st.g in
   Array.fill st.pl_head 0 k (-1);
   st.n_active <- 0;
   for u = n - 1 downto 0 do
-    let row = u * k in
-    Array.fill st.conn row k 0;
-    let wdeg = ref 0 in
-    Wgraph.iter_neighbors g u (fun v w ->
-        let q = st.part.(v) in
-        st.conn.(row + q) <- st.conn.(row + q) + w;
-        wdeg := !wdeg + w);
-    let p = st.part.(u) in
-    st.ed.(u) <- !wdeg - st.conn.(row + p);
-    chain_push st p u;
+    fill_row st u;
+    chain_push st st.part.(u) u;
     st.apos.(u) <- -1
   done;
   for u = 0 to n - 1 do
     if should_be_active st u then active_add st u
   done
+
+(* Raw excess totals of a bandwidth matrix and load vector, O(k²). *)
+let excess_totals (c : Types.constraints) bw load =
+  let bw_excess = ref 0 and res_excess = ref 0 in
+  for p = 0 to c.Types.k - 1 do
+    for q = p + 1 to c.Types.k - 1 do
+      bw_excess := !bw_excess + excess_over c.Types.bmax bw.(p).(q)
+    done;
+    res_excess := !res_excess + excess_over c.Types.rmax load.(p)
+  done;
+  (!bw_excess, !res_excess)
 
 let init ?workspace g (c : Types.constraints) part0 =
   let ws =
@@ -140,16 +164,7 @@ let init ?workspace g (c : Types.constraints) part0 =
         bw.(q).(p) <- bw.(q).(p) + w;
         cut := !cut + w
       end);
-  let bw_excess = ref 0 in
-  for p = 0 to k - 1 do
-    for q = p + 1 to k - 1 do
-      bw_excess := !bw_excess + excess_over c.Types.bmax bw.(p).(q)
-    done
-  done;
-  let res_excess = ref 0 in
-  for p = 0 to k - 1 do
-    res_excess := !res_excess + excess_over c.Types.rmax load.(p)
-  done;
+  let bw_excess, res_excess = excess_totals c bw load in
   let st =
     {
       g;
@@ -158,8 +173,8 @@ let init ?workspace g (c : Types.constraints) part0 =
       bw;
       load;
       members;
-      bw_excess = !bw_excess;
-      res_excess = !res_excess;
+      bw_excess;
+      res_excess;
       cut = !cut;
       ws;
       conn = ws.Workspace.ps_conn;
@@ -228,6 +243,65 @@ let init_projected ~map coarse fine_g =
     }
   in
   build_node_caches st;
+  st
+
+(* An id-stable edit (no node added or removed) changes only the
+   weights and rows of its touched nodes, and an edge between a touched
+   and an untouched node is in the untouched node's row, so it is the
+   same edge of the same weight on both sides. The deltas therefore
+   come from edges with both ends touched (retracted from [st.g]'s rows,
+   re-added from [g]'s, each visited from its lower endpoint), the
+   touched nodes' weights, and their own cache rows; an untouched node
+   keeps its row and external degree, and can change activity only
+   through an Rmax crossing of its part, which the member chains
+   refresh exactly as in [apply_move]. *)
+let rebase st g ~touched =
+  let n = Wgraph.n_nodes g in
+  if Wgraph.n_nodes st.g <> n then
+    invalid_arg "Part_state.rebase: node count changed";
+  let c = st.c in
+  let k = c.Types.k in
+  let part = st.part in
+  let nt = Array.length touched in
+  let is_touched v =
+    let lo = ref 0 and hi = ref nt in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if touched.(mid) < v then lo := mid + 1 else hi := mid
+    done;
+    !lo < nt && touched.(!lo) = v
+  in
+  let cut = ref st.cut in
+  let edge_delta gr sign u =
+    let p = part.(u) in
+    Wgraph.iter_neighbors gr u (fun v w ->
+        let q = part.(v) in
+        if u < v && p <> q && is_touched v then begin
+          let b = st.bw.(p).(q) + (sign * w) in
+          st.bw.(p).(q) <- b;
+          st.bw.(q).(p) <- b;
+          cut := !cut + (sign * w)
+        end)
+  in
+  let was_over = Array.init k (fun p -> st.load.(p) > c.Types.rmax) in
+  Array.iter
+    (fun u ->
+      edge_delta st.g (-1) u;
+      edge_delta g 1 u;
+      let p = part.(u) in
+      st.load.(p) <-
+        st.load.(p) + Wgraph.node_weight g u - Wgraph.node_weight st.g u)
+    touched;
+  let bw_excess, res_excess = excess_totals c st.bw st.load in
+  let st = { st with g; bw_excess; res_excess; cut = !cut } in
+  Array.iter
+    (fun u ->
+      fill_row st u;
+      active_refresh st u)
+    touched;
+  for p = 0 to k - 1 do
+    if was_over.(p) <> (st.load.(p) > c.Types.rmax) then refresh_members st p
+  done;
   st
 
 let connectivity st conn u =
@@ -308,15 +382,7 @@ let apply_move st u t conn =
   chain_unlink st u;
   chain_push st t u;
   active_refresh st u;
-  (* An Rmax crossing flips the activity of a whole part's interior:
-     refresh exactly that part's members via its chain. *)
-  if p_was_over && st.load.(p) <= rmax then begin
-    let x = ref st.pl_head.(p) in
-    while !x >= 0 do
-      active_refresh st !x;
-      x := st.pl_next.(!x)
-    done
-  end;
+  if p_was_over && st.load.(p) <= rmax then refresh_members st p;
   if (not t_was_over) && st.load.(t) > rmax then begin
     let x = ref st.pl_head.(t) in
     while !x >= 0 do

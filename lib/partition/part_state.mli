@@ -57,6 +57,20 @@ val init_projected : map:int array -> t -> Wgraph.t -> t
     be used afterwards. Runs under a [refine.state_init] span.
     @raise Invalid_argument on a wrong-length [map]. *)
 
+val rebase : t -> Wgraph.t -> touched:int array -> t
+(** [rebase st g' ~touched] is the state of the same labels on [g'], an
+    id-stable edit of [st.g] (same node count, node [u] of [g'] is node
+    [u] of [st.g]) in which only the nodes of [touched] (ascending, no
+    duplicates — {!Graph_edit.stats.touched_nodes}) changed weight or
+    adjacency. Equal, field by field and in active-set membership, to
+    [init g' st.c (snapshot st)], at a cost of
+    O(Σ_touched degree · log |touched| + |touched| · k + k²) plus the
+    members of any part whose load crosses Rmax, instead of O(n·k + m).
+    Active-list and chain order may differ from [init]'s; no consumer
+    reads them. Like {!init_projected} it patches [st]'s storage in
+    place: [st] is consumed and must not be used afterwards.
+    @raise Invalid_argument when the node counts differ. *)
+
 val connectivity : t -> int array -> int -> unit
 (** [connectivity st conn u] fills [conn] (length [k]) with [u]'s total
     edge weight toward every part — a blit of the cached row. *)

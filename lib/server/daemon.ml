@@ -57,40 +57,84 @@ let request_stop srv =
         (fun () -> Unix.connect fd (Unix.ADDR_UNIX srv.socket_path))
     with Unix.Unix_error _ -> ()
 
+let max_frame_bytes = 32 * 1024 * 1024
+let chunk_bytes = 64 * 1024
+
+let dispatch srv conn client line =
+  if String.trim line <> "" then begin
+    let ((id, _) as parsed) = Protocol.parse line in
+    let verdict =
+      Worker_pool.submit srv.pool ~client
+        ~run:(fun ws -> Service.handle srv.service ~workspace:ws parsed)
+        ~finish:(fun outcome ->
+          match outcome with
+          | Ok (response, verdict) ->
+            send conn response;
+            if verdict = `Shutdown then request_stop srv
+          | Error e ->
+            (* Service.handle catches everything it knows about;
+               this is the backstop for the truly unexpected. *)
+            send conn
+              (Protocol.error ?id ("internal error: " ^ Printexc.to_string e)))
+    in
+    match verdict with
+    | `Accepted -> ()
+    | `Overloaded ->
+      send conn
+        (Protocol.error ?id
+           "overloaded: connection has too many requests queued")
+    | `Stopped -> send conn (Protocol.error ?id "server shutting down")
+  end
+
+(* Frames are cut out of one reused read chunk; only the frame in
+   flight accumulates, and never past [max_frame_bytes]. A longer frame
+   is refused as soon as it crosses the bound, and the rest of it, up
+   to its newline, is read and dropped — so a client streaming bytes
+   without a newline costs a bounded buffer, and the connection keeps
+   serving the frames after it. Bytes after the last newline at EOF
+   still form a frame, as with [input_line]. *)
 let conn_loop srv conn client =
-  let ic = Unix.in_channel_of_descr conn.fd in
-  let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line ->
-      if String.trim line <> "" then begin
-        let ((id, _) as parsed) = Protocol.parse line in
-        let verdict =
-          Worker_pool.submit srv.pool ~client
-            ~run:(fun ws -> Service.handle srv.service ~workspace:ws parsed)
-            ~finish:(fun outcome ->
-              match outcome with
-              | Ok (response, verdict) ->
-                send conn response;
-                if verdict = `Shutdown then request_stop srv
-              | Error e ->
-                (* Service.handle catches everything it knows about;
-                   this is the backstop for the truly unexpected. *)
-                send conn
-                  (Protocol.error ?id
-                     ("internal error: " ^ Printexc.to_string e)))
-        in
-        match verdict with
-        | `Accepted -> ()
-        | `Overloaded ->
-          send conn
-            (Protocol.error ?id
-               "overloaded: connection has too many requests queued")
-        | `Stopped -> send conn (Protocol.error ?id "server shutting down")
-      end;
-      loop ()
+  let chunk = Bytes.create chunk_bytes in
+  let frame = Buffer.create 4096 in
+  let skipping = ref false in
+  let take pos len =
+    if not !skipping then
+      if Buffer.length frame + len > max_frame_bytes then begin
+        send conn
+          (Protocol.error
+             (Printf.sprintf "frame longer than %d bytes" max_frame_bytes));
+        Buffer.reset frame;
+        skipping := true
+      end
+      else Buffer.add_subbytes frame chunk pos len
   in
-  loop ()
+  let finish_frame () =
+    if !skipping then skipping := false
+    else begin
+      dispatch srv conn client (Buffer.contents frame);
+      (* Give a large frame's storage back; keep the small buffer. *)
+      if Buffer.length frame > chunk_bytes then Buffer.reset frame
+      else Buffer.clear frame
+    end
+  in
+  let rec scan pos len =
+    match Bytes.index_from_opt chunk pos '\n' with
+    | Some i when i < len ->
+      take pos (i - pos);
+      finish_frame ();
+      scan (i + 1) len
+    | _ -> take pos (len - pos)
+  in
+  let rec read () =
+    match Unix.read conn.fd chunk 0 chunk_bytes with
+    | 0 -> if Buffer.length frame > 0 then finish_frame ()
+    | len ->
+      scan 0 len;
+      read ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  read ()
 
 let shutdown_conn conn =
   try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()

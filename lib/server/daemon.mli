@@ -18,9 +18,22 @@
     computing — it refers to the queue, not to any one request's
     outcome).
 
+    Framing: a request line may be at most {!max_frame_bytes} bytes
+    long. A longer one is answered with
+    [{"ok":false,"error":"frame longer than N bytes"}] as soon as it
+    crosses the bound (written by the reader thread, so like an
+    overload refusal it can overtake earlier responses still
+    computing); the rest of it, up to its newline, is read and dropped
+    without being buffered, and the connection goes on serving the next
+    line. A graph whose METIS text exceeds the bound is
+    uploaded with [submit-begin]/[submit-rows]/[submit-end].
+
     Shutdown: a [shutdown] request answers, then closes the listener;
     {!serve} drains every accepted job, shuts every connection down and
     returns. *)
+
+val max_frame_bytes : int
+(** 32 MiB: the longest request line a connection accepts. *)
 
 type opts = {
   socket_path : string;  (** unix socket path; replaced if present *)

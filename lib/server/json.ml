@@ -228,17 +228,37 @@ let escape b s =
     s
 
 (* Integers are most of what the daemon prints (one per label), so they
-   skip [Printf]: below 2^53 every integral float is an exact [int] and
-   [string_of_int] writes the digits "%.0f" would, except for the sign
-   of [-0.]. *)
+   skip [Printf] and [string_of_int]: the digits go into the buffer one
+   by one, most significant first (at most 16 deep below 2^53). *)
+let rec add_digits b i =
+  if i >= 10 then add_digits b (i / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_int b i =
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b (-i)
+  end
+  else add_digits b i
+
+(* Below 2^53 every integral float is an exact [int], and its digits are
+   the ones "%.0f" would print, except for the sign of [-0.]. *)
 let add_num b f =
   if Float.is_integer f && Float.abs f <= max_exact then
     if f = 0. && Float.sign_bit f then Buffer.add_string b "-0"
-    else Buffer.add_string b (string_of_int (int_of_float f))
+    else add_int b (int_of_float f)
   else Buffer.add_string b (Printf.sprintf "%.12g" f)
 
-let to_string v =
-  let b = Buffer.create 256 in
+let add_int_array b a =
+  Buffer.add_char b '[';
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      add_int b x)
+    a;
+  Buffer.add_char b ']'
+
+let to_buffer b v =
   let rec go = function
     | Null -> Buffer.add_string b "null"
     | Bool true -> Buffer.add_string b "true"
@@ -268,7 +288,11 @@ let to_string v =
         fields;
       Buffer.add_char b '}'
   in
-  go v;
+  go v
+
+let to_string v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
   Buffer.contents b
 
 let int i = Num (float_of_int i)

@@ -25,6 +25,14 @@ val to_string : t -> string
 (** Compact one-line rendering (no newlines — NDJSON-safe), valid input
     to {!parse}. Object fields print in the order given. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** {!to_string}, appended to a buffer. *)
+
+val add_int_array : Buffer.t -> int array -> unit
+(** Append the array as a JSON array of integers, byte-identical to
+    [to_string (Arr (List.map int (Array.to_list a)))] for entries
+    within ±2^53 — without building that list. *)
+
 val int : int -> t
 (** [Num (float_of_int i)]. *)
 

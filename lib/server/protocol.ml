@@ -177,13 +177,19 @@ let error ?id msg =
     (Json.Obj
        ((("ok", Json.Bool false) :: id_fields id) @ [ ("error", Json.Str msg) ]))
 
+let ok_with ?id fields (key, add) =
+  let b = Buffer.create 4096 in
+  Json.to_buffer b
+    (Json.Obj ((("ok", Json.Bool true) :: id_fields id) @ fields));
+  (* Splice before the closing brace; the object always has at least
+     the "ok" field, so a comma is always right. *)
+  Buffer.truncate b (Buffer.length b - 1);
+  Buffer.add_char b ',';
+  Json.to_buffer b (Json.Str key);
+  Buffer.add_char b ':';
+  add b;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
 let ok_with_raw ?id fields (key, raw) =
-  let head =
-    Json.to_string (Json.Obj ((("ok", Json.Bool true) :: id_fields id) @ fields))
-  in
-  (* Splice before the closing brace; [head] always has at least the
-     "ok" field, so a comma is always right. *)
-  Printf.sprintf "%s,%s:%s}"
-    (String.sub head 0 (String.length head - 1))
-    (Json.to_string (Json.Str key))
-    raw
+  ok_with ?id fields (key, fun b -> Buffer.add_string b raw)

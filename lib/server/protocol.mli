@@ -76,6 +76,13 @@ val ok : ?id:Json.t -> (string * Json.t) list -> string
 val error : ?id:Json.t -> string -> string
 (** [{"ok":false,"id":...,"error":MSG}]. *)
 
+val ok_with :
+  ?id:Json.t -> (string * Json.t) list -> string * (Buffer.t -> unit) -> string
+(** [ok_with fields (key, add)] is {!ok} with one more, last field
+    [key] whose value [add] writes straight into the response buffer —
+    for values too large to build as a {!Json.t} first, such as a
+    labelling ({!Json.add_int_array}). *)
+
 val ok_with_raw : ?id:Json.t -> (string * Json.t) list -> string * string -> string
 (** [ok_with_raw fields (key, raw)] appends [key] whose value is [raw]
     spliced in verbatim — for embedding an already-rendered JSON

@@ -17,6 +17,10 @@ type entry = {
   mutable report : string Lazy.t option;
       (** rendered on the first [report] request, then memoized: most
           answers are never asked for their report *)
+  resident : Gp.resident;
+      (** refinement state of the last incremental answer, patched by
+          the next id-stable edit batch; its workspace belongs to this
+          graph, not to a worker *)
 }
 
 (* An in-progress chunked submission ([submit-begin] .. [submit-end]):
@@ -62,19 +66,22 @@ let install t id graph =
           c = None;
           config = None;
           report = None;
+          resident = Gp.resident ();
         }
       in
       Hashtbl.replace t.graphs id e)
 
-let labels_json part = Json.Arr (Array.to_list (Array.map Json.int part))
-
-let result_fields (r : Gp.result) =
-  [ ("feasible", Json.Bool r.Gp.feasible);
-    ("violation", Json.int r.Gp.goodness.Metrics.violation);
-    ("cut", Json.int r.Gp.goodness.Metrics.cut_value);
-    ("cycles", Json.int r.Gp.cycles_used);
-    ("runtime_s", Json.Num r.Gp.runtime_s);
-    ("labels", labels_json r.Gp.part) ]
+(* A (re)partition answer: [fields], the result's scalars, and the
+   labels last, written digit by digit into the response buffer. *)
+let result_reply ~id fields (r : Gp.result) =
+  Protocol.ok_with ?id
+    (fields
+    @ [ ("feasible", Json.Bool r.Gp.feasible);
+        ("violation", Json.int r.Gp.goodness.Metrics.violation);
+        ("cut", Json.int r.Gp.goodness.Metrics.cut_value);
+        ("cycles", Json.int r.Gp.cycles_used);
+        ("runtime_s", Json.Num r.Gp.runtime_s) ])
+    ("labels", fun b -> Json.add_int_array b r.Gp.part)
 
 let config_for ~mode ~seed ~jobs = { Config.default with Config.mode; seed; jobs }
 
@@ -144,6 +151,7 @@ let do_partition t ~id ~graph ~c ~mode ~seed ~jobs =
     with_lock e.elock (fun () ->
         let config = config_for ~mode ~seed ~jobs in
         let r = Gp.partition ~config e.graph c in
+        Gp.forget e.resident;
         e.labels <- Some r.Gp.part;
         e.c <- Some c;
         e.config <- Some config;
@@ -151,9 +159,7 @@ let do_partition t ~id ~graph ~c ~mode ~seed ~jobs =
            repartition, and the report describes this answer. *)
         let g = e.graph and algo = "gp-" ^ Config.mode_name mode in
         e.report <- Some (lazy (Run_report.of_result ~algo g c r));
-        Ok
-          (Protocol.ok ?id
-             (("graph", Json.Str graph) :: result_fields r)))
+        Ok (result_reply ~id [ ("graph", Json.Str graph) ] r))
 
 let do_repartition t ~id ~graph ~edits ~workspace =
   match find t graph with
@@ -163,12 +169,13 @@ let do_repartition t ~id ~graph ~edits ~workspace =
         match (e.labels, e.c) with
         | Some prev, Some c ->
           let config = Option.value ~default:Config.default e.config in
-          (* The worker's resident workspace backs seeding/refinement —
-             the steady state of a stream of 1%-edit requests allocates
-             no scratch. Repartition itself is sequential, so the
-             pool's concurrency all comes from distinct graphs. *)
+          (* The entry's resident slot holds the refinement state and
+             its workspace; the worker's workspace backs hole seeding
+             and the tabu rescue. Repartition itself is sequential, so
+             the pool's concurrency all comes from distinct graphs. *)
           let rp =
-            Gp.repartition ~config ~workspace ~prev e.graph c edits
+            Gp.repartition ~config ~workspace ~resident:e.resident ~prev
+              e.graph c edits
           in
           e.graph <- rp.Gp.rp_graph;
           e.labels <- Some rp.Gp.rp_result.Gp.part;
@@ -180,13 +187,13 @@ let do_repartition t ~id ~graph ~edits ~workspace =
               (lazy
                 (Run_report.of_result ~algo rp.Gp.rp_graph c rp.Gp.rp_result));
           Ok
-            (Protocol.ok ?id
-               (("graph", Json.Str graph)
-                :: ("nodes", Json.int (Wgraph.n_nodes rp.Gp.rp_graph))
-                :: ("edges", Json.int (Wgraph.n_edges rp.Gp.rp_graph))
-                :: ("incremental", Json.Bool rp.Gp.rp_incremental)
-                :: ("seeded", Json.int rp.Gp.rp_seeded)
-                :: result_fields rp.Gp.rp_result))
+            (result_reply ~id
+               [ ("graph", Json.Str graph);
+                 ("nodes", Json.int (Wgraph.n_nodes rp.Gp.rp_graph));
+                 ("edges", Json.int (Wgraph.n_edges rp.Gp.rp_graph));
+                 ("incremental", Json.Bool rp.Gp.rp_incremental);
+                 ("seeded", Json.int rp.Gp.rp_seeded) ]
+               rp.Gp.rp_result)
         | _ ->
           Error
             (Printf.sprintf "graph %S has no labelling yet — partition first"

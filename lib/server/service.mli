@@ -27,10 +27,24 @@ val handle :
   Json.t option * (Protocol.command, string) result ->
   string * [ `Continue | `Shutdown ]
 (** [handle t ~workspace parsed] is [(response_line, verdict)].
-    [workspace] is the calling worker's resident scratch — every
-    steady-state allocation of streaming, seeding and refinement comes
-    from it. [`Shutdown] accompanies the response to a [shutdown]
-    command; the caller owns actually stopping the server. *)
+    [workspace] is the calling worker's resident scratch: it backs the
+    hole seeding and tabu rescue of a [repartition], nothing that must
+    survive the request.
+
+    The refinement state of a graph's last incremental answer is kept
+    with the graph, in a {!Ppnpart_core.Gp.resident} slot that owns its
+    own workspace (about [(k + 12) · n] words, allocated by the first
+    [repartition]). The next [repartition] of that graph whose batch
+    keeps node ids stable patches it instead of rebuilding it
+    ({!Ppnpart_core.Gp.repartition}). A [partition] of the graph drops
+    the held state, and a re-[submit] replaces the entry and its slot
+    with it; either way the next [repartition] answers exactly what a
+    fresh service would.
+
+    A (re)partition response carries its labels as the last field,
+    written digit by digit into the response buffer.
+    [`Shutdown] accompanies the response to a [shutdown] command; the
+    caller owns actually stopping the server. *)
 
 val stats : t -> (string * Json.t) list
 (** The fields of the [stats] response: graphs resident, chunked

@@ -575,6 +575,149 @@ let test_repartition_vs_scratch () =
     true
     (!incremental > !total / 2)
 
+(* --- resident refinement state vs a rebuild every step --- *)
+
+(* Two chains answer the same batch sequence: chain A carries a
+   [Gp.resident] slot, so every id-stable batch patches the last
+   answer's state ([Part_state.rebase]); chain B passes none and
+   rebuilds the state from the labels every step. The walk is shaped
+   like design-space exploration: an id-stable batch from
+   [random_edits] is followed by its inverse, so the graph keeps
+   returning to where it was instead of drifting into infeasibility.
+   Mixed in are batches with node additions and removals, batches over
+   the edit-ratio gate, and steps made infeasible by a node heavier
+   than Rmax (reverted the step after), so every way the resident state
+   is dropped and rebuilt gets exercised. Asserted at every step:
+   identical labels, goodness, history, [rp_seeded] and
+   [rp_incremental]. Chain A runs with [debug_checks], which validates
+   every patched state from scratch ([Check.part_state]) before it is
+   refined; the certificate-mismatch counter must stay at zero. *)
+let inverse_batch g ops =
+  let module GE = Graph_edit in
+  List.rev_map
+    (function
+      | GE.Add_edge (u, v, _) -> GE.Remove_edge (u, v)
+      | GE.Remove_edge (u, v) -> GE.Add_edge (u, v, Wgraph.edge_weight g u v)
+      | GE.Set_node_weight (u, _) ->
+        GE.Set_node_weight (u, Wgraph.node_weight g u)
+      | GE.Set_edge_weight (u, v, _) ->
+        GE.Set_edge_weight (u, v, Wgraph.edge_weight g u v)
+      | GE.Add_node _ | GE.Remove_node _ -> invalid_arg "inverse_batch")
+    ops
+
+let test_resident_vs_rebuild () =
+  let module Gp = Ppnpart_core.Gp in
+  let module Config = Ppnpart_core.Config in
+  let module GE = Graph_edit in
+  let sequences, steps =
+    match mode with `Quick -> (3, 50) | `Default -> (4, 60) | `Full -> (4, 500)
+  in
+  let id_stable ops =
+    List.filter
+      (function GE.Add_node _ | GE.Remove_node _ -> false | _ -> true)
+      ops
+  in
+  (* A short cycle budget keeps the full-pipeline fallback of the
+     infeasible steps cheap; both chains share it. *)
+  let config = { Config.default with Config.max_cycles = 2 } in
+  let ((), snap) =
+    Ppnpart_obs.Metrics_registry.with_registry @@ fun () ->
+    for seq = 1 to sequences do
+      let rng = Random.State.make [| 0x5E51; seq |] in
+      let n = 60 + (97 * seq mod 240) in
+      let k = 2 + (seq mod 4) in
+      let g0, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
+      (* Slack for the node additions and removals, which are not
+         undone: infeasible steps should come from the heavy-node
+         draws, not from drift. *)
+      let c =
+        Types.constraints ~k ~bmax:((3 * c.Types.bmax) + 20)
+          ~rmax:(c.Types.rmax * 3 / 2)
+      in
+      let prev0 = (Gp.partition ~config g0 c).Gp.part in
+      let resident = Gp.resident () in
+      let ws = Workspace.create () in
+      let a = ref (g0, prev0) and b = ref (g0, prev0) in
+      let undo = ref [] in
+      for step = 1 to steps do
+        let name = Printf.sprintf "sequence %d step %d" seq step in
+        let g = fst !a in
+        let n = Wgraph.n_nodes g in
+        let ops =
+          match !undo with
+          | _ :: _ as ops ->
+            undo := [];
+            ops
+          | [] ->
+            let draw = Random.State.int rng 100 in
+            if draw < 60 then begin
+              let ops =
+                match id_stable (random_edits rng g) with
+                | [] -> [ GE.Set_node_weight (Random.State.int rng n, 1) ]
+                | ops -> ops
+              in
+              undo := inverse_batch g ops;
+              ops
+            end
+            else if draw < 75 then random_edits rng g
+            else if draw < 85 then
+              (* Over the gate: a third of the nodes re-estimated, each
+                 to its current weight. *)
+              List.init ((n / 3) + 1) (fun i ->
+                  let u = i * n / ((n / 3) + 1) in
+                  GE.Set_node_weight (u, Wgraph.node_weight g u))
+            else if draw < 93 then begin
+              let u = Random.State.int rng n in
+              let ops = [ GE.Set_node_weight (u, c.Types.rmax + 1) ] in
+              undo := inverse_batch g ops;
+              ops
+            end
+            else []
+        in
+        let run chain ~config ?resident () =
+          let g, prev = !chain in
+          let rp =
+            Gp.repartition ~config ~workspace:ws ?resident ~prev g c ops
+          in
+          chain := (rp.Gp.rp_graph, rp.Gp.rp_result.Gp.part);
+          rp
+        in
+        let ra =
+          run a ~config:{ config with Config.debug_checks = true } ~resident ()
+        in
+        let rb = run b ~config () in
+        let same what x y = check_bool (name ^ ": " ^ what) true (x = y) in
+        same "labels" ra.Gp.rp_result.Gp.part rb.Gp.rp_result.Gp.part;
+        same "goodness" ra.Gp.rp_result.Gp.goodness rb.Gp.rp_result.Gp.goodness;
+        same "feasible" ra.Gp.rp_result.Gp.feasible rb.Gp.rp_result.Gp.feasible;
+        same "history" ra.Gp.rp_result.Gp.history rb.Gp.rp_result.Gp.history;
+        same "seeded" ra.Gp.rp_seeded rb.Gp.rp_seeded;
+        same "incremental" ra.Gp.rp_incremental rb.Gp.rp_incremental
+      done
+    done
+  in
+  let count name =
+    Option.value ~default:0
+      (List.assoc_opt name snap.Ppnpart_obs.Metrics_registry.counters)
+  in
+  check_int "certificate mismatches" 0
+    (count "gp.repartition.certificate_mismatch");
+  let patched = count "gp.repartition.resident" in
+  check_bool
+    (Printf.sprintf "resident state patched on most steps (%d of %d)" patched
+       (sequences * steps))
+    true
+    (patched > sequences * steps / 3);
+  List.iter
+    (fun reason ->
+      check_bool
+        (Printf.sprintf "rebuild reason %s exercised" reason)
+        true
+        (count ("gp.repartition.rebuilt." ^ reason) > 0))
+    [ "gate"; "node_ids"; "new_state"; "fallback" ];
+  check_bool "every patched state validated" true
+    (count "check.gp.repartition.state" >= patched)
+
 (* --- spliced Graph_edit.apply vs the Edge_list oracle --- *)
 
 (* [Graph_edit.apply] splices the edited CSR straight from the base
@@ -819,6 +962,8 @@ let () =
             test_sequential_stream_vs_multilevel;
           Alcotest.test_case "repartition vs scratch oracle" `Quick
             test_repartition_vs_scratch;
+          Alcotest.test_case "resident state vs rebuild" `Quick
+            test_resident_vs_rebuild;
           Alcotest.test_case "graph_edit splice vs oracle" `Quick
             test_graph_edit_splice ] );
       ( "structure",

@@ -222,4 +222,9 @@ let apply g ops =
       Graph_edit.added_nodes = !added;
       removed_nodes = !removed;
       touched = Hashtbl.length b.touched;
+      touched_nodes =
+        Hashtbl.fold
+          (fun u () acc -> if new_id.(u) >= 0 then new_id.(u) :: acc else acc)
+          b.touched []
+        |> List.sort compare |> Array.of_list;
     } )

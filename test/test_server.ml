@@ -105,7 +105,11 @@ let prop_json_int_roundtrip =
           oneofl [ max_exact; -max_exact; max_exact - 1; 1 - max_exact ] ])
     (fun i ->
       let s = Json.to_string (Json.int i) in
+      let b = Buffer.create 24 in
+      Json.add_int_array b [| i; -i |];
       s = Printf.sprintf "%.0f" (float_of_int i)
+      && Buffer.contents b
+         = Printf.sprintf "[%s,%s]" s (Json.to_string (Json.int (-i)))
       && Result.to_option (Json.parse s) |> Fun.flip Option.bind Json.to_int
          = Some i)
 
@@ -345,6 +349,66 @@ let field name v key =
   match Json.member key v with
   | Some x -> x
   | None -> Alcotest.failf "%s: missing field %S" name key
+
+(* A (re)partition response used to be one [Json.t] tree with the
+   labels as an [Arr] of [Num]s; now the labels are written straight
+   into the response buffer. Over random labellings (k up to 1000),
+   ids and scalar fields, both renderings must agree byte for byte. *)
+let test_labels_response_bytes () =
+  let rng = Random.State.make [| 0x1abe; 5 |] in
+  for round = 1 to 300 do
+    let k = 1 + Random.State.int rng 1000 in
+    let labels =
+      Array.init (Random.State.int rng 400) (fun _ -> Random.State.int rng k)
+    in
+    let id =
+      match Random.State.int rng 4 with
+      | 0 -> None
+      | 1 -> Some (Json.int (Random.State.int rng 1_000_000 - 500_000))
+      | 2 -> Some (Json.Str (Printf.sprintf "req-%d\"%d" round k))
+      | _ -> Some (Json.Num (Random.State.float rng 1e6))
+    in
+    let fields =
+      [ ("graph", Json.Str "g");
+        ("feasible", Json.Bool (Random.State.bool rng));
+        ("violation", Json.int (Random.State.int rng 5000));
+        ("cut", Json.int (Random.State.int rng 1_000_000));
+        ("cycles", Json.int (Random.State.int rng 20));
+        ("runtime_s", Json.Num (Random.State.float rng 2.)) ]
+    in
+    let old_path =
+      Protocol.ok ?id
+        (fields
+        @ [ ("labels", Json.Arr (Array.to_list (Array.map Json.int labels))) ])
+    in
+    check_string
+      (Printf.sprintf "round %d (k=%d, n=%d)" round k (Array.length labels))
+      old_path
+      (Protocol.ok_with ?id fields ("labels", fun b ->
+           Json.add_int_array b labels))
+  done;
+  (* And a real answer: re-rendering the parsed response through the
+     tree printer reproduces it exactly. *)
+  let svc = Service.create () in
+  let rng = Random.State.make [| 0x1abe; 6 |] in
+  let g, c =
+    Ppnpart_workloads.Rand_graph.random_partitionable rng ~n:300 ~k:7
+  in
+  ignore
+    (ok_json "submit"
+       (handle svc
+          (Printf.sprintf "{\"op\":\"submit\",\"graph\":\"g\",\"metis\":%s}"
+             (Json.to_string (Json.Str (Graph_io.to_metis g))))));
+  let response, _ =
+    handle svc
+      (Printf.sprintf
+         "{\"id\":\"p\",\"op\":\"partition\",\"graph\":\"g\",\"k\":%d,\"bmax\":%d,\"rmax\":%d}"
+         c.Types.k c.Types.bmax c.Types.rmax)
+  in
+  match Json.parse response with
+  | Ok v ->
+    check_string "partition response re-renders" (Json.to_string v) response
+  | Error e -> Alcotest.failf "partition response not JSON (%s)" e
 
 let test_service_flow () =
   let svc = Service.create () in
@@ -658,6 +722,116 @@ let test_service_report_bytes () =
           rp.Gp.rp_result))
     (strip_runtime (report ()))
 
+(* --- Resident refinement state --- *)
+
+(* Design-space-exploration steps on a planted graph: three batches of
+   node re-estimates plus one new in-cluster channel, each followed by
+   its inverse, so the graph is back to the submitted one after every
+   second step. Node ids never change. *)
+let dse_steps rng g ~k =
+  let n = Wgraph.n_nodes g in
+  let line edits =
+    Printf.sprintf "{\"op\":\"repartition\",\"graph\":\"g\",\"edits\":[%s]}"
+      (String.concat "," edits)
+  in
+  let weight u w =
+    Printf.sprintf "{\"op\":\"set_node_weight\",\"node\":%d,\"w\":%d}" u w
+  in
+  List.concat_map
+    (fun _ ->
+      let a = Random.State.int rng n in
+      let rec channel () =
+        let u = Random.State.int rng n in
+        let v = (u * k / n * n / k) + Random.State.int rng (n / k) in
+        if v * k / n <> u * k / n || u = v || Wgraph.mem_edge g u v then
+          channel ()
+        else (u, v)
+      in
+      let u, v = channel () in
+      let edge op extra =
+        Printf.sprintf "{\"op\":%S,\"u\":%d,\"v\":%d%s}" op u v extra
+      in
+      [ line
+          [ weight a (Wgraph.node_weight g a + 1);
+            edge "add_edge" ",\"w\":3" ];
+        line [ weight a (Wgraph.node_weight g a); edge "remove_edge" "" ] ])
+    [ 0; 1; 2 ]
+
+let test_service_resident_state () =
+  let module Registry = Ppnpart_obs.Metrics_registry in
+  let rng = Random.State.make [| 0x4e5; 1 |] in
+  let k = 4 in
+  let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n:240 ~k in
+  let submit =
+    Printf.sprintf "{\"op\":\"submit\",\"graph\":\"g\",\"metis\":%s}"
+      (Json.to_string (Json.Str (Graph_io.to_metis g)))
+  in
+  let partition seed =
+    Printf.sprintf
+      "{\"op\":\"partition\",\"graph\":\"g\",\"k\":%d,\"bmax\":%d,\"rmax\":%d,\"seed\":%d}"
+      c.Types.k c.Types.bmax c.Types.rmax seed
+  in
+  let steps = dse_steps rng g ~k in
+  let run lines =
+    Registry.with_registry (fun () ->
+        let svc = Service.create () in
+        List.map
+          (fun l ->
+            let response = fst (handle svc l) in
+            ignore (ok_json l (response, `Continue));
+            response)
+          lines)
+  in
+  let count (snap : Registry.snapshot) name =
+    Option.value ~default:0 (List.assoc_opt name snap.Registry.counters)
+  in
+  (* A DSE loop patches the resident state on every step after the
+     first, and stays incremental throughout. *)
+  let responses, snap = run (submit :: partition 1 :: steps) in
+  List.iteri
+    (fun i r ->
+      if i >= 2 then
+        match Json.parse r with
+        | Ok v ->
+          check_bool
+            (Printf.sprintf "step %d incremental" (i - 1))
+            true
+            (Json.member "incremental" v = Some (Json.Bool true))
+        | Error e -> Alcotest.failf "step %d: %s" (i - 1) e)
+    responses;
+  check_int "resident on every step after the first"
+    (List.length steps - 1)
+    (count snap "gp.repartition.resident");
+  check_int "one rebuild" 1 (count snap "gp.repartition.rebuilt");
+  check_int "first step builds a new state" 1
+    (count snap "gp.repartition.rebuilt.new_state");
+  check_int "certificates agree" 0
+    (count snap "gp.repartition.certificate_mismatch");
+  (* A new partition, or a re-submit, drops the state: the next
+     repartition rebuilds it and answers what a fresh service answers
+     to the same graph, partition and batch. (After two steps the graph
+     is the submitted one again.) *)
+  let f0, b0, f1 =
+    match steps with f0 :: b0 :: f1 :: _ -> (f0, b0, f1) | _ -> assert false
+  in
+  List.iter
+    (fun (what, reset) ->
+      let responses, snap =
+        run ([ submit; partition 1; f0; b0 ] @ reset @ [ f1 ])
+      in
+      check_int (what ^ ": patched only before the reset") 1
+        (count snap "gp.repartition.resident");
+      check_int (what ^ ": rebuilt after the reset") 2
+        (count snap "gp.repartition.rebuilt.new_state");
+      let fresh, _ =
+        run ((submit :: List.filter (fun l -> l <> submit) reset) @ [ f1 ])
+      in
+      let last l = strip_runtime (List.nth l (List.length l - 1)) in
+      check_string (what ^ ": same answer as a fresh service") (last fresh)
+        (last responses))
+    [ ("new partition", [ partition 2 ]);
+      ("re-submit", [ submit; partition 1 ]) ]
+
 (* --- Daemon end to end --- *)
 
 let daemon_socket () =
@@ -665,9 +839,10 @@ let daemon_socket () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "ppnpartd-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
 
-(* Run a daemon in a thread, connect, play a scripted list of request
-   lines (last one "shutdown"), return the response lines. *)
-let with_daemon ~workers lines =
+(* Run a daemon in a thread, connect, hand the connection's channels to
+   [f] (whose requests must end with a "shutdown"), then wait for the
+   daemon to exit. *)
+let daemon_session ~workers f =
   let path = daemon_socket () in
   let ready_m = Mutex.create () and ready_c = Condition.create () in
   let is_ready = ref false in
@@ -690,23 +865,27 @@ let with_daemon ~workers lines =
   Mutex.unlock ready_m;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
-  let oc = Unix.out_channel_of_descr fd in
-  let ic = Unix.in_channel_of_descr fd in
-  List.iter
-    (fun line ->
-      output_string oc line;
-      output_char oc '\n')
-    lines;
-  flush oc;
-  let responses =
-    List.map
-      (fun _ -> try input_line ic with End_of_file -> "<eof>")
-      lines
+  let result =
+    f (Unix.out_channel_of_descr fd) (Unix.in_channel_of_descr fd)
   in
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Thread.join daemon;
   check_bool "socket removed on shutdown" true (not (Sys.file_exists path));
-  responses
+  result
+
+(* Play a scripted list of request lines (last one "shutdown"), return
+   the response lines. *)
+let with_daemon ~workers lines =
+  daemon_session ~workers (fun oc ic ->
+      List.iter
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n')
+        lines;
+      flush oc;
+      List.map
+        (fun _ -> try input_line ic with End_of_file -> "<eof>")
+        lines)
 
 let script =
   [ Printf.sprintf
@@ -739,6 +918,44 @@ let test_daemon_end_to_end () =
       | Error e -> Alcotest.failf "response %d not json (%s): %s" i e line)
     responses
 
+(* A client streaming bytes without a newline must not grow the
+   daemon's memory without bound: past [Daemon.max_frame_bytes] the
+   frame is refused with an error frame, the rest of the line is
+   dropped, and the same connection goes on to answer the next
+   request. *)
+let test_daemon_frame_bound () =
+  let responses =
+    daemon_session ~workers:1 (fun oc ic ->
+        let piece = Bytes.make (1 lsl 20) 'x' in
+        let sent = ref 0 in
+        while !sent <= Daemon.max_frame_bytes do
+          output_bytes oc piece;
+          sent := !sent + Bytes.length piece
+        done;
+        output_string oc
+          "\n{\"id\":2,\"op\":\"stats\"}\n{\"id\":3,\"op\":\"shutdown\"}\n";
+        flush oc;
+        List.init 3 (fun _ -> try input_line ic with End_of_file -> "<eof>"))
+  in
+  match List.map Json.parse responses with
+  | [ Ok refused; Ok stats; Ok shutdown ] ->
+    check_bool "over-long frame refused" true
+      (Json.member "ok" refused = Some (Json.Bool false));
+    check_bool "refusal names the bound" true
+      (Json.member "error" refused
+      = Some
+          (Json.Str
+             (Printf.sprintf "frame longer than %d bytes"
+                Daemon.max_frame_bytes)));
+    check_bool "next request answered" true
+      (Json.member "id" stats = Some (Json.int 2)
+      && Json.member "ok" stats = Some (Json.Bool true));
+    check_bool "shutdown answered" true
+      (Json.member "id" shutdown = Some (Json.int 3))
+  | _ ->
+    Alcotest.failf "unexpected responses: %s"
+      (String.concat " | " responses)
+
 let test_daemon_deterministic_across_workers_and_restarts () =
   (* Same scripted session against a fresh daemon, 1 worker vs 4
      workers: byte-identical responses (modulo the runtime_s field,
@@ -757,6 +974,8 @@ let quick_tests =
     Alcotest.test_case "json string escapes" `Quick test_json_string_escapes;
     Alcotest.test_case "json printer bytes" `Quick test_json_printer_bytes;
     QCheck_alcotest.to_alcotest prop_json_int_roundtrip;
+    Alcotest.test_case "labels response bytes" `Quick
+      test_labels_response_bytes;
     Alcotest.test_case "json nesting bound" `Quick test_json_nesting_bound;
     Alcotest.test_case "protocol parse ok" `Quick test_protocol_parse_ok;
     Alcotest.test_case "protocol parse edits" `Quick test_protocol_parse_edits;
@@ -777,7 +996,10 @@ let quick_tests =
       test_service_hostile_headers;
     Alcotest.test_case "service deep nesting" `Quick test_service_deep_nesting;
     Alcotest.test_case "service report bytes" `Quick test_service_report_bytes;
-    Alcotest.test_case "daemon end to end" `Quick test_daemon_end_to_end ]
+    Alcotest.test_case "service resident state" `Quick
+      test_service_resident_state;
+    Alcotest.test_case "daemon end to end" `Quick test_daemon_end_to_end;
+    Alcotest.test_case "daemon frame bound" `Quick test_daemon_frame_bound ]
 
 let slow_tests =
   [ Alcotest.test_case "daemon deterministic across workers/restarts" `Slow
