@@ -2,14 +2,23 @@ let log_src = Logs.Src.create "ppnpart.graph" ~doc:"Graph serialization and I/O"
 
 let buf_add = Buffer.add_string
 
+(* The bytes of [string_of_int i], written straight into [b]. Graph
+   integers are never negative; the rare sign takes the slow path. *)
+let rec add_digits b i =
+  if i >= 10 then add_digits b (i / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (i mod 10)))
+
+let add_int b i =
+  if i >= 0 then add_digits b i else buf_add b (string_of_int i)
+
 (* Row-aligned chunked serialization: the feeding side of {!Rows}. Each
-   integer goes into the buffer as its [string_of_int] digits, with no
-   per-edge format string. *)
+   integer goes into the buffer digit by digit, with no per-integer
+   string. *)
 let to_metis_chunks ?(rows_per_chunk = 4096) g emit =
   if rows_per_chunk < 1 then
     invalid_arg "Graph_io.to_metis_chunks: rows_per_chunk < 1";
   let b = Buffer.create 65536 in
-  let add_int i = buf_add b (string_of_int i) in
+  let add_int = add_int b in
   add_int (Wgraph.n_nodes g);
   Buffer.add_char b ' ';
   add_int (Wgraph.n_edges g);
@@ -63,10 +72,12 @@ let ints_of_line line =
 (* ------------------------------------------------------------------ *)
 
 (* [Builder]: the CSR accumulator behind {!Rows}. Rows arrive in node
-   order, each mention is range/self-loop checked on arrival, and the
-   whole-graph checks — duplicates, adjacency and weight symmetry, the
-   declared edge count — run once at [finish] over the sorted adjacency
-   slices: O(m log d) with no per-pair heap cells.
+   order and each mention is range/self-loop checked on arrival. At
+   [finish], unsorted rows are sorted and the whole graph is validated
+   once, by [Wgraph.of_csr]'s O(m) sweep: ascending slices, mirrors,
+   weight symmetry, negative weights. Only when that sweep rejects the
+   graph does [explain] run the O(m log d) diagnostic pass that names
+   the defect; the declared edge count is checked last.
 
    The rows accumulate in growth buffers that double as rows and
    mentions arrive, stopping at the sizes the header declares: memory
@@ -90,6 +101,8 @@ module Builder = struct
     mutable adjwgt : buf;
     mutable m2 : int;  (* directed mentions recorded so far *)
     mutable next_u : int;  (* rows completed *)
+    mutable last_v : int;  (* previous mention of the current row, or -1 *)
+    mutable sorted : bool;  (* every row so far strictly ascending *)
   }
 
   let fail_f fmt = Printf.ksprintf failwith fmt
@@ -128,6 +141,8 @@ module Builder = struct
       adjwgt = buf mentions;
       m2 = 0;
       next_u = 0;
+      last_v = -1;
+      sorted = true;
     }
 
   let rows_done t = t.next_u
@@ -141,7 +156,8 @@ module Builder = struct
       t.vwgt <- grow t.vwgt cap len;
       t.xadj <- grow t.xadj (cap + 1) (len + 1)
     end;
-    t.vwgt.{t.next_u} <- 1
+    t.vwgt.{t.next_u} <- 1;
+    t.last_v <- -1
 
   (* One mention [v] (0-based) of weight [w] in the current row. *)
   let mention t v w =
@@ -150,6 +166,8 @@ module Builder = struct
       fail_f "Graph_io.of_metis: neighbour %d of node %d out of range"
         (v + 1) (u + 1);
     if v = u then fail_f "Graph_io.of_metis: self loop on node %d" (u + 1);
+    if v <= t.last_v then t.sorted <- false;
+    t.last_v <- v;
     if t.m2 >= A.dim t.adjncy then begin
       let cap = grow_cap ~limit:(mention_limit t.m_decl) t.m2 in
       t.adjncy <- grow t.adjncy cap t.m2;
@@ -169,35 +187,19 @@ module Builder = struct
     let a = min u v and b = max u v in
     Printf.sprintf "%d-%d" (a + 1) (b + 1)
 
-  let to_array (a : buf) len = Array.init len (fun i -> A.unsafe_get a i)
-
-  let finish t =
-    let n = t.n in
-    let vwgt = to_array t.vwgt n and xadj = to_array t.xadj (n + 1) in
-    let adjncy = to_array t.adjncy t.m2 and adjwgt = to_array t.adjwgt t.m2 in
-    (* Sort each slice by neighbour id. Rows emitted by [to_metis] (and
-       by every generator in this repo) are already ascending, so the
-       common case is a pure scan. *)
-    for u = 0 to n - 1 do
-      let lo = xadj.(u) and hi = xadj.(u + 1) in
-      let sorted = ref true in
-      for i = lo + 1 to hi - 1 do
-        if adjncy.(i) <= adjncy.(i - 1) then sorted := false
-      done;
-      if not !sorted then begin
-        let len = hi - lo in
-        let pairs = Array.init len (fun i -> (adjncy.(lo + i), adjwgt.(lo + i))) in
-        Array.sort (fun (a, _) (b, _) -> compare (a : int) b) pairs;
-        for i = 0 to len - 1 do
-          let v, w = pairs.(i) in
-          adjncy.(lo + i) <- v;
-          adjwgt.(lo + i) <- w
-        done
-      end
+  (* [len <= A.dim a] at every call. *)
+  let to_array (a : buf) len =
+    let r = Array.make len 0 in
+    for i = 0 to len - 1 do
+      Array.unsafe_set r i (A.unsafe_get a i)
     done;
-    (* Per-pair checks in a deterministic order: duplicates within a
-       row, then both-endpoint presence and weight agreement via binary
-       search in the mirror row. *)
+    r
+
+  (* Error path only, over sorted slices: raises the first defect in a
+     deterministic order — duplicates within a row, then both-endpoint
+     presence and weight agreement via binary search in the mirror row,
+     then negative edge and node weights. Returns if it finds none. *)
+  let explain ~vwgt ~xadj ~adjncy ~adjwgt n =
     for u = 0 to n - 1 do
       for i = xadj.(u) + 1 to xadj.(u + 1) - 1 do
         if adjncy.(i) = adjncy.(i - 1) then
@@ -235,19 +237,38 @@ module Builder = struct
     done;
     (* Weight checks, worded as the [Edge_list.add] / [Wgraph.build]
        constructor messages. *)
-    for i = 0 to t.m2 - 1 do
+    for i = 0 to Array.length adjwgt - 1 do
       if adjwgt.(i) < 0 then
         failwith "Graph_io.of_metis: Edge_list.add: negative weight"
     done;
     for u = 0 to n - 1 do
       if vwgt.(u) < 0 then
         failwith "Graph_io.of_metis: Wgraph.build: negative vwgt"
-    done;
+    done
+
+  let finish t =
+    let n = t.n in
+    let vwgt = to_array t.vwgt n and xadj = to_array t.xadj (n + 1) in
+    let adjncy = to_array t.adjncy t.m2 and adjwgt = to_array t.adjwgt t.m2 in
+    (* Rows emitted by [to_metis] (and by every generator in this repo)
+       arrive ascending, and then nothing is sorted. Keys may repeat in
+       a row: the sort is not stable, but a duplicate's message names
+       only node ids. *)
+    if not t.sorted then
+      for u = 0 to n - 1 do
+        Int_sort.sort_pairs adjncy adjwgt ~lo:xadj.(u)
+          ~len:(xadj.(u + 1) - xadj.(u))
+      done;
+    let g =
+      try Wgraph.of_csr ~vwgt ~n ~xadj ~adjncy ~adjwgt ()
+      with Invalid_argument msg ->
+        explain ~vwgt ~xadj ~adjncy ~adjwgt n;
+        failwith ("Graph_io.of_metis: " ^ msg)
+    in
     if t.m2 / 2 <> t.m_decl then
       fail_f "Graph_io.of_metis: declared %d edges, found %d" t.m_decl
         (t.m2 / 2);
-    failure_only ~reader:"Graph_io.of_metis" @@ fun () ->
-    Wgraph.of_csr ~vwgt ~n ~xadj ~adjncy ~adjwgt ()
+    g
 end
 
 (* [Rows]: a resumable cursor over METIS text fed in arbitrary pieces.
@@ -286,112 +307,137 @@ module Rows = struct
     | Header -> 0
     | Fields b | Done (b, _) -> Builder.rows_done b
 
+  (* The tokenizer: a cursor over [text.[cur.pos .. hi - 1]], with
+     [hi <= String.length text], so every read below [hi] is in
+     bounds. *)
+  type cursor = { mutable pos : int }
+
+  let is_hspace c = c = ' ' || c = '\t' || c = '\r'
+
+  let skip_hspace cur text hi =
+    let p = ref cur.pos in
+    while !p < hi && is_hspace (String.unsafe_get text !p) do
+      incr p
+    done;
+    cur.pos <- !p
+
+  let skip_to_eol cur text hi =
+    let p = ref cur.pos in
+    while !p < hi && String.unsafe_get text !p <> '\n' do
+      incr p
+    done;
+    cur.pos <- !p
+
+  (* Advance to the first token of the next non-blank, non-comment
+     line; false at the end of the range. *)
+  let rec next_line cur text hi =
+    skip_hspace cur text hi;
+    if cur.pos >= hi then false
+    else
+      match String.unsafe_get text cur.pos with
+      | '\n' ->
+        cur.pos <- cur.pos + 1;
+        next_line cur text hi
+      | '%' ->
+        skip_to_eol cur text hi;
+        next_line cur text hi
+      | _ -> true
+
+  (* Between tokens the cursor rests on a non-blank byte: [next_line]
+     and [token_int] both leave it past any horizontal blanks, so the
+     end-of-line test needs no scan. *)
+  let at_eol cur text hi =
+    cur.pos >= hi || String.unsafe_get text cur.pos = '\n'
+
+  (* The token at the cursor as an int, and the cursor moved past it and
+     the blanks after it. The all-decimal hot path accumulates in place;
+     anything else (signs, hex/underscore forms, garbage, > 18 digits)
+     falls back to a substring + [int_of_string]. Callers guarantee
+     [not (at_eol cur text hi)]. *)
+  let token_int cur text hi =
+    let start = cur.pos in
+    let p = ref start and v = ref 0 and plain = ref true in
+    let continue = ref true in
+    while !continue && !p < hi do
+      match String.unsafe_get text !p with
+      | '0' .. '9' as c ->
+        v := (!v * 10) + (Char.code c - Char.code '0');
+        incr p
+      | ' ' | '\t' | '\r' | '\n' -> continue := false
+      | _ ->
+        plain := false;
+        incr p
+    done;
+    let len = !p - start in
+    while !p < hi && is_hspace (String.unsafe_get text !p) do
+      incr p
+    done;
+    cur.pos <- !p;
+    if !plain && len <= 18 then !v
+    else begin
+      let s = String.sub text start len in
+      match int_of_string_opt s with
+      | Some i -> i
+      | None -> failwith ("Graph_io: not an integer: " ^ s)
+    end
+
+  let header t cur text hi =
+    let n = token_int cur text hi in
+    if at_eol cur text hi then failwith "Graph_io.of_metis: bad header";
+    let m_decl = token_int cur text hi in
+    if not (at_eol cur text hi) then begin
+      let fmt = token_int cur text hi in
+      if not (at_eol cur text hi) then failwith "Graph_io.of_metis: bad header";
+      t.has_vsize <- fmt / 100 mod 10 = 1;
+      t.has_vwgt <- fmt / 10 mod 10 = 1;
+      t.has_ewgt <- fmt mod 10 = 1
+    end;
+    let b = Builder.create ~m_decl n in
+    t.phase <- (if n = 0 then Done (b, 0) else Fields b)
+
+  let row t b cur text hi =
+    let u = Builder.rows_done b in
+    Builder.begin_row b;
+    if t.has_vsize then begin
+      if at_eol cur text hi then
+        failwith "Graph_io.of_metis: missing vertex size";
+      ignore (token_int cur text hi)
+    end;
+    if t.has_vwgt then begin
+      if at_eol cur text hi then
+        failwith "Graph_io.of_metis: missing vertex weight";
+      Builder.set_vwgt b (token_int cur text hi)
+    end;
+    if t.has_ewgt then
+      while not (at_eol cur text hi) do
+        let v = token_int cur text hi in
+        if at_eol cur text hi then
+          failwith
+            (Printf.sprintf
+               "Graph_io.of_metis: neighbour of node %d without a weight"
+               (u + 1));
+        Builder.mention b (v - 1) (token_int cur text hi)
+      done
+    else
+      while not (at_eol cur text hi) do
+        Builder.mention b (token_int cur text hi - 1) 1
+      done;
+    Builder.end_row b;
+    if Builder.rows_done b = b.Builder.n then t.phase <- Done (b, 0)
+
   (* Tokenize every complete line in [text.[lo .. hi - 1]], advancing
      the parse state. Blank lines and [%] comment lines are skipped. *)
   let process t text lo hi =
-    let pos = ref lo in
-    let is_hspace c = c = ' ' || c = '\t' || c = '\r' in
-    let skip_hspace () =
-      while !pos < hi && is_hspace text.[!pos] do
-        incr pos
-      done
-    in
-    (* Advance to the first token of the next non-blank, non-comment
-       line; false at the end of the range. *)
-    let rec next_line () =
-      skip_hspace ();
-      if !pos >= hi then false
-      else
-        match text.[!pos] with
-        | '\n' ->
-          incr pos;
-          next_line ()
-        | '%' ->
-          while !pos < hi && text.[!pos] <> '\n' do
-            incr pos
-          done;
-          next_line ()
-        | _ -> true
-    in
-    let at_eol () =
-      skip_hspace ();
-      !pos >= hi || text.[!pos] = '\n'
-    in
-    (* The token at the cursor as an int. The all-decimal hot path
-       accumulates in place; anything else (signs, hex/underscore
-       forms, garbage, > 18 digits) falls back to a substring +
-       [int_of_string]. Callers guarantee [not (at_eol ())]. *)
-    let token_int () =
-      let start = !pos in
-      let v = ref 0 and digits = ref 0 and plain = ref true in
-      while
-        !pos < hi && (not (is_hspace text.[!pos])) && text.[!pos] <> '\n'
-      do
-        let c = text.[!pos] in
-        if c >= '0' && c <= '9' then begin
-          v := (!v * 10) + (Char.code c - Char.code '0');
-          incr digits
-        end
-        else plain := false;
-        incr pos
-      done;
-      if !plain && !digits > 0 && !digits <= 18 then !v
-      else begin
-        let s = String.sub text start (!pos - start) in
-        match int_of_string_opt s with
-        | Some i -> i
-        | None -> failwith ("Graph_io: not an integer: " ^ s)
-      end
-    in
-    while next_line () do
+    let cur = { pos = lo } in
+    while next_line cur text hi do
       match t.phase with
-      | Header ->
-        let n = token_int () in
-        if at_eol () then failwith "Graph_io.of_metis: bad header";
-        let m_decl = token_int () in
-        if not (at_eol ()) then begin
-          let fmt = token_int () in
-          if not (at_eol ()) then failwith "Graph_io.of_metis: bad header";
-          t.has_vsize <- fmt / 100 mod 10 = 1;
-          t.has_vwgt <- fmt / 10 mod 10 = 1;
-          t.has_ewgt <- fmt mod 10 = 1
-        end;
-        let b = Builder.create ~m_decl n in
-        t.phase <- (if n = 0 then Done (b, 0) else Fields b)
-      | Fields b ->
-        let u = Builder.rows_done b in
-        Builder.begin_row b;
-        if t.has_vsize then begin
-          if at_eol () then
-            failwith "Graph_io.of_metis: missing vertex size";
-          ignore (token_int ())
-        end;
-        if t.has_vwgt then begin
-          if at_eol () then
-            failwith "Graph_io.of_metis: missing vertex weight";
-          Builder.set_vwgt b (token_int ())
-        end;
-        while not (at_eol ()) do
-          let v = token_int () in
-          if t.has_ewgt then begin
-            if at_eol () then
-              failwith
-                (Printf.sprintf
-                   "Graph_io.of_metis: neighbour of node %d without a weight"
-                   (u + 1));
-            Builder.mention b (v - 1) (token_int ())
-          end
-          else Builder.mention b (v - 1) 1
-        done;
-        Builder.end_row b;
-        if Builder.rows_done b = b.Builder.n then t.phase <- Done (b, 0)
+      | Header -> header t cur text hi
+      | Fields b -> row t b cur text hi
       | Done (b, extra) ->
         (* Surplus line: count it for the message and skip to its
            end. *)
         t.phase <- Done (b, extra + 1);
-        while !pos < hi && text.[!pos] <> '\n' do
-          incr pos
-        done
+        skip_to_eol cur text hi
     done
 
   let feed t s =

@@ -30,10 +30,22 @@ module Rows : sig
       arbitrary pieces. Complete lines are tokenized as they arrive (an
       incomplete trailing line is carried to the next {!feed}) and each
       adjacency row goes straight into an incremental CSR builder.
-      Per-mention checks (neighbour range, self loops) run on arrival;
-      whole-graph checks (duplicates, symmetry, declared edge count) run
-      once at {!finish}. Memory grows with the rows actually received,
-      never with the counts a header merely declares. *)
+      Memory grows with the rows actually received, never with the
+      counts a header merely declares.
+
+      Checks run in this order, and the first defect found is the one
+      reported:
+      + on arrival, in text order: the header, integer syntax, missing
+        vertex sizes, vertex weights or edge weights, then each
+        mention's range and self loop;
+      + at {!finish}: the node-line count;
+      + then the whole graph, validated once by {!Wgraph.of_csr} after
+        unsorted rows are sorted. If it is rejected, a diagnostic pass
+        names the first defect in the order: duplicates in a row, then
+        an edge listed on one endpoint only or with unequal weights
+        (by ascending node, then neighbour), then negative edge
+        weights, then negative node weights;
+      + last, the declared edge count. *)
 
   type t
 

@@ -20,6 +20,7 @@ module Check = Ppnpart_check.Check
 module Graph_edit_oracle = Ppnpart_test_oracle.Graph_edit_oracle
 module Coarsen_oracle = Ppnpart_test_oracle.Coarsen_oracle
 module Refine_oracle = Ppnpart_test_oracle.Refine_oracle
+module Metis_oracle = Ppnpart_test_oracle.Metis_oracle
 
 let mode =
   if Sys.getenv_opt "PPNPART_FUZZ" = Some "full" then `Full
@@ -923,6 +924,242 @@ let test_graph_edit_splice () =
     true
     (!valid >= batches * 2 / 3)
 
+(* --- METIS reader vs oracle --- *)
+
+(* Maximal runs of non-whitespace in [text], as (start, length). *)
+let token_spans text =
+  let spans = ref [] and start = ref (-1) in
+  String.iteri
+    (fun i c ->
+      let blank = c = ' ' || c = '\t' || c = '\r' || c = '\n' in
+      if blank && !start >= 0 then begin
+        spans := (!start, i - !start) :: !spans;
+        start := -1
+      end
+      else if (not blank) && !start < 0 then start := i)
+    text;
+  if !start >= 0 then
+    spans := (!start, String.length text - !start) :: !spans;
+  Array.of_list (List.rev !spans)
+
+let splice text pos len ins =
+  String.sub text 0 pos ^ ins
+  ^ String.sub text (pos + len) (String.length text - pos - len)
+
+let pick rng a = a.(Random.State.int rng (Array.length a))
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+(* One textual defect (or none, for a row shuffle) applied to [text]:
+   the name of the mutation and the mutated text. *)
+let mutate rng text =
+  let spans = token_spans text in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n_lines = Array.length lines (* header, n rows, "" *) in
+  let join () = String.concat "\n" (Array.to_list lines) in
+  (* A random neighbour/weight pair of a random row, as the row's line,
+     its tokens and the pair's index; [None] for a row without one. *)
+  let row_pair () =
+    let l = 1 + Random.State.int rng (n_lines - 2) in
+    let toks = Array.of_list (String.split_on_char ' ' lines.(l)) in
+    let npairs = (Array.length toks - 1) / 2 in
+    if npairs = 0 then None
+    else Some (l, toks, 1 + (2 * Random.State.int rng npairs))
+  in
+  match Random.State.int rng 13 with
+  | 0 ->
+    let pos, len = pick rng spans in
+    ("delete a token", splice text pos len "")
+  | 1 ->
+    let pos, len = pick rng spans in
+    ( "duplicate a token",
+      splice text (pos + len) 0 (" " ^ String.sub text pos len) )
+  | 2 ->
+    let a = pick rng spans and b = pick rng spans in
+    let (p1, l1), (p2, l2) = if fst a <= fst b then (a, b) else (b, a) in
+    if p1 = p2 then ("swap a token with itself", text)
+    else
+      ( "swap two tokens",
+        String.sub text 0 p1 ^ String.sub text p2 l2
+        ^ String.sub text (p1 + l1) (p2 - p1 - l1)
+        ^ String.sub text p1 l1
+        ^ String.sub text (p2 + l2) (String.length text - p2 - l2) )
+  | 3 ->
+    let pos, len = pick rng spans in
+    let d = Char.chr (Char.code '0' + Random.State.int rng 10) in
+    ( "change a digit",
+      splice text (pos + Random.State.int rng len) 1 (String.make 1 d) )
+  | 4 ->
+    (* The neighbour/weight pairs of one row in a random order: the
+       graph is unchanged, the row merely unsorted. *)
+    let l = 1 + Random.State.int rng (n_lines - 2) in
+    let toks = Array.of_list (String.split_on_char ' ' lines.(l)) in
+    let pairs =
+      Array.init
+        ((Array.length toks - 1) / 2)
+        (fun i -> (toks.(1 + (2 * i)), toks.(2 + (2 * i))))
+    in
+    shuffle rng pairs;
+    lines.(l) <-
+      String.concat " "
+        (toks.(0)
+        :: List.concat_map (fun (v, w) -> [ v; w ]) (Array.to_list pairs));
+    ("shuffle a row", join ())
+  | 5 ->
+    let l = Random.State.int rng n_lines in
+    ( "drop a line",
+      String.concat "\n"
+        (List.filteri (fun i _ -> i <> l) (Array.to_list lines)) )
+  | 6 ->
+    let l = Random.State.int rng n_lines in
+    lines.(l) <- lines.(l) ^ "\n" ^ lines.(l);
+    ("duplicate a line", join ())
+  | 7 ->
+    let l = Random.State.int rng n_lines in
+    lines.(l) <- "% a comment 1 2 3\n" ^ lines.(l);
+    ("insert a comment line", join ())
+  | 8 ->
+    let i = Random.State.int rng (String.length text + 1) in
+    ("insert a carriage return", splice text i 0 "\r")
+  | 9 ->
+    let pos, len = spans.(2) in
+    let fmt =
+      pick rng
+        [| "0"; "1"; "10"; "11"; "100"; "101"; "110"; "111"; "001"; "2";
+           "1011" |]
+    in
+    ("change the fmt code", splice text pos len fmt)
+  | 10 ->
+    let pos, _ = pick rng spans in
+    ("negate a token", splice text pos 0 "-")
+  | 11 -> (
+    match row_pair () with
+    | None -> ("delete a pair from an empty row", text)
+    | Some (l, toks, i) ->
+      lines.(l) <-
+        String.concat " "
+          (List.filteri (fun j _ -> j <> i && j <> i + 1) (Array.to_list toks));
+      ("delete a pair", join ()))
+  | _ -> (
+    match row_pair () with
+    | None -> ("duplicate a pair in an empty row", text)
+    | Some (l, toks, i) ->
+      lines.(l) <- lines.(l) ^ " " ^ toks.(i) ^ " " ^ toks.(i + 1);
+      ("duplicate a pair", join ()))
+
+(* The number of node pairs not listed exactly once from each side with
+   one equal, non-negative weight: the defects whose report order is
+   each reader's own. A plain re-reading, called only on a text both
+   readers tokenized to the end. *)
+let defective_pairs text =
+  let lines =
+    String.split_on_char '\n' text
+    |> List.map (fun l ->
+           String.split_on_char ' ' l
+           |> List.concat_map (String.split_on_char '\t')
+           |> List.concat_map (String.split_on_char '\r')
+           |> List.filter (( <> ) ""))
+    |> List.filter (function [] -> false | t :: _ -> t.[0] <> '%')
+  in
+  match lines with
+  | [] -> 0
+  | header :: rows ->
+    let fmt = match header with [ _; _; f ] -> int_of_string f | _ -> 0 in
+    let skip = (fmt / 100 mod 10) + (fmt / 10 mod 10) in
+    let ewgt = fmt mod 10 = 1 in
+    let seen = Hashtbl.create 64 in
+    let record u v w =
+      let key = (min u v, max u v) in
+      let up, down =
+        Option.value ~default:([], []) (Hashtbl.find_opt seen key)
+      in
+      Hashtbl.replace seen key
+        (if u < v then (w :: up, down) else (up, w :: down))
+    in
+    List.iteri
+      (fun u row ->
+        let rec go = function
+          | [] -> ()
+          | v :: w :: rest when ewgt ->
+            record u (int_of_string v - 1) (int_of_string w);
+            go rest
+          | v :: rest ->
+            record u (int_of_string v - 1) 1;
+            go rest
+        in
+        go (List.filteri (fun i _ -> i >= skip) row))
+      rows;
+    Hashtbl.fold
+      (fun _ pair acc ->
+        match pair with
+        | [ a ], [ b ] when a = b && a >= 0 -> acc
+        | _ -> acc + 1)
+      seen 0
+
+let test_metis_reader_vs_oracle () =
+  let seeds =
+    match mode with `Quick -> 300 | `Default -> 1500 | `Full -> 20000
+  in
+  let accepted = ref 0 and same_msg = ref 0 and multi = ref 0 in
+  for seed = 1 to seeds do
+    let rng = Random.State.make [| 0x3E715; seed |] in
+    let n = 2 + Random.State.int rng 14 in
+    (* n - 1 <= m <= min (2n - 2) (n (n - 1) / 2). *)
+    let m = n - 1 + Random.State.int rng (min n ((n * (n - 1) / 2) - n + 2)) in
+    let g =
+      Ppnpart_workloads.Rand_graph.gnm ~vw_range:(0, 12) ~ew_range:(0, 12)
+        rng ~n ~m
+    in
+    let what, text = mutate rng (Graph_io.to_metis g) in
+    let name = Printf.sprintf "seed %d (%s): %S" seed what text in
+    let run f =
+      match f () with g -> Ok g | exception Failure msg -> Error msg
+    in
+    let whole = run (fun () -> Graph_io.of_metis text) in
+    let pieces =
+      run (fun () ->
+          let r = Graph_io.Rows.create () in
+          let pos = ref 0 and len = String.length text in
+          while !pos < len do
+            let l = min (len - !pos) (1 + Random.State.int rng 12) in
+            Graph_io.Rows.feed r (String.sub text !pos l);
+            pos := !pos + l
+          done;
+          Graph_io.Rows.finish r)
+    in
+    let oracle = run (fun () -> Metis_oracle.of_metis text) in
+    (match (whole, pieces) with
+    | Ok a, Ok b ->
+      check_bool (name ^ ": pieces = whole") true (Wgraph.equal a b)
+    | Error a, Error b ->
+      Alcotest.(check string) (name ^ ": pieces = whole") a b
+    | _ -> Alcotest.failf "%s: pieces and whole disagree on acceptance" name);
+    match (whole, oracle) with
+    | Ok a, Ok b ->
+      incr accepted;
+      check_bool (name ^ ": same graph as the oracle") true (Wgraph.equal a b)
+    | Error a, Error b when a = b -> incr same_msg
+    | Error a, Error b ->
+      (* Several defects: the readers may name different ones. *)
+      if defective_pairs text < 2 then
+        Alcotest.failf "%s: single defect, reader %S, oracle %S" name a b;
+      incr multi
+    | Ok _, Error b -> Alcotest.failf "%s: accepted, oracle raised %S" name b
+    | Error a, Ok _ -> Alcotest.failf "%s: raised %S, oracle accepted" name a
+  done;
+  (* Both outcomes must be well represented, or the stage is vacuous. *)
+  check_bool
+    (Printf.sprintf "accepted %d, same message %d, multi-defect %d of %d"
+       !accepted !same_msg !multi seeds)
+    true
+    (!accepted >= seeds / 10 && !same_msg >= seeds / 3)
+
 (* --- serialization round-trips --- *)
 
 let test_io_round_trips () =
@@ -965,7 +1202,9 @@ let () =
           Alcotest.test_case "resident state vs rebuild" `Quick
             test_resident_vs_rebuild;
           Alcotest.test_case "graph_edit splice vs oracle" `Quick
-            test_graph_edit_splice ] );
+            test_graph_edit_splice;
+          Alcotest.test_case "metis reader vs oracle" `Quick
+            test_metis_reader_vs_oracle ] );
       ( "structure",
         [ Alcotest.test_case "matching validity" `Quick
             test_matching_validity;

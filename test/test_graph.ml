@@ -380,11 +380,13 @@ let test_dot_contains_clusters () =
 
 (* --- Graph_io.Rows: the METIS reader (DESIGN.md §6.9) --- *)
 
-(* Each entry trips a different validation (header, tokenizer,
-   per-mention, end-of-stream). The messages are part of the contract:
-   they are pinned literally, and the batch-parser oracle must produce
-   the same ones. *)
-let malformed_corpus =
+(* Each single-defect entry trips a different validation (header,
+   tokenizer, per-mention, end-of-stream). The messages are part of the
+   contract: they are pinned literally, and the batch-parser oracle must
+   produce the same ones. A multi-defect entry pins which defect the
+   reader reports first. The oracle is not asked about those: it reports
+   whichever defective pair its hash table visits first. *)
+let single_defect_corpus =
   [
     ("empty input", "", "Graph_io.of_metis: empty input");
     ("blank lines only", "% comment\n\n", "Graph_io.of_metis: empty input");
@@ -423,6 +425,31 @@ let malformed_corpus =
     ("body not an integer", "2 1\n2x\n1\n", "Graph_io: not an integer: 2x");
   ]
 
+(* Duplicates are reported before any symmetry defect, symmetry before
+   negative weights, and all of them before the declared edge count. *)
+let multi_defect_corpus =
+  [
+    ( "asymmetric edge, then a duplicate",
+      "3 2 000\n3\n3 3\n2 2\n",
+      "Graph_io.of_metis: duplicate adjacency entry for edge 2-3" );
+    ( "asymmetric edge and a wrong edge count",
+      "3 5 000\n2 3\n1\n2\n",
+      "Graph_io.of_metis: asymmetric adjacency: edge 1-3 is listed on one \
+       endpoint only" );
+    ( "negative edge weight, then an asymmetric weight",
+      "3 2 001\n2 -4 3 5\n1 -4\n1 6\n",
+      "Graph_io.of_metis: asymmetric weight on edge 1-3 (5 vs 6)" );
+    ( "unsorted row with a duplicate",
+      "3 2 001\n3 1 2 4 3 2\n1 4\n1 1\n",
+      "Graph_io.of_metis: duplicate adjacency entry for edge 1-3" );
+  ]
+
+let malformed_corpus =
+  List.map (fun (name, text, msg) -> (name, text, msg, true))
+    single_defect_corpus
+  @ List.map (fun (name, text, msg) -> (name, text, msg, false))
+      multi_defect_corpus
+
 (* [text] fed to a fresh reader in pieces of [piece] bytes. *)
 let feed_pieces ~piece text =
   let r = Graph_io.Rows.create () in
@@ -442,13 +469,13 @@ let failure_of name f =
 
 let test_rows_malformed_parity () =
   List.iter
-    (fun (name, text, expected) ->
+    (fun (name, text, expected, single) ->
       let check how f =
         Alcotest.(check string) (name ^ ", " ^ how) expected (failure_of name f)
       in
       check "of_metis" (fun () -> Graph_io.of_metis text);
       check "byte at a time" (fun () -> feed_pieces ~piece:1 text);
-      check "oracle" (fun () -> Metis_oracle.of_metis text))
+      if single then check "oracle" (fun () -> Metis_oracle.of_metis text))
     malformed_corpus
 
 let test_rows_split_feed () =
@@ -548,6 +575,83 @@ let prop_rows_reader_matches_of_metis =
       let text = Graph_io.to_metis g in
       Wgraph.equal (Metis_oracle.of_metis text) (Graph_io.of_metis text))
 
+(* [text] with the neighbour/weight pairs of every node row (fmt 011,
+   as [to_metis] writes) reversed, or shuffled by [rng]: rows from
+   other tools are often unsorted. *)
+let permute_rows ?rng text =
+  String.split_on_char '\n' text
+  |> List.mapi (fun i line ->
+         match String.split_on_char ' ' line with
+         | vw :: rest when i > 0 ->
+           let rec pairs = function
+             | v :: w :: tl -> (v, w) :: pairs tl
+             | _ -> []
+           in
+           let ps = Array.of_list (List.rev (pairs rest)) in
+           (match rng with
+           | None -> ()
+           | Some r ->
+             for j = Array.length ps - 1 downto 1 do
+               let k = Random.State.int r (j + 1) in
+               let t = ps.(j) in
+               ps.(j) <- ps.(k);
+               ps.(k) <- t
+             done);
+           String.concat " "
+             (vw :: List.concat_map (fun (v, w) -> [ v; w ]) (Array.to_list ps))
+         | _ -> line)
+  |> String.concat "\n"
+
+let prop_unsorted_rows_parse_sorted =
+  QCheck2.Test.make ~name:"reversed or shuffled rows = sorted rows" ~count:100
+    QCheck2.Gen.(pair (arbitrary_edges 9 9) int)
+    (fun (edges, seed) ->
+      let el = Edge_list.create 9 in
+      List.iter (fun (u, v, w) -> Edge_list.add el u v (w + 1)) edges;
+      let g = Wgraph.build el in
+      let text = Graph_io.to_metis g in
+      Wgraph.equal g (Graph_io.of_metis (permute_rows text))
+      && Wgraph.equal g
+           (Graph_io.of_metis
+              (permute_rows ~rng:(Random.State.make [| seed |]) text)))
+
+(* One [string_of_int] per integer: the byte-for-byte reference for
+   [to_metis]'s digit writer. *)
+let reference_to_metis g =
+  let b = Buffer.create 256 in
+  let add_int i = Buffer.add_string b (string_of_int i) in
+  add_int (Wgraph.n_nodes g);
+  Buffer.add_char b ' ';
+  add_int (Wgraph.n_edges g);
+  Buffer.add_string b " 011\n";
+  for u = 0 to Wgraph.n_nodes g - 1 do
+    add_int (Wgraph.node_weight g u);
+    Wgraph.iter_neighbors g u (fun v w ->
+        Buffer.add_char b ' ';
+        add_int (v + 1);
+        Buffer.add_char b ' ';
+        add_int w);
+    Buffer.add_char b '\n'
+  done;
+  Buffer.contents b
+
+let prop_to_metis_matches_reference =
+  QCheck2.Test.make ~name:"to_metis = string_of_int renderer" ~count:200
+    QCheck2.Gen.(
+      pair
+        (list_size (int_bound 40)
+           (triple (int_bound 11) (int_bound 11)
+              (oneof [ int_bound 12; int_bound (max_int / 64) ])))
+        (array_size (return 12) (oneof [ int_bound 12; int_bound max_int ])))
+    (fun (edges, vwgt) ->
+      let el = Edge_list.create 12 in
+      List.iter (fun (u, v, w) -> Edge_list.add el u v w) edges;
+      let g = Wgraph.build ~vwgt el in
+      let b = Buffer.create 256 in
+      Graph_io.to_metis_chunks ~rows_per_chunk:5 g (Buffer.add_string b);
+      let expected = reference_to_metis g in
+      Graph_io.to_metis g = expected && Buffer.contents b = expected)
+
 let prop_rows_split_matches_whole =
   QCheck2.Test.make ~name:"random piece split = whole feed" ~count:100
     QCheck2.Gen.(pair (arbitrary_edges 8 9) (list (int_range 1 40)))
@@ -632,6 +736,8 @@ let qcheck_cases =
       prop_metis_roundtrip;
       prop_rows_reader_matches_of_metis;
       prop_rows_split_matches_whole;
+      prop_unsorted_rows_parse_sorted;
+      prop_to_metis_matches_reference;
       prop_relabel_preserves_structure;
     ]
 
