@@ -11,6 +11,7 @@ open Ppnpart_partition
 module PG = Ppnpart_workloads.Paper_graphs
 module Gp = Ppnpart_core.Gp
 module Config = Ppnpart_core.Config
+module Pool = Ppnpart_exec.Pool
 module Report = Ppnpart_core.Report
 module Run_report = Ppnpart_core.Run_report
 module Metis_like = Ppnpart_baselines.Metis_like
@@ -450,7 +451,7 @@ let scaling () =
 
 (* Per-instance results plus the two headline micro-benchmarks (bucket
    FM vs the seed's quadratic move selection, and speculative V-cycles
-   at jobs=1 vs jobs=4), written as JSON next to the human tables so
+   at pool width 1 vs 4), written as JSON next to the human tables so
    future PRs can track the perf trajectory. *)
 
 let time f =
@@ -656,12 +657,12 @@ let serial_refine_bench ?(reps = 3) ~n ~k () =
 
 (* The consolidated deterministic run report must be byte-identical
    when only the execution width changes. Runs the full GP pipeline
-   twice — jobs 1 vs 4 — and byte-compares the [~deterministic]
+   twice — pool width 1 vs 4 — and byte-compares the [~deterministic]
    reports. *)
 let report_determinism_row ~n ~k () =
   let rng = Random.State.make [| n; k; 0x5253 |] in
   let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
-  let run jobs = Gp.partition ~config:{ Config.default with Config.jobs } g c in
+  let run width = Pool.with_width width (fun () -> Gp.partition g c) in
   let r1 = run 1 and r4 = run 4 in
   let report r =
     Run_report.of_result ~deterministic:true ~algo:"gp" g c r
@@ -743,14 +744,14 @@ let vcycle_instance ~layers ~width =
   in
   (g, c)
 
-(* Interleave the jobs = 1 and jobs = 4 reps (1,4,1,4,...) so machine
+(* Interleave the width-1 and width-4 reps (1,4,1,4,...) so machine
    noise and heap drift hit both sides alike, and keep the minimum of
-   each: measuring all jobs = 1 runs first skewed the ratio by whole
+   each: measuring all width-1 runs first skewed the ratio by whole
    percents either way on a loaded host. *)
 let vcycle_pair ~reps ~max_cycles g c =
-  let run jobs =
-    let config = { Config.default with Config.max_cycles; jobs } in
-    Gp.partition ~config g c
+  let run width =
+    let config = { Config.default with Config.max_cycles } in
+    Pool.with_width width (fun () -> Gp.partition ~config g c)
   in
   let r1 = ref (run 1) and r4 = ref (run 4) (* warm-up *) in
   let t1 = ref infinity and t4 = ref infinity in
@@ -770,12 +771,14 @@ let vcycle_bench () =
      (600 nodes) speculative waves used to *cost* 3x (a recorded
      jobs4_speedup of 0.34): domain spawns plus discarded speculation
      outweighed the tiny cycles. That size is now gated to the
-     sequential schedule. Above the gate (4800 nodes) the wave width is
-     additionally capped by the hardware, so on this single-core host
-     both job counts execute the identical sequential schedule and the
-     true ratio is 1 by construction; the speedup is printed with one
-     decimal because run-to-run noise (a few percent) makes a second
-     decimal false precision either way. *)
+     sequential schedule. Above the gate (4800 nodes) the pool width is
+     capped by the hardware ([Pool.with_width 4] runs on
+     [min 4 (Domain.recommended_domain_count ())] domains), so the
+     "jobs4" side measures the host's full width: on a single-core host
+     both sides execute the identical sequential schedule and the ratio
+     is 1 by construction. The speedup is printed with one decimal
+     because run-to-run noise (a few percent) makes a second decimal
+     false precision either way. *)
   let g_small, c_small = vcycle_instance ~layers:40 ~width:15 in
   let r1s, t1s, r4s, t4s = vcycle_pair ~reps:4 ~max_cycles:20 g_small c_small in
   let g_large, c_large = vcycle_instance ~layers:80 ~width:60 in
@@ -894,14 +897,14 @@ let mode_instance ~n_target =
   in
   (g, c)
 
-let run_mode ?(jobs = Config.default.Config.jobs) mode g c =
-  Gp.partition ~config:{ Config.default with Config.mode; jobs } g c
+let run_mode mode g c =
+  Gp.partition ~config:{ Config.default with Config.mode } g c
 
 (* Stream and hybrid against the full V-cycle on the same instance.
    Multilevel is timed once — it is the 10x+ slower side and the smoke
    gate leaves that much margin — while stream and hybrid take the min
-   over [reps] compacted runs. A jobs=4 stream run is compared
-   bit-for-bit against jobs=1: the streaming path never touches the
+   over [reps] compacted runs. A width-4 stream run is compared
+   bit-for-bit against width 1: the streaming path never touches the
    domain pool, so any divergence is a determinism regression. *)
 let mode_bench ~n_target ~reps =
   let g, c = mode_instance ~n_target in
@@ -910,7 +913,7 @@ let mode_bench ~n_target ~reps =
   let st, stream_s =
     compacted_min ~reps (fun () -> run_mode Config.Stream g c)
   in
-  let st4 = run_mode ~jobs:4 Config.Stream g c in
+  let st4 = Pool.with_width 4 (fun () -> run_mode Config.Stream g c) in
   let hy, hybrid_s =
     compacted_min ~reps (fun () -> run_mode Config.Hybrid g c)
   in
@@ -1059,7 +1062,7 @@ let ingest_bench ~scale ~reps =
    runs only the boundary refiner, and must be (a) much faster than the
    full pipeline on the edited graph, (b) no less feasible, (c) never
    worse than the labelling it seeded from, and (d) bit-identical
-   across --jobs 1/4. All four are recorded as machine-checkable
+   at pool width 1 and 4. All four are recorded as machine-checkable
    fields. *)
 let repartition_bench ~n ~k ~edit_pct ~reps () =
   let rng = Random.State.make [| 0x7270; n; k |] in
@@ -1136,15 +1139,11 @@ let repartition_bench ~n ~k ~edit_pct ~reps () =
     compacted_min ~reps (fun () -> Graph_edit.apply g ops)
   in
   let ws = Workspace.create () in
-  let run_incremental ~jobs () =
-    Gp.repartition
-      ~config:{ Config.default with Config.jobs }
-      ~workspace:ws ~prev g c ops
-  in
-  ignore (run_incremental ~jobs:1 ());
+  let run_incremental () = Gp.repartition ~workspace:ws ~prev g c ops in
+  ignore (run_incremental ());
   (* warm workspace *)
-  let rp, incr_s = compacted_min ~reps (fun () -> run_incremental ~jobs:1 ()) in
-  let rp4 = run_incremental ~jobs:4 () in
+  let rp, incr_s = compacted_min ~reps run_incremental in
+  let rp4 = Pool.with_width 4 run_incremental in
   let scratch, scratch_s = compacted_min ~reps (fun () -> Gp.partition g' c) in
   let gd = rp.Gp.rp_result.Gp.goodness in
   let never_worse =
@@ -1300,7 +1299,7 @@ let bench_json () =
           (Wgraph.n_edges e.PG.graph)
           e.PG.constraints.Types.k r.Gp.report.Metrics.total_cut
           r.Gp.feasible r.Gp.runtime_s r.Gp.cycles_used r.Gp.levels
-          Config.default.Config.jobs (p "coarsen.level")
+          (Pool.width ()) (p "coarsen.level")
           (p "initial.greedy")
           (p "refine.constrained" +. p "refine.tabu"
           +. p "refine.state_init")
@@ -1384,13 +1383,13 @@ let smoke () =
       (Printf.sprintf
          "smoke: boundary refine slower than legacy (%.4fs > %.4fs)"
          boundary_s legacy_s);
-  (* Jobs-determinism of the consolidated report: the deterministic
-     report must be byte-identical between jobs 1 and 4. *)
+  (* Width-determinism of the consolidated report: the deterministic
+     report must be byte-identical between pool widths 1 and 4. *)
   let report_row, report_identical = report_determinism_row ~n:2_000 ~k:8 () in
   Printf.printf "  report_2k: %s\n%!" report_row;
   if not report_identical then
     failwith
-      "smoke: deterministic run report differs between jobs 1 and jobs 4";
+      "smoke: deterministic run report differs between widths 1 and 4";
   let coarsen_row = coarsen_bench ~n:4_000 ~m:16_000 in
   Printf.printf "  coarsen_4k: %s\n%!" coarsen_row;
   let obs_row = obs_overhead ~reps:2 () in
@@ -1586,11 +1585,13 @@ let () =
       ("all", all);
     ]
   in
+  (* Every row runs at pool width 1 unless it pins another: a row
+     measures one fixed schedule whatever the host's core count. *)
   match Array.to_list Sys.argv with
-  | [ _ ] -> all ()
+  | [ _ ] -> Pool.with_width 1 all
   | [ _; name ] -> (
     match List.assoc_opt name sections with
-    | Some f -> f ()
+    | Some f -> Pool.with_width 1 f
     | None ->
       Printf.eprintf "unknown section %S; available: %s\n" name
         (String.concat " " (List.map fst sections));

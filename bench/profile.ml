@@ -54,8 +54,7 @@ let profile_repart () =
   let rng_r = Random.State.make [| Config.default.Config.seed; 0x6770; 0x7270 |] in
   let st = time "Part_state.init" (fun () -> Part_state.init ~workspace:ws g' c labels) in
   time "Refine_constrained" (fun () ->
-      Refine_constrained.refine_state
-        ~max_passes:Config.default.Config.refine_passes rng_r st);
+      Refine_constrained.refine_state rng_r st);
   let part = time "snapshot" (fun () -> Part_state.snapshot st) in
   ignore (time "goodness (refined)" (fun () -> Metrics.goodness g' c part));
   ignore (time "Metrics.quality" (fun () -> Metrics.quality g' c part));
@@ -96,7 +95,9 @@ let profile_coarsen () =
   ignore (time "contract fast" (fun () -> Coarsen.contract ~workspace:ws g he));
   ignore (time "contract oracle" (fun () -> Coarsen_oracle.contract g he))
 
+(* Sequential, like the bench rows, so the stage costs add up. *)
 let () =
+  Ppnpart_exec.Pool.with_width 1 @@ fun () ->
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "repart" then
     profile_repart ()
   else profile_coarsen ()

@@ -85,15 +85,6 @@ let paper_arg =
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains for the speculative parallel search (GP only). 0 means \
-           auto: $(b,PPNPART_JOBS) or the recommended domain count. The \
-           partition found is identical for every job count.")
-
 let k_arg =
   Arg.(
     value & opt int 4
@@ -141,8 +132,9 @@ let mode_arg =
            partitioner, O(edges) time and O(n + k + k^2) state, for \
            graphs that dwarf the multilevel path), or $(b,hybrid) \
            (streaming seed polished by the constrained boundary refiner, \
-           no coarsening). Stream and hybrid are bit-identical across \
-           $(b,--jobs).")
+           no coarsening). Multilevel runs its speculative search on as \
+           many domains as the process has CPUs; every mode finds the same \
+           partition on any number of CPUs.")
 
 let stream_iterations_arg =
   Arg.(
@@ -177,8 +169,8 @@ let trace_out_arg =
         ~doc:
           "Profile the run and write a Chrome trace-event JSON file to \
            $(docv); open it at $(b,https://ui.perfetto.dev) or in \
-           $(b,chrome://tracing). The trace is identical for every \
-           $(b,--jobs) value.")
+           $(b,chrome://tracing). The trace is identical on any number \
+           of CPUs.")
 
 let trace_jsonl_arg =
   Arg.(
@@ -198,7 +190,7 @@ let metrics_out_arg =
           "Collect run metrics (counters, gauges, per-phase latency and \
            GC/allocation histograms) and write them in OpenMetrics/\
            Prometheus text format to $(docv). Metric values are identical \
-           for every $(b,--jobs) value.")
+           on any number of CPUs.")
 
 let report_json_arg =
   Arg.(
@@ -220,9 +212,8 @@ let det_report_arg =
            timed on the logical event clock and every field whose value \
            depends on the schedule or heap history (wall seconds, \
            collection counts, promoted/major words, heap sizes) is \
-           dropped, so the report is byte-identical for every \
-           $(b,--jobs) value. Traces written alongside use the logical \
-           clock too.")
+           dropped, so the report is byte-identical on any number of \
+           CPUs. Traces written alongside use the logical clock too.")
 
 (* Output files land wherever the user pointed the flag; create missing
    parent directories, and turn the remaining failures (permissions,
@@ -290,7 +281,7 @@ let resolve_input input paper seed =
 (* --- partition command --- *)
 
 let partition_cmd =
-  let run () input paper seed jobs k bmax rmax algo mode stream_iterations
+  let run () input paper seed k bmax rmax algo mode stream_iterations
       dot save trace_out trace_jsonl metrics_out report_json det_report stats
       check =
     match resolve_input input paper seed with
@@ -322,7 +313,7 @@ let partition_cmd =
         match algo with
         | `Gp ->
           let config =
-            { Ppnpart_core.Config.default with seed; jobs; mode;
+            { Ppnpart_core.Config.default with seed; mode;
               stream_iterations;
               debug_checks = Ppnpart_core.Config.default.debug_checks || check
             }
@@ -440,7 +431,7 @@ let partition_cmd =
   let term =
     Term.(
       const run $ setup_logs_term $ input_arg $ paper_arg $ seed_arg
-      $ jobs_arg $ k_arg $ bmax_arg $ rmax_arg $ algo_arg $ mode_arg
+      $ k_arg $ bmax_arg $ rmax_arg $ algo_arg $ mode_arg
       $ stream_iterations_arg $ dot_arg $ save_arg $ trace_out_arg
       $ trace_jsonl_arg $ metrics_out_arg $ report_json_arg
       $ det_report_arg $ stats_arg $ check_arg)

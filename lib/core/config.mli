@@ -17,8 +17,10 @@
       {!Ppnpart_partition.Refine_constrained} active-set refiner
       directly, skipping coarsening and the V-cycle entirely.
 
-    Stream and hybrid runs never touch the domain pool, so they are
-    bit-identical across [jobs] by construction. *)
+    Stream and hybrid runs never touch the domain pool. The multilevel
+    path races its V-cycles, initial restarts and matching strategies on
+    {!Ppnpart_exec.Pool}, which picks its own width; every mode is
+    bit-identical at every width. *)
 type mode = Multilevel | Stream | Hybrid
 
 val mode_name : mode -> string
@@ -28,7 +30,6 @@ type t = {
   coarsen_target : int;  (** stop coarsening at this many nodes (paper: 100) *)
   n_initial_seeds : int;  (** greedy-growth restarts (paper: 10) *)
   max_cycles : int;  (** V-cycle retries before giving up (default 20) *)
-  refine_passes : int;  (** cap on constrained-FM sweeps per level *)
   strategies : Ppnpart_partition.Matching.strategy list;
       (** matching heuristics raced at each coarsening level *)
   tabu_iterations : int;
@@ -37,13 +38,6 @@ type t = {
           descent's finest partition is polished with that many
           tabu-search moves. Default 0 = faithful paper behaviour. *)
   seed : int;  (** PRNG seed; equal seeds give identical runs *)
-  jobs : int;
-      (** domain-pool width for the speculative parallel search: V-cycle
-          candidates, initial-partitioning restarts and matching
-          strategies run concurrently on up to this many domains. [0]
-          means auto ([PPNPART_JOBS] or
-          [Domain.recommended_domain_count ()]). The partition returned
-          is identical for every job count (default 1). *)
   debug_checks : bool;
       (** when true, [Gp.partition] installs the [Ppnpart_check]
           validators for the duration of the run: every phase boundary

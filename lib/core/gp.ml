@@ -1,7 +1,6 @@
 open Ppnpart_graph
 open Ppnpart_partition
 module Pool = Ppnpart_exec.Pool
-module Domains = Ppnpart_exec.Domains
 
 type result = {
   part : int array;
@@ -25,7 +24,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    resource-bounded growth (Section IV.B) and — the "partitioning phase
    (randomly)" of the cyclic scheme (Section IV.C) — a uniformly random
    assignment; the refined candidate of better goodness descends. *)
-let descend (cfg : Config.t) ?workspace ~jobs rng hierarchy c =
+let descend (cfg : Config.t) ?workspace rng hierarchy c =
   Ppnpart_obs.Span.phase
     ~args:(fun () ->
       let coarsest = Coarsen.coarsest hierarchy in
@@ -40,14 +39,13 @@ let descend (cfg : Config.t) ?workspace ~jobs rng hierarchy c =
   in
   let coarsest = Coarsen.coarsest hierarchy in
   let refine_initial initial =
-    Refine_constrained.refine ~workspace:ws
-      ~max_passes:cfg.Config.refine_passes rng coarsest c initial
+    Refine_constrained.refine ~workspace:ws rng coarsest c initial
   in
   let greedy =
     Ppnpart_obs.Span.with_ "gp.seed.greedy" (fun () ->
         refine_initial
           (Initial.greedy_resource_growth ~n_seeds:cfg.Config.n_initial_seeds
-             ~jobs rng coarsest c))
+             rng coarsest c))
   in
   let random =
     Ppnpart_obs.Span.with_ "gp.seed.random" (fun () ->
@@ -89,8 +87,7 @@ let descend (cfg : Config.t) ?workspace ~jobs rng hierarchy c =
           Ppnpart_check.Check.part_state ~site:"gp.uncoarsen.project"
             fine_st
         end;
-        Refine_constrained.refine_state ~max_passes:cfg.Config.refine_passes
-          rng fine_st;
+        Refine_constrained.refine_state rng fine_st;
         if checking then
           Ppnpart_check.Check.partition ~site:"gp.uncoarsen.refined"
             (Coarsen.graph_at hierarchy level)
@@ -114,9 +111,9 @@ let descend (cfg : Config.t) ?workspace ~jobs rng hierarchy c =
    a private stream derived from [(seed, cycle_index)] and re-coarsens
    from the base hierarchy, so cycle [i] is a pure function of the input
    and [i]: candidates can be evaluated concurrently in any order and the
-   outcome is independent of the domain count. Inner phases run with
-   [jobs = 1] — the parallelism budget is already spent on the cycles
-   themselves. *)
+   outcome is independent of the domain count. A cycle runs as a pool
+   task, so its inner phases see a pool width of 1 — the parallelism
+   budget is already spent on the cycles themselves. *)
 let run_cycle (cfg : Config.t) ?workspace g (c : Types.constraints)
     base_hierarchy i =
   Ppnpart_obs.Span.phase_result
@@ -129,7 +126,7 @@ let run_cycle (cfg : Config.t) ?workspace g (c : Types.constraints)
   @@ fun () ->
   (* Counted here, in the cycle's own buffer, so discarded speculative
      cycles are not counted and the parent buffer stays free of
-     wave-shaped (jobs-dependent) events. *)
+     wave-shaped (width-dependent) events. *)
   Ppnpart_obs.Counters.incr "gp.cycles";
   let rng = Random.State.make [| cfg.Config.seed; 0x6770; i |] in
   let levels = Coarsen.levels base_hierarchy in
@@ -148,10 +145,10 @@ let run_cycle (cfg : Config.t) ?workspace g (c : Types.constraints)
       + Random.State.int rng (cfg.Config.coarsen_target - deep_target + 1)
   in
   let h =
-    Coarsen.extend ?workspace ~target ~strategies:cfg.Config.strategies
-      ~jobs:1 rng base_hierarchy ~from_level
+    Coarsen.extend ?workspace ~target ~strategies:cfg.Config.strategies rng
+      base_hierarchy ~from_level
   in
-  let part = descend cfg ?workspace ~jobs:1 rng h c in
+  let part = descend cfg ?workspace rng h c in
   (part, Metrics.goodness g c part, from_level)
 
 (* With at least as many parts as nodes, one node per part is *not*
@@ -167,11 +164,11 @@ let exhaustive_limit = 10
 (* Speculative V-cycle waves pay a fixed price: a fresh domain spawn per
    worker per wave, plus the cycles past the stopping point whose work is
    discarded. On small graphs one whole cycle costs less than that
-   overhead, so [--jobs 4] used to run *slower* than sequential; below
+   overhead, so 4-wide waves used to run *slower* than sequential; below
    this many nodes the waves run one cycle at a time instead (mirroring
    [Matching.parallel_node_threshold] for the strategy races).
    Determinism is unaffected — the wave fold already reproduces the
-   sequential schedule exactly at every job count. *)
+   sequential schedule exactly at every width. *)
 let parallel_cycle_threshold = 4096
 
 (* Constraint slack can be tight enough that the feasible set is a
@@ -183,7 +180,30 @@ let parallel_cycle_threshold = 4096
    would otherwise be "infeasible", so every instance GP already solves
    is returned bit-for-bit unchanged. *)
 let tabu_rescue_limit = 512
-let tabu_rescue_iterations n = 100 + (20 * n)
+
+(* The rescue, shared by every path that can end infeasible: on a
+   small infeasible [!best], polish it with tabu search and keep the
+   result only if it compares better, recording its goodness in
+   [history]. [workspace] is forced only when the polish runs. Returns
+   whether it replaced [!best]. *)
+let tabu_rescue ~site ~workspace g c ~best ~best_goodness ~history =
+  let n = Wgraph.n_nodes g in
+  !best_goodness.Metrics.violation > 0
+  && n <= tabu_rescue_limit
+  &&
+  let rescued, gd =
+    Refine_tabu.refine ~iterations:(100 + (20 * n))
+      ~workspace:(Lazy.force workspace) g c !best
+  in
+  Metrics.compare_goodness gd !best_goodness < 0
+  && begin
+    if Ppnpart_check.Check.enabled () then
+      Ppnpart_check.Check.partition ~site g c rescued;
+    best := rescued;
+    best_goodness := gd;
+    history := gd :: !history;
+    true
+  end
 
 let exhaustive_best g (c : Types.constraints) =
   let n = Wgraph.n_nodes g in
@@ -214,8 +234,8 @@ let exhaustive_best g (c : Types.constraints) =
 
 let run_partition ~(config : Config.t) g (c : Types.constraints) =
   Config.validate config;
-  (* No jobs-dependent attribute may appear here: the exported trace is
-     documented to be identical for every job count. *)
+  (* No width-dependent attribute may appear here: the exported trace is
+     documented to be identical at every pool width. *)
   Ppnpart_obs.Span.phase_result
     ~args:(fun () ->
       [ ("nodes", Ppnpart_obs.Obs.Int (Wgraph.n_nodes g));
@@ -230,7 +250,6 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
     "gp.partition"
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let jobs = Pool.resolve config.Config.jobs in
   let rng = Random.State.make [| config.Config.seed; 0x6770 |] in
   let n = Wgraph.n_nodes g in
   let finish ?(history = []) part cycles levels =
@@ -288,9 +307,8 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
            refiner only ever commits strict improvements, so the result
            is never worse than the streaming seed; its goodness is kept
            as the single [history] entry so callers can see what
-           refinement bought. Pool-free and sequential, so the hybrid
-           stays bit-identical across [--jobs] like the stream
-           itself. *)
+           refinement bought. Pool-free and sequential, like the
+           stream itself. *)
         let checking = Ppnpart_check.Check.enabled () in
         let ws = Workspace.create () in
         let seed_part, _stats =
@@ -301,8 +319,7 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
           Ppnpart_check.Check.partition ~site:"gp.stream" g c seed_part;
         let seed_goodness = Metrics.goodness g c seed_part in
         let st = Part_state.init ~workspace:ws g c seed_part in
-        Refine_constrained.refine_state ~max_passes:config.Config.refine_passes
-          rng st;
+        Refine_constrained.refine_state rng st;
         if checking then begin
           Ppnpart_check.Check.part_state ~site:"gp.hybrid.refined" st;
           Ppnpart_check.Check.partition ~site:"gp.hybrid.refined" g c
@@ -314,66 +331,49 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
         (* Same feasibility rescue as the multilevel path: single-move FM
            from a streaming seed can be stuck one basin away from the
            feasible set on small tight instances. *)
-        if !best_goodness.Metrics.violation > 0 && n <= tabu_rescue_limit
-        then begin
-          let rescued, gd =
-            Refine_tabu.refine ~iterations:(tabu_rescue_iterations n)
-              ~workspace:ws g c !best_part
-          in
-          if Metrics.compare_goodness gd !best_goodness < 0 then begin
-            if checking then
-              Ppnpart_check.Check.partition ~site:"gp.hybrid.rescue" g c
-                rescued;
-            best_part := rescued;
-            best_goodness := gd;
-            history := gd :: !history
-          end
-        end;
+        ignore
+          (tabu_rescue ~site:"gp.hybrid.rescue" ~workspace:(Lazy.from_val ws)
+             g c ~best:best_part ~best_goodness ~history);
         finish ~history:!history !best_part 0 0
     | Config.Multilevel -> begin
-    (* Speculative width is additionally capped by the hardware: wave
-       cycles beyond the domains that can actually run them buy nothing
-       and keep [wave] whole hierarchies live at once — on a single-core
-       host that heap pressure made a requested [--jobs 4] measurably
-       slower than sequential even after {!Pool} stopped spawning the
-       extra domains. The fold already reproduces the sequential
-       schedule, so the wave width never changes results. *)
-    let cycle_jobs =
-      if n >= parallel_cycle_threshold then min jobs (Domains.recommended ())
-      else 1
+    (* A wave is as wide as the pool, which never exceeds the hardware:
+       wave cycles beyond the domains that can run them would buy nothing
+       and keep whole hierarchies live at once. The fold reproduces the
+       sequential schedule, so the wave width never changes results. *)
+    let wave_width =
+      if n >= parallel_cycle_threshold then Pool.width () else 1
     in
     (* One workspace per concurrent cycle slot. Waves are joined before
        the next wave starts, so slot [w] is only ever touched by one
        domain at a time; slot 0 doubles as the scratch for the initial
        build (sequential at that point). *)
     let workspaces =
-      Array.init (max cycle_jobs 1) (fun _ -> Workspace.create ())
+      Array.init wave_width (fun _ -> Workspace.create ())
     in
     let hierarchy =
       Coarsen.build ~workspace:workspaces.(0)
         ~target:config.Config.coarsen_target
-        ~strategies:config.Config.strategies ~jobs rng g
+        ~strategies:config.Config.strategies rng g
     in
     let best_part =
-      ref
-        (descend config ~workspace:workspaces.(0) ~jobs rng hierarchy c)
+      ref (descend config ~workspace:workspaces.(0) rng hierarchy c)
     in
     let best_goodness = ref (Metrics.goodness g c !best_part) in
     let history = ref [ !best_goodness ] in
     let cycles = ref 0 in
     (* Partial V-cycles until feasible or the iteration budget runs out.
-       Cycles are evaluated speculatively in waves of [jobs]; results are
-       folded in cycle order and the fold stops at the first cycle that
-       leaves the best candidate feasible, so any work past that point is
-       discarded and the outcome matches the sequential schedule
-       exactly. *)
+       Cycles are evaluated speculatively in waves of [wave_width];
+       results are folded in cycle order and the fold stops at the first
+       cycle that leaves the best candidate feasible, so any work past
+       that point is discarded and the outcome matches the sequential
+       schedule exactly. *)
     let stop = ref (!best_goodness.Metrics.violation = 0) in
     let next = ref 1 in
     while (not !stop) && !next <= config.Config.max_cycles do
-      let wave = min cycle_jobs (config.Config.max_cycles - !next + 1) in
+      let wave = min wave_width (config.Config.max_cycles - !next + 1) in
       let first = !next in
       let results, deferred =
-        Pool.run_deferred ~jobs:cycle_jobs
+        Pool.run_deferred
           (Array.init wave (fun w () ->
                run_cycle config ~workspace:workspaces.(w) g c hierarchy
                  (first + w)))
@@ -397,21 +397,14 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
         results;
       (* Cycles past the stopping point never ran in the sequential
          schedule; dropping their trace buffers keeps the merged trace
-         identical for every job count. *)
+         identical at every width. *)
       Ppnpart_obs.Obs.commit ~keep:!consumed deferred;
       next := first + wave
     done;
-    if !best_goodness.Metrics.violation > 0 && n <= tabu_rescue_limit then begin
-      let rescued, gd =
-        Refine_tabu.refine ~iterations:(tabu_rescue_iterations n)
-          ~workspace:workspaces.(0) g c !best_part
-      in
-      if Metrics.compare_goodness gd !best_goodness < 0 then begin
-        best_part := rescued;
-        best_goodness := gd;
-        history := gd :: !history
-      end
-    end;
+    ignore
+      (tabu_rescue ~site:"gp.multilevel.rescue"
+         ~workspace:(Lazy.from_val workspaces.(0)) g c ~best:best_part
+         ~best_goodness ~history);
     finish ~history:!history !best_part !cycles (Coarsen.levels hierarchy)
   end
 
@@ -450,7 +443,7 @@ let partition_metis ?config text c =
    so the incremental path is never worse than from-scratch on
    feasibility. Every incremental step is sequential and rng-free
    given [config.seed]; the fallback is [run_partition], itself
-   bit-identical across [--jobs] — hence so is [repartition]. *)
+   bit-identical at every pool width — hence so is [repartition]. *)
 
 type repartition = {
   rp_result : result;
@@ -601,31 +594,17 @@ let run_repartition ~(config : Config.t) ?workspace ?resident ~prev g c ops =
        each; the one O(m) pass below is the answer's certificate. *)
     let seed_goodness = Part_state.goodness st in
     let rng = Random.State.make [| config.Config.seed; 0x6770; 0x7270 |] in
-    Refine_constrained.refine_state ~max_passes:config.Config.refine_passes
-      rng st;
+    Refine_constrained.refine_state rng st;
     if checking then
       Ppnpart_check.Check.partition ~site:"gp.repartition.refined" g' c
         st.Part_state.part;
     let best_part = ref (Part_state.snapshot st) in
     let best_goodness = ref (Part_state.goodness st) in
-    let from_state = ref true in
     let history = ref [ seed_goodness ] in
-    if !best_goodness.Metrics.violation > 0 && n' <= tabu_rescue_limit
-    then begin
-      let rescued, gd =
-        Refine_tabu.refine ~iterations:(tabu_rescue_iterations n')
-          ~workspace:(Lazy.force side_ws) g' c !best_part
-      in
-      if Metrics.compare_goodness gd !best_goodness < 0 then begin
-        if checking then
-          Ppnpart_check.Check.partition ~site:"gp.repartition.rescue" g' c
-            rescued;
-        best_part := rescued;
-        best_goodness := gd;
-        from_state := false;
-        history := gd :: !history
-      end
-    end;
+    let rescued =
+      tabu_rescue ~site:"gp.repartition.rescue" ~workspace:side_ws g' c
+        ~best:best_part ~best_goodness ~history
+    in
     (* Feasibility agreement with the from-scratch oracle: whenever the
        incremental path ends infeasible, the full pipeline gets its say,
        and the better of the two answers — so an instance the pipeline
@@ -652,7 +631,7 @@ let run_repartition ~(config : Config.t) ?workspace ?resident ~prev g c ops =
               !best_goodness);
         drop "certificate"
       end
-      else if not !from_state then drop "fallback"
+      else if rescued then drop "fallback"
       else
         Option.iter
           (fun r ->

@@ -13,12 +13,13 @@
     infeasible is reported as such ("either impossible or the tool needs
     more iterations", Section IV.C).
 
-    The V-cycle retries run speculatively in parallel on a domain pool of
-    [config.jobs] width: each cycle draws its randomness from a private
+    The V-cycle retries run speculatively in parallel on the domain pool,
+    as wide as {!Ppnpart_exec.Pool.width} (the hardware's on the main
+    domain, one elsewhere): each cycle draws its randomness from a private
     stream derived from [(seed, cycle_index)] and re-coarsens from the
     base hierarchy, and results are folded in cycle order with the fold
     stopping at the first feasibility — so the returned partition is
-    bit-identical for every job count. *)
+    bit-identical at every width. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -69,7 +70,7 @@ val partition_metis :
     infeasible is raced against a full from-scratch run with the better
     goodness kept, so feasibility is never lost to the shortcut.
     Sequential except for that fallback, hence — like {!partition} —
-    bit-identical across [config.jobs].
+    bit-identical at every pool width.
 
     Seed and refined goodness are read from the refinement state; the
     one O(m) pass per answer is a {!Ppnpart_partition.Metrics.quality}

@@ -9,7 +9,7 @@
    byte-identical documents. [~deterministic:true] additionally drops
    every field whose value is schedule- or heap-history-dependent (wall
    seconds, collection counts, promoted/major words, heap sizes),
-   leaving a document that is byte-identical across [--jobs] for the
+   leaving a document that is byte-identical at every pool width for the
    gated-small graphs the tests use. *)
 
 open Ppnpart_graph

@@ -13,7 +13,7 @@
     depend on the schedule or heap history (wall seconds, collection
     counts, promoted/major words, heap sizes) are dropped, so reports of
     runs under the {!Ppnpart_obs.Obs.Logical} clock are byte-identical
-    across [--jobs] — the property the tests pin down. *)
+    at every pool width — the property the tests pin down. *)
 
 open Ppnpart_graph
 open Ppnpart_partition

@@ -2,15 +2,29 @@ let log_src = Logs.Src.create "ppnpart.exec" ~doc:"Domain pool execution"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let default_jobs () =
-  match Sys.getenv_opt "PPNPART_JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> j
-    | Some _ | None -> Domains.recommended ())
-  | None -> Domains.recommended ()
+(* The width this domain has pinned: [Some 1] inside a pool task,
+   [Some w] under [with_width w], [None] for the default rule. The
+   domain's systhreads share it; threads racing their pins could only
+   change the width, and results do not depend on it. *)
+let pinned : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let resolve jobs = if jobs > 0 then jobs else default_jobs ()
+let width () =
+  match Domain.DLS.get pinned with
+  | Some w -> w
+  | None -> if Domain.is_main_domain () then Domains.recommended () else 1
+
+let pin w f =
+  let prev = Domain.DLS.get pinned in
+  Domain.DLS.set pinned (Some w);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set pinned prev) f
+
+let with_width w f =
+  if w < 1 then invalid_arg "Pool.with_width: width < 1";
+  (* Never more domains than the hardware offers: the tasks are
+     CPU-bound, so extra domains only add spawn cost, scheduler churn
+     and GC coordination — on a single-core host 4 domains used to run
+     3x *slower* than sequential. *)
+  pin (min w (Domains.recommended ())) f
 
 type 'a outcome =
   | Pending
@@ -19,28 +33,24 @@ type 'a outcome =
 
 type deferred = Ppnpart_obs.Obs.group option
 
-let run_deferred ?(jobs = 0) tasks =
-  (* Never run more domains than the hardware offers: the tasks are
-     CPU-bound, so extra domains only add spawn cost, scheduler churn
-     and GC coordination — on a single-core host a requested [jobs = 4]
-     used to run 3x *slower* than sequential. Results are unaffected:
-     task outputs are deterministic in the task index by construction. *)
-  let jobs = min (resolve jobs) (Domains.recommended ()) in
+let run_deferred ?(parallel = true) tasks =
   let n = Array.length tasks in
+  let width = if parallel then min (width ()) n else 1 in
   (* The trace group is created before the sequential/parallel split so
      the buffer tree — and hence the exported trace — has the same shape
-     at every job count. *)
+     at every width. *)
   let group = Ppnpart_obs.Obs.group n in
   let tasks =
     match group with
-    | None -> tasks
+    | None -> Array.map (fun f () -> pin 1 f) tasks
     | Some g ->
-      Array.mapi (fun i f () -> Ppnpart_obs.Obs.in_task g i f) tasks
+      Array.mapi (fun i f () -> pin 1 (fun () -> Ppnpart_obs.Obs.in_task g i f))
+        tasks
   in
   let results =
-    if jobs <= 1 || n <= 1 then Array.map (fun f -> f ()) tasks
+    if width <= 1 then Array.map (fun f -> f ()) tasks
     else begin
-      Log.debug (fun m -> m "running %d tasks on %d domains" n jobs);
+      Log.debug (fun m -> m "running %d tasks on %d domains" n width);
       let results = Array.make n Pending in
       let next = Atomic.make 0 in
       (* Each slot is written by exactly one domain (the one that claimed
@@ -58,9 +68,7 @@ let run_deferred ?(jobs = 0) tasks =
               | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
         done
       in
-      let spawned =
-        Domains.spawn_workers (min (jobs - 1) (n - 1)) (fun _ -> worker ())
-      in
+      let spawned = Domains.spawn_workers (width - 1) (fun _ -> worker ()) in
       worker ();
       Domains.join_all spawned;
       Array.map
@@ -73,9 +81,7 @@ let run_deferred ?(jobs = 0) tasks =
   in
   (results, group)
 
-let run ?jobs tasks =
-  let results, group = run_deferred ?jobs tasks in
+let run ?parallel tasks =
+  let results, group = run_deferred ?parallel tasks in
   Ppnpart_obs.Obs.commit group;
   results
-
-let map ?jobs f xs = run ?jobs (Array.map (fun x () -> f x) xs)

@@ -4,40 +4,44 @@
     returns — there is no persistent worker state, so the pool composes
     with any caller and never leaks domains. Tasks must be independent
     and deterministic (draw randomness from a private [Random.State]);
-    under that contract the result array is identical for every job
-    count, which is what lets the GP partitioner guarantee bit-identical
-    partitions for [jobs = 1] and [jobs = N].
+    under that contract the result array is identical at every width,
+    which is what lets the GP partitioner guarantee bit-identical
+    partitions however many domains run it.
 
-    Nested use is safe but sequential by convention: code that runs
-    inside a pool task should call back in with [~jobs:1] to avoid
-    oversubscribing the machine. *)
+    The pool picks its own width (see {!width}): the hardware's on the
+    main domain, one everywhere else — inside a pool task, so nested
+    calls run sequentially instead of oversubscribing the machine, and
+    on other domains such as the daemon's resident workers. *)
 
 val log_src : Logs.Src.t
 (** The [ppnpart.exec] log source. *)
 
-val default_jobs : unit -> int
-(** The [PPNPART_JOBS] environment variable when set to a positive
-    integer, otherwise [Domain.recommended_domain_count ()]. *)
+val width : unit -> int
+(** The number of domains a {!run} call started here may use: inside a
+    pool task or on a domain other than the main one, [1]; on the main
+    domain, [Domain.recommended_domain_count ()] (which follows the
+    process's CPU affinity), unless {!with_width} pins it. *)
 
-val resolve : int -> int
-(** [resolve jobs] is [jobs] when positive, {!default_jobs} otherwise
-    (so [0] means "auto"). *)
+val with_width : int -> (unit -> 'a) -> 'a
+(** [with_width w f] runs [f] with {!width} pinned to
+    [min w (Domain.recommended_domain_count ())] on the calling domain —
+    never more domains than the hardware offers. Pool tasks still run at
+    width 1. A seam for tests and benchmarks that compare widths.
+    @raise Invalid_argument if [w < 1]. *)
 
-val run : ?jobs:int -> (unit -> 'a) array -> 'a array
-(** [run ~jobs tasks] evaluates every task and returns the results in
-    task order. With [jobs <= 1] (after {!resolve}) or fewer than two
-    tasks everything runs sequentially in the calling domain; otherwise
-    up to [jobs - 1] extra domains are spawned and tasks are drained
-    from a shared atomic counter. The first exception (by task index) is
-    re-raised after all domains have joined. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~jobs f xs] is [run ~jobs] over [fun () -> f xs.(i)]. *)
+val run : ?parallel:bool -> (unit -> 'a) array -> 'a array
+(** [run tasks] evaluates every task and returns the results in task
+    order. With [~parallel:false] (the call site's size threshold says
+    the work is too small to pay for a spawn), a {!width} of 1 or fewer
+    than two tasks everything runs sequentially in the calling domain;
+    otherwise up to [width () - 1] extra domains are spawned and tasks
+    are drained from a shared atomic counter. The first exception (by
+    task index) is re-raised after all domains have joined. *)
 
 type deferred = Ppnpart_obs.Obs.group option
 (** Trace buffers of a {!run_deferred} call, awaiting commitment. *)
 
-val run_deferred : ?jobs:int -> (unit -> 'a) array -> 'a array * deferred
+val run_deferred : ?parallel:bool -> (unit -> 'a) array -> 'a array * deferred
 (** Like {!run}, but when tracing is active the per-task trace buffers
     are returned instead of being merged immediately. The caller must
     pass them to {!Ppnpart_obs.Obs.commit} — with [~keep] to discard the

@@ -7,7 +7,7 @@
     with one addition per {!merge_into} call, making the merged value a
     pure function of merge order — {!Metrics_registry} folds task shards
     in task order, which is what keeps registry snapshots bit-identical
-    across [--jobs]. *)
+    at every pool width. *)
 
 type t
 

@@ -1,5 +1,5 @@
 (** Process-wide metrics registry: counters, gauges, and log-bucketed
-    histograms, deterministic across [--jobs].
+    histograms, deterministic at every pool width.
 
     Mirrors the {!Obs} capture design. At most one registry is
     installed; sites write to the {e current shard}, a domain-local

@@ -4,7 +4,7 @@
     buffer becomes its own virtual track (Chrome [tid] / JSONL [vt]),
     numbered in walk order. Track ids, event order, counter values and
     span structure therefore depend only on the algorithm's task
-    structure — they are identical for every [--jobs] value. Timestamps
+    structure — they are identical at every pool width. Timestamps
     come from the capture's clock: wall microseconds in normal runs, a
     per-buffer event counter under {!Obs.Logical} (which makes the whole
     exported string reproducible bit-for-bit). *)

@@ -104,7 +104,7 @@ let graph_at h l = h.graphs.(l)
    matching has stalled: coarsening stops there. *)
 let min_shrink = 0.05
 
-let build_from ?workspace ?(target = 100) ?strategies ?jobs rng g0
+let build_from ?workspace ?(target = 100) ?strategies rng g0
     ~prefix_graphs ~prefix_maps =
   let graphs = ref prefix_graphs and maps = ref prefix_maps in
   let current = ref g0 in
@@ -129,7 +129,7 @@ let build_from ?workspace ?(target = 100) ?strategies ?jobs rng g0
           "coarsen.level"
           (fun () ->
             let strategy, partner =
-              Matching.best_of ?workspace ?strategies ?jobs rng g
+              Matching.best_of ?workspace ?strategies rng g
             in
             let coarse, cmap = contract ?workspace g partner in
             (strategy, coarse, cmap))
@@ -152,11 +152,11 @@ let build_from ?workspace ?(target = 100) ?strategies ?jobs rng g0
     maps = Array.of_list (List.rev !maps);
   }
 
-let build ?workspace ?target ?strategies ?jobs rng g =
-  build_from ?workspace ?target ?strategies ?jobs rng g ~prefix_graphs:[ g ]
+let build ?workspace ?target ?strategies rng g =
+  build_from ?workspace ?target ?strategies rng g ~prefix_graphs:[ g ]
     ~prefix_maps:[]
 
-let extend ?workspace ?target ?strategies ?jobs rng h ~from_level =
+let extend ?workspace ?target ?strategies rng h ~from_level =
   if from_level < 0 || from_level >= levels h then
     invalid_arg "Coarsen.extend: level out of range";
   let prefix_graphs =
@@ -165,7 +165,7 @@ let extend ?workspace ?target ?strategies ?jobs rng h ~from_level =
   let prefix_maps =
     List.rev (Array.to_list (Array.sub h.maps 0 from_level))
   in
-  build_from ?workspace ?target ?strategies ?jobs rng h.graphs.(from_level)
+  build_from ?workspace ?target ?strategies rng h.graphs.(from_level)
     ~prefix_graphs ~prefix_maps
 
 let project_one map coarse_part = Array.map (fun c -> coarse_part.(c)) map

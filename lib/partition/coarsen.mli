@@ -37,23 +37,21 @@ val build :
   ?workspace:Workspace.t ->
   ?target:int ->
   ?strategies:Matching.strategy list ->
-  ?jobs:int ->
   Random.State.t ->
   Wgraph.t ->
   hierarchy
 (** Coarsen until at most [target] nodes remain (default 100, the paper's
     default), a level shrinks by less than 5% of its nodes (the matching
     has stalled), or no edges remain. At every level the best of [strategies] (default all
-    three) by {!Matching.matched_weight} is used; with [jobs > 1] the
-    strategies race concurrently (see {!Matching.best_of} — the hierarchy
-    is identical for every job count). [workspace] is reused across all
+    three) by {!Matching.matched_weight} is used; the strategies race
+    concurrently (see {!Matching.best_of} — the hierarchy is identical
+    at every pool width). [workspace] is reused across all
     levels (and across calls, e.g. V-cycle re-coarsenings). *)
 
 val extend :
   ?workspace:Workspace.t ->
   ?target:int ->
   ?strategies:Matching.strategy list ->
-  ?jobs:int ->
   Random.State.t ->
   hierarchy ->
   from_level:int ->

@@ -177,10 +177,10 @@ let growth_attempt g (c : Types.constraints) first_seed =
 (* Fanning the restarts out over domains only pays off once a growth
    attempt is substantial; below this the spawn overhead dominates. The
    seed nodes are drawn identically either way, so the winning candidate
-   does not depend on [jobs]. *)
+   does not depend on the pool's width. *)
 let parallel_node_threshold = 256
 
-let greedy_resource_growth ?(n_seeds = 10) ?(jobs = 1) rng g
+let greedy_resource_growth ?(n_seeds = 10) rng g
     (c : Types.constraints) =
   let n = Wgraph.n_nodes g in
   if n = 0 then [||]
@@ -192,7 +192,6 @@ let greedy_resource_growth ?(n_seeds = 10) ?(jobs = 1) rng g
     for i = 0 to n_attempts - 1 do
       seeds.(i) <- (if i = 0 then pick_heaviest g else Random.State.int rng n)
     done;
-    let eff_jobs = if n >= parallel_node_threshold then jobs else 1 in
     let results =
       Ppnpart_obs.Span.phase
         ~args:(fun () ->
@@ -200,7 +199,7 @@ let greedy_resource_growth ?(n_seeds = 10) ?(jobs = 1) rng g
             ("attempts", Ppnpart_obs.Obs.Int n_attempts) ])
         "initial.greedy"
         (fun () ->
-          Ppnpart_exec.Pool.run ~jobs:eff_jobs
+          Ppnpart_exec.Pool.run ~parallel:(n >= parallel_node_threshold)
             (Array.init n_attempts (fun i () ->
                  Ppnpart_obs.Span.with_result
                    ~args:(fun () ->

@@ -25,15 +25,14 @@ val graph_growing : Random.State.t -> Wgraph.t -> k:int -> int array
 
 val greedy_resource_growth :
   ?n_seeds:int ->
-  ?jobs:int ->
   Random.State.t ->
   Wgraph.t ->
   Types.constraints ->
   int array
-(** With [jobs > 1] the [n_seeds] region growings fan out over a domain
-    pool (on graphs large enough for it to pay off). The seed nodes are
-    drawn from [rng] up front in restart order, so the result is
-    identical for every job count. *)
+(** The [n_seeds] region growings fan out over the domain pool (on
+    graphs large enough for it to pay off). The seed nodes are drawn
+    from [rng] up front in restart order, so the result is identical at
+    every {!Ppnpart_exec.Pool.width}. *)
 
 val pick_heaviest : Wgraph.t -> int
 (** Lowest-id node of maximal weight.

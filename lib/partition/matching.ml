@@ -344,10 +344,10 @@ let is_valid g partner =
 
 (* Racing strategies below this size is slower than computing them
    sequentially; the RNG stream derivation is identical either way, so
-   the result does not depend on [jobs]. *)
+   the result does not depend on the pool's width. *)
 let parallel_node_threshold = 512
 
-let best_of ?workspace ?(strategies = all_strategies) ?(jobs = 1) rng g =
+let best_of ?workspace ?(strategies = all_strategies) rng g =
   if strategies = [] then invalid_arg "Matching.best_of: no strategies";
   let strategies = Array.of_list strategies in
   let n_strats = Array.length strategies in
@@ -357,11 +357,9 @@ let best_of ?workspace ?(strategies = all_strategies) ?(jobs = 1) rng g =
   for i = 0 to n_strats - 1 do
     states.(i) <- Random.State.split rng
   done;
-  let eff_jobs =
-    if Wgraph.n_nodes g >= parallel_node_threshold then jobs else 1
-  in
   let candidates =
-    Ppnpart_exec.Pool.run ~jobs:eff_jobs
+    Ppnpart_exec.Pool.run
+      ~parallel:(Wgraph.n_nodes g >= parallel_node_threshold)
       (Array.init n_strats (fun i () ->
            let s = strategies.(i) in
            Ppnpart_obs.Span.with_ (span_name s) (fun () ->

@@ -64,14 +64,13 @@ val is_valid : Ppnpart_graph.Wgraph.t -> int array -> bool
 val best_of :
   ?workspace:Workspace.t ->
   ?strategies:strategy list ->
-  ?jobs:int ->
   Random.State.t ->
   Ppnpart_graph.Wgraph.t ->
   strategy * int array
 (** Runs each strategy and returns the one with maximal {!matched_weight}
     (ties: earlier in the list). Default: all three. Each strategy draws
-    from its own stream split off [rng] in list order, so with [jobs > 1]
-    the strategies race on a domain pool (on graphs large enough for it
-    to pay off) and the result is identical for every job count.
+    from its own stream split off [rng] in list order, so the strategies
+    race on the domain pool (on graphs large enough for it to pay off)
+    and the result is identical at every {!Ppnpart_exec.Pool.width}.
     [workspace] lends the racing strategies their (per-strategy, hence
     race-safe) edge buffers. *)

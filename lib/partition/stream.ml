@@ -42,7 +42,7 @@ open Ppnpart_graph
 
    Everything is sequential and rng-free, so the result is a pure
    function of (graph, constraints, max_iterations): bit-identical
-   across runs and trivially across [--jobs]. *)
+   across runs and trivially at every pool width. *)
 
 type stats = {
   iterations : int;

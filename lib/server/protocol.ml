@@ -11,7 +11,6 @@ type command =
       c : Types.constraints;
       mode : Config.mode;
       seed : int;
-      jobs : int;
     }
   | Repartition of { graph : string; edits : Graph_edit.op list }
   | Report of { graph : string }
@@ -143,13 +142,11 @@ let parse_command obj =
     let* rmax = field_int_opt obj "rmax" ~default:max_int in
     let* mode = parse_mode obj in
     let* seed = field_int_opt obj "seed" ~default:0 in
-    let* jobs = field_int_opt obj "jobs" ~default:1 in
     let* c =
       try Ok (Types.constraints ~k ~bmax ~rmax)
       with Invalid_argument msg -> Error msg
     in
-    if jobs < 0 then Error "field \"jobs\" must be >= 0"
-    else Ok (Partition { graph; c; mode; seed; jobs })
+    Ok (Partition { graph; c; mode; seed })
   | "repartition" ->
     let* graph = field_str obj "graph" in
     let* edits = parse_edits obj in

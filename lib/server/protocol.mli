@@ -20,10 +20,10 @@
       piece drops the upload with an error frame and leaves the
       connection and any previously installed graph untouched.
     - [{"op":"partition","graph":ID,"k":K,"bmax":B,"rmax":R,"mode":M,
-       "seed":S,"jobs":J}] — partition a submitted graph.
+       "seed":S}] — partition a submitted graph.
       [bmax]/[rmax] default to unconstrained, [mode] to
-      ["multilevel"], [seed] to 0, [jobs] to 1. The labelling is
-      retained for subsequent [repartition] calls.
+      ["multilevel"], [seed] to 0. The labelling is retained for
+      subsequent [repartition] calls.
     - [{"op":"repartition","graph":ID,"edits":[...]}] — apply an edit
       batch and incrementally repartition from the retained labelling
       (see {!Ppnpart_core.Gp.repartition}); edits use the op spellings
@@ -38,8 +38,9 @@
     - [{"op":"shutdown"}] — drain and exit.
 
     Fields an op does not use are ignored, so a [partition] frame from
-    an older client that still carries ["stream_jobs"] parses as if it
-    did not.
+    an older client that still carries ["jobs"] or ["stream_jobs"]
+    parses as if it did not: the daemon partitions on its worker
+    domains, where the pool runs sequentially.
 
     Error responses are [{"ok":false,"id":...,"error":MSG}] and never
     close the connection; only EOF (or [shutdown]) does. *)
@@ -57,7 +58,6 @@ type command =
       c : Types.constraints;
       mode : Config.mode;
       seed : int;
-      jobs : int;
     }
   | Repartition of { graph : string; edits : Graph_edit.op list }
   | Report of { graph : string }

@@ -83,8 +83,6 @@ let result_reply ~id fields (r : Gp.result) =
         ("runtime_s", Json.Num r.Gp.runtime_s) ])
     ("labels", fun b -> Json.add_int_array b r.Gp.part)
 
-let config_for ~mode ~seed ~jobs = { Config.default with Config.mode; seed; jobs }
-
 let installed_reply ~id ~graph g =
   Protocol.ok ?id
     [ ("graph", Json.Str graph);
@@ -144,12 +142,12 @@ let do_submit_end t ~id ~graph =
         install t graph g;
         Ok (installed_reply ~id ~graph g))
 
-let do_partition t ~id ~graph ~c ~mode ~seed ~jobs =
+let do_partition t ~id ~graph ~c ~mode ~seed =
   match find t graph with
   | None -> Error (Printf.sprintf "unknown graph %S" graph)
   | Some e ->
     with_lock e.elock (fun () ->
-        let config = config_for ~mode ~seed ~jobs in
+        let config = { Config.default with Config.mode; seed } in
         let r = Gp.partition ~config e.graph c in
         Gp.forget e.resident;
         e.labels <- Some r.Gp.part;
@@ -258,8 +256,8 @@ let handle t ~workspace (id, parsed) =
       | Protocol.Submit_rows { graph; metis } ->
         do_submit_rows t ~id ~graph ~metis
       | Protocol.Submit_end { graph } -> do_submit_end t ~id ~graph
-      | Protocol.Partition { graph; c; mode; seed; jobs } ->
-        do_partition t ~id ~graph ~c ~mode ~seed ~jobs
+      | Protocol.Partition { graph; c; mode; seed } ->
+        do_partition t ~id ~graph ~c ~mode ~seed
       | Protocol.Repartition { graph; edits } ->
         do_repartition t ~id ~graph ~edits ~workspace
       | Protocol.Report { graph } -> do_report t ~id ~graph

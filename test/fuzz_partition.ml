@@ -382,7 +382,7 @@ let test_stream_vs_multilevel_feasibility () =
     let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
     let name = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
     let run mode =
-      Gp.partition ~config:{ Config.default with Config.mode; jobs = 1 } g c
+      Gp.partition ~config:{ Config.default with Config.mode } g c
     in
     let ml = run Config.Multilevel in
     check_bool (name ^ ": multilevel oracle feasible") true ml.Gp.feasible;
@@ -450,7 +450,7 @@ let test_sequential_stream_vs_multilevel () =
    round:
 
    - validity: the labelling fits the edited graph;
-   - determinism: [--jobs 1] and [--jobs 4] answers are bit-identical
+   - determinism: answers at pool width 1 and 4 are bit-identical
      (and so is a rerun with a reused workspace);
    - never-worse: an incremental answer is at least as good as the
      projected-and-seeded labelling it started from (its history head);
@@ -539,16 +539,15 @@ let test_repartition_vs_scratch () =
     for round = 1 to rounds do
       let name = Printf.sprintf "seed %d round %d" seed round in
       let ops = random_edits rng !g in
-      let run ~jobs ~workspace () =
-        Gp.repartition
-          ~config:{ Config.default with Config.jobs }
-          ?workspace ~prev:!prev !g c ops
+      let run ~width ~workspace () =
+        Ppnpart_exec.Pool.with_width width (fun () ->
+            Gp.repartition ?workspace ~prev:!prev !g c ops)
       in
-      let rp = run ~jobs:1 ~workspace:(Some ws) () in
-      let rp4 = run ~jobs:4 ~workspace:None () in
+      let rp = run ~width:1 ~workspace:(Some ws) () in
+      let rp4 = run ~width:4 ~workspace:None () in
       let n' = Wgraph.n_nodes rp.Gp.rp_graph in
       Types.check_partition ~n:n' ~k rp.Gp.rp_result.Gp.part;
-      check_bool (name ^ ": jobs 1 = jobs 4") true
+      check_bool (name ^ ": width 1 = width 4") true
         (rp.Gp.rp_result.Gp.part = rp4.Gp.rp_result.Gp.part);
       incr total;
       if rp.Gp.rp_incremental then begin

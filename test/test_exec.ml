@@ -1,6 +1,6 @@
 (* Tests for the domain pool (Ppnpart_exec.Pool) and for the determinism
    of GP's speculative parallel V-cycles: the partition returned by
-   [Gp.partition] must be bit-identical at every job count. *)
+   [Gp.partition] must be bit-identical at every pool width. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -17,18 +17,16 @@ let quick = Sys.getenv_opt "PPNPART_QUICK" <> None
 let test_pool_preserves_order () =
   let expect = Array.init 37 (fun i -> i * i) in
   let tasks = Array.init 37 (fun i () -> i * i) in
-  check_bool "jobs=1" true (Pool.run ~jobs:1 tasks = expect);
-  check_bool "jobs=4" true (Pool.run ~jobs:4 tasks = expect);
-  check_bool "jobs > tasks" true (Pool.run ~jobs:64 tasks = expect)
+  let at width = Pool.with_width width (fun () -> Pool.run tasks) in
+  check_bool "width 1" true (at 1 = expect);
+  check_bool "width 4" true (at 4 = expect);
+  check_bool "sequential" true (Pool.run ~parallel:false tasks = expect);
+  check_bool "width > tasks" true (at 64 = expect)
 
 let test_pool_empty_and_single () =
-  check_int "empty" 0 (Array.length (Pool.run ~jobs:4 [||]));
-  check_bool "single" true (Pool.run ~jobs:4 [| (fun () -> 42) |] = [| 42 |])
-
-let test_pool_map () =
-  let xs = Array.init 20 succ in
-  check_bool "map matches Array.map" true
-    (Pool.map ~jobs:3 (fun x -> x * 2) xs = Array.map (fun x -> x * 2) xs)
+  Pool.with_width 4 @@ fun () ->
+  check_int "empty" 0 (Array.length (Pool.run [||]));
+  check_bool "single" true (Pool.run [| (fun () -> 42) |] = [| 42 |])
 
 exception Boom of int
 
@@ -36,38 +34,81 @@ let test_pool_propagates_first_exception () =
   let tasks =
     Array.init 8 (fun i () -> if i >= 5 then raise (Boom i) else i)
   in
-  match Pool.run ~jobs:4 tasks with
+  match Pool.with_width 4 (fun () -> Pool.run tasks) with
   | _ -> Alcotest.fail "expected an exception"
   | exception Boom i -> check_int "first failing index re-raised" 5 i
 
-let test_pool_resolve () =
-  check_int "explicit wins" 3 (Pool.resolve 3);
-  Unix.putenv "PPNPART_JOBS" "5";
-  check_int "env fallback" 5 (Pool.resolve 0);
-  Unix.putenv "PPNPART_JOBS" "nonsense";
-  check_bool "garbage env still positive" true (Pool.resolve 0 >= 1);
-  Unix.putenv "PPNPART_JOBS" "";
-  check_bool "auto positive" true (Pool.resolve 0 >= 1)
+let recommended = Domain.recommended_domain_count ()
+
+let test_pool_width_rule () =
+  check_int "main domain: the recommended count" recommended (Pool.width ());
+  check_int "pinned" 1 (Pool.with_width 1 (fun () -> Pool.width ()));
+  check_int "pinned, capped by the hardware" (min 4 recommended)
+    (Pool.with_width 4 (fun () -> Pool.width ()));
+  check_int "unpinned again" recommended (Pool.width ());
+  let inner = Pool.run (Array.init 4 (fun _ () -> Pool.width ())) in
+  check_bool "inside a pool task: 1" true (Array.for_all (( = ) 1) inner);
+  let inner = Pool.run ~parallel:false [| (fun () -> Pool.width ()) |] in
+  check_int "inside a sequential pool task: 1" 1 inner.(0);
+  check_int "restored after the tasks" recommended (Pool.width ());
+  let d = Domain.spawn (fun () -> Pool.width ()) in
+  check_int "another domain: 1" 1 (Domain.join d);
+  check_bool "width < 1 refused" true
+    (match Pool.with_width 0 (fun () -> ()) with
+     | () -> false
+     | exception Invalid_argument _ -> true)
+
+(* Run [f] as the job of a one-worker [Worker_pool] — the daemon's
+   execution substrate — and return its outcome. *)
+let in_worker_pool f =
+  let module WP = Ppnpart_exec.Worker_pool in
+  let wp = WP.create ~workers:1 ~queue_limit:1 ~state:(fun _ -> ()) in
+  let m = Mutex.create () and cv = Condition.create () in
+  let out = ref None in
+  let finish r =
+    Mutex.protect m (fun () ->
+        out := Some r;
+        Condition.signal cv)
+  in
+  (match WP.submit wp ~client:0 ~run:f ~finish with
+  | `Accepted -> ()
+  | `Overloaded | `Stopped -> Alcotest.fail "job refused");
+  Mutex.lock m;
+  while !out = None do
+    Condition.wait cv m
+  done;
+  Mutex.unlock m;
+  WP.stop wp;
+  match !out with
+  | Some (Ok v) -> v
+  | Some (Error e) -> raise e
+  | None -> assert false
+
+let test_pool_width_in_worker_pool () =
+  check_int "worker pool job" 1 (in_worker_pool Pool.width);
+  check_int "pool task in a worker pool job" 1
+    (in_worker_pool (fun () -> (Pool.run [| Pool.width |]).(0)))
 
 let test_pool_nested () =
-  (* Pool use from inside a pooled task (as GP's cycles do with jobs=1
-     inner phases) must not deadlock or reorder. *)
+  (* Pool use from inside a pooled task (as GP's cycles' inner phases)
+     must not deadlock or reorder. *)
   let tasks =
     Array.init 6 (fun i () ->
         Array.fold_left ( + ) 0
-          (Pool.map ~jobs:1 (fun x -> x + i) (Array.init 5 succ)))
+          (Pool.run (Array.init 5 (fun x () -> x + 1 + i))))
   in
   let expect = Array.init 6 (fun i -> 15 + (5 * i)) in
-  check_bool "nested" true (Pool.run ~jobs:3 tasks = expect)
+  check_bool "nested" true
+    (Pool.with_width 3 (fun () -> Pool.run tasks) = expect)
 
-(* --- Gp determinism across job counts --- *)
+(* --- Gp determinism across pool widths --- *)
 
-let config ~jobs =
-  { Config.default with Config.coarsen_target = 30; max_cycles = 20; jobs }
+let config = { Config.default with Config.coarsen_target = 30; max_cycles = 20 }
 
 let same_result ?(max_cycles = 20) g c =
-  let run jobs =
-    Gp.partition ~config:{ (config ~jobs) with Config.max_cycles } g c
+  let run width =
+    Pool.with_width width (fun () ->
+        Gp.partition ~config:{ config with Config.max_cycles } g c)
   in
   let a = run 1 in
   let b = run 4 in
@@ -104,14 +145,36 @@ let test_jobs_invariant_planted () =
   let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k:4 in
   same_result g c
 
-let test_jobs_zero_resolves_auto () =
-  (* jobs = 0 means "auto" and must still return the exact jobs=1 result. *)
-  Unix.putenv "PPNPART_JOBS" "3";
+let test_default_width () =
+  (* The width the pool picks for itself must still return the exact
+     width-1 result. *)
   let e = PG.experiment1 in
-  let a = Gp.partition ~config:(config ~jobs:1) e.PG.graph e.PG.constraints in
-  let b = Gp.partition ~config:(config ~jobs:0) e.PG.graph e.PG.constraints in
-  Unix.putenv "PPNPART_JOBS" "";
-  check_bool "auto matches jobs=1" true (a.Gp.part = b.Gp.part)
+  let a =
+    Pool.with_width 1 (fun () ->
+        Gp.partition ~config e.PG.graph e.PG.constraints)
+  in
+  let b = Gp.partition ~config e.PG.graph e.PG.constraints in
+  check_bool "default width matches width 1" true (a.Gp.part = b.Gp.part)
+
+let test_gp_in_worker_pool () =
+  (* The daemon partitions on a Worker_pool domain, where the pool runs
+     sequentially: same labels as the main domain. A graph above the
+     V-cycle wave threshold with a tight bmax exercises every parallel
+     site on the main domain. *)
+  let rng = Random.State.make [| 5 |] in
+  let g =
+    Ppnpart_workloads.Rand_graph.layered ~vw_range:(1, 9) ~ew_range:(1, 9)
+      rng ~layers:42 ~width:100
+  in
+  let c =
+    Types.constraints ~k:4 ~bmax:40 ~rmax:(Wgraph.total_node_weight g / 3)
+  in
+  let config = { Config.default with Config.max_cycles = 3 } in
+  let main = Gp.partition ~config g c in
+  check_bool "V-cycle waves ran" true (main.Gp.cycles_used > 0);
+  let r = in_worker_pool (fun () -> Gp.partition ~config g c) in
+  check_bool "labels equal" true (r.Gp.part = main.Gp.part);
+  check_bool "history equal" true (r.Gp.history = main.Gp.history)
 
 let () =
   Alcotest.run "exec"
@@ -122,10 +185,11 @@ let () =
             test_pool_preserves_order;
           Alcotest.test_case "empty and single" `Quick
             test_pool_empty_and_single;
-          Alcotest.test_case "map" `Quick test_pool_map;
           Alcotest.test_case "propagates first exception" `Quick
             test_pool_propagates_first_exception;
-          Alcotest.test_case "resolve" `Quick test_pool_resolve;
+          Alcotest.test_case "width rule" `Quick test_pool_width_rule;
+          Alcotest.test_case "width in a worker pool job" `Quick
+            test_pool_width_in_worker_pool;
           Alcotest.test_case "nested" `Quick test_pool_nested;
         ] );
       ( "gp_jobs_determinism",
@@ -136,7 +200,8 @@ let () =
             test_jobs_invariant_forced_cycles;
           Alcotest.test_case "planted instance" `Quick
             test_jobs_invariant_planted;
-          Alcotest.test_case "jobs=0 auto" `Quick
-            test_jobs_zero_resolves_auto;
+          Alcotest.test_case "default width" `Quick test_default_width;
+          Alcotest.test_case "worker pool job matches main domain" `Quick
+            test_gp_in_worker_pool;
         ] );
     ]

@@ -113,17 +113,18 @@ let test_commit_keep_discards () =
   let s = Option.get (Reg.finish ()) in
   check_int "discarded speculative shard" 1 (List.assoc "kc" s.Reg.counters)
 
-(* --- registry merge + run report across job counts --- *)
+(* --- registry merge + run report across pool widths --- *)
 
-let gp_config ~jobs =
-  { Config.default with Config.coarsen_target = 30; max_cycles = 20; jobs }
+let gp_config =
+  { Config.default with Config.coarsen_target = 30; max_cycles = 20 }
 
-let registry_run ~jobs g c =
+let registry_run ~width g c =
   Reg.install ();
   let r = ref None in
   let (), _cap =
-    Obs.with_capture ~clock:Obs.Logical (fun () ->
-        r := Some (Gp.partition ~config:(gp_config ~jobs) g c))
+    Ppnpart_exec.Pool.with_width width (fun () ->
+        Obs.with_capture ~clock:Obs.Logical (fun () ->
+            r := Some (Gp.partition ~config:gp_config g c)))
   in
   (Option.get !r, Option.get (Reg.finish ()))
 
@@ -132,9 +133,9 @@ let test_registry_deterministic_across_jobs () =
   let g = e.PG.graph and c = e.PG.constraints in
   (* Warm-up: memo caches and lazy GC calibration allocate on first
      use; both measured runs must see the same steady state. *)
-  ignore (registry_run ~jobs:1 g c);
-  let r1, s1 = registry_run ~jobs:1 g c in
-  let r4, s4 = registry_run ~jobs:4 g c in
+  ignore (registry_run ~width:1 g c);
+  let r1, s1 = registry_run ~width:1 g c in
+  let r4, s4 = registry_run ~width:4 g c in
   check_bool "partition bit-identical" true (r1.Gp.part = r4.Gp.part);
   check_bool "counters identical" true (s1.Reg.counters = s4.Reg.counters);
   let names snap = List.map fst snap.Reg.histograms in

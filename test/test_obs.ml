@@ -42,9 +42,10 @@ let test_spans_well_nested () =
             Span.with_ "inner" (fun () -> Counters.incr "c");
             Span.instant "marker";
             ignore
-              (Pool.run ~jobs:2
-                 (Array.init 4 (fun i () ->
-                      Span.with_ "task" (fun () -> i * i))))))
+              (Pool.with_width 2 (fun () ->
+                   Pool.run
+                     (Array.init 4 (fun i () ->
+                          Span.with_ "task" (fun () -> i * i)))))))
   in
   check_well_nested cap.Obs.root
 
@@ -71,18 +72,19 @@ let test_disabled_is_noop () =
 
 let test_counters_sum_across_pool () =
   List.iter
-    (fun jobs ->
+    (fun width ->
       let _, cap =
         Obs.with_capture (fun () ->
-            ignore
-              (Pool.run ~jobs (Array.init 16 (fun i () -> Counters.add "n" i))))
+            Pool.with_width width (fun () ->
+                ignore
+                  (Pool.run (Array.init 16 (fun i () -> Counters.add "n" i)))))
       in
       let total =
         match List.assoc_opt "n" (Trace_export.counter_totals cap) with
         | Some v -> v
         | None -> Alcotest.fail "counter missing"
       in
-      check_int (Printf.sprintf "sum at jobs=%d" jobs) 120 total)
+      check_int (Printf.sprintf "sum at width %d" width) 120 total)
     [ 1; 4 ]
 
 let test_uncommitted_buffers_dropped () =
@@ -91,10 +93,11 @@ let test_uncommitted_buffers_dropped () =
   let _, cap =
     Obs.with_capture (fun () ->
         let _, deferred =
-          Pool.run_deferred ~jobs:4
-            (Array.init 6 (fun i () ->
-                 Span.with_ "spec" (fun () -> Counters.add "spec.n" 1);
-                 i))
+          Pool.with_width 4 (fun () ->
+              Pool.run_deferred
+                (Array.init 6 (fun i () ->
+                     Span.with_ "spec" (fun () -> Counters.add "spec.n" 1);
+                     i)))
         in
         Obs.commit ~keep:2 deferred)
   in
@@ -107,19 +110,17 @@ let test_uncommitted_buffers_dropped () =
   in
   check_int "only kept spans" 2 calls
 
-(* --- trace determinism across job counts --- *)
+(* --- trace determinism across pool widths --- *)
 
-let config ~jobs =
-  { Config.default with Config.coarsen_target = 30; max_cycles = 20; jobs }
+let config = { Config.default with Config.coarsen_target = 30; max_cycles = 20 }
 
 (* Under the logical clock the whole exported trace (structure, virtual
-   tracks, timestamps) must be bit-identical for every job count. *)
+   tracks, timestamps) must be bit-identical at every pool width. *)
 let same_trace ?(max_cycles = 20) g c =
-  let run jobs =
-    Obs.with_capture ~clock:Obs.Logical (fun () ->
-        Gp.partition
-          ~config:{ (config ~jobs) with Config.max_cycles }
-          g c)
+  let run width =
+    Pool.with_width width (fun () ->
+        Obs.with_capture ~clock:Obs.Logical (fun () ->
+            Gp.partition ~config:{ config with Config.max_cycles } g c))
   in
   let r1, cap1 = run 1 in
   let r4, cap4 = run 4 in
@@ -142,7 +143,7 @@ let test_trace_deterministic_paper () =
 let test_trace_deterministic_forced_cycles () =
   (* bmax = 0 is infeasible, so the speculative waves really run and the
      prefix-commit logic (dropping buffers of discarded cycles) is
-     exercised at jobs=4. *)
+     exercised at width 4. *)
   let rng = Random.State.make [| 7 |] in
   let g =
     Ppnpart_workloads.Rand_graph.layered ~vw_range:(1, 9) ~ew_range:(1, 9)
@@ -164,10 +165,11 @@ let test_trace_deterministic_forced_cycles () =
 let test_tracing_does_not_change_result () =
   (* Installing the sink must not perturb the algorithm. *)
   let e = PG.experiment1 in
-  let plain = Gp.partition ~config:(config ~jobs:2) e.PG.graph e.PG.constraints in
+  Pool.with_width 2 @@ fun () ->
+  let plain = Gp.partition ~config e.PG.graph e.PG.constraints in
   let traced, _ =
     Obs.with_capture (fun () ->
-        Gp.partition ~config:(config ~jobs:2) e.PG.graph e.PG.constraints)
+        Gp.partition ~config e.PG.graph e.PG.constraints)
   in
   check_bool "same partition with and without tracing" true
     (plain.Gp.part = traced.Gp.part);

@@ -183,14 +183,14 @@ let test_repartition_deterministic () =
     let g, c = random_instance seed in
     let prev = (Gp.partition g c).Gp.part in
     let ops = ops_that_apply (rng (2000 + seed)) g in
-    let run ~jobs ~workspace () =
-      let config = { Config.default with Config.jobs } in
-      (Gp.repartition ~config ?workspace ~prev g c ops).Gp.rp_result.Gp.part
+    let run ~width ~workspace () =
+      Ppnpart_exec.Pool.with_width width (fun () ->
+          (Gp.repartition ?workspace ~prev g c ops).Gp.rp_result.Gp.part)
     in
-    let a = run ~jobs:1 ~workspace:(Some ws) () in
-    let b = run ~jobs:4 ~workspace:None () in
-    let c' = run ~jobs:1 ~workspace:(Some ws) () in
-    check_parts (Printf.sprintf "seed %d: jobs 1 = jobs 4" seed) a b;
+    let a = run ~width:1 ~workspace:(Some ws) () in
+    let b = run ~width:4 ~workspace:None () in
+    let c' = run ~width:1 ~workspace:(Some ws) () in
+    check_parts (Printf.sprintf "seed %d: width 1 = width 4" seed) a b;
     check_parts (Printf.sprintf "seed %d: rerun identical" seed) a c'
   done
 

@@ -142,23 +142,23 @@ let test_protocol_parse_ok () =
   in
   let plain = Protocol.parse (frame "") in
   (match plain with
-  | _, Ok (Protocol.Partition { graph = "g"; c; mode; seed = 5; jobs = 1 })
-    ->
+  | _, Ok (Protocol.Partition { graph = "g"; c; mode; seed = 5 }) ->
     check_int "k" 3 c.Types.k;
     check_int "rmax" 9 c.Types.rmax;
     check_int "bmax default" max_int c.Types.bmax;
     check_bool "mode default" true (mode = Config.Multilevel)
   | _ -> Alcotest.fail "partition defaults");
-  (* Frames from clients that still send the removed [stream_jobs]
-     field — including the once-rejected negative value — parse to the
-     same command: unknown fields are ignored. *)
+  (* Frames from clients that still send the removed [jobs] or
+     [stream_jobs] fields — including the once-rejected negative values —
+     parse to the same command: unknown fields are ignored. *)
   List.iter
     (fun extra ->
       check_bool
         (Printf.sprintf "partition%s = partition" extra)
         true
         (Protocol.parse (frame extra) = plain))
-    [ ",\"stream_jobs\":4"; ",\"stream_jobs\":-1" ]
+    [ ",\"stream_jobs\":4"; ",\"stream_jobs\":-1"; ",\"jobs\":4";
+      ",\"jobs\":-1" ]
 
 let test_protocol_parse_edits () =
   match
@@ -686,8 +686,8 @@ let test_service_report_bytes () =
   in
   let config, c, mode =
     match Protocol.parse partition with
-    | _, Ok (Protocol.Partition { c; mode; seed; jobs; _ }) ->
-      ({ Config.default with Config.mode; seed; jobs }, c, mode)
+    | _, Ok (Protocol.Partition { c; mode; seed; _ }) ->
+      ({ Config.default with Config.mode; seed }, c, mode)
     | _ -> Alcotest.fail "partition frame did not parse"
   in
   ignore (ok_json "partition" (handle svc partition));

@@ -144,7 +144,7 @@ let test_stream_workspace_reuse () =
 (* --- Gp modes --- *)
 
 let config_of mode =
-  { Config.default with Config.mode; jobs = 1; max_cycles = 4 }
+  { Config.default with Config.mode; max_cycles = 4 }
 
 let test_gp_stream_mode () =
   for seed = 0 to 4 do
@@ -176,21 +176,20 @@ let test_gp_hybrid_never_worse_than_stream_seed () =
 
 let test_gp_modes_deterministic_across_jobs () =
   (* Stream and hybrid never touch the domain pool: the partition must be
-     bit-identical for every job count. *)
+     bit-identical at every pool width. *)
   List.iter
     (fun mode ->
       for seed = 0 to 2 do
         let g, c =
           Rand_graph.random_partitionable (rng (100 + seed)) ~n:90 ~k:3
         in
-        let r1 =
-          Gp.partition ~config:{ (config_of mode) with Config.jobs = 1 } g c
+        let run width =
+          Ppnpart_exec.Pool.with_width width (fun () ->
+              Gp.partition ~config:(config_of mode) g c)
         in
-        let r4 =
-          Gp.partition ~config:{ (config_of mode) with Config.jobs = 4 } g c
-        in
+        let r1 = run 1 and r4 = run 4 in
         check_parts
-          (Printf.sprintf "%s seed %d: jobs 1 = jobs 4"
+          (Printf.sprintf "%s seed %d: width 1 = width 4"
              (Config.mode_name mode) seed)
           r1.Gp.part r4.Gp.part
       done)
@@ -230,7 +229,7 @@ let test_gp_large_modes_are_sequential () =
     Gp.partition ~config:{ cfg with Config.mode = Config.Hybrid } g c
   in
   let st = Part_state.init g c (Array.copy seed_part) in
-  Refine_constrained.refine_state ~max_passes:cfg.Config.refine_passes
+  Refine_constrained.refine_state
     (Random.State.make [| cfg.Config.seed; 0x6770 |])
     st;
   check_parts "hybrid mode = refined stream seed" (Part_state.snapshot st)
