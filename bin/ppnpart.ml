@@ -278,18 +278,36 @@ let resolve_input input paper seed =
          rng ~n:24 ~m:60)
   | Some _, Some _ -> Error "--input and --paper are mutually exclusive"
 
+(* [Types.constraints] and [Config.validate] reject an out-of-range
+   option with [Invalid_argument]; the CLI reports it as an input
+   error. *)
+let checked_options f =
+  match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
+
 (* --- partition command --- *)
 
 let partition_cmd =
   let run () input paper seed k bmax rmax algo mode stream_iterations
       dot save trace_out trace_jsonl metrics_out report_json det_report stats
       check =
-    match resolve_input input paper seed with
+    let options () =
+      let c = Types.constraints ~k ~bmax ~rmax in
+      let config =
+        { Ppnpart_core.Config.default with seed; mode; stream_iterations;
+          debug_checks = Ppnpart_core.Config.default.debug_checks || check
+        }
+      in
+      Ppnpart_core.Config.validate config;
+      (c, config)
+    in
+    match
+      Result.bind (checked_options options) (fun o ->
+          Result.map (fun g -> (o, g)) (resolve_input input paper seed))
+    with
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
-    | Ok g ->
-      let c = Types.constraints ~k ~bmax ~rmax in
+    | Ok ((c, config), g) ->
       (* Deterministic reports need span durations measured on the
          logical event clock, which lives in the trace buffers — so the
          flag implies a capture even when no trace file was asked for. *)
@@ -312,12 +330,6 @@ let partition_cmd =
         let rng = Random.State.make [| seed |] in
         match algo with
         | `Gp ->
-          let config =
-            { Ppnpart_core.Config.default with seed; mode;
-              stream_iterations;
-              debug_checks = Ppnpart_core.Config.default.debug_checks || check
-            }
-          in
           let r = Ppnpart_core.Gp.partition ~config g c in
           gp_result := Some r;
           let name =
@@ -676,9 +688,12 @@ let eval_cmd =
       | exception Partition_io.Parse_error msg ->
         Printf.eprintf "error: %s\n" msg;
         1
-      | part, k ->
-        begin
-          let c = Types.constraints ~k ~bmax ~rmax in
+      | part, k -> (
+        match checked_options (fun () -> Types.constraints ~k ~bmax ~rmax) with
+        | Error msg ->
+          Printf.eprintf "error: %s\n" msg;
+          1
+        | Ok c ->
           let report = Metrics.report g c part in
           print_string
             (Ppnpart_core.Report.table
@@ -686,8 +701,7 @@ let eval_cmd =
                ~constraints:c
                [ ("loaded", report) ]);
           if report.Metrics.bandwidth_ok && report.Metrics.resource_ok then 0
-          else 4
-        end)
+          else 4))
   in
   let term =
     Term.(

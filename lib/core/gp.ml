@@ -368,6 +368,10 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
        that point is discarded and the outcome matches the sequential
        schedule exactly. *)
     let stop = ref (!best_goodness.Metrics.violation = 0) in
+    (* From here on slot [w] runs cycles [w + 1], [w + 1 + wave_width],
+       ...: what it allocates depends on the width, so the slots keep
+       their allocation counters out of the trace. *)
+    Array.iter (fun ws -> ws.Workspace.quiet <- true) workspaces;
     let next = ref 1 in
     while (not !stop) && !next <= config.Config.max_cycles do
       let wave = min wave_width (config.Config.max_cycles - !next + 1) in

@@ -200,25 +200,118 @@ let fold_neighbors g u f init =
 
 let weighted_degree g u = fold_neighbors g u (fun acc _ w -> acc + w) 0
 
-(* Adjacency slices are sorted by neighbour id at build time, so edge
-   lookups binary-search in O(log deg) rather than scanning the slice. *)
-let neighbor_index g u v =
-  let lo = ref g.xadj.(u) and hi = ref (g.xadj.(u + 1) - 1) in
-  let found = ref (-1) in
+(* Index of [v] in the sorted slice [lo, hi) of [a], or -1. Adjacency
+   slices are sorted by neighbour id at build time, so edge lookups
+   binary-search in O(log deg) rather than scanning the slice. *)
+let search a ~lo ~hi v =
+  let lo = ref lo and hi = ref (hi - 1) and found = ref (-1) in
   while !found < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let x = g.adjncy.(mid) in
+    let x = a.(mid) in
     if x = v then found := mid
     else if x < v then lo := mid + 1
     else hi := mid - 1
   done;
   !found
 
+let neighbor_index g u v = search g.adjncy ~lo:g.xadj.(u) ~hi:g.xadj.(u + 1) v
+
 let edge_weight g u v =
   let i = neighbor_index g u v in
   if i < 0 then 0 else g.adjwgt.(i)
 
 let mem_edge g u v = neighbor_index g u v >= 0
+
+(* Every row not in [rows] is, by the caller's contract, a base row
+   renumbered through the (monotone) node map, so the invariants of
+   [of_csr] can only break at an entry of a listed row, at an entry that
+   a listed row lost, or at an entry of a copied row that names a
+   removed node. The checks below cover exactly those three, with
+   [of_csr]'s messages. *)
+let of_splice base ?node_map ~vwgt ~xadj ~adjncy ~adjwgt ~rows () =
+  let fail fmt = Format.kasprintf invalid_arg ("Wgraph.of_splice: " ^^ fmt) in
+  let n = Array.length vwgt and nb = base.n in
+  if Array.length xadj <> n + 1 then fail "xadj length <> n + 1";
+  if xadj.(0) <> 0 then fail "xadj.(0) <> 0";
+  let m2 = Array.length adjncy in
+  if xadj.(n) <> m2 then fail "xadj.(n) <> |adjncy|";
+  if Array.length adjwgt <> m2 then fail "adjwgt length <> |adjncy|";
+  Array.iteri
+    (fun i u ->
+      if u < 0 || u >= n || (i > 0 && rows.(i - 1) >= u) then
+        fail "spliced rows not strictly ascending in [0, n)")
+    rows;
+  let nr = Array.length rows in
+  let listed u = search rows ~lo:0 ~hi:nr u >= 0 in
+  (* [base_of u]: the base node result node [u] came from, or -1 for an
+     added node; [new_of x]: base node [x]'s result id, or -1 if it was
+     removed. Without [node_map] both are the identity on base ids. *)
+  let base_of, new_of =
+    match node_map with
+    | None ->
+      if n < nb then fail "fewer nodes than the base graph and no node_map";
+      for u = nb to n - 1 do
+        if not (listed u) then fail "added node %d not among the rows" u
+      done;
+      ((fun u -> if u < nb then u else -1), Fun.id)
+    | Some map ->
+      if Array.length map <> n then fail "node_map length <> n";
+      let new_id = Array.make nb (-1) and last = ref (-1) in
+      Array.iteri
+        (fun u o ->
+          if o < 0 then begin
+            if not (listed u) then fail "added node %d not among the rows" u
+          end
+          else begin
+            if o <= !last || o >= nb then
+              fail "node_map not ascending into the base graph at node %d" u;
+            new_id.(o) <- u;
+            last := o
+          end)
+        map;
+      (* A copied row naming a removed node would hold no valid id. *)
+      for x = 0 to nb - 1 do
+        if new_id.(x) < 0 then
+          iter_neighbors base x (fun y _ ->
+              let y' = new_id.(y) in
+              if y' >= 0 && not (listed y') then
+                fail "neighbour out of range at node %d" y')
+      done;
+      ((fun u -> map.(u)), fun x -> new_id.(x))
+  in
+  let mirror_missing u v =
+    fail "edge (%d, %d) missing its mirror" (min u v) (max u v)
+  and asymmetric u v =
+    fail "asymmetric weight on edge (%d, %d)" (min u v) (max u v)
+  in
+  Array.iter
+    (fun u ->
+      if vwgt.(u) < 0 then fail "negative vwgt";
+      let lo = xadj.(u) and hi = xadj.(u + 1) in
+      if lo > hi || hi > m2 then fail "xadj not monotone at node %d" u;
+      for i = lo to hi - 1 do
+        let v = adjncy.(i) in
+        if v < 0 || v >= n then fail "neighbour out of range at node %d" u;
+        if v = u then fail "self loop at node %d" u;
+        if i > lo && adjncy.(i - 1) >= v then
+          fail "adjacency slice of node %d not strictly ascending" u;
+        if adjwgt.(i) < 0 then fail "negative edge weight at node %d" u;
+        let j = search adjncy ~lo:xadj.(v) ~hi:xadj.(v + 1) u in
+        if j < 0 then mirror_missing u v;
+        if adjwgt.(j) <> adjwgt.(i) then asymmetric u v
+      done;
+      (* A copied neighbour still lists [u] as the base graph did. *)
+      let o = base_of u in
+      if o >= 0 then
+        iter_neighbors base o (fun y w ->
+            let y' = new_of y in
+            if y' >= 0 && not (listed y') then begin
+              let j = search adjncy ~lo ~hi y' in
+              if j < 0 then mirror_missing u y';
+              if adjwgt.(j) <> w then asymmetric u y'
+            end))
+    rows;
+  { n; xadj; adjncy; adjwgt; vwgt }
 
 let iter_edges g f =
   for u = 0 to g.n - 1 do

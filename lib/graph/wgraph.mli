@@ -60,6 +60,38 @@ val unsafe_of_csr :
     the constructor for anything externally sourced. Handing this
     malformed arrays breaks the {!t} invariants silently. *)
 
+val of_splice :
+  t ->
+  ?node_map:int array ->
+  vwgt:int array ->
+  xadj:int array ->
+  adjncy:int array ->
+  adjwgt:int array ->
+  rows:int array ->
+  unit ->
+  t
+(** [of_splice base ?node_map ~vwgt ~xadj ~adjncy ~adjwgt ~rows ()]
+    adopts the CSR arrays of an edited copy of [base], like
+    {!unsafe_of_csr} ([n] is [|vwgt|]), after a check that costs
+    O(|rows| · degree · log degree) instead of {!of_csr}'s O(n + m).
+
+    [node_map.(u)] is the base node that result node [u] came from, or
+    [-1] for an added node, strictly ascending over its base entries;
+    without it, base node [x] keeps id [x] and nodes from
+    [n_nodes base] on are added. [rows], strictly ascending, lists every
+    result node whose row or weight may differ from its base node's,
+    and every added node. The caller guarantees that every other row is
+    its base row renumbered through the map, with the base weight.
+
+    Under that contract the check proves what {!of_csr} proves: each
+    listed row is strictly ascending, in range, loop-free and
+    non-negative; each of its entries has a mirror of equal weight; each
+    base neighbour outside [rows] is still listed with its base weight;
+    and every base neighbour of a removed node is listed. With
+    [node_map], it adds an O(n) pass.
+    @raise Invalid_argument naming the first violation with {!of_csr}'s
+    message, under the prefix ["Wgraph.of_splice: "]. *)
+
 val of_soa_edges :
   ?vwgt:int array -> int -> src:int array -> dst:int array -> wgt:int array -> t
 (** [of_soa_edges n ~src ~dst ~wgt] bulk-builds the graph from one

@@ -31,33 +31,35 @@ let err fmt = Printf.ksprintf (fun msg -> raise (Invalid_edit msg)) fmt
    neighbour hash (weights mirrored on both endpoints) for exactly the
    rows some op has modified — a node whose adjacency no edit reaches
    never materializes a hash. Every op — including [Remove_node] —
-   costs O(degree), not O(m). The rebuild splices the edited CSR
-   directly: unmodified rows are copied slice by slice from the base
-   arrays and only the materialized rows are sorted, so a small batch
-   costs O(n + m) integer copying plus O(edits · degree · log degree),
-   with no edge tuple and no global sort. Hash iteration order never
-   reaches the result: each materialized row is sorted by neighbour id,
-   so the output is a pure function of the edit batch. *)
+   costs O(degree), not O(m), and nothing O(n) beyond the node weights
+   is allocated until the rebuild: removed handles go into a hash. A handle below [n0] is its own
+   original id; handles from [n0] on were added. Hash iteration order
+   never reaches the result: each materialized row is sorted by
+   neighbour id, so the output is a pure function of the edit batch. *)
 type builder = {
   g : Wgraph.t;  (* adjacency source for unmaterialized rows *)
   n0 : int;  (* original node count: handles >= n0 were added *)
-  mutable weight : int array;  (* node handle -> weight *)
-  mutable alive : bool array;
-  mutable orig : int array;  (* node handle -> original id, -1 = added *)
+  weight : int array;  (* node handle -> weight, one per handle *)
   mutable next : int;  (* next unused handle *)
+  removed : (int, unit) Hashtbl.t;
   adj : (int, (int, int) Hashtbl.t) Hashtbl.t;  (* modified rows only *)
   touched : (int, unit) Hashtbl.t;
 }
 
-let of_graph g =
-  let n = Wgraph.n_nodes g in
+let of_graph g ~adds =
+  let n0 = Wgraph.n_nodes g in
+  (* A plain loop: [Array.blit] into a major-heap array pays a write
+     barrier per element. *)
+  let weight = Array.make (n0 + adds) 0 in
+  for u = 0 to n0 - 1 do
+    weight.(u) <- g.Wgraph.vwgt.(u)
+  done;
   {
     g;
-    n0 = n;
-    weight = Array.init n (Wgraph.node_weight g);
-    alive = Array.make n true;
-    orig = Array.init n Fun.id;
-    next = n;
+    n0;
+    weight;
+    next = Wgraph.n_nodes g;
+    removed = Hashtbl.create 4;
     adj = Hashtbl.create 64;
     touched = Hashtbl.create 16;
   }
@@ -81,22 +83,7 @@ let touch b u = Hashtbl.replace b.touched u ()
 
 let check_node b ~op u =
   if u < 0 || u >= b.next then err "%s: node %d out of range" op u;
-  if not b.alive.(u) then err "%s: node %d was removed" op u
-
-let grow b =
-  let cap = Array.length b.weight in
-  if b.next = cap then begin
-    let cap' = max 8 (2 * cap) in
-    let weight' = Array.make cap' 0
-    and alive' = Array.make cap' false
-    and orig' = Array.make cap' (-1) in
-    Array.blit b.weight 0 weight' 0 cap;
-    Array.blit b.alive 0 alive' 0 cap;
-    Array.blit b.orig 0 orig' 0 cap;
-    b.weight <- weight';
-    b.alive <- alive';
-    b.orig <- orig'
-  end
+  if Hashtbl.mem b.removed u then err "%s: node %d was removed" op u
 
 let edge_weight b u v = Hashtbl.find_opt (row b u) v
 
@@ -119,12 +106,9 @@ let apply_op b = function
           err "add_node: duplicate neighbor %d" v;
         Hashtbl.replace seen v ())
       neighbors;
-    grow b;
     let u = b.next in
     b.next <- u + 1;
     b.weight.(u) <- weight;
-    b.alive.(u) <- true;
-    b.orig.(u) <- -1;
     touch b u;
     List.iter
       (fun (v, w) ->
@@ -133,7 +117,7 @@ let apply_op b = function
       neighbors
   | Remove_node u ->
     check_node b ~op:"remove_node" u;
-    b.alive.(u) <- false;
+    Hashtbl.replace b.removed u ();
     touch b u;
     let r = row b u in
     Hashtbl.iter
@@ -176,99 +160,153 @@ let apply_op b = function
     touch b u;
     touch b v
 
+(* Handle [u]'s edited-graph id: [new_id] is the compaction map when
+   the batch removed a node, and [None] (the identity) otherwise. *)
+let renumbered new_id u =
+  match new_id with Some a -> a.(u) | None -> u
+
 (* The edited-graph ids of the touched handles that survive, ascending.
    Every row or weight the batch changed belongs to one of them. *)
 let touched_survivors b new_id =
   let ids =
     Hashtbl.fold
-      (fun u () acc -> if new_id.(u) >= 0 then new_id.(u) :: acc else acc)
+      (fun u () acc ->
+        let u' = renumbered new_id u in
+        if u' >= 0 then u' :: acc else acc)
       b.touched []
   in
   let a = Array.of_list ids in
   Array.sort Int.compare a;
   a
 
-let apply g ops =
-  let b = of_graph g in
-  let added = ref 0 and removed = ref 0 in
-  List.iter
-    (fun op ->
-      (match op with
-      | Add_node _ -> incr added
-      | Remove_node _ -> incr removed
-      | _ -> ());
-      apply_op b op)
-    ops;
-  (* Compact surviving handles, in ascending order, onto 0 .. n' - 1. *)
-  let n' = ref 0 in
-  let new_id = Array.make b.next (-1) in
-  for u = 0 to b.next - 1 do
-    if b.alive.(u) then begin
-      new_id.(u) <- !n';
-      incr n'
-    end
-  done;
-  let n' = !n' in
-  let node_map = Array.make n' (-1) in
-  let vwgt = Array.make n' 0 in
-  for u = 0 to b.next - 1 do
-    let u' = new_id.(u) in
-    if u' >= 0 then begin
-      node_map.(u') <- b.orig.(u);
-      vwgt.(u') <- b.weight.(u)
-    end
-  done;
-  (* Row pointers from each survivor's degree in the edited graph: a
-     materialized row owns its current adjacency, an unmaterialized
-     base row is unchanged, and an added node without a row has none. *)
+(* The edited CSR arrays. The handles a base row cannot be copied for —
+   materialized, removed or added — are visited in ascending order;
+   between two of them lies a run of untouched base rows (all below
+   [n0]), copied as one block with its row pointers shifted by the
+   running degree delta. The renumbering is monotone, so a renumbered
+   slice stays sorted. *)
+let splice b ~new_id n' =
+  let g = b.g and n0 = b.n0 in
+  let keys h = List.of_seq (Hashtbl.to_seq_keys h) in
+  let added = List.init (b.next - n0) (fun i -> n0 + i) in
+  let spliced =
+    Array.of_list
+      (List.sort_uniq Int.compare (keys b.adj @ keys b.removed @ added))
+  in
+  let gx = g.Wgraph.xadj and gadj = g.Wgraph.adjncy
+  and gwgt = g.Wgraph.adjwgt in
+  let m2 =
+    Array.fold_left
+      (fun m h ->
+        let m = if h < n0 then m - Wgraph.degree g h else m in
+        match Hashtbl.find_opt b.adj h with
+        | Some r -> m + Hashtbl.length r
+        | None -> m)
+      gx.(n0) spliced
+  in
   let xadj = Array.make (n' + 1) 0 in
-  let has_row = Array.make b.next false in
-  Hashtbl.iter
-    (fun u r ->
-      has_row.(u) <- true;
-      xadj.(new_id.(u) + 1) <- Hashtbl.length r)
-    b.adj;
-  for u = 0 to b.n0 - 1 do
-    if b.alive.(u) && not has_row.(u) then
-      xadj.(new_id.(u) + 1) <- Wgraph.degree g u
-  done;
-  for u' = 0 to n' - 1 do
-    xadj.(u' + 1) <- xadj.(u') + xadj.(u' + 1)
-  done;
-  let adjncy = Array.make xadj.(n') 0 and adjwgt = Array.make xadj.(n') 0 in
-  (* Unmaterialized rows are exact in the edited graph (any edit to one
-     of their edges would have materialized them). [new_id] is
-     monotone, so each renumbered slice stays sorted. (A plain int loop:
-     [Array.blit] into a major-heap array pays a write barrier per
-     element and measured slower, even where [new_id] is the identity.) *)
-  for u = 0 to b.n0 - 1 do
-    if b.alive.(u) && not has_row.(u) then begin
-      let src = g.Wgraph.xadj.(u) and dst = xadj.(new_id.(u)) in
-      for i = 0 to g.Wgraph.xadj.(u + 1) - src - 1 do
-        adjncy.(dst + i) <- new_id.(g.Wgraph.adjncy.(src + i));
-        adjwgt.(dst + i) <- g.Wgraph.adjwgt.(src + i)
-      done
+  let adjncy = Array.make m2 0 and adjwgt = Array.make m2 0 in
+  let u' = ref 0 and pos = ref 0 in
+  (* Plain int loops: [Array.blit] into a major-heap array pays a write
+     barrier per element. *)
+  let copy_run lo hi =
+    let src = gx.(lo) and dst = !pos in
+    let len = gx.(hi) - src in
+    for h = lo to hi - 1 do
+      xadj.(!u' + h - lo + 1) <- gx.(h + 1) - src + dst
+    done;
+    (match new_id with
+     | Some a ->
+       for i = 0 to len - 1 do
+         adjncy.(dst + i) <- a.(gadj.(src + i));
+         adjwgt.(dst + i) <- gwgt.(src + i)
+       done
+     | None ->
+       for i = 0 to len - 1 do
+         adjncy.(dst + i) <- gadj.(src + i);
+         adjwgt.(dst + i) <- gwgt.(src + i)
+       done);
+    pos := dst + len;
+    u' := !u' + hi - lo
+  in
+  let cursor = ref 0 in
+  Array.iter
+    (fun h ->
+      if !cursor < h then copy_run !cursor h;
+      cursor := h + 1;
+      if not (Hashtbl.mem b.removed h) then begin
+        (* A materialized row: dump the hash, then sort the slice by id.
+           An added node without one has no neighbours. *)
+        Option.iter
+          (fun r ->
+            let lo = !pos in
+            Hashtbl.iter
+              (fun v w ->
+                adjncy.(!pos) <- renumbered new_id v;
+                adjwgt.(!pos) <- w;
+                incr pos)
+              r;
+            Int_sort.sort_pairs adjncy adjwgt ~lo ~len:(!pos - lo))
+          (Hashtbl.find_opt b.adj h);
+        incr u';
+        xadj.(!u') <- !pos
+      end)
+    spliced;
+  if !cursor < n0 then copy_run !cursor n0;
+  (xadj, adjncy, adjwgt)
+
+let apply g ops =
+  let adds =
+    List.fold_left
+      (fun acc -> function Add_node _ -> acc + 1 | _ -> acc)
+      0 ops
+  in
+  let b = of_graph g ~adds in
+  List.iter (apply_op b) ops;
+  let n0 = b.n0 and next = b.next in
+  let removed = Hashtbl.length b.removed in
+  let n' = next - removed in
+  (* Survivors are compacted, in ascending handle order, onto
+     0 .. n' - 1: the identity unless the batch removed a node, and
+     only then is the map an array. *)
+  let node_map = Array.make n' (-1) in
+  let new_id, vwgt =
+    if removed = 0 then begin
+      for u = 0 to n0 - 1 do
+        node_map.(u) <- u
+      done;
+      (None, b.weight)
     end
-  done;
-  (* Materialized rows: dump the hash, then sort the slice by id. *)
-  Hashtbl.iter
-    (fun u r ->
-      let lo = xadj.(new_id.(u)) in
-      let i = ref lo in
-      Hashtbl.iter
-        (fun v w ->
-          adjncy.(!i) <- new_id.(v);
-          adjwgt.(!i) <- w;
-          incr i)
-        r;
-      Int_sort.sort_pairs adjncy adjwgt ~lo ~len:(!i - lo))
-    b.adj;
-  let g' = Wgraph.of_csr ~vwgt ~n:n' ~xadj ~adjncy ~adjwgt () in
+    else begin
+      let new_id = Array.make next (-1) and vwgt = Array.make n' 0 in
+      let k = ref 0 in
+      for u = 0 to next - 1 do
+        if not (Hashtbl.mem b.removed u) then begin
+          new_id.(u) <- !k;
+          if u < n0 then node_map.(!k) <- u;
+          vwgt.(!k) <- b.weight.(u);
+          incr k
+        end
+      done;
+      (Some new_id, vwgt)
+    end
+  in
+  let xadj, adjncy, adjwgt = splice b ~new_id n' in
+  let touched_nodes = touched_survivors b new_id in
+  let g' =
+    Wgraph.of_splice g
+      ?node_map:(Option.map (fun _ -> node_map) new_id)
+      ~vwgt ~xadj ~adjncy ~adjwgt ~rows:touched_nodes ()
+  in
+  if Atomic.get Debug_hooks.enabled then begin
+    Wgraph.validate g';
+    Ppnpart_obs.Counters.incr "check.graph_edit.apply"
+  end;
   ( g',
     node_map,
     {
-      added_nodes = !added;
-      removed_nodes = !removed;
+      added_nodes = adds;
+      removed_nodes = removed;
       touched = Hashtbl.length b.touched;
-      touched_nodes = touched_survivors b new_id;
+      touched_nodes;
     } )

@@ -63,10 +63,15 @@ val apply : Wgraph.t -> op list -> Wgraph.t * int array * stats
     map. Deterministic: equal [(g, ops)] give byte-identical results.
 
     Cost: each op is O(degree) on lazily materialized rows. The edited
-    CSR is spliced, not rebuilt from an edge list: rows no op touched
-    are copied from [g]'s arrays, renumbered past removed nodes; the
-    touched rows are sorted by neighbour id; and the result goes
-    through the validating {!Wgraph.of_csr}. A batch of a few ops on an
-    [m]-edge graph is O(n + m) integer copying and checking, with no
-    global sort.
+    CSR is spliced, not rebuilt from an edge list. Each maximal run of
+    rows no op touched is copied from [g]'s arrays as one block, with
+    its row pointers shifted by the degree change so far. Entries are
+    renumbered only when the batch removed a node, and the node-id map
+    behind that is allocated only then. The materialized rows are
+    sorted by neighbour id. The result is checked by {!Wgraph.of_splice}, which looks at
+    the touched rows and their neighbours only, not at all [m] edges.
+    So a few-op batch allocates the edited graph and node map plus
+    O(edit) words, and its work is O(n + m) plain word copying. Under
+    [Ppnpart_check] (the [--check] flag), the full {!Wgraph.validate}
+    also runs on every edited graph.
     @raise Invalid_edit on the first malformed op (see above). *)

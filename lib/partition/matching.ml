@@ -127,11 +127,11 @@ let heavy_edge ?workspace rng g =
   let n = Wgraph.n_nodes g in
   let partner = Array.init n (fun i -> i) in
   let m = Wgraph.n_edges g in
-  let bufs =
-    (match workspace with Some ws -> ws | None -> Workspace.create ())
-      .Workspace.he
+  let ws =
+    match workspace with Some ws -> ws | None -> Workspace.create ()
   in
-  Workspace.ensure_edges bufs ~m ~perm:true;
+  let bufs = ws.Workspace.he in
+  Workspace.ensure_edges ws bufs ~m ~perm:true;
   let m, wmax = fill_edges_soa g bufs (fun _ _ -> true) in
   (* Shuffle a rank permutation with the same draws the tuple oracle
      spends shuffling its edge array, so the tie-breaking rank — and the
@@ -290,11 +290,11 @@ let k_means ?workspace rng g =
        lexicographic edge order, exactly the tuple oracle's
        filtered-array index)... *)
     let partner = Array.init n (fun i -> i) in
-    let bufs =
-      (match workspace with Some ws -> ws | None -> Workspace.create ())
-        .Workspace.km
+    let ws =
+      match workspace with Some ws -> ws | None -> Workspace.create ()
     in
-    Workspace.ensure_edges bufs ~m:(Wgraph.n_edges g) ~perm:false;
+    let bufs = ws.Workspace.km in
+    Workspace.ensure_edges ws bufs ~m:(Wgraph.n_edges g) ~perm:false;
     let mi, wmax =
       fill_edges_soa g bufs (fun u v -> cluster.(u) = cluster.(v))
     in

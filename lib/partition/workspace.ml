@@ -66,6 +66,7 @@ type t = {
   mutable st_bw : int array;
   mutable st_conn : int array;
   mutable st_touched : int array;
+  mutable quiet : bool;
 }
 
 let empty_bufs () =
@@ -106,6 +107,7 @@ let create () =
     st_bw = [||];
     st_conn = [||];
     st_touched = [||];
+    quiet = false;
   }
 
 (* Geometric growth, so a descending level sequence (the common case)
@@ -123,8 +125,8 @@ let grow grown cur needed =
     Array.make cap 0
   end
 
-let finish_ensure ?(counter = "coarsen.alloc") grown =
-  if Ppnpart_obs.Obs.enabled () then
+let finish_ensure ?(counter = "coarsen.alloc") t grown =
+  if Ppnpart_obs.Obs.enabled () && not t.quiet then
     if !grown > 0 then Ppnpart_obs.Counters.add counter !grown
     else Ppnpart_obs.Counters.incr "workspace.reuse"
 
@@ -135,16 +137,16 @@ let ensure_contract t ~coarse_nodes ~half_edges =
   t.cxadj <- grow grown t.cxadj (coarse_nodes + 1);
   t.cadj <- grow grown t.cadj half_edges;
   t.cwgt <- grow grown t.cwgt half_edges;
-  finish_ensure grown
+  finish_ensure t grown
 
-let ensure_edges bufs ~m ~perm =
+let ensure_edges t bufs ~m ~perm =
   let grown = ref 0 in
   bufs.e_src <- grow grown bufs.e_src m;
   bufs.e_dst <- grow grown bufs.e_dst m;
   bufs.e_wgt <- grow grown bufs.e_wgt m;
   bufs.e_key <- grow grown bufs.e_key m;
   if perm then bufs.e_perm <- grow grown bufs.e_perm m;
-  finish_ensure grown
+  finish_ensure t grown
 
 (* A fresh generation for one marker scan: marks from earlier scans
    become stale without clearing the arrays. Generation 0 is reserved as
@@ -179,7 +181,7 @@ let ensure_state t ~n ~k =
     grown := !grown + (cap * cap);
     t.ps_bw <- Array.make_matrix cap cap 0
   end;
-  finish_ensure ~counter:"refine.alloc" grown
+  finish_ensure ~counter:"refine.alloc" t grown
 
 let ensure_stream t ~k =
   let grown = ref 0 in
@@ -187,7 +189,7 @@ let ensure_stream t ~k =
   t.st_bw <- grow grown t.st_bw (k * k);
   t.st_conn <- grow grown t.st_conn k;
   t.st_touched <- grow grown t.st_touched k;
-  finish_ensure ~counter:"stream.alloc" grown
+  finish_ensure ~counter:"stream.alloc" t grown
 
 (* The label bank alternates on every acquisition, so two consecutively
    initialized states never share their partition array — the invariant
@@ -201,7 +203,7 @@ let part_bank t ~n =
   if Array.length b = n then b
   else begin
     let b = Array.make n 0 in
-    if Ppnpart_obs.Obs.enabled () then
+    if Ppnpart_obs.Obs.enabled () && not t.quiet then
       Ppnpart_obs.Counters.add "refine.alloc" n;
     t.ps_banks.(t.ps_bank) <- b;
     b

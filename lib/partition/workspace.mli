@@ -15,7 +15,8 @@
 
     Observability: every ensure call emits either a [coarsen.alloc]
     counter delta (words newly allocated) or a [workspace.reuse] tick
-    (served entirely from existing capacity). *)
+    (served entirely from existing capacity), unless the workspace is
+    {!field-quiet}. *)
 
 (** One SoA edge-buffer set: sources, destinations, weights, packed sort
     keys, and an optional shuffle permutation, all parallel. *)
@@ -78,6 +79,11 @@ type t = {
       (** streaming per-node connectivity scratch, length ≥ k *)
   mutable st_touched : int array;
       (** parts with nonzero [st_conn] for the node in flight, length ≥ k *)
+  mutable quiet : bool;
+      (** record no allocation or reuse counters. Set on the V-cycle
+          wave slots: what a slot must allocate depends on how many
+          slots there are, i.e. on the pool width, and a trace must not
+          (DESIGN.md §6.1). [false] on {!create}. *)
 }
 
 val create : unit -> t
@@ -90,9 +96,10 @@ val ensure_contract : t -> coarse_nodes:int -> half_edges:int -> unit
     [half_edges] entries (the fine graph's [2m] is always a safe
     bound). *)
 
-val ensure_edges : edge_bufs -> m:int -> perm:bool -> unit
-(** Grow one edge-buffer set to [m] edges; [perm] also grows the shuffle
-    permutation buffer. *)
+val ensure_edges : t -> edge_bufs -> m:int -> perm:bool -> unit
+(** [ensure_edges t bufs ~m ~perm] grows [bufs], one of [t]'s edge-buffer
+    sets, to [m] edges; [perm] also grows the shuffle permutation
+    buffer. *)
 
 val next_gen : t -> int
 (** A fresh marker generation: entries of [mark] not equal to the

@@ -21,6 +21,7 @@ module Graph_edit_oracle = Ppnpart_test_oracle.Graph_edit_oracle
 module Coarsen_oracle = Ppnpart_test_oracle.Coarsen_oracle
 module Refine_oracle = Ppnpart_test_oracle.Refine_oracle
 module Metis_oracle = Ppnpart_test_oracle.Metis_oracle
+module Csr_rows = Ppnpart_test_oracle.Csr_rows
 
 let mode =
   if Sys.getenv_opt "PPNPART_FUZZ" = Some "full" then `Full
@@ -716,7 +717,11 @@ let test_resident_vs_rebuild () =
         (count ("gp.repartition.rebuilt." ^ reason) > 0))
     [ "gate"; "node_ids"; "new_state"; "fallback" ];
   check_bool "every patched state validated" true
-    (count "check.gp.repartition.state" >= patched)
+    (count "check.gp.repartition.state" >= patched);
+  (* Chain [a] runs checked: every edited graph also gets the full
+     [Wgraph.validate] sweep behind the edit-local check. *)
+  check_int "every checked edit fully validated" (sequences * steps)
+    (count "check.graph_edit.apply")
 
 (* --- spliced Graph_edit.apply vs the Edge_list oracle --- *)
 
@@ -724,7 +729,9 @@ let test_resident_vs_rebuild () =
    arrays; [Graph_edit_oracle] is the rebuild it replaced (every edge
    through [Edge_list], one global sort, [Wgraph.build]). On every batch
    the two must return identical CSR arrays, node maps and stats, or
-   raise [Invalid_edit] with the same message. *)
+   raise [Invalid_edit] with the same message. The splice is checked
+   edit-locally ([Wgraph.of_splice]); the full [Wgraph.of_csr] sweep must
+   accept the same arrays. [Some (g', stats)] for a valid batch. *)
 let edit_outcome apply g ops =
   match apply g ops with
   | g', node_map, stats ->
@@ -748,21 +755,72 @@ let check_splice name g ops =
     Alcotest.check arr (name ^ ": vwgt") vwgt' vwgt;
     Alcotest.check arr (name ^ ": node_map") map' map;
     check_bool (name ^ ": stats") true (st = st');
-    true
+    let g' =
+      match
+        Wgraph.of_csr ~vwgt ~n:(Array.length vwgt) ~xadj ~adjncy ~adjwgt ()
+      with
+      | g' -> g'
+      | exception Invalid_argument msg ->
+        Alcotest.failf "%s: of_csr rejects the splice: %s" name msg
+    in
+    Some (g', map, st)
   | Error msg, Error msg' ->
     Alcotest.(check string) (name ^ ": Invalid_edit message") msg' msg;
-    false
+    None
   | Ok _, Error msg ->
     Alcotest.failf "%s: oracle raised %S, splice did not" name msg
   | Error msg, Ok _ ->
     Alcotest.failf "%s: splice raised %S, oracle did not" name msg
 
+(* One random corruption of one spliced row: an asymmetric weight, a
+   dropped entry (its mirror stays), a duplicate, a self loop or an
+   out-of-range neighbour. Each breaks the CSR invariants, so the
+   edit-local check must reject the arrays, as the full sweep does. *)
+let check_corrupted_splice rng name g (g', map, (st : Graph_edit.stats)) =
+  let rows = st.Graph_edit.touched_nodes in
+  match List.filter (fun u -> Wgraph.degree g' u > 0) (Array.to_list rows) with
+  | [] -> ()
+  | candidates ->
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    let u = pick candidates in
+    let n = Wgraph.n_nodes g' and d = Wgraph.degree g' u in
+    let i = Random.State.int rng d in
+    let set i e l = List.mapi (fun j x -> if j = i then e else x) l in
+    let kind, f =
+      match Random.State.int rng 5 with
+      | 0 ->
+        let reweigh l = set i (fst (List.nth l i), 1 + snd (List.nth l i)) l in
+        ("asymmetric", reweigh)
+      | 1 -> ("dropped", List.filteri (fun j _ -> j <> i))
+      | 2 when d >= 2 ->
+        let i = max i 1 in
+        ("duplicate", fun l -> set i (List.nth l (i - 1)) l)
+      | 3 -> ("self loop", fun l -> set i (u, snd (List.nth l i)) l)
+      | _ -> ("out of range", fun l -> set i (n, snd (List.nth l i)) l)
+    in
+    let xadj, adjncy, adjwgt = Csr_rows.with_row g' u f in
+    let vwgt = g'.Wgraph.vwgt in
+    let rejects who build =
+      match build () with
+      | (_ : Wgraph.t) ->
+        Alcotest.failf "%s: %s accepts a %s entry in row %d" name who kind u
+      | exception Invalid_argument _ -> ()
+    in
+    rejects "of_csr" (fun () ->
+        Wgraph.of_csr ~vwgt ~n ~xadj ~adjncy ~adjwgt ());
+    rejects "of_splice" (fun () ->
+        Wgraph.of_splice g
+          ?node_map:(if st.Graph_edit.removed_nodes > 0 then Some map else None)
+          ~vwgt ~xadj ~adjncy ~adjwgt ~rows ())
+
 (* A batch of all six ops drawn against a model of the graph as the
    batch edits it (live handles, current edges), so most batches are
    valid and reach the rebuild. Weights start at 0 to cover zero-weight
    nodes and edges. With [bad], one op somewhere in the batch is
-   malformed in a random way, to compare error messages too. *)
-let random_splice_batch rng g ~bad =
+   malformed in a random way, to compare error messages too. [kind]
+   narrows the draw: [`Id_stable] has no node op, so the splice keeps
+   node ids, and [`Weights] only re-weights nodes, so no row changes. *)
+let random_splice_batch rng g ~bad ~kind =
   let module GE = Graph_edit in
   let next = ref (Wgraph.n_nodes g) in
   let dead = Hashtbl.create 8 in
@@ -805,13 +863,22 @@ let random_splice_batch rng g ~bad =
       | None -> GE.Remove_node (-1))
     | _ -> GE.Set_edge_weight (u, !next, 1)
   in
-  let n_ops = Random.State.int rng 9 in
+  let n_ops =
+    if kind = `Weights then 1 + Random.State.int rng 8
+    else Random.State.int rng 9
+  in
+  let draw () =
+    match kind with
+    | `All -> Random.State.int rng 6
+    | `Id_stable -> 2 + Random.State.int rng 4
+    | `Weights -> 4
+  in
   let bad_at = if bad then Random.State.int rng (n_ops + 1) else -1 in
   let ops = ref [] in
   for i = 0 to n_ops do
     if i = bad_at then ops := malformed () :: !ops
     else if i < n_ops then
-      match (Random.State.int rng 6, live (), live ()) with
+      match (draw (), live (), live ()) with
       | 0, _, _ ->
         let neighbors = ref [] in
         for _ = 1 to Random.State.int rng 4 do
@@ -862,7 +929,7 @@ let test_graph_edit_splice () =
         (4, 5, 1) ]
   in
   List.iter
-    (fun (name, ops) -> ignore (check_splice name g ops))
+    (fun (name, ops) -> ignore (check_splice name g ops : _ option))
     [ ("empty batch", []);
       ("add isolated node", [ GE.Add_node { weight = 3; neighbors = [] } ]);
       ( "isolated node, then edges elsewhere",
@@ -902,26 +969,53 @@ let test_graph_edit_splice () =
   let batches =
     match mode with `Quick -> 60 | `Default -> 300 | `Full -> 2000
   in
-  let valid = ref 0 in
+  let valid = ref 0 and id_stable = ref 0 and weights_only = ref 0 in
+  let node_op = function
+    | GE.Add_node _ | GE.Remove_node _ -> true
+    | _ -> false
+  in
   for seed = 1 to batches do
     let rng = Random.State.make [| 0x5911CE; seed |] in
+    (* A quarter of the seeds each draw id-stable and weight-only
+       batches; malformed ops go into another quarter. *)
+    let kind =
+      match seed mod 8 with 1 | 5 -> `Id_stable | 2 | 6 -> `Weights | _ -> `All
+    in
     let n = Random.State.int rng 120 in
+    let n = if kind = `Weights then max n 1 else n in
     let g =
       if n < 2 then Wgraph.of_edges n []
       else
         Ppnpart_workloads.Rand_graph.gnm ~vw_range:(0, 9) ~ew_range:(0, 9) rng
           ~n ~m:(min (n * (n - 1) / 2) (2 * n))
     in
-    let ops = random_splice_batch rng g ~bad:(seed mod 4 = 0) in
-    if check_splice (Printf.sprintf "seed %d (n=%d)" seed n) g ops then
-      incr valid
+    let ops = random_splice_batch rng g ~bad:(seed mod 4 = 0) ~kind in
+    let name = Printf.sprintf "seed %d (n=%d)" seed n in
+    match check_splice name g ops with
+    | None -> ()
+    | Some edited ->
+      incr valid;
+      if not (List.exists node_op ops) then incr id_stable;
+      let reweigh = function GE.Set_node_weight _ -> true | _ -> false in
+      if ops <> [] && List.for_all reweigh ops then incr weights_only;
+      check_corrupted_splice rng name g edited
   done;
   (* Malformed ops go into a quarter of the batches; the rest must
      mostly reach the rebuild, or the comparison above is vacuous. *)
   check_bool
     (Printf.sprintf "most batches reach the rebuild (%d/%d)" !valid batches)
     true
-    (!valid >= batches * 2 / 3)
+    (!valid >= batches * 2 / 3);
+  check_bool
+    (Printf.sprintf "a quarter of the batches are id-stable (%d/%d)"
+       !id_stable batches)
+    true
+    (!id_stable >= batches / 4);
+  check_bool
+    (Printf.sprintf "a quarter of the batches are weight-only (%d/%d)"
+       !weights_only batches)
+    true
+    (!weights_only >= batches / 4)
 
 (* --- METIS reader vs oracle --- *)
 

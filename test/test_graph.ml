@@ -2,6 +2,7 @@
 
 open Ppnpart_graph
 module Metis_oracle = Ppnpart_test_oracle.Metis_oracle
+module Csr_rows = Ppnpart_test_oracle.Csr_rows
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -253,6 +254,70 @@ let test_of_csr_validation () =
       mk ~adjwgt:[| 3; 1; 3; 2; 1; 2; 5; 4 |] ());
   rejects_invalid "vwgt wrong length" (fun () -> mk ~vwgt:[| 1; 1 |] ());
   rejects_invalid "vwgt negative" (fun () -> mk ~vwgt:[| 1; 1; -1; 1 |] ())
+
+(* [Wgraph.of_splice] checks only the edited rows, yet must reject each
+   kind of corrupted row with the message the full [of_csr] sweep gives
+   for the same arrays. The splice is a real edit (channel 1-4 added,
+   so rows 1 and 4 are spliced); row 1 is then rewritten. *)
+let test_of_splice_matches_of_csr () =
+  let module GE = Ppnpart_partition.Graph_edit in
+  let g =
+    Wgraph.of_edges ~vwgt:[| 1; 2; 3; 4; 5; 6 |] 6
+      [ (0, 1, 3); (0, 2, 1); (1, 2, 4); (2, 3, 2); (2, 4, 5); (3, 5, 7);
+        (4, 5, 1) ]
+  in
+  let g', _, st = GE.apply g [ GE.Add_edge (1, 4, 6) ] in
+  let rows = st.GE.touched_nodes in
+  check (Alcotest.array Alcotest.int) "spliced rows" [| 1; 4 |] rows;
+  (* Row 1 of [g'] is [(0, 3); (2, 4); (4, 6)]. *)
+  let message f =
+    match f () with
+    | (_ : Wgraph.t) -> Alcotest.fail "corrupted splice accepted"
+    | exception Invalid_argument m -> m
+  in
+  List.iter
+    (fun (name, row1, expected) ->
+      let xadj, adjncy, adjwgt = Csr_rows.with_row g' 1 (fun _ -> row1) in
+      let vwgt = g'.Wgraph.vwgt in
+      check Alcotest.string (name ^ ": of_csr") ("Wgraph.of_csr: " ^ expected)
+        (message (fun () -> Wgraph.of_csr ~vwgt ~n:6 ~xadj ~adjncy ~adjwgt ()));
+      check Alcotest.string (name ^ ": of_splice")
+        ("Wgraph.of_splice: " ^ expected)
+        (message (fun () ->
+             Wgraph.of_splice g ~vwgt ~xadj ~adjncy ~adjwgt ~rows ())))
+    [ ( "asymmetric weight",
+        [ (0, 3); (2, 5); (4, 6) ],
+        "asymmetric weight on edge (1, 2)" );
+      ( "asymmetric weight between spliced rows",
+        [ (0, 3); (2, 4); (4, 7) ],
+        "asymmetric weight on edge (1, 4)" );
+      ("missing mirror", [ (0, 3); (4, 6) ], "edge (1, 2) missing its mirror");
+      ( "duplicate entry",
+        [ (0, 3); (2, 4); (2, 4) ],
+        "adjacency slice of node 1 not strictly ascending" );
+      ("self loop", [ (0, 3); (1, 4); (4, 6) ], "self loop at node 1");
+      ( "out-of-range neighbour",
+        [ (0, 3); (2, 4); (6, 6) ],
+        "neighbour out of range at node 1" ) ];
+  (* The intact splice passes. *)
+  let g'' =
+    Wgraph.of_splice g ~vwgt:g'.Wgraph.vwgt ~xadj:g'.Wgraph.xadj
+      ~adjncy:g'.Wgraph.adjncy ~adjwgt:g'.Wgraph.adjwgt ~rows ()
+  in
+  check_bool "intact splice accepted" true (Wgraph.equal g' g'');
+  (* A removed node's neighbours must all be spliced rows: a copied row
+     would still name it. *)
+  let g3, map3, st3 = GE.apply g [ GE.Remove_node 5 ] in
+  let dropped =
+    Array.of_list
+      (List.filter (fun u -> u <> 3) (Array.to_list st3.GE.touched_nodes))
+  in
+  check Alcotest.string "removed node behind a copied row"
+    "Wgraph.of_splice: neighbour out of range at node 3"
+    (message (fun () ->
+         Wgraph.of_splice g ~node_map:map3 ~vwgt:g3.Wgraph.vwgt
+           ~xadj:g3.Wgraph.xadj ~adjncy:g3.Wgraph.adjncy
+           ~adjwgt:g3.Wgraph.adjwgt ~rows:dropped ()))
 
 let test_of_soa_edges_basic () =
   (* Duplicates in either orientation merge, self loops vanish — the
@@ -781,6 +846,8 @@ let () =
             test_of_csr_adopts;
           Alcotest.test_case "of_csr validation" `Quick
             test_of_csr_validation;
+          Alcotest.test_case "of_splice matches of_csr" `Quick
+            test_of_splice_matches_of_csr;
           Alcotest.test_case "of_soa_edges merge semantics" `Quick
             test_of_soa_edges_basic;
           Alcotest.test_case "of_soa_edges validation" `Quick

@@ -162,6 +162,25 @@ let test_trace_deterministic_forced_cycles () =
   check_bool "has initial.attempt spans" true (has "initial.attempt");
   check_bool "has fm pass spans" true (has "refine.fm_pass")
 
+let test_trace_deterministic_wide_waves () =
+  (* Above [Gp.parallel_cycle_threshold] (4096 nodes) with a bmax no
+     labelling meets, the V-cycle waves run [Pool.width ()] cycles at a
+     time, so width 4 commits wave buffers that width 1 never builds. *)
+  let rng = Random.State.make [| 5 |] in
+  let g =
+    Ppnpart_workloads.Rand_graph.layered ~vw_range:(1, 9) ~ew_range:(1, 9)
+      rng ~layers:42 ~width:100
+  in
+  check_bool "above the wave threshold" true
+    (Wgraph.n_nodes g >= 4096);
+  let c =
+    Types.constraints ~k:4 ~bmax:40 ~rmax:(Wgraph.total_node_weight g / 3)
+  in
+  let cap1, _ = same_trace ~max_cycles:3 g c in
+  let spans = Trace_export.span_totals cap1 in
+  check_bool "has gp.cycle spans" true
+    (List.exists (fun (n, _, _) -> n = "gp.cycle") spans)
+
 let test_tracing_does_not_change_result () =
   (* Installing the sink must not perturb the algorithm. *)
   let e = PG.experiment1 in
@@ -240,6 +259,8 @@ let () =
             test_trace_deterministic_paper;
           Alcotest.test_case "forced V-cycles" `Quick
             test_trace_deterministic_forced_cycles;
+          Alcotest.test_case "wide V-cycle waves" `Quick
+            test_trace_deterministic_wide_waves;
           Alcotest.test_case "tracing transparent" `Quick
             test_tracing_does_not_change_result;
         ] );

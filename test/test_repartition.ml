@@ -239,6 +239,48 @@ let test_repartition_rejects_bad_prev () =
     Alcotest.fail "out-of-range prev accepted"
   with Invalid_argument _ -> ()
 
+(* --- Graph_edit allocation (ROADMAP item 6) --- *)
+
+(* Words [f ()] allocates, on the minor and the major heap. *)
+let allocated_words f =
+  let b0 = Gc.allocated_bytes () in
+  let r = f () in
+  let b1 = Gc.allocated_bytes () in
+  (r, int_of_float ((b1 -. b0) /. float_of_int (Sys.word_size / 8)))
+
+(* A DSE-sized step allocates the edited graph and node map and an
+   O(edit) working set, nothing else of size n: the slack is a constant
+   far below n. A weight-only batch is held to the same bound. *)
+let test_graph_edit_allocation () =
+  let g, _ = Rand_graph.random_partitionable (rng 11) ~n:10_000 ~k:8 in
+  let n = Wgraph.n_nodes g and slack = 4096 in
+  let v = ref 1 in
+  while Wgraph.mem_edge g 0 !v do
+    incr v
+  done;
+  let reweigh =
+    [ Graph_edit.Set_node_weight (1, 7); Graph_edit.Set_node_weight (50, 7);
+      Graph_edit.Set_node_weight (9000, 7) ]
+  in
+  let ops = reweigh @ [ Graph_edit.Add_edge (0, !v, 2) ] in
+  ignore (Graph_edit.apply g ops);
+  let (g', _, _), words = allocated_words (fun () -> Graph_edit.apply g ops) in
+  let output = n + 1 + (4 * Wgraph.n_edges g') + (2 * n) in
+  check_bool
+    (Printf.sprintf "id-stable apply: %d words for a %d-word output" words
+       output)
+    true
+    (words <= output + slack);
+  let (g'', _, _), words =
+    allocated_words (fun () -> Graph_edit.apply g reweigh)
+  in
+  let output = n + 1 + (4 * Wgraph.n_edges g'') + (2 * n) in
+  check_bool
+    (Printf.sprintf "weight-only apply: %d words for a %d-word output" words
+       output)
+    true
+    (words <= output + slack)
+
 let tests =
   [ Alcotest.test_case "degenerate: modes agree" `Quick
       test_degenerate_modes_agree;
@@ -255,6 +297,8 @@ let tests =
     Alcotest.test_case "repartition degenerate edits" `Quick
       test_repartition_degenerate_edits;
     Alcotest.test_case "repartition rejects bad prev" `Quick
-      test_repartition_rejects_bad_prev ]
+      test_repartition_rejects_bad_prev;
+    Alcotest.test_case "graph_edit allocation" `Quick
+      test_graph_edit_allocation ]
 
 let () = Alcotest.run "repartition" [ ("repartition", tests) ]
