@@ -399,8 +399,8 @@ let smoke_rules =
     stay_true "coarsen_4k.bit_identical";
     higher ~pct:50. "coarsen_4k.alloc_ratio";
     stay_true "obs_overhead.same_partition";
-    lower ~abs:6. "obs_overhead.overhead_pct";
-    lower ~abs:6. "obs_overhead.metrics_overhead_pct";
+    never_worse ~tol:0.18 "obs_overhead.trace_ratio";
+    never_worse ~tol:0.23 "obs_overhead.metrics_ratio";
     stay_true "vcycles_5.deterministic_across_jobs";
     stay_true "stream_20k.deterministic_across_jobs";
     lower ~pct:10. ~abs:5. "stream_20k.stream_cut";
@@ -430,8 +430,8 @@ let partition_rules =
     stay_true "vcycles_20.deterministic_across_jobs";
     stay_true "vcycles_20.gated_small.deterministic_across_jobs";
     stay_true "obs_overhead.same_partition";
-    lower ~abs:6. "obs_overhead.overhead_pct";
-    lower ~abs:6. "obs_overhead.metrics_overhead_pct";
+    never_worse ~tol:0.06 "obs_overhead.trace_ratio";
+    never_worse ~tol:0.07 "obs_overhead.metrics_ratio";
     stay_true "stream_1m.converged";
     lower "stream_1m.violation";
     stay_true "stream_200k.deterministic_across_jobs";

@@ -601,23 +601,16 @@ let refine_bench ?(reps = 3) ~n ~k () =
          n bg.Metrics.violation lg.Metrics.violation bg.Metrics.cut_value
          lg.Metrics.cut_value
          (if bp = lp then "equal" else "differ"));
-  let _, cap = Ppnpart_obs.Obs.with_capture run_boundary in
+  let _, snap = Ppnpart_obs.Obs.with_registry run_boundary in
   let active_size_total =
-    match
-      List.assoc_opt "refine.active.size"
-        (Ppnpart_obs.Trace_export.counter_totals cap)
-    with
-    | Some v -> v
-    | None -> 0
+    Option.value ~default:0
+      (List.assoc_opt "refine.active.size" snap.counters)
   in
   let frac_count, frac_mean, frac_max =
-    match
-      List.find_opt
-        (fun (name, _, _, _, _) -> name = "refine.active.fraction")
-        (Ppnpart_obs.Trace_export.sample_stats cap)
-    with
-    | Some (_, count, _, mean, max) -> (count, mean, max)
-    | None -> (0, 0., 0.)
+    match List.assoc_opt "refine.active.fraction" snap.histograms with
+    | Some h when h.count > 0 ->
+      (h.count, h.sum /. float_of_int h.count, h.max)
+    | _ -> (0, 0., 0.)
   in
   let row =
     Printf.sprintf
@@ -797,14 +790,11 @@ let vcycle_bench () =
     t4s (t1s /. t4s)
     (r1s.Gp.part = r4s.Gp.part)
 
-(* Wall seconds spent under spans of a given name, from a capture. *)
-let phase_seconds cap name =
-  match
-    List.find_opt
-      (fun (n, _, _) -> n = name)
-      (Ppnpart_obs.Trace_export.span_totals cap)
-  with
-  | Some (_, _, total_us) -> float_of_int total_us /. 1e6
+(* Wall seconds spent under spans of a given name, from the span's
+   [<name>.us] histogram in a registry snapshot. *)
+let phase_seconds (snap : Ppnpart_obs.Metrics_registry.snapshot) name =
+  match List.assoc_opt (name ^ ".us") snap.histograms with
+  | Some h -> h.sum /. 1e6
   | None -> 0.
 
 (* Tracing must be pay-for-use: run the V-cycle stress instance with the
@@ -828,10 +818,7 @@ let obs_overhead ?(reps = 9) () =
      deltas around every phase) installed, trace capture absent — the
      --metrics-out / --report-json configuration. *)
   let run_met () =
-    Ppnpart_obs.Metrics_registry.install ();
-    let r = Gp.partition ~config g c in
-    ignore (Ppnpart_obs.Metrics_registry.finish ());
-    r
+    fst (Ppnpart_obs.Obs.with_registry (fun () -> Gp.partition ~config g c))
   in
   let r_off = ref (run_off ())
   and r_on = ref (run_on ())
@@ -866,11 +853,16 @@ let obs_overhead ?(reps = 9) () =
   in
   let overhead_pct = pct_over enabled_s in
   let metrics_overhead_pct = pct_over metrics_enabled_s in
+  (* The gated rows: same-run ratios of the floors, unclamped, so the
+     bound is absolute rather than relative to a noisy baseline. *)
   Printf.sprintf
     {|{ "disabled_s": %.4f, "enabled_s": %.4f, "overhead_pct": %.2f,
       "metrics_enabled_s": %.4f, "metrics_overhead_pct": %.2f,
+      "trace_ratio": %.4f, "metrics_ratio": %.4f,
       "same_partition": %b }|}
     disabled_s enabled_s overhead_pct metrics_enabled_s metrics_overhead_pct
+    (enabled_s /. disabled_s)
+    (metrics_enabled_s /. disabled_s)
     (r_off.Gp.part = r_on.Gp.part && r_off.Gp.part = r_met.Gp.part)
 
 (* ------------------------------------------------------------------ *)
@@ -1283,11 +1275,11 @@ let bench_json () =
   let instance_rows =
     List.map
       (fun (e : PG.experiment) ->
-        let r, cap =
-          Ppnpart_obs.Obs.with_capture (fun () ->
+        let r, snap =
+          Ppnpart_obs.Obs.with_registry (fun () ->
               Gp.partition e.PG.graph e.PG.constraints)
         in
-        let p = phase_seconds cap in
+        let p = phase_seconds snap in
         Printf.sprintf
           {|    { "name": %S, "n": %d, "m": %d, "k": %d, "cut": %d,
       "feasible": %b, "runtime_s": %.4f, "cycles": %d, "levels": %d,
@@ -1457,7 +1449,7 @@ let bench_json_smoke () =
   let refine_row, _, _ = refine_bench ~n:4_000 ~k:8 () in
   let report_row, _ = report_determinism_row ~n:2_000 ~k:8 () in
   let coarsen_row = coarsen_bench ~n:4_000 ~m:16_000 in
-  let obs_row = obs_overhead ~reps:3 () in
+  let obs_row = obs_overhead () in
   let g, c = vcycle_instance ~layers:20 ~width:10 in
   let r1, t1, r4, t4 = vcycle_pair ~reps:1 ~max_cycles:5 g c in
   let vc_row =

@@ -311,17 +311,13 @@ let partition_cmd =
       (* Deterministic reports need span durations measured on the
          logical event clock, which lives in the trace buffers — so the
          flag implies a capture even when no trace file was asked for. *)
-      let tracing =
-        trace_out <> None || trace_jsonl <> None || stats || det_report
+      let tracing = trace_out <> None || trace_jsonl <> None || det_report in
+      let metrics = metrics_out <> None || report_json <> None || stats in
+      let clock =
+        if det_report then Ppnpart_obs.Obs.Logical else Ppnpart_obs.Obs.Wall
       in
-      let metrics = metrics_out <> None || report_json <> None in
-      if tracing then
-        Ppnpart_obs.Obs.install
-          ~clock:
-            (if det_report then Ppnpart_obs.Obs.Logical
-             else Ppnpart_obs.Obs.Wall)
-          ();
-      if metrics then Ppnpart_obs.Metrics_registry.install ();
+      if tracing then Ppnpart_obs.Obs.install ~clock ();
+      if metrics then Ppnpart_obs.Obs.install_registry ();
       (* The report is computed exactly once per run: GP already returns
          one, the other algorithms build theirs from their own timing. *)
       let gp_result = ref None in
@@ -375,7 +371,7 @@ let partition_cmd =
       in
       let capture = if tracing then Ppnpart_obs.Obs.finish () else None in
       let snapshot =
-        if metrics then Ppnpart_obs.Metrics_registry.finish () else None
+        if metrics then Ppnpart_obs.Obs.finish_registry () else None
       in
       print_string
         (Ppnpart_core.Report.table
@@ -408,10 +404,12 @@ let partition_cmd =
               with_output ~flag:"--trace-jsonl" path (fun path ->
                   Graph_io.write_file path
                     (Ppnpart_obs.Trace_export.to_jsonl cap)))
-            trace_jsonl;
-          if stats then
-            Format.printf "@.%a" Ppnpart_obs.Trace_export.pp_stats cap)
+            trace_jsonl)
         capture;
+      if stats then
+        Option.iter
+          (Format.printf "@.%a" (Ppnpart_core.Run_report.pp_stats ~clock))
+          snapshot;
       Option.iter
         (fun path ->
           let snap =

@@ -94,7 +94,7 @@ let run () socket workers queue_limit metrics_out =
              compute-bound workers past the core count reduce throughput"
             workers recommended);
     let metrics = metrics_out <> None in
-    if metrics then Ppnpart_obs.Metrics_registry.install ();
+    if metrics then Ppnpart_obs.Obs.install_registry ();
     match
       Daemon.serve { Daemon.socket_path = socket; workers; queue_limit }
     with
@@ -104,7 +104,7 @@ let run () socket workers queue_limit metrics_out =
       | Some path ->
         let snap =
           Option.value ~default:Ppnpart_obs.Metrics_registry.empty_snapshot
-            (Ppnpart_obs.Metrics_registry.finish ())
+            (Ppnpart_obs.Obs.finish_registry ())
         in
         let text = Ppnpart_obs.Trace_export.to_openmetrics snap in
         if path = "-" then print_string text
@@ -143,7 +143,7 @@ let cmd =
            `S Manpage.s_examples;
            `Pre
              "  ppnpartd --socket /tmp/ppnpart.sock --workers 4 &\n\
-             \  printf '%s\\n' '{\"op\":\"stats\"}' | socat - \
+             \  printf '%s\\\\n' '{\"op\":\"stats\"}' | socat - \
               UNIX-CONNECT:/tmp/ppnpart.sock"
          ])
     term

@@ -80,6 +80,70 @@ let phases_of_snapshot (snap : Obs.Metrics_registry.snapshot) =
           })
     snap.histograms
 
+(* --- the --stats tables --- *)
+
+(* A phase's GC telemetry ([Span.phase]): registry-only names, kept out
+   of the --stats rows, which list what the trace records. *)
+let gc_telemetry (snap : Obs.Metrics_registry.snapshot) name =
+  List.exists
+    (fun s ->
+      Filename.check_suffix name s
+      && List.mem_assoc (Filename.chop_suffix name s ^ ".us") snap.histograms)
+    [ ".minor_words"; ".major_words"; ".promoted_words";
+      ".minor_collections"; ".major_collections" ]
+
+let pp_stats ~clock ppf (snap : Obs.Metrics_registry.snapshot) =
+  let logical = clock = Obs.Obs.Logical in
+  let unit_hdr = if logical then "ticks" else "ms" in
+  let fmt_time t =
+    if logical then string_of_int (int_of_float t)
+    else Printf.sprintf "%.3f" (t /. 1000.)
+  in
+  let phases =
+    List.map (fun p -> (p.name, p.us.count, p.us.sum)) (phases_of_snapshot snap)
+    |> List.sort (fun (n1, _, t1) (n2, _, t2) ->
+           match Float.compare t2 t1 with 0 -> String.compare n1 n2 | c -> c)
+  in
+  let counters =
+    List.filter (fun (name, _) -> not (gc_telemetry snap name)) snap.counters
+  in
+  let samples =
+    List.filter
+      (fun (name, _) ->
+        not (Filename.check_suffix name ".us" || gc_telemetry snap name))
+      snap.histograms
+  in
+  Format.fprintf ppf "%-36s %8s %14s %14s@." "phase" "calls"
+    ("total(" ^ unit_hdr ^ ")")
+    ("mean(" ^ unit_hdr ^ ")");
+  List.iter
+    (fun (name, count, total) ->
+      let mean =
+        if logical then string_of_int (int_of_float total / max 1 count)
+        else
+          Printf.sprintf "%.3f" (total /. 1000. /. float_of_int (max 1 count))
+      in
+      Format.fprintf ppf "%-36s %8d %14s %14s@." name count (fmt_time total)
+        mean)
+    phases;
+  if counters <> [] then begin
+    Format.fprintf ppf "@.%-36s %14s@." "counter" "value";
+    List.iter
+      (fun (name, v) -> Format.fprintf ppf "%-36s %14d@." name v)
+      counters
+  end;
+  if samples <> [] then begin
+    Format.fprintf ppf "@.%-36s %8s %10s %10s %10s@." "histogram" "count"
+      "min" "mean" "max";
+    List.iter
+      (fun (name, (h : Obs.Histogram.snapshot)) ->
+        Format.fprintf ppf "%-36s %8d %10.3f %10.3f %10.3f@." name h.count
+          h.min
+          (h.sum /. float_of_int h.count)
+          h.max)
+      samples
+  end
+
 let quantiles_json (h : Obs.Histogram.snapshot) =
   Printf.sprintf "\"p50\":%s,\"p90\":%s,\"p99\":%s"
     (jfloat (Obs.Histogram.quantile h 0.50))

@@ -45,3 +45,15 @@ val of_result :
   string
 (** Report for a finished {!Gp} run (runtime, cycles and level count
     taken from the result). *)
+
+val pp_stats :
+  clock:Ppnpart_obs.Obs.clock ->
+  Format.formatter ->
+  Ppnpart_obs.Metrics_registry.snapshot ->
+  unit
+(** The human-readable tables behind the CLI's [--stats], read from a
+    registry snapshot: phases (calls, total, mean) from the [<name>.us]
+    span histograms, sorted by descending total; counters; and sample
+    histograms (count, min, mean, max). A phase's GC telemetry stays
+    out of the rows. Times are in ticks when the spans were timed on the
+    {!Ppnpart_obs.Obs.Logical} clock, in ms otherwise. *)

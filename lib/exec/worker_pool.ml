@@ -77,8 +77,15 @@ let create ~workers ~queue_limit ~state =
       domains = [||];
     }
   in
+  (* With a registry installed, each worker records into its own shard,
+     folded into the registry when it is finished (after [stop]). *)
+  let sinks = Ppnpart_obs.Obs.worker_group workers in
+  let work i () = worker_loop t (state i) in
   t.domains <-
-    Domains.spawn_workers workers (fun i -> worker_loop t (state i));
+    Domains.spawn_workers workers (fun i ->
+        match sinks with
+        | None -> work i ()
+        | Some g -> Ppnpart_obs.Obs.in_task g i (work i));
   t
 
 let submit t ~client ~run ~finish =

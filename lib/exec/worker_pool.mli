@@ -29,7 +29,10 @@ val create : workers:int -> queue_limit:int -> state:(int -> 's) -> ('s, 'a) t
 (** [create ~workers ~queue_limit ~state] spawns [workers] domains;
     worker [i] builds its resident state with [state i] {e on its own
     domain} (so domain-local structures land where they are used) and
-    keeps it until {!stop}.
+    keeps it until {!stop}. When a metrics registry is installed
+    ({!Ppnpart_obs.Obs.install_registry}), each worker records into its
+    own shard, which {!Ppnpart_obs.Obs.finish_registry} folds in worker
+    order — so stop the pool before finishing the registry.
     @raise Invalid_argument if [workers < 1] or [queue_limit < 1]. *)
 
 val submit :

@@ -1,29 +1,28 @@
 (* Like [Span], each entry point is gated on the single-load
-   [Hot.active] check before any sink-specific access. Counter bumps and
-   samples feed both sinks: a trace event in the current buffer, and the
-   registry counter/histogram of the same name. *)
+   [Obs.active] check before reading the domain's sink. Counter bumps
+   and samples feed both sinks: a trace event in the current buffer,
+   and the registry counter/histogram of the same name. *)
 
 let add name delta =
-  if Hot.active () then begin
-    (if Obs.active () then
-       match Obs.cur () with
-       | None -> ()
-       | Some buf ->
-         Obs.emit buf (Obs.Count { name; ts = Obs.now buf; delta }));
-    Metrics_registry.counter_add name delta
+  if Obs.active () then begin
+    let { Obs.buf; shard } = Obs.sink () in
+    (match buf with
+    | Some buf -> Obs.emit buf (Obs.Count { name; ts = Obs.now buf; delta })
+    | None -> ());
+    match shard with
+    | Some sh -> Metrics_registry.counter_add sh name delta
+    | None -> ()
   end
 
 let incr name = add name 1
 
 let sample name value =
-  if Hot.active () then begin
-    (if Obs.active () then
-       match Obs.cur () with
-       | None -> ()
-       | Some buf ->
-         Obs.emit buf (Obs.Sample { name; ts = Obs.now buf; value }));
-    Metrics_registry.observe name value
+  if Obs.active () then begin
+    let { Obs.buf; shard } = Obs.sink () in
+    (match buf with
+    | Some buf -> Obs.emit buf (Obs.Sample { name; ts = Obs.now buf; value })
+    | None -> ());
+    match shard with
+    | Some sh -> Metrics_registry.observe sh name value
+    | None -> ()
   end
-
-let gauge name value =
-  if Hot.active () then Metrics_registry.gauge_set name value

@@ -1,4 +1,4 @@
-(** Monotonic counters, value histograms, and gauges.
+(** Monotonic counters and value histograms.
 
     Counter increments are recorded as events in the current buffer and
     as registry counters, so totals aggregate deterministically over the
@@ -22,6 +22,3 @@ val incr : string -> unit
 val sample : string -> float -> unit
 (** Record one observation of the value distribution [name] (e.g. a
     per-level contraction ratio). *)
-
-val gauge : string -> float -> unit
-(** Set registry gauge [name] (last write wins); no trace event. *)

@@ -25,16 +25,6 @@ type delta = {
   heap_words : int;
 }
 
-let zero =
-  {
-    minor_words = 0;
-    promoted_words = 0;
-    major_words = 0;
-    minor_collections = 0;
-    major_collections = 0;
-    heap_words = 0;
-  }
-
 (* The minor-words reads sit innermost so the window excludes the other
    brackets' own allocations as far as possible; the rest is a constant
    handled by calibration. *)

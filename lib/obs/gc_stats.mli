@@ -17,8 +17,6 @@ type delta = {
   heap_words : int;  (** major heap growth during the phase *)
 }
 
-val zero : delta
-
 val measure : (unit -> 'a) -> 'a * delta
 (** Run the thunk and report its GC delta, self-cost-corrected and
     clamped non-negative. *)

@@ -111,5 +111,3 @@ let quantile (s : snapshot) q =
     let v = !v in
     if v < s.min then s.min else if v > s.max then s.max else v
   end
-
-let mean (s : snapshot) = if s.count = 0 then nan else s.sum /. float_of_int s.count

@@ -39,15 +39,6 @@ val quantile : snapshot -> float -> float
     values and for values on bucket boundaries; otherwise within one
     bucket width (~19%). [nan] when empty. *)
 
-val mean : snapshot -> float
-(** [sum / count]; [nan] when empty. *)
-
-val bucket_of : float -> int
-(** Index of the bucket a value falls in. *)
-
-val lower_bound : int -> float
-(** Exclusive lower bound of a bucket (0. for bucket 0). *)
-
 val upper_bound : int -> float
 (** Inclusive upper bound of a bucket (0. for bucket 0); the
     OpenMetrics [le] label. *)

@@ -1,47 +1,20 @@
-(* Process-wide metrics registry: counters, gauges, log-bucketed
+(* The registry's metric table: counters, gauges, log-bucketed
    histograms.
 
-   Mirrors the [Obs] capture design: one registry installed at a time;
-   sites write to the *current shard*, a domain-local reference — the
-   main domain writes to the root shard, a Pool task to a private shard
-   created for its task index. Task shards are folded into their parent
-   shard in task order when the group commits, so counters (int adds)
-   and histogram buckets (int adds) merge order-independently while the
-   one float add per histogram per task happens in a fixed order —
-   snapshots are bit-identical at every job count. Gauges are
-   last-write-wins, task order breaking ties. Uncommitted (speculative)
-   task shards are dropped, like uncommitted trace buffers. *)
+   [Obs] owns the shards' placement (root, task and worker shards) and
+   the fold order; this module only knows one table. Folding is
+   deterministic given the order: counters and histogram buckets are
+   int adds, each histogram's float sum takes one add per fold, and
+   gauges are last-write-wins. *)
 
 type metric =
   | Counter of int ref
   | Gauge of float ref
   | Hist of Histogram.t
 
-type shard = (string, metric) Hashtbl.t
+type t = (string, metric) Hashtbl.t
 
-let make_shard () : shard = Hashtbl.create 32
-
-let installed : shard option Atomic.t = Atomic.make None
-
-(* Current shard of this domain, consulted only after the
-   [Hot.metrics_active] check passed. *)
-let current : shard option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let cur () = !(Domain.DLS.get current)
-
-let active () = Hot.metrics_active ()
-
-let install () =
-  let root = make_shard () in
-  Atomic.set installed (Some root);
-  Domain.DLS.get current := Some root;
-  Hot.set_metrics true
-
-(* --- site entry points ---
-
-   Callers ([Counters], [Span]) have already checked [Hot.active]; these
-   re-check the metrics flag so a trace-only run skips the DLS load. *)
+let create () : t = Hashtbl.create 32
 
 let find_counter shard name =
   match Hashtbl.find_opt shard name with
@@ -70,94 +43,31 @@ let find_hist shard name =
     Hashtbl.add shard name (Hist h);
     Some h
 
-let counter_add name delta =
-  if Hot.metrics_active () then
-    match cur () with
-    | None -> ()
-    | Some shard -> (
-      match find_counter shard name with
-      | Some r -> r := !r + delta
-      | None -> ())
+let counter_add shard name delta =
+  match find_counter shard name with Some r -> r := !r + delta | None -> ()
 
-let gauge_set name v =
-  if Hot.metrics_active () then
-    match cur () with
-    | None -> ()
-    | Some shard -> (
-      match find_gauge shard name with Some r -> r := v | None -> ())
+let gauge_set shard name v =
+  match find_gauge shard name with Some r -> r := v | None -> ()
 
-let observe name v =
-  if Hot.metrics_active () then
-    match cur () with
-    | None -> ()
-    | Some shard -> (
-      match find_hist shard name with
-      | Some h -> Histogram.observe h v
-      | None -> ())
+let observe shard name v =
+  match find_hist shard name with
+  | Some h -> Histogram.observe h v
+  | None -> ()
 
-(* --- task groups (Pool integration, via Obs.group) --- *)
-
-type group = {
-  parent : shard;
-  shards : shard array;
-  mutable committed : bool;
-}
-
-let group n =
-  match cur () with
-  | None -> None
-  | Some parent ->
-    Some
-      {
-        parent;
-        shards = Array.init n (fun _ -> make_shard ());
-        committed = false;
-      }
-
-let in_task g i f =
-  let slot = Domain.DLS.get current in
-  let saved = !slot in
-  slot := Some g.shards.(i);
-  Fun.protect ~finally:(fun () -> slot := saved) f
-
-(* Fold one task shard into the parent. Each name occurs at most once
-   per shard, so iteration order within a shard is irrelevant; the
-   cross-task fold order (task order, fixed by [commit]) is what pins
-   down float sums and gauge overwrites. *)
-let fold_into parent (shard : shard) =
+(* Each name occurs at most once per shard, so iteration order within a
+   shard is irrelevant; the order of the [fold_into] calls (fixed by the
+   caller) is what pins down float sums and gauge overwrites. *)
+let fold_into dst (src : t) =
   Hashtbl.iter
     (fun name m ->
       match m with
-      | Counter r -> (
-        match find_counter parent name with
-        | Some d -> d := !d + !r
-        | None -> ())
-      | Gauge r -> (
-        match find_gauge parent name with Some d -> d := !r | None -> ())
+      | Counter r -> counter_add dst name !r
+      | Gauge r -> gauge_set dst name !r
       | Hist h -> (
-        match find_hist parent name with
+        match find_hist dst name with
         | Some d -> Histogram.merge_into d h
         | None -> ()))
-    shard
-
-let commit ?keep g_opt =
-  match g_opt with
-  | None -> ()
-  | Some g ->
-    if not g.committed then begin
-      g.committed <- true;
-      let n = Array.length g.shards in
-      let n =
-        match keep with
-        | None -> n
-        | Some k -> if k < 0 then 0 else min k n
-      in
-      for i = 0 to n - 1 do
-        fold_into g.parent g.shards.(i)
-      done
-    end
-
-(* --- snapshots --- *)
+    src
 
 type snapshot = {
   counters : (string * int) list;
@@ -167,7 +77,7 @@ type snapshot = {
 
 let empty_snapshot = { counters = []; gauges = []; histograms = [] }
 
-let snapshot_of_shard (shard : shard) =
+let snapshot (shard : t) =
   let cs = ref [] and gs = ref [] and hs = ref [] in
   Hashtbl.iter
     (fun name m ->
@@ -182,26 +92,3 @@ let snapshot_of_shard (shard : shard) =
     gauges = List.sort by_name !gs;
     histograms = List.sort by_name !hs;
   }
-
-let snapshot () =
-  match Atomic.get installed with
-  | None -> None
-  | Some root -> Some (snapshot_of_shard root)
-
-let finish () =
-  let snap = snapshot () in
-  Hot.set_metrics false;
-  Atomic.set installed None;
-  Domain.DLS.get current := None;
-  snap
-
-let with_registry f =
-  install ();
-  match f () with
-  | v -> (
-    match finish () with
-    | Some snap -> (v, snap)
-    | None -> invalid_arg "Metrics_registry.with_registry: finished early")
-  | exception e ->
-    ignore (finish ());
-    raise e

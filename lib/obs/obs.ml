@@ -1,12 +1,15 @@
-(* Core observability state: a tree of per-domain event buffers.
+(* Core observability state: one domain-local sink slot shared by the
+   trace (a tree of event buffers) and the metrics registry (a tree of
+   shards).
 
-   One capture is installed at a time. Events are appended to the
-   *current* buffer, a domain-local reference: the main domain writes to
-   the capture's root buffer; a Pool task writes to a private buffer
-   created for that task index. Task buffers are attached to their
-   parent buffer as [Child] events, one per task, in task order —
-   regardless of how many domains actually ran the tasks — which is what
-   makes the merged trace identical for every job count. *)
+   Events go to the *current sink* of the domain: the main domain
+   writes to the capture's root buffer and the registry's root shard; a
+   Pool task writes to a private buffer and shard created for its task
+   index. Task buffers are attached to their parent buffer as [Child]
+   events and task shards folded into their parent shard, one per task,
+   in task order — regardless of how many domains actually ran the
+   tasks — which is what makes the merged trace and the snapshot
+   identical for every job count. *)
 
 type clock = Wall | Logical
 
@@ -44,97 +47,59 @@ let emit buf ev = buf.rev_events <- ev :: buf.rev_events
 
 let events buf = List.rev buf.rev_events
 
-(* The installed capture. [install]/[finish] are main-domain operations;
-   worker domains only ever see buffers handed to them via {!in_task}. *)
-let installed : capture option Atomic.t = Atomic.make None
+(* --- the per-domain slot --- *)
 
-(* Single-load fast path for every instrumentation site, shared with the
-   metrics registry via [Hot]: instrumentation checks [Hot.active]
-   first, then this per-sink flag. Keeping the check to one plain load
-   before any domain-local storage access is what keeps the disabled
-   pipeline within measurement noise of an uninstrumented build — DLS
-   lookup plus an option branch per site was measurable on the hot
-   refinement loops. *)
-let[@inline] active () = Hot.trace_active ()
+type sink = { buf : buf option; shard : Metrics_registry.t option }
 
-(* Current buffer of this domain, consulted only once [active] passed. *)
-let current : buf option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let empty = { buf = None; shard = None }
 
-let cur () = !(Domain.DLS.get current)
+let slot : sink ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref empty)
 
-let enabled () =
-  active () && match cur () with None -> false | Some _ -> true
+(* Single-load fast path for every instrumentation site: whether any
+   sink is installed. Keeping the check to one plain load before any
+   domain-local storage access is what keeps the disabled pipeline
+   within measurement noise of an uninstrumented build — DLS lookup plus
+   an option branch per site was measurable on the hot refinement
+   loops. *)
+let any = Atomic.make false
 
-(* True when either sink would record from this domain right now; the
-   guard for instrumentation whose argument computation is not free. *)
-let recording () = enabled () || Metrics_registry.active ()
+let[@inline] active () = Atomic.get any
 
-let install ?(clock = Wall) () =
-  let root = make_buf clock in
-  Atomic.set installed (Some { root; clock });
-  Domain.DLS.get current := Some root;
-  Hot.set_trace true
+let sink () = !(Domain.DLS.get slot)
 
-let finish () =
-  let cap = Atomic.get installed in
-  Hot.set_trace false;
-  Atomic.set installed None;
-  Domain.DLS.get current := None;
-  cap
+let recording () =
+  active ()
+  && match sink () with { buf = None; shard = None } -> false | _ -> true
 
-let with_capture ?clock f =
-  install ?clock ();
-  match f () with
-  | v -> (
-    match finish () with
-    | Some cap -> (v, cap)
-    | None -> invalid_arg "Obs.with_capture: capture was finished early")
-  | exception e ->
-    ignore (finish ());
-    raise e
-
-(* --- task groups (the Pool integration) ---
-
-   One group value drives both sinks: per-task trace buffers (when a
-   capture is installed and the caller has a current buffer) and
-   per-task registry shards (when a registry is installed). Bundling
-   them here lets [Exec.Pool] and every [commit ~keep] caller stay
-   sink-agnostic. *)
+(* --- task groups (the Pool integration) --- *)
 
 type group = {
-  parent : buf option;
-  bufs : buf array;  (* empty when no capture *)
-  metrics : Metrics_registry.group option;
+  parent : sink;
+  members : sink array;
   mutable committed : bool;
 }
 
+let make_group parent n =
+  let member _ =
+    {
+      buf = Option.map (fun (p : buf) -> make_buf p.clock) parent.buf;
+      shard = Option.map (fun _ -> Metrics_registry.create ()) parent.shard;
+    }
+  in
+  { parent; members = Array.init n member; committed = false }
+
 let group n =
-  let parent = if active () then cur () else None in
-  let metrics = Metrics_registry.group n in
-  match (parent, metrics) with
-  | None, None -> None
-  | _ ->
-    let bufs =
-      match parent with
-      | None -> [||]
-      | Some p -> Array.init n (fun _ -> make_buf p.clock)
-    in
-    Some { parent; bufs; metrics; committed = false }
+  if not (active ()) then None
+  else
+    match sink () with
+    | { buf = None; shard = None } -> None
+    | parent -> Some (make_group parent n)
 
 let in_task g i f =
-  let run_traced f =
-    if Array.length g.bufs = 0 then f ()
-    else begin
-      let slot = Domain.DLS.get current in
-      let saved = !slot in
-      slot := Some g.bufs.(i);
-      Fun.protect ~finally:(fun () -> slot := saved) f
-    end
-  in
-  match g.metrics with
-  | None -> run_traced f
-  | Some mg -> Metrics_registry.in_task mg i (fun () -> run_traced f)
+  let s = Domain.DLS.get slot in
+  let saved = !s in
+  s := g.members.(i);
+  Fun.protect ~finally:(fun () -> s := saved) f
 
 let commit ?keep g_opt =
   match g_opt with
@@ -142,17 +107,92 @@ let commit ?keep g_opt =
   | Some g ->
     if not g.committed then begin
       g.committed <- true;
-      (match g.parent with
-      | None -> ()
-      | Some parent ->
-        let n = Array.length g.bufs in
-        let n =
-          match keep with
-          | None -> n
-          | Some k -> if k < 0 then 0 else min k n
-        in
-        for i = 0 to n - 1 do
-          emit parent (Child g.bufs.(i))
-        done);
-      Metrics_registry.commit ?keep g.metrics
+      let n = Array.length g.members in
+      let n =
+        match keep with
+        | None -> n
+        | Some k -> if k < 0 then 0 else min k n
+      in
+      for i = 0 to n - 1 do
+        let m = g.members.(i) in
+        (match (g.parent.buf, m.buf) with
+        | Some p, Some b -> emit p (Child b)
+        | _ -> ());
+        match (g.parent.shard, m.shard) with
+        | Some p, Some s -> Metrics_registry.fold_into p s
+        | _ -> ()
+      done
     end
+
+(* --- installation: main-domain state --- *)
+
+type registry = {
+  root : Metrics_registry.t;
+  mutable workers : group list;  (* newest first *)
+}
+
+let capture : capture option ref = ref None
+let registry : registry option ref = ref None
+
+let refresh () =
+  Atomic.set any (Option.is_some !capture || Option.is_some !registry)
+
+let set_current f =
+  let s = Domain.DLS.get slot in
+  s := f !s
+
+let install ?(clock = Wall) () =
+  let root = make_buf clock in
+  capture := Some { root; clock };
+  set_current (fun s -> { s with buf = Some root });
+  refresh ()
+
+let finish () =
+  let cap = !capture in
+  capture := None;
+  refresh ();
+  set_current (fun s -> { s with buf = None });
+  cap
+
+let install_registry () =
+  let root = Metrics_registry.create () in
+  registry := Some { root; workers = [] };
+  set_current (fun s -> { s with shard = Some root });
+  refresh ()
+
+let finish_registry () =
+  let reg = !registry in
+  registry := None;
+  refresh ();
+  set_current (fun s -> { s with shard = None });
+  Option.map
+    (fun r ->
+      List.iter (fun g -> commit (Some g)) (List.rev r.workers);
+      Metrics_registry.snapshot r.root)
+    reg
+
+let worker_group n =
+  match !registry with
+  | None -> None
+  | Some r ->
+    let g = make_group { buf = None; shard = Some r.root } n in
+    r.workers <- g :: r.workers;
+    Some g
+
+let with_sink ~install ~finish ~what f =
+  install ();
+  match f () with
+  | v -> (
+    match finish () with
+    | Some x -> (v, x)
+    | None -> invalid_arg (what ^ ": finished early"))
+  | exception e ->
+    ignore (finish ());
+    raise e
+
+let with_capture ?clock f =
+  with_sink ~install:(install ?clock) ~finish ~what:"Obs.with_capture" f
+
+let with_registry f =
+  with_sink ~install:install_registry ~finish:finish_registry
+    ~what:"Obs.with_registry" f

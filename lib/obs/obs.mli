@@ -1,20 +1,24 @@
-(** Observability core: hierarchical event buffers for spans, counters
-    and samples, designed so that traces of the parallel partitioner are
-    bit-identical at every job count.
+(** Observability core: one domain-local sink slot feeding two sinks —
+    hierarchical trace buffers of spans, counters and samples, and the
+    {!Metrics_registry} — designed so that both are bit-identical at
+    every job count.
 
-    At most one capture is installed at a time. Instrumentation sites
-    ({!Span}, {!Counters}) append events to the {e current buffer}, a
-    domain-local reference: the main domain writes to the capture's root
-    buffer, and every {!Ppnpart_exec.Pool} task writes to a private
-    buffer created for its task index. When a task group completes, its
-    buffers are attached to the buffer that spawned the group as
-    {!Child} events {e in task order} — one per task, independent of the
-    number of domains that executed them — so the merged trace depends
-    only on the task structure, never on the schedule.
+    Each sink is installed and finished on its own (a run may want a
+    trace, metrics, both or neither), but they share one plumbing.
+    Every domain has one {e current sink}: a trace buffer, a registry
+    shard, or both. Instrumentation sites ({!Span}, {!Counters}) write
+    to it. The main domain's sink is the capture's root buffer and the
+    registry's root shard; every {!Ppnpart_exec.Pool} task gets a
+    private buffer and shard created for its task index. When a task
+    group commits, its buffers are attached to the parent buffer as
+    {!Child} events and its shards are folded into the parent shard,
+    both {e in task order} — one per task, independent of the number of
+    domains that executed them — so the merged trace and the registry
+    snapshot depend only on the task structure, never on the schedule.
 
-    When no capture is installed, every instrumentation entry point
-    reduces to one domain-local load and a [None] branch: the pipeline
-    runs the exact same algorithm with or without tracing. *)
+    When no sink is installed, every instrumentation entry point
+    reduces to one atomic load and a branch: the pipeline runs the exact
+    same algorithm with or without observability. *)
 
 type clock =
   | Wall  (** microseconds since the epoch ([Unix.gettimeofday]) *)
@@ -42,6 +46,8 @@ type event =
 
 type capture = { root : buf; clock : clock }
 
+(** {2 Trace sink} *)
+
 val install : ?clock:clock -> unit -> unit
 (** Install a fresh capture (default {!Wall} clock) and make its root
     buffer current on the calling domain. Replaces any previous capture.
@@ -54,33 +60,46 @@ val with_capture : ?clock:clock -> (unit -> 'a) -> 'a * capture
 (** [with_capture f] installs, runs [f], finishes. On exception the
     capture is discarded and the exception re-raised. *)
 
-val enabled : unit -> bool
-(** Whether the calling domain currently has a buffer to write to. Use
-    to guard instrumentation whose {e argument computation} is not free
-    (e.g. counting matched pairs before a {!Counters.add}). *)
-
-val recording : unit -> bool
-(** Whether any sink — trace buffer or metrics registry — would record
-    from this domain right now. Prefer this over {!enabled} to guard
-    costly argument computation, so metrics-only runs still collect
-    samples. *)
-
 val events : buf -> event list
 (** Events in emission order (consumed by {!Trace_export}). *)
 
+(** {2 Registry sink} *)
+
+val install_registry : unit -> unit
+(** Install a fresh registry and make its root shard current on the
+    calling domain. Replaces any previous registry. Main domain only. *)
+
+val finish_registry : unit -> Metrics_registry.snapshot option
+(** Uninstall the registry installed by {!install_registry}, if any,
+    fold its worker shards ({!worker_group}) into the root in creation
+    and worker order, and return the root's snapshot. The worker
+    domains must have been joined. *)
+
+val with_registry : (unit -> 'a) -> 'a * Metrics_registry.snapshot
+(** [with_registry f] installs, runs [f], finishes. On exception the
+    registry is discarded and the exception re-raised. *)
+
+val recording : unit -> bool
+(** Whether a sink would record from this domain right now. Use to
+    guard instrumentation whose {e argument computation} is not free
+    (e.g. counting matched pairs before a {!Counters.add}). *)
+
 (** {2 Plumbing for instrumentation sites}
 
-    Used by {!Span}, {!Counters} and {!Ppnpart_exec.Pool}; not meant for
+    Used by {!Span}, {!Counters} and {!Ppnpart_exec}; not meant for
     application code. *)
 
 val active : unit -> bool
-(** Whether a capture is installed anywhere — one atomic load, no
-    domain-local access. Instrumentation sites check this first so the
-    disabled path costs a single load and branch; it may be [true] on a
-    domain whose {!cur} is [None] (a worker outside any task). *)
+(** Whether any sink is installed — one atomic load, no domain-local
+    access. Instrumentation sites check this first so the disabled path
+    costs a single load and branch; it may be [true] on a domain whose
+    {!sink} is empty (a domain outside any task). *)
 
-val cur : unit -> buf option
-(** This domain's current buffer. *)
+type sink = { buf : buf option; shard : Metrics_registry.t option }
+(** A domain's current trace buffer and registry shard. *)
+
+val sink : unit -> sink
+(** This domain's current sink. *)
 
 val now : buf -> int
 (** A timestamp on the buffer's clock (advances the logical counter). *)
@@ -88,24 +107,30 @@ val now : buf -> int
 val emit : buf -> event -> unit
 
 type group
-(** Per-task sinks for one [Pool.run] call: trace buffers when a capture
-    is installed, registry shards ({!Metrics_registry}) when a registry
-    is installed — one value drives both, so the pool and every
-    [commit ~keep] caller stay sink-agnostic. *)
+(** Per-task sinks for one [Pool.run] call, or per-worker shards of one
+    [Worker_pool]. *)
 
 val group : int -> group option
-(** [group n] creates [n] task buffers and/or registry shards under the
-    current ones, or [None] when neither sink is active (then the pool
-    runs untouched). *)
+(** [group n] creates [n] task sinks under the calling domain's sink —
+    a buffer per task if it has a buffer, a shard per task if it has a
+    shard — or [None] when it has neither (then the pool runs
+    untouched). *)
+
+val worker_group : int -> group option
+(** [worker_group n] creates [n] registry shards for long-lived worker
+    domains, or [None] when no registry is installed. They are folded
+    into the registry's root by {!finish_registry}, not by {!commit}.
+    Workers record no trace: which worker runs which job depends on the
+    schedule. *)
 
 val in_task : group -> int -> (unit -> 'a) -> 'a
-(** [in_task g i f] runs [f] with task [i]'s buffer and shard current on
-    the calling domain, restoring the previous ones afterwards. *)
+(** [in_task g i f] runs [f] with member [i]'s sink current on the
+    calling domain, restoring the previous sink afterwards. *)
 
 val commit : ?keep:int -> group option -> unit
 (** Attach the first [keep] task buffers (default: all) to the buffer
-    that created the group, in task order, and fold the corresponding
-    registry shards into their parent shard in the same order.
-    Speculative executions beyond [keep] are discarded so trace and
-    metrics match the sequential schedule. Idempotent: only the first
-    commit has effect. *)
+    that created the group, and fold the corresponding shards into the
+    shard that created it, both in task order. Speculative executions
+    beyond [keep] are discarded so trace and metrics match the
+    sequential schedule. Idempotent: only the first commit has
+    effect. *)

@@ -1,6 +1,6 @@
-(* Every entry point checks [Hot.active] — one atomic load — before any
-   sink-specific state, so a build with neither tracing nor metrics pays
-   a single predictable branch per site.
+(* Every entry point checks [Obs.active] — one atomic load — before
+   reading the domain's sink, so a build with neither tracing nor
+   metrics pays a single predictable branch per site.
 
    When a trace buffer is present, span durations reuse the Begin/End
    timestamps already taken for the events (no extra clock reads, so
@@ -10,36 +10,37 @@
 
 let begin_args args = match args with None -> [] | Some th -> th ()
 
-let observe_us name dur =
-  if Hot.metrics_active () then Metrics_registry.observe (name ^ ".us") dur
-
 (* GC telemetry of a phase goes into the registry only — never into
    span args — so traces stay bit-identical across runs whose heap
    history differs (memo caches, warmup). *)
-let record_gc name (d : Gc_stats.delta) =
-  Metrics_registry.observe (name ^ ".minor_words") (float_of_int d.minor_words);
-  Metrics_registry.observe (name ^ ".major_words") (float_of_int d.major_words);
-  Metrics_registry.observe (name ^ ".promoted_words")
-    (float_of_int d.promoted_words);
-  Metrics_registry.counter_add (name ^ ".minor_collections")
+let record_gc shard name (d : Gc_stats.delta) =
+  let observe suffix v =
+    Metrics_registry.observe shard (name ^ suffix) (float_of_int v)
+  in
+  observe ".minor_words" d.minor_words;
+  observe ".major_words" d.major_words;
+  observe ".promoted_words" d.promoted_words;
+  Metrics_registry.counter_add shard (name ^ ".minor_collections")
     d.minor_collections;
-  Metrics_registry.counter_add (name ^ ".major_collections")
+  Metrics_registry.counter_add shard (name ^ ".major_collections")
     d.major_collections;
-  Metrics_registry.gauge_set "gc.heap_words"
+  Metrics_registry.gauge_set shard "gc.heap_words"
     (float_of_int (Gc_stats.heap_words ()))
 
 (* The one span shape all entry points share: [gc] additionally brackets
    the body with [Gc_stats.measure] feeding [record_gc]. *)
 let span ~gc ?args ~result name f =
-  let buf = if Obs.active () then Obs.cur () else None in
-  let metrics = Hot.metrics_active () in
+  let { Obs.buf; shard } = Obs.sink () in
+  let observe_us dur =
+    Option.iter (fun sh -> Metrics_registry.observe sh (name ^ ".us") dur) shard
+  in
   let measured f =
-    if metrics && gc then begin
+    match shard with
+    | Some sh when gc ->
       let v, d = Gc_stats.measure f in
-      record_gc name d;
+      record_gc sh name d;
       v
-    end
-    else f ()
+    | _ -> f ()
   in
   match buf with
   | Some buf -> (
@@ -49,42 +50,42 @@ let span ~gc ?args ~result name f =
     | v ->
       let t1 = Obs.now buf in
       Obs.emit buf (Obs.End { ts = t1; args = result v });
-      observe_us name (float_of_int (t1 - t0));
+      observe_us (float_of_int (t1 - t0));
       v
     | exception e ->
       Obs.emit buf
         (Obs.End { ts = Obs.now buf; args = [ ("error", Obs.Bool true) ] });
       raise e)
   | None ->
-    if not metrics then f ()
+    if shard = None then f ()
     else begin
       let t0 = Unix.gettimeofday () in
       let v = measured f in
-      observe_us name ((Unix.gettimeofday () -. t0) *. 1e6);
+      observe_us ((Unix.gettimeofday () -. t0) *. 1e6);
       v
     end
 
 let no_result _ = []
 
 let with_ ?args name f =
-  if not (Hot.active ()) then f ()
+  if not (Obs.active ()) then f ()
   else span ~gc:false ?args ~result:no_result name f
 
 let with_result ?args ~result name f =
-  if not (Hot.active ()) then f ()
+  if not (Obs.active ()) then f ()
   else span ~gc:false ?args ~result name f
 
 let phase ?args name f =
-  if not (Hot.active ()) then f ()
+  if not (Obs.active ()) then f ()
   else span ~gc:true ?args ~result:no_result name f
 
 let phase_result ?args ~result name f =
-  if not (Hot.active ()) then f ()
+  if not (Obs.active ()) then f ()
   else span ~gc:true ?args ~result name f
 
 let instant ?args name =
   if Obs.active () then
-    match Obs.cur () with
+    match (Obs.sink ()).buf with
     | None -> ()
     | Some buf ->
       Obs.emit buf

@@ -1,6 +1,6 @@
-(* Exporters over a finished capture: Chrome trace-event JSON (loads in
-   chrome://tracing and Perfetto), a JSONL event stream, and aggregated
-   statistics for the CLI's --stats table.
+(* Exporters: a finished capture as Chrome trace-event JSON (loads in
+   chrome://tracing and Perfetto) or a JSONL event stream, and a
+   registry snapshot as OpenMetrics text.
 
    All walks are depth-first over the buffer tree in emission order.
    Virtual track ids (vt) are assigned in walk order — root buffer is
@@ -210,113 +210,3 @@ let to_openmetrics (snap : Metrics_registry.snapshot) =
     snap.histograms;
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
-
-(* --- aggregation --- *)
-
-type agg = {
-  spans : (string, int * int) Hashtbl.t;  (* count, total ticks *)
-  counters : (string, int) Hashtbl.t;
-  samples : (string, int * float * float * float) Hashtbl.t;
-      (* count, min, sum, max *)
-}
-
-let aggregate (cap : Obs.capture) =
-  let agg =
-    {
-      spans = Hashtbl.create 32;
-      counters = Hashtbl.create 32;
-      samples = Hashtbl.create 8;
-    }
-  in
-  let rec walk buf =
-    let stack = ref [] in
-    List.iter
-      (fun (ev : Obs.event) ->
-        match ev with
-        | Obs.Begin { name; ts; _ } -> stack := (name, ts) :: !stack
-        | Obs.End { ts; _ } -> (
-          match !stack with
-          | (name, t0) :: tl ->
-            stack := tl;
-            let c, tot =
-              Option.value ~default:(0, 0) (Hashtbl.find_opt agg.spans name)
-            in
-            Hashtbl.replace agg.spans name (c + 1, tot + (ts - t0))
-          | [] -> () (* unbalanced: interrupted capture; ignore *))
-        | Obs.Instant _ -> ()
-        | Obs.Count { name; delta; _ } ->
-          Hashtbl.replace agg.counters name
-            (delta + Option.value ~default:0 (Hashtbl.find_opt agg.counters name))
-        | Obs.Sample { name; value; _ } -> (
-          match Hashtbl.find_opt agg.samples name with
-          | None -> Hashtbl.add agg.samples name (1, value, value, value)
-          | Some (c, mn, sum, mx) ->
-            Hashtbl.replace agg.samples name
-              (c + 1, min mn value, sum +. value, max mx value))
-        | Obs.Child child -> walk child)
-      (Obs.events buf)
-  in
-  walk cap.root;
-  agg
-
-let span_totals cap =
-  let agg = aggregate cap in
-  Hashtbl.fold (fun name (c, tot) acc -> (name, c, tot) :: acc) agg.spans []
-  |> List.sort (fun (n1, _, t1) (n2, _, t2) ->
-         match compare t2 t1 with 0 -> compare n1 n2 | c -> c)
-
-let counter_totals cap =
-  let agg = aggregate cap in
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) agg.counters []
-  |> List.sort compare
-
-let sample_stats cap =
-  let agg = aggregate cap in
-  Hashtbl.fold
-    (fun name (c, mn, sum, mx) acc ->
-      (name, c, mn, sum /. float_of_int c, mx) :: acc)
-    agg.samples []
-  |> List.sort compare
-
-let pp_stats ppf (cap : Obs.capture) =
-  let spans = span_totals cap in
-  let counters = counter_totals cap in
-  let samples = sample_stats cap in
-  let fmt_ticks t =
-    match cap.clock with
-    | Obs.Wall -> Printf.sprintf "%.3f" (float_of_int t /. 1000.)
-    | Obs.Logical -> string_of_int t
-  in
-  let unit_hdr =
-    match cap.clock with Obs.Wall -> "ms" | Obs.Logical -> "ticks"
-  in
-  Format.fprintf ppf "%-36s %8s %14s %14s@." "phase" "calls"
-    ("total(" ^ unit_hdr ^ ")")
-    ("mean(" ^ unit_hdr ^ ")");
-  List.iter
-    (fun (name, count, total) ->
-      let mean =
-        match cap.clock with
-        | Obs.Wall ->
-          Printf.sprintf "%.3f"
-            (float_of_int total /. 1000. /. float_of_int (max 1 count))
-        | Obs.Logical -> string_of_int (total / max 1 count)
-      in
-      Format.fprintf ppf "%-36s %8d %14s %14s@." name count
-        (fmt_ticks total) mean)
-    spans;
-  if counters <> [] then begin
-    Format.fprintf ppf "@.%-36s %14s@." "counter" "value";
-    List.iter
-      (fun (name, v) -> Format.fprintf ppf "%-36s %14d@." name v)
-      counters
-  end;
-  if samples <> [] then begin
-    Format.fprintf ppf "@.%-36s %8s %10s %10s %10s@." "histogram" "count"
-      "min" "mean" "max";
-    List.iter
-      (fun (name, c, mn, mean, mx) ->
-        Format.fprintf ppf "%-36s %8d %10.3f %10.3f %10.3f@." name c mn mean
-          mx)
-      samples
-  end

@@ -1,4 +1,4 @@
-(** Exporters for a finished {!Obs.capture}.
+(** Exporters for a finished {!Obs.capture} and a registry snapshot.
 
     The buffer tree is walked depth-first in emission order; every task
     buffer becomes its own virtual track (Chrome [tid] / JSONL [vt]),
@@ -28,29 +28,6 @@ val to_openmetrics : Metrics_registry.snapshot -> string
     sanitized (dots become underscores). Deterministic: metrics appear
     sorted by name. *)
 
-(** {2 JSON helpers}
-
-    Shared by {!Ppnpart_core.Run_report}; emit compact JSON with the
-    escaping rules of the trace exporters. *)
-
 val json_string : string -> string
-(** A quoted, escaped JSON string literal. *)
-
-val json_value : Obs.value -> string
-
-val json_args : Obs.args -> string
-(** An args list as a JSON object. *)
-
-val span_totals : Obs.capture -> (string * int * int) list
-(** [(name, calls, total)] per span name, sorted by descending total
-    (ties by name). Totals are in the capture clock's unit:
-    microseconds for {!Obs.Wall}, ticks for {!Obs.Logical}. *)
-
-val counter_totals : Obs.capture -> (string * int) list
-(** Counter sums over the whole tree, sorted by name. *)
-
-val sample_stats : Obs.capture -> (string * int * float * float * float) list
-(** [(name, count, min, mean, max)] per histogram, sorted by name. *)
-
-val pp_stats : Format.formatter -> Obs.capture -> unit
-(** The human-readable per-phase table behind the CLI's [--stats]. *)
+(** A quoted, escaped JSON string literal, with the escaping rules of
+    the trace exporters; shared by {!Ppnpart_core.Run_report}. *)

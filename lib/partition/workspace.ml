@@ -126,7 +126,7 @@ let grow grown cur needed =
   end
 
 let finish_ensure ?(counter = "coarsen.alloc") t grown =
-  if Ppnpart_obs.Obs.enabled () && not t.quiet then
+  if Ppnpart_obs.Obs.recording () && not t.quiet then
     if !grown > 0 then Ppnpart_obs.Counters.add counter !grown
     else Ppnpart_obs.Counters.incr "workspace.reuse"
 
@@ -203,7 +203,7 @@ let part_bank t ~n =
   if Array.length b = n then b
   else begin
     let b = Array.make n 0 in
-    if Ppnpart_obs.Obs.enabled () && not t.quiet then
+    if Ppnpart_obs.Obs.recording () && not t.quiet then
       Ppnpart_obs.Counters.add "refine.alloc" n;
     t.ps_banks.(t.ps_bank) <- b;
     b

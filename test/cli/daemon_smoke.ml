@@ -1,6 +1,9 @@
 (* Daemon smoke test: spawn the real ppnpartd binary, drive one
    scripted session over its socket (submit, partition, an
-   edit-and-repartition, report, shutdown), and require a clean exit.
+   edit-and-repartition, report, shutdown), and require a clean exit
+   and a metrics dump that counted every frame of the session: the
+   requests run on the daemon's worker domains, so this checks that
+   their metrics reach --metrics-out.
 
    Usage: daemon_smoke <path-to-ppnpartd.exe>. Prints PASS and exits 0,
    or prints the failing step and exits 1 — wired into `dune runtest`
@@ -29,9 +32,11 @@ let () =
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let socket_path = Filename.concat dir "d.sock" in
+  let metrics_path = Filename.concat dir "metrics.om" in
   let pid =
     Unix.create_process daemon_exe
-      [| daemon_exe; "--socket"; socket_path; "--workers"; "2" |]
+      [| daemon_exe; "--socket"; socket_path; "--workers"; "2";
+         "--metrics-out"; metrics_path |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   (* Wait for the socket to appear (the daemon binds before serving). *)
@@ -44,7 +49,9 @@ let () =
   Unix.connect fd (Unix.ADDR_UNIX socket_path);
   let oc = Unix.out_channel_of_descr fd in
   let ic = Unix.in_channel_of_descr fd in
+  let frames = ref 0 in
   let request line =
+    incr frames;
     output_string oc line;
     output_char oc '\n';
     flush oc;
@@ -89,5 +96,23 @@ let () =
   let _, status = Unix.waitpid [] pid in
   expect "daemon exited 0" (status = Unix.WEXITED 0);
   expect "socket removed" (not (Sys.file_exists socket_path));
+  expect "metrics dump written" (Sys.file_exists metrics_path);
+  let dump = In_channel.with_open_bin metrics_path In_channel.input_all in
+  let requests =
+    List.find_map
+      (fun line ->
+        let key = "ppnpart_server_requests_total " in
+        if has_prefix line key then
+          int_of_string_opt
+            (String.sub line (String.length key)
+               (String.length line - String.length key))
+        else None)
+      (String.split_on_char '\n' dump)
+  in
+  (match requests with
+  | Some n when n = !frames -> ()
+  | Some n -> die "metrics dump counted %d requests, session sent %d" n !frames
+  | None -> die "metrics dump has no server.requests counter:\n%s" dump);
+  Sys.remove metrics_path;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   print_endline "PASS"

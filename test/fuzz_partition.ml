@@ -622,7 +622,7 @@ let test_resident_vs_rebuild () =
      infeasible steps cheap; both chains share it. *)
   let config = { Config.default with Config.max_cycles = 2 } in
   let ((), snap) =
-    Ppnpart_obs.Metrics_registry.with_registry @@ fun () ->
+    Ppnpart_obs.Obs.with_registry @@ fun () ->
     for seq = 1 to sequences do
       let rng = Random.State.make [| 0x5E51; seq |] in
       let n = 60 + (97 * seq mod 240) in

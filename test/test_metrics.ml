@@ -1,4 +1,4 @@
-(* Tests for the metrics layer (PR 7): histogram quantile exactness,
+(* Tests for the metrics layer: histogram quantile exactness,
    deterministic registry merges across task execution order and job
    counts, GC-delta sanity, the OpenMetrics exporter round-trip, the
    deterministic run report, and the bench snapshot comparator. *)
@@ -79,18 +79,22 @@ let test_merge_is_concatenation () =
 
 (* --- registry: task-order folds are execution-order independent --- *)
 
+(* Task sinks come from the one group [Obs] hands the pool; a task's
+   current shard is read from its sink. *)
+let shard () = Option.get (Obs.sink ()).Obs.shard
+
 let shard_run order =
-  Reg.install ();
-  let g = Option.get (Reg.group 2) in
-  List.iter
-    (fun i ->
-      Reg.in_task g i (fun () ->
-          Reg.counter_add "c" ((i + 1) * 10);
-          Reg.observe "h" (float_of_int (1 lsl (i + 1)));
-          Reg.gauge_set "g" (float_of_int i)))
-    order;
-  Reg.commit (Some g);
-  Option.get (Reg.finish ())
+  snd
+    (Obs.with_registry (fun () ->
+         let g = Option.get (Obs.group 2) in
+         List.iter
+           (fun i ->
+             Obs.in_task g i (fun () ->
+                 Reg.counter_add (shard ()) "c" ((i + 1) * 10);
+                 Reg.observe (shard ()) "h" (float_of_int (1 lsl (i + 1)));
+                 Reg.gauge_set (shard ()) "g" (float_of_int i)))
+           order;
+         Obs.commit (Some g)))
 
 let test_shard_fold_order_independent () =
   let s01 = shard_run [ 0; 1 ] and s10 = shard_run [ 1; 0 ] in
@@ -105,12 +109,13 @@ let test_shard_fold_order_independent () =
   check_float "histogram max" 4. h.H.max
 
 let test_commit_keep_discards () =
-  Reg.install ();
-  let g = Option.get (Reg.group 2) in
-  Reg.in_task g 0 (fun () -> Reg.counter_add "kc" 1);
-  Reg.in_task g 1 (fun () -> Reg.counter_add "kc" 10);
-  Reg.commit ~keep:1 (Some g);
-  let s = Option.get (Reg.finish ()) in
+  let (), s =
+    Obs.with_registry (fun () ->
+        let g = Option.get (Obs.group 2) in
+        Obs.in_task g 0 (fun () -> Reg.counter_add (shard ()) "kc" 1);
+        Obs.in_task g 1 (fun () -> Reg.counter_add (shard ()) "kc" 10);
+        Obs.commit ~keep:1 (Some g))
+  in
   check_int "discarded speculative shard" 1 (List.assoc "kc" s.Reg.counters)
 
 (* --- registry merge + run report across pool widths --- *)
@@ -119,14 +124,14 @@ let gp_config =
   { Config.default with Config.coarsen_target = 30; max_cycles = 20 }
 
 let registry_run ~width g c =
-  Reg.install ();
+  Obs.install_registry ();
   let r = ref None in
   let (), _cap =
     Ppnpart_exec.Pool.with_width width (fun () ->
         Obs.with_capture ~clock:Obs.Logical (fun () ->
             r := Some (Gp.partition ~config:gp_config g c)))
   in
-  (Option.get !r, Option.get (Reg.finish ()))
+  (Option.get !r, Option.get (Obs.finish_registry ()))
 
 let test_registry_deterministic_across_jobs () =
   let e = PG.experiment2 in
@@ -182,10 +187,11 @@ let test_gc_delta_counts_allocation () =
     && d.Gc_stats.major_collections >= 0)
 
 let test_span_records_gc () =
-  Reg.install ();
-  Span.phase "gcspan" (fun () ->
-      ignore (Sys.opaque_identity (List.init 2000 (fun i -> i))));
-  let s = Option.get (Reg.finish ()) in
+  let (), s =
+    Obs.with_registry (fun () ->
+        Span.phase "gcspan" (fun () ->
+            ignore (Sys.opaque_identity (List.init 2000 (fun i -> i)))))
+  in
   let h = List.assoc "gcspan.minor_words" s.Reg.histograms in
   check_int "one phase call" 1 h.H.count;
   check_bool "allocation attributed" true (h.H.sum >= 6000.)
@@ -213,11 +219,11 @@ let parse_openmetrics text =
   (series, lines)
 
 let test_openmetrics_roundtrip () =
-  Reg.install ();
-  Reg.counter_add "om.count" 7;
-  Reg.gauge_set "om.gauge" 2.5;
-  List.iter (Reg.observe "om.lat") [ 1.; 2.; 4. ];
-  let snap = Option.get (Reg.finish ()) in
+  let t = Reg.create () in
+  Reg.counter_add t "om.count" 7;
+  Reg.gauge_set t "om.gauge" 2.5;
+  List.iter (Reg.observe t "om.lat") [ 1.; 2.; 4. ];
+  let snap = Reg.snapshot t in
   let text = Trace_export.to_openmetrics snap in
   let series, lines = parse_openmetrics text in
   let non_empty = List.filter (fun l -> l <> "") lines in

@@ -773,7 +773,7 @@ let test_service_resident_state () =
   in
   let steps = dse_steps rng g ~k in
   let run lines =
-    Registry.with_registry (fun () ->
+    Ppnpart_obs.Obs.with_registry (fun () ->
         let svc = Service.create () in
         List.map
           (fun l ->
