@@ -205,10 +205,7 @@ let matrix () =
           { E.label = Printf.sprintf "planted-%d" n; graph; constraints })
         [ 60; 200 ]
   in
-  let algorithms =
-    [ E.gp (); E.metis_like (); E.spectral (); E.annealing () ]
-  in
-  let rows = E.run_matrix algorithms instances in
+  let rows = E.run_matrix [ E.gp; E.metis_like; E.spectral ] instances in
   Format.printf "%a@." E.pp_rows rows;
   Format.printf "%a@." E.pp_summaries (E.summarize rows);
   let csv_path = Filename.concat out_dir "matrix.csv" in
@@ -291,59 +288,6 @@ let ablation_cycles () =
         [ 0; 2; 5; 20 ])
     [ 16; 15; 14 ]
 
-let ablation_refinement () =
-  section "Ablation: local search (GP / GP+tabu polish / annealing)";
-  let instances =
-    List.map
-      (fun (e : PG.experiment) -> (e.PG.name, e.PG.graph, e.PG.constraints))
-      PG.all
-    @ (let r = Random.State.make [| 150; 4; 13 |] in
-       let g, c =
-         Ppnpart_workloads.Rand_graph.random_partitionable r ~n:150 ~k:4
-       in
-       [ ("planted-150", g, c) ])
-  in
-  Printf.printf "  %-14s %-14s %-10s %-6s %-10s\n" "instance" "method"
-    "feasible" "cut" "time(s)";
-  List.iter
-    (fun (name, g, c) ->
-      let time f =
-        let t0 = Unix.gettimeofday () in
-        let result = f () in
-        (result, Unix.gettimeofday () -. t0)
-      in
-      let variants =
-        [
-          ( "gp",
-            fun () ->
-              let r = Gp.partition g c in
-              (r.Gp.feasible, r.Gp.report.Metrics.total_cut) );
-          ( "gp+tabu",
-            fun () ->
-              let config =
-                { Config.default with Config.tabu_iterations = 500 }
-              in
-              let r = Gp.partition ~config g c in
-              (r.Gp.feasible, r.Gp.report.Metrics.total_cut) );
-          ( "annealing",
-            fun () ->
-              let rng = Random.State.make [| 1 |] in
-              let part, gd =
-                Ppnpart_baselines.Annealing.partition ~iterations:50_000 rng
-                  g c
-              in
-              ignore part;
-              (gd.Metrics.violation = 0, gd.Metrics.cut_value) );
-        ]
-      in
-      List.iter
-        (fun (label, f) ->
-          let (feasible, cut), dt = time f in
-          Printf.printf "  %-14s %-14s %-10b %-6d %-10.3f\n" name label
-            feasible cut dt)
-        variants)
-    instances
-
 let sweep () =
   section
     "Statistical sweep: 40 random 12-node instances per tightness level";
@@ -391,35 +335,6 @@ let sweep () =
         (if !ratio_count = 0 then nan
          else !cut_ratio_sum /. float_of_int !ratio_count))
     [ ("x1.5", 3, 2); ("x1.15", 23, 20); ("x1.0", 1, 1) ]
-
-let ablation_kwayfm () =
-  section "Ablation: K-way refinement (greedy sweeps vs bucket FM)";
-  let rng = Random.State.make [| 23 |] in
-  let instances =
-    [
-      ( "layered-500",
-        Ppnpart_workloads.Rand_graph.layered ~vw_range:(1, 20)
-          ~ew_range:(1, 9) rng ~layers:25 ~width:20 );
-      ( "rmat-1k",
-        Ppnpart_workloads.Rand_graph.rmat ~vw_range:(1, 20) ~ew_range:(1, 9)
-          rng ~scale:10 ~m:4000 );
-      ( "gnm-300",
-        Ppnpart_workloads.Rand_graph.gnm ~vw_range:(1, 20) ~ew_range:(1, 9)
-          rng ~n:300 ~m:1200 );
-    ]
-  in
-  Printf.printf "  %-12s %-8s %-8s %-10s %-10s\n" "instance" "greedy" "fm"
-    "greedy(s)" "fm(s)";
-  List.iter
-    (fun (name, g) ->
-      let run refinement =
-        let s = Metis_like.partition ~refinement g ~k:8 in
-        (s.Metis_like.cut, s.Metis_like.runtime_s)
-      in
-      let gc, gt = run Metis_like.Greedy in
-      let fc, ft = run Metis_like.Fm in
-      Printf.printf "  %-12s %-8d %-8d %-10.3f %-10.3f\n" name gc fc gt ft)
-    instances
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: runtime vs graph size.                                     *)
@@ -801,11 +716,12 @@ let phase_seconds (snap : Ppnpart_obs.Metrics_registry.snapshot) name =
    observability sink absent and installed, and record the overhead and
    that the partition itself is unchanged. Single runs on this workload
    vary by ~10% with machine noise — far above the honest delta (the
-   disabled path is one atomic load per site) — so the recorded figure
-   is the median of per-pair ratios: each rep times disabled then
-   enabled back-to-back, and the median cancels drift that hitting one
-   side more than the other would turn into a spurious overhead (or a
-   spurious speedup, which a disabled-first ordering used to report). *)
+   disabled path is one atomic load per site) — so each variant's
+   recorded time is its minimum over [reps] samples, and the gated rows
+   are ratios of those floors. Every sample starts from a compacted heap
+   (compaction untimed), and the three variants rotate their order from
+   rep to rep, so no variant keeps paying the major-GC work for the
+   garbage the one before it left. *)
 let obs_overhead ?(reps = 9) () =
   let g, c = vcycle_instance ~layers:40 ~width:15 in
   let config = { Config.default with Config.max_cycles = 10 } in
@@ -826,17 +742,19 @@ let obs_overhead ?(reps = 9) () =
   let offs = Array.make reps 0.
   and ons = Array.make reps 0.
   and mets = Array.make reps 0. in
-  for i = 0 to reps - 1 do
+  let sample times i run =
+    Gc.compact ();
     let t0 = Unix.gettimeofday () in
-    r_off := run_off ();
-    let t1 = Unix.gettimeofday () in
-    r_on := run_on ();
-    let t2 = Unix.gettimeofday () in
-    r_met := run_met ();
-    let t3 = Unix.gettimeofday () in
-    offs.(i) <- t1 -. t0;
-    ons.(i) <- t2 -. t1;
-    mets.(i) <- t3 -. t2
+    run ();
+    times.(i) <- Unix.gettimeofday () -. t0
+  in
+  for i = 0 to reps - 1 do
+    for j = 0 to 2 do
+      match (i + j) mod 3 with
+      | 0 -> sample offs i (fun () -> r_off := run_off ())
+      | 1 -> sample ons i (fun () -> r_on := run_on ())
+      | _ -> sample mets i (fun () -> r_met := run_met ())
+    done
   done;
   let r_off = !r_off and r_on, _cap = !r_on and r_met = !r_met in
   (* Each side repeats the same deterministic computation, so its
@@ -1550,8 +1468,6 @@ let all () =
   ablation_matching ();
   ablation_seeds ();
   ablation_cycles ();
-  ablation_refinement ();
-  ablation_kwayfm ();
   scaling ();
   bench_json ();
   timing ()
@@ -1567,8 +1483,6 @@ let () =
       ("ablation-matching", ablation_matching);
       ("ablation-seeds", ablation_seeds);
       ("ablation-cycles", ablation_cycles);
-      ("ablation-refinement", ablation_refinement);
-      ("ablation-kwayfm", ablation_kwayfm);
       ("scaling", scaling);
       ("json", bench_json);
       ("json-smoke", bench_json_smoke);

@@ -356,8 +356,7 @@ let partition_cmd =
             | `Kl ->
               let p =
                 Ppnpart_baselines.Recursive_bisection.kway
-                  (fun rng g -> Ppnpart_baselines.Kl.bisect rng g)
-                  rng g ~k
+                  Ppnpart_baselines.Kl.bisect rng g ~k
               in
               ("KL", p, timed_report p)
             | `Exact -> (

@@ -1,12 +1,11 @@
-(* Board design walk-through for the two extensions beyond the paper:
-   multi-resource budgets (the paper handles a single resource "at this
-   time") and physical link topologies (the paper assumes all-to-all).
+(* Board design walk-through for a physical link topology (the paper
+   assumes all-to-all links between FPGAs).
 
-   A Sobel pipeline is mapped onto a 2x2 mesh of FPGAs where each device
-   budgets LUTs, BRAM blocks and DSP slices separately. The partition is
-   computed by GP on the scalarized instance, repaired against the vector
-   constraints, validated against the routed per-link traffic, and finally
-   simulated.
+   A Sobel pipeline is partitioned by GP under a per-FPGA LUT budget and
+   a pairwise bandwidth bound, placed on a 2x2 mesh of FPGAs, validated
+   against the routed per-link traffic (X-then-Y routing puts diagonal
+   pairs' traffic on two links), and finally simulated, with FIFO depths
+   sized from the simulated peaks.
 
    Run with:  dune exec examples/board_design.exe *)
 
@@ -18,65 +17,33 @@ module Fpga = Ppnpart_fpga
 let () =
   let ppn = PpnM.Derive.derive (PpnM.Kernels.sobel ~width:24 ~height:24 ()) in
   let g = PpnM.Ppn.to_graph ~bandwidth_scale:8 ppn in
-  let n = Wgraph.n_nodes g in
   Printf.printf "network: %s\n" (PpnM.Ppn.summary ppn);
 
-  (* Per-process resource vectors (LUTs, BRAM, DSP). LUTs come from the
-     derived estimate; convolution processes additionally need DSP slices,
-     I/O heads buffer in BRAM. *)
-  let rvec =
-    Array.init n (fun p ->
-        let proc = PpnM.Ppn.process ppn p in
-        let luts = proc.PpnM.Process.resources in
-        let name = proc.PpnM.Process.name in
-        let is_io =
-          String.length name >= 4
-          && (String.sub name 0 4 = "src_" || String.sub name 0 4 = "snk_")
-        in
-        let bram = if is_io then 4 else 1 in
-        let dsp = if is_io then 0 else proc.PpnM.Process.work / 2 in
-        [| luts; bram; dsp |])
-  in
-  let totals = Array.make 3 0 in
-  Array.iter
-    (fun row -> Array.iteri (fun j x -> totals.(j) <- totals.(j) + x) row)
-    rvec;
-
   let k = 4 in
-  (* LUTs get ~50% headroom over a perfect split; the lumpy small
-     dimensions (BRAM, DSP come in single-digit integers per process) get
-     a flat +4, since integer packing needs absolute slack, not relative. *)
-  let rmax =
-    Array.mapi
-      (fun j t -> if j = 0 then (t / k * 3 / 2) + 1 else (t / k) + 4)
-      totals
-  in
+  (* Node weights are the processes' LUT estimates; each FPGA gets ~50%
+     headroom over a perfect split. *)
+  let rmax = (Wgraph.total_node_weight g / k * 3 / 2) + 1 in
   let bmax =
     let rng = Random.State.make [| 3 |] in
     let probe = Ppnpart_baselines.Spectral.kway rng g ~k in
     (Metrics.max_local_bandwidth g ~k probe * 4 / 3) + 1
   in
-  let mc = Multires.constraints ~k ~bmax ~rmax in
-  Printf.printf "budgets per FPGA: LUT=%d BRAM=%d DSP=%d, Bmax=%d\n" rmax.(0)
-    rmax.(1) rmax.(2) bmax;
+  Printf.printf "budgets per FPGA: LUT=%d, Bmax=%d\n" rmax bmax;
 
-  let solver sg sc = (Ppnpart_core.Gp.partition sg sc).Ppnpart_core.Gp.part in
-  let part, feasible = Multires.partition ~solver g mc rvec in
-  Printf.printf "multi-resource partition feasible: %b\n" feasible;
-  let loads = Multires.part_loads mc rvec part in
+  let r = Ppnpart_core.Gp.partition g (Types.constraints ~k ~bmax ~rmax) in
+  let part = r.Ppnpart_core.Gp.part in
+  Printf.printf "GP partition feasible: %b\n" r.Ppnpart_core.Gp.feasible;
   Array.iteri
-    (fun f load ->
-      Printf.printf "  FPGA %d: LUT=%-5d BRAM=%-3d DSP=%-3d\n" f load.(0)
-        load.(1) load.(2))
-    loads;
+    (fun f luts -> Printf.printf "  FPGA %d: LUT=%d\n" f luts)
+    (Metrics.part_resources g ~k part);
 
   (* Validate the routed traffic on the 2x2 mesh and simulate. *)
-  let platform =
+  let mesh ~bmax =
     Fpga.Platform.make
       ~topology:(Fpga.Platform.Mesh (2, 2))
-      ~n_fpgas:k ~rmax:(Array.fold_left max 1 rmax) ~bmax:(8 * bmax) ()
+      ~n_fpgas:k ~rmax ~bmax ()
   in
-  let mapping = Fpga.Mapping.of_partition platform ppn part in
+  let mapping = Fpga.Mapping.of_partition (mesh ~bmax:(8 * bmax)) ppn part in
   (match Fpga.Mapping.violations mapping with
   | [] -> print_endline "mesh routing: within every link budget"
   | vs ->
@@ -84,17 +51,12 @@ let () =
       (fun v ->
         Format.printf "mesh violation: %a@." Fpga.Mapping.pp_violation v)
       vs);
-  let sim_platform =
-    Fpga.Platform.make
-      ~topology:(Fpga.Platform.Mesh (2, 2))
-      ~n_fpgas:k ~rmax:(Array.fold_left max 1 rmax) ~bmax:16 ()
-  in
-  match Fpga.Sim.run ~fifo_capacity:128 sim_platform ppn ~assignment:part with
+  match
+    Fpga.Sim.run ~fifo_capacity:128 (mesh ~bmax:16) ppn ~assignment:part
+  with
   | Error e -> Format.printf "simulation error: %a@." Fpga.Sim.pp_error e
   | Ok r ->
     Format.printf "simulated: %a@." Fpga.Sim.pp_result r;
-    Format.printf "efficiency vs static bound: %.2f@."
-      (Fpga.Analysis.efficiency sim_platform ppn ~assignment:part r);
     (* Size each FIFO from its observed high-water mark. *)
     print_endline "suggested FIFO depths (from simulated peaks):";
     List.iter

@@ -7,7 +7,9 @@ let gain_of g part u =
     (fun acc v w -> if part.(v) = part.(u) then acc - w else acc + w)
     0
 
-let refine ?(max_passes = 8) ?(balance_tolerance = 1.1) g part0 =
+let max_passes = 8
+
+let refine ?(balance_tolerance = 1.1) g part0 =
   let n = Wgraph.n_nodes g in
   Array.iter
     (fun p -> if p <> 0 && p <> 1 then invalid_arg "Fm.refine: not two-way")
@@ -125,7 +127,7 @@ let refine ?(max_passes = 8) ?(balance_tolerance = 1.1) g part0 =
   done;
   (part, !cut)
 
-let bisect ?max_passes ?balance_tolerance rng g =
+let bisect rng g =
   let n = Wgraph.n_nodes g in
   (* Random balanced start: shuffle nodes, fill side 0 to half the total
      weight. *)
@@ -146,7 +148,7 @@ let bisect ?max_passes ?balance_tolerance rng g =
         acc := !acc + Wgraph.node_weight g u
       end)
     order;
-  refine ?max_passes ?balance_tolerance g part
+  refine g part
 
 let kway rng g ~k =
-  Recursive_bisection.kway (fun rng g -> bisect rng g) rng g ~k
+  Recursive_bisection.kway bisect rng g ~k

@@ -12,7 +12,6 @@
 open Ppnpart_graph
 
 val refine :
-  ?max_passes:int ->
   ?balance_tolerance:float ->
   Wgraph.t ->
   int array ->
@@ -22,18 +21,13 @@ val refine :
     [balance_tolerance *. total /. 2.] (default tolerance 1.1); rollback
     targets the best balanced prefix, or the most balanced prefix if none is
     balanced (so an unbalanced input is repaired rather than rejected).
-    [max_passes] defaults to 8.
+    Runs at most 8 passes.
     @raise Invalid_argument if [part] contains labels other than 0 and 1. *)
 
-val bisect :
-  ?max_passes:int ->
-  ?balance_tolerance:float ->
-  Random.State.t ->
-  Wgraph.t ->
-  int array * int
-(** Random balanced initial bisection followed by {!refine} — the standalone
-    FM baseline of Section II.A.2. *)
+val bisect : Random.State.t -> Wgraph.t -> int array * int
+(** Random balanced initial bisection followed by {!refine} at its default
+    tolerance — the standalone FM baseline of Section II.A.2. *)
 
 val kway : Random.State.t -> Wgraph.t -> k:int -> int array
-(** Recursive FM bisection ({!bisect} with default parameters); best
-    balanced for [k] a power of two. *)
+(** Recursive FM bisection ({!bisect}); best balanced for [k] a power of
+    two. *)

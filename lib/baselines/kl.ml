@@ -80,7 +80,9 @@ let one_pass g part =
   done;
   !best_sum
 
-let refine ?(max_passes = 8) g part0 =
+let max_passes = 8
+
+let refine g part0 =
   Array.iter
     (fun p -> if p <> 0 && p <> 1 then invalid_arg "Kl.refine: not two-way")
     part0;
@@ -93,7 +95,7 @@ let refine ?(max_passes = 8) g part0 =
   done;
   (part, Ppnpart_partition.Metrics.cut g part)
 
-let bisect ?max_passes rng g =
+let bisect rng g =
   let n = Wgraph.n_nodes g in
   let order = Array.init n (fun i -> i) in
   for i = n - 1 downto 1 do
@@ -104,4 +106,4 @@ let bisect ?max_passes rng g =
   done;
   let part = Array.make n 1 in
   Array.iteri (fun rank u -> if rank < n / 2 then part.(u) <- 0) order;
-  refine ?max_passes g part
+  refine g part

@@ -11,10 +11,10 @@
 
 open Ppnpart_graph
 
-val refine : ?max_passes:int -> Wgraph.t -> int array -> int array * int
-(** [refine g part] improves a two-way partition by KL passes and returns
-    the refined copy with its cut.
+val refine : Wgraph.t -> int array -> int array * int
+(** [refine g part] improves a two-way partition by at most 8 KL passes
+    and returns the refined copy with its cut.
     @raise Invalid_argument if [part] is not two-way. *)
 
-val bisect : ?max_passes:int -> Random.State.t -> Wgraph.t -> int array * int
+val bisect : Random.State.t -> Wgraph.t -> int array * int
 (** Random half/half split (by node count) followed by {!refine}. *)

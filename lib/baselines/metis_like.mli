@@ -13,17 +13,6 @@
 
 open Ppnpart_graph
 
-type initial = Graph_growing | Recursive_bisection
-(** Coarsest-graph seeding: greedy graph growing (default) or recursive
-    FM bisection — the classic PMETIS path (requires no particular [k],
-    but is best balanced when [k] is a power of two). *)
-
-type refinement = Greedy | Fm
-(** Un-coarsening refinement: [Greedy] (randomized positive-gain sweeps,
-    METIS's default style, used in the paper comparison) or [Fm]
-    (bucket-based K-way boundary FM with tentative negative-gain moves and
-    rollback — higher quality, higher constant). *)
-
 type stats = {
   part : int array;
   cut : int;
@@ -31,19 +20,10 @@ type stats = {
   runtime_s : float;
 }
 
-val partition :
-  ?seed:int ->
-  ?imbalance:float ->
-  ?coarsen_target:int ->
-  ?refinement:refinement ->
-  ?initial:initial ->
-  Wgraph.t ->
-  k:int ->
-  stats
-(** [partition g ~k]. [imbalance] defaults to 1.03; [coarsen_target] to
-    [max 30 (4 * k)]; [refinement] to [Greedy]; [initial] to
-    [Graph_growing]; [seed] to 0 (runs are deterministic for a fixed
-    seed). *)
+val partition : ?seed:int -> Wgraph.t -> k:int -> stats
+(** [partition g ~k] coarsens to [max 30 (4 * k)] nodes, keeps every
+    part within the 1.03 load imbalance, and is deterministic for a fixed
+    [seed] (default 0). *)
 
 val log_src : Logs.Src.t
 (** The [ppnpart.baselines] log source. *)

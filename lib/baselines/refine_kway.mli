@@ -9,28 +9,12 @@
 open Ppnpart_graph
 
 val refine :
-  ?max_passes:int ->
   ?imbalance:float ->
   Random.State.t ->
   Wgraph.t ->
   k:int ->
   int array ->
   int array * int
-(** [refine rng g ~k part] returns the refined copy and its cut.
-    [max_passes] defaults to 8, [imbalance] to 1.03. Parts are never
+(** [refine rng g ~k part] returns the refined copy and its cut after at
+    most 8 sweeps. [imbalance] defaults to 1.03. Parts are never
     emptied. *)
-
-val refine_fm :
-  ?workspace:Ppnpart_partition.Workspace.t ->
-  ?max_passes:int ->
-  ?imbalance:float ->
-  Wgraph.t ->
-  k:int ->
-  int array ->
-  int array * int
-(** K-way boundary FM (Sanchis-style): one pass tentatively moves each
-    node at most once, always the highest-gain available move (gain
-    buckets), accepting negative gains, then rolls back to the best
-    balanced prefix — the hill-climbing variant of {!refine}. Higher
-    quality, higher constant factor; deterministic. Same balance contract
-    as {!refine}. *)

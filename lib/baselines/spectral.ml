@@ -23,7 +23,9 @@ let normalize x =
   if norm > 1e-12 then
     Array.iteri (fun i v -> x.(i) <- v /. norm) x
 
-let fiedler ?(iterations = 300) g =
+let iterations = 300
+
+let fiedler g =
   let n = Wgraph.n_nodes g in
   if n = 0 then [||]
   else begin

@@ -8,9 +8,9 @@
 
 open Ppnpart_graph
 
-val fiedler : ?iterations:int -> Wgraph.t -> float array
+val fiedler : Wgraph.t -> float array
 (** Approximate Fiedler vector (unit norm, orthogonal to the all-ones
-    vector). [iterations] defaults to 300. For a disconnected graph the
+    vector) after 300 power iterations. For a disconnected graph the
     result separates components (the second eigenvalue is 0). *)
 
 val bisect : ?fraction:float -> Wgraph.t -> int array * int

@@ -32,11 +32,6 @@ type t = {
   max_cycles : int;  (** V-cycle retries before giving up (default 20) *)
   strategies : Ppnpart_partition.Matching.strategy list;
       (** matching heuristics raced at each coarsening level *)
-  tabu_iterations : int;
-      (** extension beyond the paper (its related work discusses tabu
-          search lifting FM's move-once restriction): when positive, each
-          descent's finest partition is polished with that many
-          tabu-search moves. Default 0 = faithful paper behaviour. *)
   seed : int;  (** PRNG seed; equal seeds give identical runs *)
   debug_checks : bool;
       (** when true, [Gp.partition] installs the [Ppnpart_check]

@@ -94,18 +94,7 @@ let descend (cfg : Config.t) ?workspace rng hierarchy c =
             c fine_st.Part_state.part;
         st := fine_st)
   done;
-  let part = ref (Part_state.snapshot !st) in
-  if cfg.Config.tabu_iterations > 0 then begin
-    let finest = Coarsen.finest hierarchy in
-    let polished, _ =
-      Refine_tabu.refine ~iterations:cfg.Config.tabu_iterations
-        ~workspace:ws finest c !part
-    in
-    if checking then
-      Ppnpart_check.Check.partition ~site:"gp.tabu" finest c polished;
-    part := polished
-  end;
-  !part
+  Part_state.snapshot !st
 
 (* One speculative partial V-cycle. Every cycle draws its randomness from
    a private stream derived from [(seed, cycle_index)] and re-coarsens

@@ -4,7 +4,7 @@ type t = {
   mutable count : int;
 }
 
-let create ?expected_edges:_ n =
+let create n =
   if n < 0 then invalid_arg "Edge_list.create: negative node count";
   { n; edges = []; count = 0 }
 
@@ -50,8 +50,3 @@ let normalized t =
     end
   done;
   if !filled = n then out else Array.sub out 0 !filled
-
-let of_arrays n edges =
-  let t = create n in
-  Array.iter (fun (u, v, w) -> add t u v w) edges;
-  t

@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?expected_edges:int -> int -> t
+val create : int -> t
 (** [create n] is an empty accumulator over nodes [0 .. n-1]. *)
 
 val n_nodes : t -> int
@@ -23,6 +23,3 @@ val normalized : t -> (int * int * int) array
 (** [normalized t] is the deduplicated edge array: each unordered pair appears
     once as [(min u v, max u v, total_weight)], sorted lexicographically; self
     loops removed. *)
-
-val of_arrays : int -> (int * int * int) array -> t
-(** [of_arrays n edges] bulk-loads [edges] into a fresh accumulator. *)

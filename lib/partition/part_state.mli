@@ -4,8 +4,7 @@
     searches need in O(1)-amortized per move: the k x k pairwise bandwidth
     matrix, per-part resource loads and member counts, and the running raw
     excess totals and cut. Shared by the greedy/FM refinement
-    ({!Refine_constrained}), tabu search ({!Refine_tabu}) and the
-    simulated-annealing baseline.
+    ({!Refine_constrained}) and tabu search ({!Refine_tabu}).
 
     It also maintains the boundary-refinement caches (DESIGN.md §6.4):
     per-node connectivity rows and external degrees patched in O(degree)

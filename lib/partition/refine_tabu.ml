@@ -1,6 +1,6 @@
 open Ppnpart_graph
 
-let refine ?iterations ?tenure ?stall_limit ?workspace g
+let refine ?iterations ?workspace g
     (c : Types.constraints) part0 =
   let n = Wgraph.n_nodes g in
   let k = c.Types.k in
@@ -14,8 +14,8 @@ let refine ?iterations ?tenure ?stall_limit ?workspace g
   @@ fun () ->
   Types.check_partition ~n ~k part0;
   let iterations = Option.value iterations ~default:(4 * n) in
-  let tenure = Option.value tenure ~default:(7 + (n / 16)) in
-  let stall_limit = Option.value stall_limit ~default:(2 * n) in
+  let tenure = 7 + (n / 16) in
+  let stall_limit = 2 * n in
   let st = Part_state.init ?workspace g c part0 in
   (* The state's workspace (passed in or private) also carries the
      per-call scratch; the expiry array is dirty across calls and must be

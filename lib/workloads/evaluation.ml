@@ -6,38 +6,28 @@ type algorithm = {
   solve : Wgraph.t -> Types.constraints -> int array;
 }
 
-let gp ?(config = Ppnpart_core.Config.default) () =
+let gp =
   {
     name = "gp";
-    solve =
-      (fun g c -> (Ppnpart_core.Gp.partition ~config g c).Ppnpart_core.Gp.part);
+    solve = (fun g c -> (Ppnpart_core.Gp.partition g c).Ppnpart_core.Gp.part);
   }
 
-let metis_like ?(seed = 0) () =
+let metis_like =
   {
     name = "metis-like";
     solve =
       (fun g c ->
-        (Ppnpart_baselines.Metis_like.partition ~seed g ~k:c.Types.k)
+        (Ppnpart_baselines.Metis_like.partition g ~k:c.Types.k)
           .Ppnpart_baselines.Metis_like.part);
   }
 
-let spectral ?(seed = 0) () =
+let spectral =
   {
     name = "spectral";
     solve =
       (fun g c ->
-        let rng = Random.State.make [| seed |] in
+        let rng = Random.State.make [| 0 |] in
         Ppnpart_baselines.Spectral.kway rng g ~k:c.Types.k);
-  }
-
-let annealing ?(seed = 0) ?iterations () =
-  {
-    name = "annealing";
-    solve =
-      (fun g c ->
-        let rng = Random.State.make [| seed |] in
-        fst (Ppnpart_baselines.Annealing.partition ?iterations rng g c));
   }
 
 type instance = {

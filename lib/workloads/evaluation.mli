@@ -14,10 +14,14 @@ type algorithm = {
       (** must return a valid partition for the instance's [k] *)
 }
 
-val gp : ?config:Ppnpart_core.Config.t -> unit -> algorithm
-val metis_like : ?seed:int -> unit -> algorithm
-val spectral : ?seed:int -> unit -> algorithm
-val annealing : ?seed:int -> ?iterations:int -> unit -> algorithm
+val gp : algorithm
+(** GP at {!Ppnpart_core.Config.default}. *)
+
+val metis_like : algorithm
+(** Mini-METIS at seed 0. *)
+
+val spectral : algorithm
+(** Spectral K-way from a generator seeded with 0. *)
 
 type instance = {
   label : string;

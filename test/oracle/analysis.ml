@@ -1,4 +1,5 @@
 open Ppnpart_ppn
+open Ppnpart_fpga
 
 let toposort_exn ppn =
   match Ppn.topological_order ppn with

@@ -16,11 +16,12 @@
       cycles.
 
     The bound is valid for any arbitration, FIFO capacity and firing
-    discipline — which makes it the test oracle for {!Sim} (simulated
-    cycles can never undercut it; on an unconstrained chain it is exact)
-    and gives a mapping-efficiency metric the benchmarks report. *)
+    discipline — which makes it the test oracle for {!Sim}: simulated
+    cycles can never undercut it, and on an unconstrained chain it is
+    exact. *)
 
 open Ppnpart_ppn
+open Ppnpart_fpga
 
 val depth : Ppn.t -> int
 (** Longest path through the channel DAG in process hops (counting nodes),

@@ -118,9 +118,7 @@ let test_spectral_kway () =
 
 let test_recursive_handles_tiny_graphs () =
   let g = Wgraph.of_edges 3 [ (0, 1, 1); (1, 2, 1) ] in
-  let part =
-    Recursive_bisection.kway (fun r g -> Fm.bisect r g) (rng ()) g ~k:3
-  in
+  let part = Recursive_bisection.kway Fm.bisect (rng ()) g ~k:3 in
   Types.check_partition ~n:3 ~k:3 part;
   check_int "all three labels" 3 (Types.parts_used part)
 
@@ -164,24 +162,6 @@ let test_metis_like_deterministic () =
   let b = Metis_like.partition ~seed:5 g ~k:3 in
   check_bool "same partition" true (a.Metis_like.part = b.Metis_like.part);
   check_int "same cut" a.Metis_like.cut b.Metis_like.cut
-
-let test_metis_like_recursive_bisection_initial () =
-  let g = grid ~w:8 ~h:8 in
-  let s =
-    Metis_like.partition ~initial:Metis_like.Recursive_bisection g ~k:4
-  in
-  Types.check_partition ~n:64 ~k:4 s.Metis_like.part;
-  check_int "all parts used" 4 (Types.parts_used s.Metis_like.part);
-  (* the multilevel machinery still produces a decent cut *)
-  check_bool "cut sane" true (s.Metis_like.cut <= 40)
-
-let test_metis_like_fm_refinement_variant () =
-  let g = grid ~w:8 ~h:8 in
-  let greedy = Metis_like.partition ~refinement:Metis_like.Greedy g ~k:4 in
-  let fm = Metis_like.partition ~refinement:Metis_like.Fm g ~k:4 in
-  Types.check_partition ~n:64 ~k:4 fm.Metis_like.part;
-  check_bool "fm within 25% of greedy" true
-    (fm.Metis_like.cut <= (greedy.Metis_like.cut * 5 / 4) + 2)
 
 let test_metrics_imbalance () =
   let g = two_triangles () in
@@ -350,10 +330,6 @@ let () =
             test_metis_like_deterministic;
           Alcotest.test_case "ignores constraints" `Quick
             test_metis_like_ignores_constraints;
-          Alcotest.test_case "recursive bisection initial" `Quick
-            test_metis_like_recursive_bisection_initial;
-          Alcotest.test_case "fm refinement variant" `Quick
-            test_metis_like_fm_refinement_variant;
           Alcotest.test_case "imbalance metric" `Quick
             test_metrics_imbalance;
         ] );

@@ -1,6 +1,7 @@
-(* Tests for the extensions beyond the paper's core algorithm: tabu-search
-   refinement, the simulated-annealing baseline, multi-resource
-   constraints, and ring/mesh platform topologies with routed traffic. *)
+(* Tests for the extensions beyond the paper's core algorithm that the
+   shipped partitioner runs: the incremental partition state, the
+   tabu-search refinement behind GP's rescue of small infeasible results,
+   and ring/mesh platform topologies with routed traffic. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -82,128 +83,6 @@ let test_tabu_reported_goodness_matches () =
   let fresh = Metrics.goodness g c part in
   check_int "violation agrees" fresh.Metrics.violation gd.Metrics.violation;
   check_int "cut agrees" fresh.Metrics.cut_value gd.Metrics.cut_value
-
-let test_gp_with_tabu_polish () =
-  let g = two_triangles () in
-  let c = Types.constraints ~k:2 ~bmax:1 ~rmax:9 in
-  let config =
-    { Ppnpart_core.Config.default with tabu_iterations = 100 }
-  in
-  let r = Ppnpart_core.Gp.partition ~config g c in
-  check_bool "feasible" true r.Ppnpart_core.Gp.feasible;
-  check_int "optimal" 1 r.Ppnpart_core.Gp.report.Metrics.total_cut
-
-(* --- Annealing --- *)
-
-let test_annealing_finds_bridge () =
-  let g = two_triangles () in
-  let c = Types.constraints ~k:2 ~bmax:1 ~rmax:9 in
-  let _, gd = Ppnpart_baselines.Annealing.partition (rng ()) g c in
-  check_int "feasible" 0 gd.Metrics.violation
-
-let test_annealing_goodness_matches () =
-  let r = rng () in
-  let g =
-    Ppnpart_workloads.Rand_graph.gnm ~vw_range:(1, 9) ~ew_range:(1, 9) r
-      ~n:16 ~m:32
-  in
-  let c = Types.constraints ~k:3 ~bmax:40 ~rmax:40 in
-  let part, gd = Ppnpart_baselines.Annealing.partition r g c in
-  let fresh = Metrics.goodness g c part in
-  check_int "violation agrees" fresh.Metrics.violation gd.Metrics.violation;
-  check_int "cut agrees" fresh.Metrics.cut_value gd.Metrics.cut_value
-
-let test_annealing_empty_graph () =
-  let g = Wgraph.of_edges 0 [] in
-  let part, _ =
-    Ppnpart_baselines.Annealing.partition (rng ()) g
-      (Types.constraints ~k:2 ~bmax:1 ~rmax:1)
-  in
-  check_int "empty" 0 (Array.length part)
-
-(* --- Multires --- *)
-
-let test_multires_validation () =
-  Alcotest.check_raises "empty budgets"
-    (Invalid_argument "Multires.constraints: empty budget vector")
-    (fun () -> ignore (Multires.constraints ~k:2 ~bmax:1 ~rmax:[||]));
-  let c = Multires.constraints ~k:2 ~bmax:10 ~rmax:[| 10; 4 |] in
-  check_int "dims" 2 (Multires.dims c);
-  Alcotest.check_raises "ragged requirements"
-    (Invalid_argument "Multires: requirement vector of wrong length")
-    (fun () -> Multires.validate_requirements c [| [| 1 |] |])
-
-let test_multires_loads_and_excess () =
-  let c = Multires.constraints ~k:2 ~bmax:100 ~rmax:[| 10; 4 |] in
-  let rvec = [| [| 6; 1 |]; [| 6; 1 |]; [| 2; 3 |] |] in
-  let part = [| 0; 0; 1 |] in
-  let loads = Multires.part_loads c rvec part in
-  check_bool "loads" true (loads = [| [| 12; 2 |]; [| 2; 3 |] |]);
-  (* dim 0 of part 0 overshoots by 2 -> normalized 1 + 2*1000/10 = 201 *)
-  check_int "excess" 201 (Multires.resource_excess c rvec part);
-  check_int "feasible split has 0 excess" 0
-    (Multires.resource_excess c rvec [| 0; 1; 0 |])
-
-let test_multires_scalarize_conservative () =
-  let c = Multires.constraints ~k:2 ~bmax:100 ~rmax:[| 100; 10 |] in
-  let rvec = [| [| 50; 1 |]; [| 10; 9 |]; [| 40; 2 |] |] in
-  let vwgt, budget = Multires.scalarize c rvec in
-  check_int "budget" 1000 budget;
-  (* node 1: max(10*1000/100, 9*1000/10) = 900 *)
-  check_int "worst dimension wins" 900 vwgt.(1);
-  (* Any subset within the scalar budget satisfies both dimensions. *)
-  check_bool "conservative" true (vwgt.(0) + vwgt.(2) <= budget);
-  let g = Wgraph.of_edges ~vwgt:[| 1; 1; 1 |] 3 [ (0, 1, 1); (1, 2, 1) ] in
-  check_bool "witness" true
-    (Multires.feasible g c rvec [| 0; 1; 0 |])
-
-let test_multires_repair () =
-  let g = two_triangles () in
-  let c = Multires.constraints ~k:2 ~bmax:1 ~rmax:[| 9; 12 |] in
-  let rvec = Array.make 6 [| 3; 4 |] in
-  (* violating start: 4 nodes in part 0 -> dim0 load 12 > 9 *)
-  let start = [| 0; 0; 0; 0; 1; 1 |] in
-  check_bool "starts infeasible" false (Multires.feasible g c rvec start);
-  let part, ok = Multires.repair (rng ()) g c rvec start in
-  check_bool "repaired" true ok;
-  check_bool "feasible" true (Multires.feasible g c rvec part)
-
-let test_multires_partition_end_to_end () =
-  let g = two_triangles () in
-  let c = Multires.constraints ~k:2 ~bmax:1 ~rmax:[| 9; 12 |] in
-  let rvec = Array.make 6 [| 3; 4 |] in
-  let solver sg sc =
-    (Ppnpart_core.Gp.partition sg sc).Ppnpart_core.Gp.part
-  in
-  let part, ok = Multires.partition ~solver g c rvec in
-  check_bool "feasible" true ok;
-  check_bool "clusters preserved" true
-    (part.(0) = part.(1) && part.(3) = part.(4))
-
-let prop_multires_repair_monotone =
-  QCheck2.Test.make ~name:"multires repair never worsens violation"
-    ~count:30
-    QCheck2.Gen.(pair (int_range 6 20) (int_range 2 4))
-    (fun (n, k) ->
-      let r = Random.State.make [| n; k; 99 |] in
-      let m = min (n * (n - 1) / 2) (2 * n) in
-      let g =
-        Ppnpart_workloads.Rand_graph.gnm ~vw_range:(1, 5) ~ew_range:(1, 5) r
-          ~n ~m
-      in
-      let rvec =
-        Array.init n (fun _ ->
-            [| 1 + Random.State.int r 5; 1 + Random.State.int r 3 |])
-      in
-      let c =
-        Multires.constraints ~k
-          ~bmax:(1 + Wgraph.total_edge_weight g / k)
-          ~rmax:[| 2 + (3 * n / k); 2 + (2 * n / k) |]
-      in
-      let start = Initial.random_kway r g ~k in
-      let before = Multires.violation g c rvec start in
-      let part, _ = Multires.repair r g c rvec start in
-      Multires.violation g c rvec part <= before)
 
 (* --- Topologies and routing --- *)
 
@@ -308,9 +187,6 @@ let test_sim_multihop_slower_than_direct () =
   let path = run (Platform.Mesh (1, 3)) in
   check_bool "path never faster" true (path >= direct)
 
-let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_multires_repair_monotone ]
-
 let () =
   Alcotest.run "extensions"
     [
@@ -328,25 +204,6 @@ let () =
             test_tabu_escapes_greedy_minimum;
           Alcotest.test_case "goodness matches" `Quick
             test_tabu_reported_goodness_matches;
-          Alcotest.test_case "gp polish" `Quick test_gp_with_tabu_polish;
-        ] );
-      ( "annealing",
-        [
-          Alcotest.test_case "finds bridge" `Quick test_annealing_finds_bridge;
-          Alcotest.test_case "goodness matches" `Quick
-            test_annealing_goodness_matches;
-          Alcotest.test_case "empty graph" `Quick test_annealing_empty_graph;
-        ] );
-      ( "multires",
-        [
-          Alcotest.test_case "validation" `Quick test_multires_validation;
-          Alcotest.test_case "loads and excess" `Quick
-            test_multires_loads_and_excess;
-          Alcotest.test_case "scalarize conservative" `Quick
-            test_multires_scalarize_conservative;
-          Alcotest.test_case "repair" `Quick test_multires_repair;
-          Alcotest.test_case "end to end" `Quick
-            test_multires_partition_end_to_end;
         ] );
       ( "topology",
         [
@@ -360,5 +217,4 @@ let () =
           Alcotest.test_case "multihop slower" `Quick
             test_sim_multihop_slower_than_direct;
         ] );
-      ("properties", qcheck_cases);
     ]

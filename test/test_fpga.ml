@@ -1,7 +1,9 @@
-(* Tests for the multi-FPGA platform model and the cycle-level simulator. *)
+(* Tests for the multi-FPGA platform model and the cycle-level simulator,
+   checked against the static makespan bound of the Analysis oracle. *)
 
 module P = Ppnpart_ppn
 open Ppnpart_fpga
+module Analysis = Ppnpart_test_oracle.Analysis
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

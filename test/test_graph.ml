@@ -1,4 +1,4 @@
-(* Tests for the graph substrate: Edge_list, Wgraph, Union_find, Graph_io. *)
+(* Tests for the graph substrate: Edge_list, Wgraph, Graph_io. *)
 
 open Ppnpart_graph
 module Metis_oracle = Ppnpart_test_oracle.Metis_oracle
@@ -13,33 +13,6 @@ let check_bool = check Alcotest.bool
 let sample () =
   Wgraph.of_edges ~vwgt:[| 2; 4; 1; 7 |] 4
     [ (0, 1, 3); (0, 2, 1); (1, 2, 2); (2, 3, 5) ]
-
-(* --- Union_find --- *)
-
-let test_uf_singletons () =
-  let uf = Union_find.create 5 in
-  check_int "classes" 5 (Union_find.count uf);
-  for i = 0 to 4 do
-    check_int "find self" i (Union_find.find uf i)
-  done
-
-let test_uf_union () =
-  let uf = Union_find.create 5 in
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 2 3);
-  check_int "classes after 2 unions" 3 (Union_find.count uf);
-  check_bool "same 0 1" true (Union_find.same uf 0 1);
-  check_bool "not same 1 2" false (Union_find.same uf 1 2);
-  ignore (Union_find.union uf 1 3);
-  check_bool "same 0 2 transitively" true (Union_find.same uf 0 2);
-  check_int "classes" 2 (Union_find.count uf)
-
-let test_uf_idempotent () =
-  let uf = Union_find.create 3 in
-  let r1 = Union_find.union uf 0 1 in
-  let r2 = Union_find.union uf 0 1 in
-  check_int "same representative" r1 r2;
-  check_int "classes" 2 (Union_find.count uf)
 
 (* --- Edge_list --- *)
 
@@ -809,12 +782,6 @@ let qcheck_cases =
 let () =
   Alcotest.run "graph"
     [
-      ( "union_find",
-        [
-          Alcotest.test_case "singletons" `Quick test_uf_singletons;
-          Alcotest.test_case "union" `Quick test_uf_union;
-          Alcotest.test_case "idempotent" `Quick test_uf_idempotent;
-        ] );
       ( "edge_list",
         [
           Alcotest.test_case "dedup merges weights" `Quick

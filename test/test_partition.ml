@@ -540,52 +540,6 @@ let test_refine_kway_respects_balance () =
   let limit = int_of_float (ceil (1.1 *. 36. /. 4.)) in
   Array.iter (fun l -> check_bool "within limit" true (l <= limit)) loads
 
-let test_refine_fm_never_worsens () =
-  let g = grid ~w:6 ~h:6 in
-  let r = rng () in
-  let start = Initial.random_kway r g ~k:4 in
-  let before = Metrics.cut g start in
-  let part, after = Refine_kway.refine_fm g ~k:4 start in
-  Types.check_partition ~n:36 ~k:4 part;
-  check_bool "no worse" true (after <= before);
-  check_int "reported = recomputed" (Metrics.cut g part) after
-
-let test_refine_fm_escapes_interleaved () =
-  (* Hill-climbing case the greedy sweeps cannot fix at tolerance 1.4. *)
-  let g = two_triangles () in
-  let part, cut =
-    Refine_kway.refine_fm ~imbalance:1.4 g ~k:2 [| 0; 1; 0; 1; 0; 1 |]
-  in
-  check_int "bridge found" 1 cut;
-  check_bool "triangles intact" true
-    (part.(0) = part.(1) && part.(1) = part.(2))
-
-let test_refine_fm_respects_balance () =
-  let g = grid ~w:6 ~h:6 in
-  let start = Initial.graph_growing (rng ()) g ~k:3 in
-  let part, _ = Refine_kway.refine_fm ~imbalance:1.1 g ~k:3 start in
-  let limit = int_of_float (ceil (1.1 *. 36. /. 3.)) in
-  Array.iter
-    (fun l -> check_bool "within limit" true (l <= limit))
-    (Metrics.part_resources g ~k:3 part)
-
-let prop_refine_fm_quality_at_least_greedy =
-  QCheck2.Test.make
-    ~name:"bucket FM cut <= greedy cut from the same start" ~count:30
-    QCheck2.Gen.(pair (int_range 8 30) (int_range 2 4))
-    (fun (n, k) ->
-      let r = rng () in
-      let m = min (n * (n - 1) / 2) (2 * n) in
-      let g =
-        Ppnpart_workloads.Rand_graph.gnm ~vw_range:(1, 4) ~ew_range:(1, 9) r
-          ~n ~m
-      in
-      let start = Initial.graph_growing r g ~k in
-      let _, greedy = Refine_kway.refine r g ~k start in
-      let _, fm = Refine_kway.refine_fm g ~k start in
-      (* FM subsumes greedy moves; allow slack for tie-breaking noise. *)
-      fm <= greedy + (greedy / 4) + 2)
-
 (* --- Refine_constrained --- *)
 
 let test_constrained_repairs_violation () =
@@ -1026,7 +980,6 @@ let qcheck_cases =
       prop_matchings_valid;
       prop_contract_edge_weight_conserved;
       prop_fm2_improves_or_keeps;
-      prop_refine_fm_quality_at_least_greedy;
       prop_constrained_goodness_monotone;
       prop_constrained_incremental_state_consistent;
     ]
@@ -1114,12 +1067,6 @@ let () =
           Alcotest.test_case "improves" `Quick test_refine_kway_improves;
           Alcotest.test_case "respects balance" `Quick
             test_refine_kway_respects_balance;
-          Alcotest.test_case "fm never worsens" `Quick
-            test_refine_fm_never_worsens;
-          Alcotest.test_case "fm escapes interleaved" `Quick
-            test_refine_fm_escapes_interleaved;
-          Alcotest.test_case "fm respects balance" `Quick
-            test_refine_fm_respects_balance;
         ] );
       ( "refine_constrained",
         [

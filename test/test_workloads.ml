@@ -204,8 +204,7 @@ let tiny_instances () =
 
 let test_evaluation_matrix_shape () =
   let rows =
-    Evaluation.run_matrix
-      [ Evaluation.gp (); Evaluation.metis_like () ]
+    Evaluation.run_matrix [ Evaluation.gp; Evaluation.metis_like ]
       (tiny_instances ())
   in
   check_int "2 rows" 2 (List.length rows);
@@ -216,8 +215,7 @@ let test_evaluation_matrix_shape () =
 
 let test_evaluation_summaries () =
   let rows =
-    Evaluation.run_matrix
-      [ Evaluation.gp (); Evaluation.spectral () ]
+    Evaluation.run_matrix [ Evaluation.gp; Evaluation.spectral ]
       (tiny_instances ())
   in
   let summaries = Evaluation.summarize rows in
@@ -236,7 +234,7 @@ let test_evaluation_summaries () =
 
 let test_evaluation_csv () =
   let rows =
-    Evaluation.run_matrix [ Evaluation.gp () ] (tiny_instances ())
+    Evaluation.run_matrix [ Evaluation.gp ] (tiny_instances ())
   in
   let csv = Evaluation.to_csv rows in
   let lines = String.split_on_char '\n' (String.trim csv) in
