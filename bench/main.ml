@@ -716,12 +716,15 @@ let phase_seconds (snap : Ppnpart_obs.Metrics_registry.snapshot) name =
    observability sink absent and installed, and record the overhead and
    that the partition itself is unchanged. Single runs on this workload
    vary by ~10% with machine noise — far above the honest delta (the
-   disabled path is one atomic load per site) — so each variant's
-   recorded time is its minimum over [reps] samples, and the gated rows
-   are ratios of those floors. Every sample starts from a compacted heap
-   (compaction untimed), and the three variants rotate their order from
-   rep to rep, so no variant keeps paying the major-GC work for the
-   garbage the one before it left. *)
+   disabled path is one atomic load per site) — and the noise comes in
+   stretches lasting seconds, so a ratio of per-variant minima depends
+   on which variant happened to hit a quiet stretch. The three samples
+   of one rep therefore run back to back, share whatever stretch they
+   land in, and give one trace/off and one metrics/off ratio; the gated
+   rows are the medians of those per-rep ratios. Every sample starts
+   from a compacted heap (compaction untimed), and the three variants
+   rotate their order from rep to rep, so no variant keeps paying the
+   major-GC work for the garbage the one before it left. *)
 let obs_overhead ?(reps = 9) () =
   let g, c = vcycle_instance ~layers:40 ~width:15 in
   let config = { Config.default with Config.max_cycles = 10 } in
@@ -757,30 +760,32 @@ let obs_overhead ?(reps = 9) () =
     done
   done;
   let r_off = !r_off and r_on, _cap = !r_on and r_met = !r_met in
-  (* Each side repeats the same deterministic computation, so its
-     minimum converges on the noise-free floor; the floors' ratio is the
-     honest overhead. The true overhead is nonnegative (enabled does
-     strictly more work), so a negative difference only means it sits
-     below the noise floor and is clamped to 0 rather than recorded as a
-     nonsense speedup. *)
-  let disabled_s = Array.fold_left min infinity offs
-  and enabled_s = Array.fold_left min infinity ons
-  and metrics_enabled_s = Array.fold_left min infinity mets in
-  let pct_over v =
-    Float.max 0. ((v -. disabled_s) /. disabled_s *. 100.)
+  (* [a] is a fresh array; sorted in place. *)
+  let median a =
+    Array.sort compare a;
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
   in
-  let overhead_pct = pct_over enabled_s in
-  let metrics_overhead_pct = pct_over metrics_enabled_s in
-  (* The gated rows: same-run ratios of the floors, unclamped, so the
-     bound is absolute rather than relative to a noisy baseline. *)
+  let trace_ratio = median (Array.mapi (fun i t -> t /. offs.(i)) ons)
+  and metrics_ratio = median (Array.mapi (fun i t -> t /. offs.(i)) mets) in
+  (* The true overhead is nonnegative (enabled does strictly more work),
+     so a ratio below 1 only means it sits below the noise floor and the
+     percentage is clamped to 0 rather than recorded as a nonsense
+     speedup. The seconds rows are each variant's minimum, for
+     reference. *)
+  let pct_over ratio = Float.max 0. ((ratio -. 1.) *. 100.) in
+  (* The gated rows: medians of same-rep ratios, unclamped, so the bound
+     is absolute rather than relative to a noisy baseline. *)
   Printf.sprintf
     {|{ "disabled_s": %.4f, "enabled_s": %.4f, "overhead_pct": %.2f,
       "metrics_enabled_s": %.4f, "metrics_overhead_pct": %.2f,
       "trace_ratio": %.4f, "metrics_ratio": %.4f,
       "same_partition": %b }|}
-    disabled_s enabled_s overhead_pct metrics_enabled_s metrics_overhead_pct
-    (enabled_s /. disabled_s)
-    (metrics_enabled_s /. disabled_s)
+    (Array.fold_left min infinity offs)
+    (Array.fold_left min infinity ons)
+    (pct_over trace_ratio)
+    (Array.fold_left min infinity mets)
+    (pct_over metrics_ratio) trace_ratio metrics_ratio
     (r_off.Gp.part = r_on.Gp.part && r_off.Gp.part = r_met.Gp.part)
 
 (* ------------------------------------------------------------------ *)

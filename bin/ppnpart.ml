@@ -85,21 +85,30 @@ let paper_arg =
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* -k, --bmax and --rmax are optional so that [--paper N] can supply
+   the paper's values for the ones not given (see [constraint_options]). *)
 let k_arg =
   Arg.(
-    value & opt int 4
-    & info [ "k" ] ~docv:"K" ~doc:"Number of partitions (FPGAs).")
+    value
+    & opt (some int) None
+    & info [ "k" ] ~docv:"K" ~absent:"4, or the paper's K with $(b,--paper)"
+        ~doc:"Number of partitions (FPGAs).")
 
 let bmax_arg =
   Arg.(
-    value & opt int max_int
+    value
+    & opt (some int) None
     & info [ "bmax" ] ~docv:"B"
+        ~absent:"unbounded, or the paper's Bmax with $(b,--paper)"
         ~doc:"Pairwise bandwidth bound between partitions.")
 
 let rmax_arg =
   Arg.(
-    value & opt int max_int
-    & info [ "rmax" ] ~docv:"R" ~doc:"Per-partition resource bound.")
+    value
+    & opt (some int) None
+    & info [ "rmax" ] ~docv:"R"
+        ~absent:"unbounded, or the paper's Rmax with $(b,--paper)"
+        ~doc:"Per-partition resource bound.")
 
 let algo_arg =
   let algos =
@@ -260,16 +269,39 @@ let check_arg =
            Equivalent to setting $(b,PPNPART_CHECK=1). Slow; for \
            debugging.")
 
+let paper_experiment n =
+  let module PG = Ppnpart_workloads.Paper_graphs in
+  match n with
+  | 1 -> Some PG.experiment1
+  | 2 -> Some PG.experiment2
+  | 3 -> Some PG.experiment3
+  | _ -> None
+
+(* The explicit -k/--bmax/--rmax values; for each one absent, the
+   paper's with [--paper N], else k = 4 and no bound. *)
+let constraint_options paper ~k ~bmax ~rmax =
+  let paper_c =
+    Option.map
+      (fun e -> e.Ppnpart_workloads.Paper_graphs.constraints)
+      (Option.bind paper paper_experiment)
+  in
+  let pick given field default =
+    match (given, paper_c) with
+    | Some v, _ -> v
+    | None, Some c -> field c
+    | None, None -> default
+  in
+  ( pick k (fun c -> c.Types.k) 4,
+    pick bmax (fun c -> c.Types.bmax) max_int,
+    pick rmax (fun c -> c.Types.rmax) max_int )
+
 let resolve_input input paper seed =
   match (input, paper) with
   | Some path, None -> read_graph path
   | None, Some n -> (
-    let module PG = Ppnpart_workloads.Paper_graphs in
-    match n with
-    | 1 -> Ok PG.experiment1.PG.graph
-    | 2 -> Ok PG.experiment2.PG.graph
-    | 3 -> Ok PG.experiment3.PG.graph
-    | _ -> Error "--paper expects 1, 2 or 3")
+    match paper_experiment n with
+    | Some e -> Ok e.Ppnpart_workloads.Paper_graphs.graph
+    | None -> Error "--paper expects 1, 2 or 3")
   | None, None ->
     (* default demo graph *)
     let rng = Random.State.make [| seed |] in
@@ -290,6 +322,7 @@ let partition_cmd =
   let run () input paper seed k bmax rmax algo mode stream_iterations
       dot save trace_out trace_jsonl metrics_out report_json det_report stats
       check =
+    let k, bmax, rmax = constraint_options paper ~k ~bmax ~rmax in
     let options () =
       let c = Types.constraints ~k ~bmax ~rmax in
       let config =
@@ -686,6 +719,7 @@ let eval_cmd =
         Printf.eprintf "error: %s\n" msg;
         1
       | part, k -> (
+        let _, bmax, rmax = constraint_options paper ~k:None ~bmax ~rmax in
         match checked_options (fun () -> Types.constraints ~k ~bmax ~rmax) with
         | Error msg ->
           Printf.eprintf "error: %s\n" msg;

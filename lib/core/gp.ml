@@ -475,11 +475,11 @@ let run_repartition ~(config : Config.t) ?workspace ?resident ~prev g c ops =
   Config.validate config;
   if Array.length prev <> Wgraph.n_nodes g then
     invalid_arg "Gp.repartition: previous labelling has wrong length";
-  Array.iter
-    (fun p ->
-      if p < 0 || p >= c.Types.k then
-        invalid_arg "Gp.repartition: previous label out of range")
-    prev;
+  for u = 0 to Array.length prev - 1 do
+    let p = prev.(u) in
+    if p < 0 || p >= c.Types.k then
+      invalid_arg "Gp.repartition: previous label out of range"
+  done;
   Ppnpart_obs.Span.phase_result
     ~args:(fun () ->
       [ ("nodes", Ppnpart_obs.Obs.Int (Wgraph.n_nodes g));

@@ -62,10 +62,11 @@ let feasible g c part =
 
 (* --- one-pass quality record ---
 
-   Everything the evaluation reports, computed from a single bandwidth
-   matrix build and a single load scan. [goodness], [report], the CLI
-   tables, bench and the run report all derive from this one record, so
-   the quantities can never drift apart. *)
+   Everything the evaluation reports, computed from one sweep over the
+   CSR arrays. [goodness], [report], the CLI tables, bench and the run
+   report all derive from this one record, so the quantities can never
+   drift apart. It is also the certificate of every answer: an
+   independent O(n + m) recomputation from (graph, labels) alone. *)
 
 type quality = {
   cut : int;
@@ -78,10 +79,31 @@ type quality = {
   imbalance : float;
 }
 
+(* Each node adds its weight to its part's load and each crossing
+   neighbour's edge weight to its own matrix row; the other endpoint
+   fills the mirrored entry, so the matrix comes out symmetric. *)
 let quality g (c : Types.constraints) part =
   let k = c.Types.k in
-  Types.check_partition ~n:(Wgraph.n_nodes g) ~k part;
-  let m = bandwidth_matrix g ~k part in
+  let n = g.Wgraph.n in
+  Types.check_partition ~n ~k part;
+  let xadj = g.Wgraph.xadj
+  and adjncy = g.Wgraph.adjncy
+  and adjwgt = g.Wgraph.adjwgt
+  and vwgt = g.Wgraph.vwgt in
+  let m = Array.make_matrix k k 0 in
+  let loads = Array.make k 0 in
+  let total = ref 0 in
+  for u = 0 to n - 1 do
+    let p = part.(u) in
+    let w = vwgt.(u) in
+    loads.(p) <- loads.(p) + w;
+    total := !total + w;
+    let row = m.(p) in
+    for i = xadj.(u) to xadj.(u + 1) - 1 do
+      let q = part.(adjncy.(i)) in
+      if q <> p then row.(q) <- row.(q) + adjwgt.(i)
+    done
+  done;
   let cut = ref 0 and max_bw = ref 0 and bw_ex = ref 0 in
   for p = 0 to k - 1 do
     for q = p + 1 to k - 1 do
@@ -91,17 +113,15 @@ let quality g (c : Types.constraints) part =
       if w > c.Types.bmax then bw_ex := !bw_ex + w - c.Types.bmax
     done
   done;
-  let loads = part_resources g ~k part in
-  let max_res = Array.fold_left max 0 loads in
-  let res_ex =
-    Array.fold_left
-      (fun acc r -> if r > c.Types.rmax then acc + r - c.Types.rmax else acc)
-      0 loads
-  in
-  let total = Wgraph.total_node_weight g in
+  let max_res = ref 0 and res_ex = ref 0 in
+  for p = 0 to k - 1 do
+    let r = loads.(p) in
+    if r > !max_res then max_res := r;
+    if r > c.Types.rmax then res_ex := !res_ex + r - c.Types.rmax
+  done;
   let imbalance =
-    if total = 0 then 0.
-    else float_of_int (k * max_res) /. float_of_int total
+    if !total = 0 then 0.
+    else float_of_int (k * !max_res) /. float_of_int !total
   in
   {
     cut = !cut;
@@ -109,8 +129,8 @@ let quality g (c : Types.constraints) part =
     max_bandwidth = !max_bw;
     bw_excess = !bw_ex;
     loads;
-    max_resources = max_res;
-    res_excess = res_ex;
+    max_resources = !max_res;
+    res_excess = !res_ex;
     imbalance;
   }
 

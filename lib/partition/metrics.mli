@@ -39,10 +39,10 @@ val resource_excess : Wgraph.t -> Types.constraints -> int array -> int
 
 val feasible : Wgraph.t -> Types.constraints -> int array -> bool
 
-(** Everything the evaluation reports, from one pass: a single bandwidth
-    matrix build and load scan. {!goodness}, {!report}, the CLI tables,
-    bench rows and the run report all derive from this record, so the
-    quantities can never drift apart. *)
+(** Everything the evaluation reports, from one sweep over the CSR
+    arrays. {!goodness}, {!report}, the CLI tables, bench rows and the
+    run report all derive from this record, so the quantities can never
+    drift apart. *)
 type quality = {
   cut : int;  (** total edge cut *)
   bandwidth : int array array;  (** [k x k] pairwise bandwidth matrix *)
@@ -56,7 +56,10 @@ type quality = {
 
 val quality : Wgraph.t -> Types.constraints -> int array -> quality
 (** Validates the labelling ({!Types.check_partition}) and computes the
-    full quality record. *)
+    full quality record in one O(n + m) pass over [xadj]/[adjncy]/
+    [adjwgt]/[vwgt], without closures. Equal field by field to the
+    record composed from {!bandwidth_matrix}, {!part_resources} and
+    {!cut}. *)
 
 (** Goodness of a candidate clustering. Ordering (smaller = better):
     normalized total violation first — so any feasible partition beats any

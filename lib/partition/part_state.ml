@@ -449,4 +449,17 @@ let best_target st conn u =
   done;
   (!best_v, !best_cut, !best_t)
 
+(* A node's weighted degree is its external degree plus its
+   connectivity toward its own part; both caches are exact after every
+   [init], [init_projected], [rebase] and [apply_move], so the maximum
+   needs no adjacency read. *)
+let max_weighted_degree st =
+  let k = st.c.Types.k in
+  let best = ref 1 in
+  for u = 0 to Wgraph.n_nodes st.g - 1 do
+    let d = st.ed.(u) + st.conn.((u * k) + st.part.(u)) in
+    if d > !best then best := d
+  done;
+  !best
+
 let snapshot st = Array.copy st.part

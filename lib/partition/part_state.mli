@@ -102,5 +102,11 @@ val best_target : t -> int array -> int -> int * int * int
     interior ([ed u = 0]) the scan runs a closed-form O(k) fast path
     that is algebraically identical to the general O(k²) one. *)
 
+val max_weighted_degree : t -> int
+(** [max 1 (max_u (Wgraph.weighted_degree st.g u))], read from the
+    caches ([ed u] plus [u]'s connectivity toward its own part) in one
+    O(n) loop: no adjacency read, no allocation. The FM gain-scale
+    bound of {!Refine_constrained}. *)
+
 val snapshot : t -> int array
 (** Copy of the current partition. *)

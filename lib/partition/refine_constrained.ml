@@ -106,7 +106,7 @@ let fm_pass (st : Part_state.t) =
   let g = st.Part_state.g in
   let n = Wgraph.n_nodes g in
   let ws = st.Part_state.ws in
-  let cut_cap = Workspace.cut_cap ws g in
+  let cut_cap = Part_state.max_weighted_degree st in
   let scale = (2 * cut_cap) + 3 in
   let clamp lo hi v = if v < lo then lo else if v > hi then hi else v in
   let conn = ws.Workspace.rf_conn in

@@ -14,11 +14,11 @@ let unconstrained ~k = constraints ~k ~bmax:max_int ~rmax:max_int
 let check_partition ~n ~k part =
   if Array.length part <> n then
     invalid_arg "Types.check_partition: wrong length";
-  Array.iter
-    (fun p ->
-      if p < 0 || p >= k then
-        invalid_arg "Types.check_partition: part label out of range")
-    part
+  for u = 0 to n - 1 do
+    let p = part.(u) in
+    if p < 0 || p >= k then
+      invalid_arg "Types.check_partition: part label out of range"
+  done
 
 let parts_used part =
   let seen = Hashtbl.create 8 in

@@ -54,9 +54,6 @@ type t = {
   mutable rf_conn : int array;
   mutable rf_tabu : int array;
   mutable rf_bucket : Bucket.t option;
-  (* Per-graph maximum weighted degree, keyed by physical identity. *)
-  mutable cc_graph : Ppnpart_graph.Wgraph.t option;
-  mutable cc_value : int;
   (* Streaming partitioner state (Stream): per-part loads, the flat k x k
      pairwise bandwidth matrix, and the per-node connectivity scratch
      (values + touched-part list, reset in O(degree) per node). Together
@@ -101,8 +98,6 @@ let create () =
     rf_conn = [||];
     rf_tabu = [||];
     rf_bucket = None;
-    cc_graph = None;
-    cc_value = 0;
     st_load = [||];
     st_bw = [||];
     st_conn = [||];
@@ -218,20 +213,6 @@ let bucket t ~n ~max_gain =
     let b = Bucket.create ~n ~max_gain in
     t.rf_bucket <- Some b;
     b
-
-let cut_cap t g =
-  match t.cc_graph with
-  | Some g0 when g0 == g -> t.cc_value
-  | _ ->
-    let n = Ppnpart_graph.Wgraph.n_nodes g in
-    let m = ref 1 in
-    for u = 0 to n - 1 do
-      let d = Ppnpart_graph.Wgraph.weighted_degree g u in
-      if d > !m then m := d
-    done;
-    t.cc_graph <- Some g;
-    t.cc_value <- !m;
-    !m
 
 let words t =
   Array.length t.mark + Array.length t.pos_tbl + Array.length t.cxadj

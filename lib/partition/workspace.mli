@@ -68,9 +68,6 @@ type t = {
   mutable rf_conn : int array;  (** shared connectivity row, length ≥ k *)
   mutable rf_tabu : int array;  (** tabu expiry steps, length ≥ n *)
   mutable rf_bucket : Bucket.t option;  (** reused FM gain bucket *)
-  mutable cc_graph : Ppnpart_graph.Wgraph.t option;
-      (** graph the {!cut_cap} memo belongs to (physical identity) *)
-  mutable cc_value : int;  (** memoized maximum weighted degree *)
   mutable st_load : int array;
       (** streaming per-part resource loads, length ≥ k *)
   mutable st_bw : int array;
@@ -126,11 +123,6 @@ val part_bank : t -> n:int -> int array
 val bucket : t -> n:int -> max_gain:int -> Bucket.t
 (** A cleared gain bucket serving nodes [0 .. n-1] with gains within
     [±max_gain]; reuses the cached bucket when it {!Bucket.fits}. *)
-
-val cut_cap : t -> Ppnpart_graph.Wgraph.t -> int
-(** Maximum weighted degree of the graph (≥ 1), memoized per physical
-    graph — the FM gain-scale bound that was previously rescanned on
-    every pass. *)
 
 val words : t -> int
 (** Total words currently owned, for tests and benchmarks. *)

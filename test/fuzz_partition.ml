@@ -723,6 +723,137 @@ let test_resident_vs_rebuild () =
   check_int "every checked edit fully validated" (sequences * steps)
     (count "check.graph_edit.apply")
 
+(* --- the one-sweep certificate vs the composed metrics --- *)
+
+(* [Metrics.quality] fills the loads and the bandwidth matrix in one
+   sweep over the CSR arrays, each edge seen from both endpoints.
+   [Metrics.cut], [bandwidth_matrix] and [part_resources] each walk the
+   graph on their own, every edge once. On every instance each field of
+   the record must equal its recomposition from those three. Labellings
+   leave some parts empty, some graphs have no edges or no node weight,
+   and the bounds are drawn so that both excess totals are often
+   nonzero. *)
+let test_quality_vs_composed () =
+  let seeds = match mode with `Quick -> 60 | `Default -> 300 | `Full -> 1500 in
+  for seed = 1 to seeds do
+    let rng = Random.State.make [| 0xC3; seed |] in
+    let n = sizes.(seed mod Array.length sizes) in
+    let k = 2 + Random.State.int rng 15 in
+    let m = Random.State.int rng (min (n * (n - 1) / 2) (4 * n) + 1) in
+    let vw_range = if seed mod 7 = 0 then (0, 0) else (0, 9) in
+    let g =
+      Ppnpart_workloads.Rand_graph.gnm ~connected:false ~vw_range
+        ~ew_range:(0, 9) rng ~n ~m
+    in
+    let used = Array.init k (fun p -> p) in
+    for i = k - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = used.(i) in
+      used.(i) <- used.(j);
+      used.(j) <- t
+    done;
+    let n_used = 1 + Random.State.int rng k in
+    let part = Array.init n (fun _ -> used.(Random.State.int rng n_used)) in
+    let c =
+      Types.constraints ~k
+        ~bmax:(Random.State.int rng ((Wgraph.total_edge_weight g / k) + 2))
+        ~rmax:(Random.State.int rng (Wgraph.total_node_weight g + 2))
+    in
+    let q = Metrics.quality g c part in
+    let name what = Printf.sprintf "seed %d (n=%d k=%d): %s" seed n k what in
+    check_int (name "cut") (Metrics.cut g part) q.Metrics.cut;
+    check_bool (name "bandwidth") true
+      (q.Metrics.bandwidth = Metrics.bandwidth_matrix g ~k part);
+    check_int (name "max_bandwidth")
+      (Metrics.max_local_bandwidth g ~k part)
+      q.Metrics.max_bandwidth;
+    check_int (name "bw_excess")
+      (Metrics.bandwidth_excess g c part)
+      q.Metrics.bw_excess;
+    check_bool (name "loads") true
+      (q.Metrics.loads = Metrics.part_resources g ~k part);
+    check_int (name "max_resources")
+      (Metrics.max_resource g ~k part)
+      q.Metrics.max_resources;
+    check_int (name "res_excess")
+      (Metrics.resource_excess g c part)
+      q.Metrics.res_excess;
+    check_bool (name "imbalance") true
+      (Float.equal (Metrics.imbalance g ~k part) q.Metrics.imbalance)
+  done
+
+(* --- the FM gain cap read from the state vs the graph --- *)
+
+(* [Part_state.max_weighted_degree] reads each node's weighted degree
+   from the caches (external degree plus connectivity toward its own
+   part). It must equal [max 1] of [Wgraph.weighted_degree] over the
+   state's graph after every way a state comes about: [init],
+   [init_projected] down a coarsening hierarchy, [rebase] on random
+   id-stable batches, and random [apply_move] sequences. *)
+let test_max_weighted_degree () =
+  let seeds = match mode with `Quick -> 12 | `Default -> 24 | `Full -> 64 in
+  let batches = match mode with `Quick -> 10 | `Default -> 20 | `Full -> 60 in
+  let module GE = Graph_edit in
+  for seed = 1 to seeds do
+    let rng = Random.State.make [| 0xD6; seed |] in
+    let n = sizes.(seed mod Array.length sizes) in
+    let k = 2 + (seed mod 15) in
+    let g, c, part0 = random_instance ~n ~k rng in
+    let check what (st : Part_state.t) =
+      let g = st.Part_state.g in
+      let expect = ref 1 in
+      for u = 0 to Wgraph.n_nodes g - 1 do
+        expect := max !expect (Wgraph.weighted_degree g u)
+      done;
+      check_int
+        (Printf.sprintf "seed %d (n=%d k=%d): %s" seed n k what)
+        !expect
+        (Part_state.max_weighted_degree st)
+    in
+    let st = ref (Part_state.init g c part0) in
+    check "init" !st;
+    let conn = Array.make k 0 in
+    let moves () =
+      for _ = 1 to 1 + Random.State.int rng 40 do
+        let u = Random.State.int rng n in
+        let t = Random.State.int rng k in
+        if t <> !st.Part_state.part.(u) then begin
+          Part_state.connectivity !st conn u;
+          Part_state.apply_move !st u t conn
+        end
+      done
+    in
+    moves ();
+    check "apply_move" !st;
+    for b = 1 to batches do
+      let g = !st.Part_state.g in
+      let ops =
+        List.filter
+          (function GE.Add_node _ | GE.Remove_node _ -> false | _ -> true)
+          (random_edits rng g)
+      in
+      match GE.apply g ops with
+      | exception GE.Invalid_edit _ -> ()
+      | g', _, stats ->
+        st := Part_state.rebase !st g' ~touched:stats.GE.touched_nodes;
+        check (Printf.sprintf "rebase %d" b) !st;
+        moves ();
+        check (Printf.sprintf "apply_move after rebase %d" b) !st
+    done;
+    let h = Coarsen.build ~target:8 rng g in
+    let coarsest = Coarsen.coarsest h in
+    st :=
+      Part_state.init coarsest c
+        (Initial.random_kway rng coarsest ~k);
+    check "init on the coarsest level" !st;
+    for level = Coarsen.levels h - 2 downto 0 do
+      st :=
+        Part_state.init_projected ~map:h.Coarsen.maps.(level) !st
+          (Coarsen.graph_at h level);
+      check (Printf.sprintf "init_projected to level %d" level) !st
+    done
+  done
+
 (* --- spliced Graph_edit.apply vs the Edge_list oracle --- *)
 
 (* [Graph_edit.apply] splices the edited CSR straight from the base
@@ -1297,7 +1428,11 @@ let () =
           Alcotest.test_case "graph_edit splice vs oracle" `Quick
             test_graph_edit_splice;
           Alcotest.test_case "metis reader vs oracle" `Quick
-            test_metis_reader_vs_oracle ] );
+            test_metis_reader_vs_oracle;
+          Alcotest.test_case "quality sweep vs composed metrics" `Quick
+            test_quality_vs_composed;
+          Alcotest.test_case "max weighted degree from state" `Quick
+            test_max_weighted_degree ] );
       ( "structure",
         [ Alcotest.test_case "matching validity" `Quick
             test_matching_validity;

@@ -239,6 +239,72 @@ let test_repartition_rejects_bad_prev () =
     Alcotest.fail "out-of-range prev accepted"
   with Invalid_argument _ -> ()
 
+(* --- DSE labels pinned across commits --- *)
+
+(* A design-space-exploration session shaped like perfbench's
+   daemon-dse workload: one partition of a planted-feasible graph, then
+   resident repartitions of id-stable batches, each batch followed by
+   its inverse. Every batch re-weighs three nodes and adds one channel
+   inside a planted cluster ([random_partitionable] puts node [u] in
+   cluster [u * k / n]); the inverse restores the weights and removes
+   the channel. The digest of every answer's labels is a constant
+   recorded before the FM gain cap moved into [Part_state] and the
+   certificate became one CSR sweep: a change to either that moves a
+   label fails here. *)
+let dse_digest = "598b10f585aa800f4ca786cdb4f6e2ea"
+
+let test_dse_labels_pinned () =
+  let n = 2000 and k = 8 in
+  let r = Random.State.make [| 27; 0xd5e |] in
+  let g0, c = Rand_graph.random_partitionable r ~n ~k in
+  let pair g =
+    let pick () = Random.State.int r n in
+    let nodes = List.sort_uniq compare [ pick (); pick (); pick () ] in
+    let rec channel () =
+      let u = pick () in
+      let v = (u * k / n * n / k) + Random.State.int r (n / k) in
+      if v * k / n <> u * k / n || u = v || Wgraph.mem_edge g u v then
+        channel ()
+      else (u, v)
+    in
+    let u, v = channel () in
+    let bump = 1 + Random.State.int r 2 in
+    let weigh d =
+      List.map
+        (fun x -> Graph_edit.Set_node_weight (x, Wgraph.node_weight g x + d))
+        nodes
+    in
+    ( weigh bump @ [ Graph_edit.Add_edge (u, v, 1 + Random.State.int r 5) ],
+      weigh 0 @ [ Graph_edit.Remove_edge (u, v) ] )
+  in
+  let resident = Gp.resident () in
+  let first = Gp.partition g0 c in
+  let buf = Buffer.create (31 * n) in
+  let add part =
+    Array.iter (fun p -> Buffer.add_char buf (Char.chr (48 + p))) part
+  in
+  add first.Gp.part;
+  let g = ref g0 and prev = ref first.Gp.part and inverse = ref [] in
+  for step = 1 to 30 do
+    let ops =
+      if step mod 2 = 1 then begin
+        let fwd, back = pair !g in
+        inverse := back;
+        fwd
+      end
+      else !inverse
+    in
+    let rp = Gp.repartition ~resident ~prev:!prev !g c ops in
+    check_bool (Printf.sprintf "step %d incremental" step) true
+      rp.Gp.rp_incremental;
+    g := rp.Gp.rp_graph;
+    prev := rp.Gp.rp_result.Gp.part;
+    add !prev
+  done;
+  Alcotest.(check string)
+    "label digest of 30 resident steps" dse_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- Graph_edit allocation (ROADMAP item 6) --- *)
 
 (* Words [f ()] allocates, on the minor and the major heap. *)
@@ -298,6 +364,7 @@ let tests =
       test_repartition_degenerate_edits;
     Alcotest.test_case "repartition rejects bad prev" `Quick
       test_repartition_rejects_bad_prev;
+    Alcotest.test_case "dse labels pinned" `Quick test_dse_labels_pinned;
     Alcotest.test_case "graph_edit allocation" `Quick
       test_graph_edit_allocation ]
 
