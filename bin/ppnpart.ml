@@ -50,9 +50,11 @@ let rec first_line text pos =
    adjacency matrix opens with its size alone, while a METIS file opens
    with a [%] comment or a header of two or three fields. Only the
    matching parser runs, so a malformed file is reported in its own
-   format's terms. *)
+   format's terms. The read and the parse are the [cli.read] and
+   [cli.parse] phases of [partition --stats]. *)
 let read_graph path =
-  match Graph_io.read_file path with
+  match Ppnpart_obs.Span.with_ "cli.read" (fun () -> Graph_io.read_file path)
+  with
   | exception Sys_error msg -> Error msg
   | text -> (
     let line = first_line text 0 in
@@ -64,7 +66,9 @@ let read_graph path =
     let parse =
       if matrix then Graph_io.of_adjacency_matrix else Graph_io.of_metis
     in
-    match parse text with g -> Ok g | exception Failure msg -> Error msg)
+    match Ppnpart_obs.Span.with_ "cli.parse" (fun () -> parse text) with
+    | g -> Ok g
+    | exception Failure msg -> Error msg)
 
 (* --- shared arguments --- *)
 
@@ -154,7 +158,8 @@ let stream_iterations_arg =
           "Restream passes for $(b,--mode stream)/$(b,hybrid): pass 1 \
            streams the unassigned graph, each further pass revisits \
            every node with an escalated load/bandwidth penalty and stops \
-           early at a fixed point.")
+           early at a fixed point. At most 1000: the penalty overflows a \
+           float past ~1300 passes.")
 
 let dot_arg =
   Arg.(
@@ -333,28 +338,32 @@ let partition_cmd =
       Ppnpart_core.Config.validate config;
       (c, config)
     in
+    (* Deterministic reports need span durations measured on the
+       logical event clock, which lives in the trace buffers — so the
+       flag implies a capture even when no trace file was asked for. The
+       sinks go in before the input is read, so the run's four phases
+       [cli.read], [cli.parse], [cli.partition] and [cli.write] cover
+       it from input to output. *)
+    let tracing = trace_out <> None || trace_jsonl <> None || det_report in
+    let metrics = metrics_out <> None || report_json <> None || stats in
+    let clock =
+      if det_report then Ppnpart_obs.Obs.Logical else Ppnpart_obs.Obs.Wall
+    in
     match
       Result.bind (checked_options options) (fun o ->
+          if tracing then Ppnpart_obs.Obs.install ~clock ();
+          if metrics then Ppnpart_obs.Obs.install_registry ();
           Result.map (fun g -> (o, g)) (resolve_input input paper seed))
     with
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
     | Ok ((c, config), g) ->
-      (* Deterministic reports need span durations measured on the
-         logical event clock, which lives in the trace buffers — so the
-         flag implies a capture even when no trace file was asked for. *)
-      let tracing = trace_out <> None || trace_jsonl <> None || det_report in
-      let metrics = metrics_out <> None || report_json <> None || stats in
-      let clock =
-        if det_report then Ppnpart_obs.Obs.Logical else Ppnpart_obs.Obs.Wall
-      in
-      if tracing then Ppnpart_obs.Obs.install ~clock ();
-      if metrics then Ppnpart_obs.Obs.install_registry ();
       (* The report is computed exactly once per run: GP already returns
          one, the other algorithms build theirs from their own timing. *)
       let gp_result = ref None in
       let name, part, report =
+        Ppnpart_obs.Span.with_ "cli.partition" @@ fun () ->
         let t0 = Unix.gettimeofday () in
         let rng = Random.State.make [| seed |] in
         match algo with
@@ -401,28 +410,31 @@ let partition_cmd =
           in
           res
       in
+      Ppnpart_obs.Span.with_ "cli.write" (fun () ->
+          print_string
+            (Ppnpart_core.Report.table
+               ~title:(Printf.sprintf "%s on %s" name (Wgraph.summary g))
+               ~constraints:c
+               [ (name, report) ]);
+          Printf.printf "assignment:";
+          Array.iter (fun p -> Printf.printf " %d" p) part;
+          print_newline ();
+          Option.iter
+            (fun path ->
+              with_output ~flag:"--dot" path (fun path ->
+                  Graph_io.write_file path
+                    (Graph_io.to_dot ~partition:part g)))
+            dot;
+          Option.iter
+            (fun path ->
+              with_output ~flag:"--save" path (fun path ->
+                  Partition_io.save path ~k part))
+            save;
+          flush stdout);
       let capture = if tracing then Ppnpart_obs.Obs.finish () else None in
       let snapshot =
         if metrics then Ppnpart_obs.Obs.finish_registry () else None
       in
-      print_string
-        (Ppnpart_core.Report.table
-           ~title:(Printf.sprintf "%s on %s" name (Wgraph.summary g))
-           ~constraints:c
-           [ (name, report) ]);
-      Printf.printf "assignment:";
-      Array.iter (fun p -> Printf.printf " %d" p) part;
-      print_newline ();
-      Option.iter
-        (fun path ->
-          with_output ~flag:"--dot" path (fun path ->
-              Graph_io.write_file path (Graph_io.to_dot ~partition:part g)))
-        dot;
-      Option.iter
-        (fun path ->
-          with_output ~flag:"--save" path (fun path ->
-              Partition_io.save path ~k part))
-        save;
       Option.iter
         (fun cap ->
           Option.iter

@@ -35,6 +35,10 @@ let validate t =
   if t.n_initial_seeds < 1 then invalid_arg "Config: n_initial_seeds < 1";
   if t.max_cycles < 0 then invalid_arg "Config: max_cycles < 0";
   if t.stream_iterations < 1 then invalid_arg "Config: stream_iterations < 1";
+  if t.stream_iterations > Ppnpart_partition.Stream.max_iterations_limit then
+    invalid_arg
+      (Printf.sprintf "Config: stream_iterations > %d"
+         Ppnpart_partition.Stream.max_iterations_limit);
   (* Negated comparison so NaN is rejected too. *)
   if not (t.repartition_gate >= 0.0) then
     invalid_arg "Config: repartition_gate < 0";

@@ -45,7 +45,8 @@ type t = {
   stream_iterations : int;
       (** restream passes for [Stream]/[Hybrid] modes (default
           {!Ppnpart_partition.Stream.default_iterations} = 3); ignored
-          by [Multilevel]. Must be ≥ 1. *)
+          by [Multilevel]. Must be between 1 and
+          {!Ppnpart_partition.Stream.max_iterations_limit} (1000). *)
   repartition_gate : float;
       (** {!Gp.repartition} edit-ratio gate: when an edit touches more
           than this fraction of the edited graph's nodes, incremental

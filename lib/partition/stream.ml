@@ -53,19 +53,231 @@ type stats = {
 
 let default_iterations = 3
 
+(* The penalty weight grows as [ta^iter], about 10^230 at this many
+   passes; past ~1300 it overflows a float and every score is NaN. *)
+let max_iterations_limit = 1000
+
 (* Battaglino 2015 parameters, as fixed in HyperPRAW. *)
 let gamma = 1.5
 let ta = 1.7
 
 let excess_over bound v = if v > bound then v - bound else 0
 
+(* What a run carries from visit to visit: the least-loaded part,
+   lowest id on ties, and how many visits took the exact rescore. *)
+type run = { mutable light : int; mutable exact : int }
+
+(* The least-loaded part, lowest id on ties. Branch-free: a data-dependent
+   compare mispredicts on most parts, which cost more than the rest of
+   the visit on R-MAT graphs. [d asr 62] is -1 exactly when [d < 0]. *)
+let lightest load k =
+  let l = ref 0 and best = ref load.(0) in
+  for q = 1 to k - 1 do
+    let d = load.(q) - !best in
+    let lower = d asr 62 in
+    best := !best + (d land lower);
+    l := !l + ((q - !l) land lower)
+  done;
+  !l
+
+(* The integer discount for placing a node of weight [w_u] in part [q]:
+   the Bmax excess the pairs of [q] and its [nt] neighbour parts gain,
+   plus the Rmax excess [q] gains. Rmax gets the same treatment as
+   Bmax: without the exact resource-excess delta the bandwidth discount
+   herds nodes into one part straight through the resource bound. *)
+let discount ws (c : Types.constraints) ~nt ~w_u q =
+  let k = c.Types.k and bmax = c.Types.bmax and rmax = c.Types.rmax in
+  let bw = ws.Workspace.st_bw and conn = ws.Workspace.st_conn in
+  let disc = ref 0 in
+  if bmax <> max_int then
+    for i = 0 to nt - 1 do
+      let r = ws.Workspace.st_touched.(i) in
+      if r <> q then begin
+        let cur = bw.((q * k) + r) in
+        disc :=
+          !disc + excess_over bmax (cur + conn.(r)) - excess_over bmax cur
+      end
+    done;
+  if rmax <> max_int then begin
+    let l = ws.Workspace.st_load.(q) in
+    disc := !disc + excess_over rmax (l + w_u) - excess_over rmax l
+  end;
+  !disc
+
+(* [sweep g c ws run part ~rscale ~a ~holes] places nodes 0 .. n-1 in
+   order and returns how many moved. With [holes] it visits only the
+   unassigned nodes ([seed_partial]); otherwise it lifts every assigned
+   node out of the state before re-placing it. Candidate q scores
+   [x_q - a * r_q^1.5], with [x_q = aff_q - a * disc_q] and
+   [r_q = (load_q + w_u) / rscale]; the labels are pinned to libm's
+   [r ** 1.5], and the sweep scores with [r *. sqrt r] instead.
+
+   Claim: the exact score [s_q] lies within [m_q = 1e-9 * (|x_q| +
+   pen_q)] of the approximate [s'_q = x_q - pen_q], where [pen_q =
+   a * (r *. sqrt r)], whenever [m_q < 1e290]. Proof: [x_q] is the same
+   float on both paths. With unit roundoff u = 2^-53, correctly rounded
+   [sqrt] and a [pow] within 1 ulp, both [r ** 1.5] and [r *. sqrt r]
+   lie within 3u of the real r^1.5, so after the multiply by [a] the
+   penalties differ by at most 8u * pen_q, and the last subtraction
+   adds at most u * (|x_q| + pen_q) on each path: |s_q - s'_q| <=
+   10u * (|x_q| + pen_q), about 10^-6 of m_q. The cap keeps every term
+   far from overflow; none is subnormal (a nonzero penalty exceeds
+   1e-50, and a subtraction with a subnormal result is exact).
+
+   So if the approximate winner w has [s'_w - m_w > s'_q + m_q] for
+   every other candidate q, then s_w > s_q for every q, and the exact
+   scan picks w whatever its order and tie rule. Rounding is monotone,
+   so the rounded bounds only understate that gap. Any other visit
+   rescores every candidate with [**] in the exact scan's order (the
+   lightest part, then the neighbour parts) and tie rule (higher score,
+   then lower id). An infinite or NaN term fails the cap (comparisons
+   with NaN are false), so such visits always take the exact path. *)
+let sweep g (c : Types.constraints) ws run part ~rscale ~a ~holes =
+  let xadj = g.Wgraph.xadj and adjncy = g.Wgraph.adjncy in
+  let adjwgt = g.Wgraph.adjwgt and vwgt = g.Wgraph.vwgt in
+  let k = c.Types.k and load = ws.Workspace.st_load in
+  let bw = ws.Workspace.st_bw and conn = ws.Workspace.st_conn in
+  let touched = ws.Workspace.st_touched in
+  let moved = ref 0 in
+  for u = 0 to Array.length part - 1 do
+    let old = part.(u) in
+    if old < 0 || not holes then begin
+      let w_u = vwgt.(u) in
+      let nt = ref 0 in
+      for e = xadj.(u) to xadj.(u + 1) - 1 do
+        let q = part.(adjncy.(e)) in
+        if q >= 0 then begin
+          (* [touched] has a spare slot, so the append is unconditional
+             and only the count depends on [q] being new. *)
+          let prev = conn.(q) in
+          touched.(!nt) <- q;
+          nt := !nt + Bool.to_int (prev = 0);
+          conn.(q) <- prev + adjwgt.(e)
+        end
+      done;
+      let nt = !nt in
+      (* Restream: lift u out of the state so targets are scored against
+         the partition without it (its own old placement must not make
+         [old] look artificially attractive through the load term, nor
+         hide the bandwidth its leaving would free). Only [old]'s load
+         fell, so it is the only part that can take over as lightest. *)
+      if old >= 0 then begin
+        load.(old) <- load.(old) - w_u;
+        for i = 0 to nt - 1 do
+          let r = touched.(i) in
+          if r <> old then begin
+            let b = bw.((old * k) + r) - conn.(r) in
+            bw.((old * k) + r) <- b;
+            bw.((r * k) + old) <- b
+          end
+        done;
+        let l = run.light in
+        if load.(old) < load.(l) || (load.(old) = load.(l) && old < l) then
+          run.light <- old
+      end;
+      (* Candidates: the lightest part, then the neighbour parts. *)
+      let light = run.light in
+      let t =
+        if nt = 0 then light
+        else begin
+          let best = ref (-1) and best_s = ref 0.0 and best_m = ref 0.0 in
+          let other_ub = ref neg_infinity and sure = ref true in
+          for i = -1 to nt - 1 do
+            let q = if i < 0 then light else touched.(i) in
+            if i < 0 || q <> light then begin
+              let x =
+                float_of_int conn.(q)
+                -. (a *. float_of_int (discount ws c ~nt ~w_u q))
+              in
+              let r = float_of_int (load.(q) + w_u) /. rscale in
+              let pen = a *. (r *. sqrt r) in
+              let s = x -. pen and m = 1e-9 *. (Float.abs x +. pen) in
+              if not (m < 1e290) then sure := false;
+              if !best < 0 || s > !best_s then begin
+                if !best >= 0 && !best_s +. !best_m > !other_ub then
+                  other_ub := !best_s +. !best_m;
+                best := q;
+                best_s := s;
+                best_m := m
+              end
+              else if s +. m > !other_ub then other_ub := s +. m
+            end
+          done;
+          if !sure && !best_s -. !best_m > !other_ub then !best
+          else begin
+            run.exact <- run.exact + 1;
+            for i = -1 to nt - 1 do
+              let q = if i < 0 then light else touched.(i) in
+              if i < 0 || q <> light then begin
+                let r = float_of_int (load.(q) + w_u) /. rscale in
+                let s =
+                  float_of_int conn.(q)
+                  -. (a *. float_of_int (discount ws c ~nt ~w_u q))
+                  -. (a *. (r ** gamma))
+                in
+                if i < 0 || s > !best_s || (s = !best_s && q < !best) then begin
+                  best := q;
+                  best_s := s
+                end
+              end
+            done;
+            !best
+          end
+        end
+      in
+      part.(u) <- t;
+      load.(t) <- load.(t) + w_u;
+      for i = 0 to nt - 1 do
+        let r = touched.(i) in
+        if r <> t then begin
+          let b = bw.((t * k) + r) + conn.(r) in
+          bw.((t * k) + r) <- b;
+          bw.((r * k) + t) <- b
+        end;
+        conn.(r) <- 0
+      done;
+      if t = light && w_u <> 0 then run.light <- lightest load k;
+      if old >= 0 && t <> old then incr moved
+    end
+  done;
+  !moved
+
+(* Clears [ws]'s stream state for [c] and returns the objective's two
+   scales: the load normalizer — the resource bound itself, or the
+   balanced target when the instance leaves Rmax unconstrained — and
+   the base penalty weight [a0]. Battaglino's [a = sqrt 2 * m / n^g]
+   calibrates a penalty over raw vertex-count loads against raw
+   neighbour-count affinities. Our loads are normalized to [0, ~1] and
+   our affinities are edge weights, so the same balance point is
+   [sqrt 2] times the mean weighted degree: a part at its resource
+   bound then costs about one and a half average nodes' worth of
+   affinity. *)
+let setup ws g (c : Types.constraints) =
+  let n = Wgraph.n_nodes g and k = c.Types.k and rmax = c.Types.rmax in
+  Workspace.ensure_stream ws ~k;
+  Array.fill ws.Workspace.st_load 0 k 0;
+  Array.fill ws.Workspace.st_bw 0 (k * k) 0;
+  Array.fill ws.Workspace.st_conn 0 k 0;
+  let total_vw = Wgraph.total_node_weight g in
+  let total_ew = Wgraph.total_edge_weight g in
+  let rscale =
+    float_of_int
+      (max 1
+         (if rmax = max_int then (total_vw + k - 1) / max 1 k else rmax))
+  in
+  let a0 =
+    sqrt 2.0 *. 2.0 *. float_of_int total_ew /. float_of_int (max 1 n)
+  in
+  (rscale, if a0 <= 0.0 then sqrt 2.0 else a0)
+
 let partition ?workspace ?(max_iterations = default_iterations) g
     (c : Types.constraints) =
   if max_iterations < 1 then
     invalid_arg "Stream.partition: max_iterations < 1";
+  if max_iterations > max_iterations_limit then
+    invalid_arg "Stream.partition: max_iterations > max_iterations_limit";
   let n = Wgraph.n_nodes g in
   let k = c.Types.k in
-  let bmax = c.Types.bmax and rmax = c.Types.rmax in
   let ws = match workspace with Some w -> w | None -> Workspace.create () in
   Ppnpart_obs.Span.phase_result
     ~args:(fun () ->
@@ -78,153 +290,31 @@ let partition ?workspace ?(max_iterations = default_iterations) g
         ("converged", Ppnpart_obs.Obs.Bool st.converged) ])
     "stream.partition"
   @@ fun () ->
-  Workspace.ensure_stream ws ~k;
   let part = Workspace.part_bank ws ~n in
   Array.fill part 0 n (-1);
-  let load = ws.Workspace.st_load in
-  let bw = ws.Workspace.st_bw in
-  let conn = ws.Workspace.st_conn in
-  let touched = ws.Workspace.st_touched in
-  Array.fill load 0 k 0;
-  Array.fill bw 0 (k * k) 0;
-  Array.fill conn 0 k 0;
-  let total_vw = Wgraph.total_node_weight g in
-  let total_ew = Wgraph.total_edge_weight g in
-  (* Load normalizer: the resource bound itself, or the balanced target
-     when the instance leaves Rmax unconstrained. *)
-  let rscale =
-    float_of_int
-      (max 1
-         (if rmax = max_int then (total_vw + k - 1) / max 1 k else rmax))
-  in
-  (* Battaglino's [a = sqrt 2 * m / n^g] calibrates a penalty over raw
-     vertex-count loads against raw neighbour-count affinities. Our
-     loads are normalized to [0, ~1] by [rscale] and our affinities are
-     edge weights, so the same balance point is [sqrt 2] times the mean
-     weighted degree: a part at its resource bound then costs about one
-     and a half average nodes' worth of affinity. *)
-  let a0 =
-    sqrt 2.0 *. 2.0 *. float_of_int total_ew /. float_of_int (max 1 n)
-  in
-  let a0 = if a0 <= 0.0 then sqrt 2.0 else a0 in
+  let rscale, a0 = setup ws g c in
+  let run = { light = 0; exact = 0 } in
   let moved_per_iter = Array.make max_iterations 0 in
-  (* [visit iter u]: score and (re)assign one node. [conn]/[touched]
-     carry u's affinity toward each part with at least one assigned
-     neighbour; both are restored to all-zero before returning, so the
-     step stays O(degree + k) with no per-iteration clearing. *)
-  let visit ~a_i ~bw_w u =
-    let w_u = Wgraph.node_weight g u in
-    let old = part.(u) in
-    let nt = ref 0 in
-    Wgraph.iter_neighbors g u (fun v w ->
-        let q = part.(v) in
-        if q >= 0 then begin
-          if conn.(q) = 0 then begin
-            touched.(!nt) <- q;
-            incr nt
-          end;
-          conn.(q) <- conn.(q) + w
-        end);
-    (* Restream: lift u out of the state so targets are scored against
-       the partition without it (its own old placement must not make
-       [old] look artificially attractive through the load term, nor
-       hide the bandwidth its leaving would free). *)
-    if old >= 0 then begin
-      load.(old) <- load.(old) - w_u;
-      for i = 0 to !nt - 1 do
-        let r = touched.(i) in
-        if r <> old then begin
-          let b = bw.((old * k) + r) - conn.(r) in
-          bw.((old * k) + r) <- b;
-          bw.((r * k) + old) <- b
-        end
-      done
-    end;
-    let score q =
-      let aff = conn.(q) in
-      let disc = ref 0 in
-      for i = 0 to !nt - 1 do
-        let r = touched.(i) in
-        if r <> q then begin
-          let cur = bw.((q * k) + r) in
-          disc :=
-            !disc + excess_over bmax (cur + conn.(r)) - excess_over bmax cur
-        end
-      done;
-      (* Rmax gets the same treatment as Bmax: beyond the soft balance
-         term, the exact resource-excess delta of placing u in q is
-         discounted at the same escalating weight — without it the
-         bandwidth discount herds nodes into one part straight through
-         the resource bound. *)
-      if rmax <> max_int then
-        disc :=
-          !disc
-          + excess_over rmax (load.(q) + w_u)
-          - excess_over rmax load.(q);
-      let ratio = float_of_int (load.(q) + w_u) /. rscale in
-      float_of_int aff
-      -. (bw_w *. float_of_int !disc)
-      -. (a_i *. (ratio ** gamma))
-    in
-    (* Candidates: neighbour parts plus the least-loaded part. *)
-    let light = ref 0 in
-    for q = 1 to k - 1 do
-      if load.(q) < load.(!light) then light := q
-    done;
-    let best = ref !light and best_s = ref (score !light) in
-    for i = 0 to !nt - 1 do
-      let q = touched.(i) in
-      if q <> !light then begin
-        let s = score q in
-        if s > !best_s || (s = !best_s && q < !best) then begin
-          best := q;
-          best_s := s
-        end
-      end
-    done;
-    let t = !best in
-    part.(u) <- t;
-    load.(t) <- load.(t) + w_u;
-    for i = 0 to !nt - 1 do
-      let r = touched.(i) in
-      if r <> t then begin
-        let b = bw.((t * k) + r) + conn.(r) in
-        bw.((t * k) + r) <- b;
-        bw.((r * k) + t) <- b
-      end;
-      conn.(r) <- 0
-    done;
-    old >= 0 && t <> old
-  in
   let iterations = ref 0 in
   let converged = ref false in
-  let it = ref 0 in
-  while !it < max_iterations && not !converged do
-    let iter = !it in
-    let sched = ta ** float_of_int iter in
-    let a_i = a0 *. sched in
-    let bw_w = a0 *. sched in
+  while !iterations < max_iterations && not !converged do
+    let iter = !iterations in
+    let a = a0 *. (ta ** float_of_int iter) in
     let moved =
       Ppnpart_obs.Span.with_result
         ~args:(fun () -> [ ("iteration", Ppnpart_obs.Obs.Int iter) ])
         ~result:(fun moved -> [ ("moved", Ppnpart_obs.Obs.Int moved) ])
         "stream.iteration"
-      @@ fun () ->
-      let moved = ref 0 in
-      for u = 0 to n - 1 do
-        if visit ~a_i ~bw_w u then incr moved
-      done;
-      !moved
+      @@ fun () -> sweep g c ws run part ~rscale ~a ~holes:false
     in
     moved_per_iter.(iter) <- moved;
     incr iterations;
     (* Iteration 0 assigns rather than moves; a later pass that moved
        nothing leaves the state untouched, so every further pass would
        be a no-op too. *)
-    if iter > 0 && moved = 0 then converged := true;
-    incr it
+    if iter > 0 && moved = 0 then converged := true
   done;
-  let state_words = n + (k * k) + (3 * k) in
+  let state_words = n + (k * k) + (3 * k) + 1 in
   if Ppnpart_obs.Obs.recording () then begin
     Ppnpart_obs.Counters.add "stream.iterations" !iterations;
     Array.iteri
@@ -232,6 +322,7 @@ let partition ?workspace ?(max_iterations = default_iterations) g
       moved_per_iter;
     if !converged then
       Ppnpart_obs.Counters.add "stream.converged_at" (!iterations - 1);
+    Ppnpart_obs.Counters.add "stream.exact_rescores" run.exact;
     Ppnpart_obs.Counters.sample "stream.state.words"
       (float_of_int state_words);
     Ppnpart_obs.Counters.sample "stream.workspace.words"
@@ -248,23 +339,20 @@ let partition ?workspace ?(max_iterations = default_iterations) g
 (* Partial seeding for incremental repartitioning: the label array
    arrives mostly assigned (the projection of a previous result), and
    only the [-1] holes — nodes the edit added or evicted — are placed,
-   by the same iteration-0 objective as [partition] against a state
-   initialized from the assigned labels. The scoring is duplicated
-   rather than shared with [visit]: [partition]'s output is pinned
-   bit-for-bit by the bench gates, and threading a "skip assigned /
-   no lift-out" flag through its hot loop for the sake of this cold
-   path would put that stability at risk for nothing. *)
+   by [partition]'s iteration-0 sweep against a state initialized from
+   the assigned labels. *)
 let seed_partial ?workspace g (c : Types.constraints) part =
   let n = Wgraph.n_nodes g in
   let k = c.Types.k in
   if Array.length part <> n then
     invalid_arg "Stream.seed_partial: label array has wrong length";
+  let holes = ref 0 in
   Array.iter
     (fun p ->
       if p < -1 || p >= k then
-        invalid_arg "Stream.seed_partial: label out of range")
+        invalid_arg "Stream.seed_partial: label out of range";
+      if p < 0 then incr holes)
     part;
-  let bmax = c.Types.bmax and rmax = c.Types.rmax in
   let ws = match workspace with Some w -> w | None -> Workspace.create () in
   Ppnpart_obs.Span.with_result
     ~args:(fun () ->
@@ -272,14 +360,8 @@ let seed_partial ?workspace g (c : Types.constraints) part =
     ~result:(fun seeded -> [ ("seeded", Ppnpart_obs.Obs.Int seeded) ])
     "stream.seed_partial"
   @@ fun () ->
-  Workspace.ensure_stream ws ~k;
-  let load = ws.Workspace.st_load in
-  let bw = ws.Workspace.st_bw in
-  let conn = ws.Workspace.st_conn in
-  let touched = ws.Workspace.st_touched in
-  Array.fill load 0 k 0;
-  Array.fill bw 0 (k * k) 0;
-  Array.fill conn 0 k 0;
+  let rscale, a0 = setup ws g c in
+  let load = ws.Workspace.st_load and bw = ws.Workspace.st_bw in
   for u = 0 to n - 1 do
     let p = part.(u) in
     if p >= 0 then load.(p) <- load.(p) + Wgraph.node_weight g u
@@ -290,81 +372,8 @@ let seed_partial ?workspace g (c : Types.constraints) part =
         bw.((p * k) + q) <- bw.((p * k) + q) + w;
         bw.((q * k) + p) <- bw.((q * k) + p) + w
       end);
-  let total_vw = Wgraph.total_node_weight g in
-  let total_ew = Wgraph.total_edge_weight g in
-  let rscale =
-    float_of_int
-      (max 1
-         (if rmax = max_int then (total_vw + k - 1) / max 1 k else rmax))
-  in
-  let a0 =
-    sqrt 2.0 *. 2.0 *. float_of_int total_ew /. float_of_int (max 1 n)
-  in
-  let a0 = if a0 <= 0.0 then sqrt 2.0 else a0 in
-  let a_i = a0 and bw_w = a0 in
-  let seeded = ref 0 in
-  for u = 0 to n - 1 do
-    if part.(u) = -1 then begin
-      let w_u = Wgraph.node_weight g u in
-      let nt = ref 0 in
-      Wgraph.iter_neighbors g u (fun v w ->
-          let q = part.(v) in
-          if q >= 0 then begin
-            if conn.(q) = 0 then begin
-              touched.(!nt) <- q;
-              incr nt
-            end;
-            conn.(q) <- conn.(q) + w
-          end);
-      let score q =
-        let aff = conn.(q) in
-        let disc = ref 0 in
-        for i = 0 to !nt - 1 do
-          let r = touched.(i) in
-          if r <> q then begin
-            let cur = bw.((q * k) + r) in
-            disc :=
-              !disc + excess_over bmax (cur + conn.(r)) - excess_over bmax cur
-          end
-        done;
-        if rmax <> max_int then
-          disc :=
-            !disc
-            + excess_over rmax (load.(q) + w_u)
-            - excess_over rmax load.(q);
-        let ratio = float_of_int (load.(q) + w_u) /. rscale in
-        float_of_int aff
-        -. (bw_w *. float_of_int !disc)
-        -. (a_i *. (ratio ** gamma))
-      in
-      let light = ref 0 in
-      for q = 1 to k - 1 do
-        if load.(q) < load.(!light) then light := q
-      done;
-      let best = ref !light and best_s = ref (score !light) in
-      for i = 0 to !nt - 1 do
-        let q = touched.(i) in
-        if q <> !light then begin
-          let s = score q in
-          if s > !best_s || (s = !best_s && q < !best) then begin
-            best := q;
-            best_s := s
-          end
-        end
-      done;
-      let t = !best in
-      part.(u) <- t;
-      load.(t) <- load.(t) + w_u;
-      for i = 0 to !nt - 1 do
-        let r = touched.(i) in
-        if r <> t then begin
-          let b = bw.((t * k) + r) + conn.(r) in
-          bw.((t * k) + r) <- b;
-          bw.((r * k) + t) <- b
-        end;
-        conn.(r) <- 0
-      done;
-      incr seeded
-    end
-  done;
-  !seeded
+  let run = { light = lightest load k; exact = 0 } in
+  ignore (sweep g c ws run part ~rscale ~a:a0 ~holes:true);
+  if Ppnpart_obs.Obs.recording () then
+    Ppnpart_obs.Counters.add "stream.exact_rescores" run.exact;
+  !holes

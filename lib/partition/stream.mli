@@ -10,6 +10,16 @@
     {!Workspace}, so an O(edges)-time pass over millions of edges runs
     in a few megabytes of scratch.
 
+    Cost of one visit: O(degree) to gather the neighbour parts, O(c·t)
+    to score the c ≤ t + 1 candidates against the t neighbour parts
+    (O(c) when Bmax is unbounded), and O(k) only when the node lands on
+    the least-loaded part, which is tracked rather than rescanned. The
+    common case calls no libm [pow] and allocates nothing: candidates
+    are scored with [r *. sqrt r] and the winner is certified against
+    an error margin; a visit the margin cannot decide is rescored with
+    the exact [r ** 1.5] (counter [stream.exact_rescores]). Labels are
+    those of the exact objective, bit for bit (DESIGN.md §6.5).
+
     Restreaming: up to [max_iterations] passes, the penalty multiplier
     escalating by [ta = 1.7] per pass; a pass that moves no node is a
     fixed point and stops early. The result is a pure function of
@@ -32,12 +42,17 @@ type stats = {
       (** a restream pass moved nothing — the assignment is a fixed
           point of the objective *)
   state_words : int;
-      (** live partitioner state in words: n + k² + 3k — the
+      (** live partitioner state in words: n + k² + 3k + 1 — the
           O(n + k + k²) bound, measured *)
 }
 
 val default_iterations : int
 (** 3 — one stream plus two restreams. *)
+
+val max_iterations_limit : int
+(** 1000 — the most passes {!partition} runs. The penalty weight grows
+    as [1.7^pass]: it is about 10{^230} here and overflows a float past
+    ~1300 passes, after which every score is NaN. *)
 
 val partition :
   ?workspace:Workspace.t ->
@@ -51,7 +66,8 @@ val partition :
     — constraints shape the objective but are not enforced; check the
     result's {!Metrics.goodness} or polish it with
     {!Refine_constrained}.
-    @raise Invalid_argument if [max_iterations < 1]. *)
+    @raise Invalid_argument if [max_iterations < 1] or
+    [max_iterations > max_iterations_limit]. *)
 
 val seed_partial :
   ?workspace:Workspace.t -> Wgraph.t -> Types.constraints -> int array -> int

@@ -183,7 +183,7 @@ let ensure_stream t ~k =
   t.st_load <- grow grown t.st_load k;
   t.st_bw <- grow grown t.st_bw (k * k);
   t.st_conn <- grow grown t.st_conn k;
-  t.st_touched <- grow grown t.st_touched k;
+  t.st_touched <- grow grown t.st_touched (k + 1);
   finish_ensure ~counter:"stream.alloc" t grown
 
 (* The label bank alternates on every acquisition, so two consecutively

@@ -75,7 +75,8 @@ type t = {
   mutable st_conn : int array;
       (** streaming per-node connectivity scratch, length ≥ k *)
   mutable st_touched : int array;
-      (** parts with nonzero [st_conn] for the node in flight, length ≥ k *)
+      (** parts with nonzero [st_conn] for the node in flight, length
+          ≥ k + 1: one spare slot for the stream's unconditional append *)
   mutable quiet : bool;
       (** record no allocation or reuse counters. Set on the V-cycle
           wave slots: what a slot must allocate depends on how many

@@ -22,6 +22,7 @@ module Coarsen_oracle = Ppnpart_test_oracle.Coarsen_oracle
 module Refine_oracle = Ppnpart_test_oracle.Refine_oracle
 module Metis_oracle = Ppnpart_test_oracle.Metis_oracle
 module Csr_rows = Ppnpart_test_oracle.Csr_rows
+module Stream_oracle = Ppnpart_test_oracle.Stream_oracle
 
 let mode =
   if Sys.getenv_opt "PPNPART_FUZZ" = Some "full" then `Full
@@ -441,6 +442,137 @@ let test_sequential_stream_vs_multilevel () =
     (Printf.sprintf "sequential agrees with the oracle on %d/%d (floor %d)"
        !seq_agree seeds oracle_floor)
     true (!seq_agree >= oracle_floor)
+
+(* --- stream kernel vs the pow oracle --- *)
+
+(* [Stream.partition] and [Stream.seed_partial] score candidates with
+   [r *. sqrt r] and certify each winner against an error margin,
+   falling back to the exact [r ** 1.5] rescore when the margin cannot
+   separate it; [Stream_oracle] always scores with [**]. The two must
+   agree on labels, iterations and per-pass moves bit for bit, over
+   heavy-tailed, uniform and symmetric graphs (symmetry and zero node
+   weights make exact ties, which only the exact rescore may break),
+   every kind of bound, 1 to 8 passes and fresh or reused workspaces.
+   The stage also requires the exact rescore to have run, so a margin
+   too wide to ever fail cannot pass it vacuously. *)
+let stream_family rng seed =
+  let module R = Ppnpart_workloads.Rand_graph in
+  let vw = (1, 9) and ew = (1, 9) in
+  match seed mod 5 with
+  | 0 ->
+    let scale = 3 + (seed mod 8) in
+    let n = 1 lsl scale in
+    let m = min (3 * n) (n * (n - 1) / 2) in
+    ("rmat", R.rmat ~vw_range:vw ~ew_range:ew rng ~scale ~m)
+  | 1 ->
+    let n = 5 + Random.State.int rng 1500 in
+    let m = min (n * (n - 1) / 2) (2 * n) in
+    ("gnm", R.gnm ~vw_range:vw ~ew_range:ew rng ~n ~m)
+  | 2 ->
+    let n = 16 + Random.State.int rng 800 in
+    ("planted", fst (R.random_partitionable rng ~n ~k:(2 + (seed mod 6))))
+  | 3 ->
+    let n = 3 + Random.State.int rng 500 in
+    ( "cycle",
+      Wgraph.of_edges n (List.init n (fun i -> (i, (i + 1) mod n, 1))) )
+  | _ ->
+    let a = 1 + Random.State.int rng 20 and b = 1 + Random.State.int rng 20 in
+    ( "bipartite",
+      Wgraph.of_edges (a + b)
+        (List.concat
+           (List.init a (fun i -> List.init b (fun j -> (i, a + j, 1))))) )
+
+let with_node_weights g vw =
+  let n = Wgraph.n_nodes g in
+  Wgraph.of_csr ~vwgt:(Array.make n vw) ~n ~xadj:(Array.copy g.Wgraph.xadj)
+    ~adjncy:(Array.copy g.Wgraph.adjncy) ~adjwgt:(Array.copy g.Wgraph.adjwgt)
+    ()
+
+(* A crafted near-tie: with k = 2 and no bounds, node 2's two candidate
+   parts differ only in load (ratios one ulp apart), [**] rounds their
+   penalties to the same double and [r *. sqrt r] does not. The exact
+   tie goes to part 0, the lower id; a filter that trusted the one-ulp
+   gap would pick the lighter part 1 (and, on one pass, keep it). *)
+let near_tie_instance () =
+  let vwgt = [| 8763887967500491; 8763887967500489; 1; 25490678955046582 |] in
+  ( Wgraph.of_edges ~vwgt 4 [ (0, 2, 1); (1, 2, 1) ],
+    Types.constraints ~k:2 ~bmax:max_int ~rmax:max_int )
+
+let test_stream_kernel_vs_oracle () =
+  let seeds = match mode with `Quick -> 60 | `Default -> 240 | `Full -> 800 in
+  let ws = Workspace.create () in
+  let exact = ref 0 in
+  let count (snap : Ppnpart_obs.Metrics_registry.snapshot) =
+    exact :=
+      !exact
+      + Option.value ~default:0
+          (List.assoc_opt "stream.exact_rescores" snap.counters)
+  in
+  let g, c = near_tie_instance () in
+  let (part, _), snap =
+    Ppnpart_obs.Obs.with_registry (fun () ->
+        Stream.partition ~max_iterations:1 g c)
+  in
+  count snap;
+  check_bool "near-tie: labels" true
+    (part = fst (Stream_oracle.partition ~max_iterations:1 g c));
+  check_int "near-tie: the exact tie goes to part 0" 0 part.(2);
+  for seed = 1 to seeds do
+    let rng = Random.State.make [| 0x57; seed |] in
+    let family, g = stream_family rng seed in
+    let weights, g =
+      match (seed / 5) mod 3 with
+      | 0 -> ("random", g)
+      | 1 -> ("uniform", with_node_weights g 1)
+      | _ -> ("zero", with_node_weights g 0)
+    in
+    let n = Wgraph.n_nodes g in
+    let k = [| 2; 3; 4; 7; 16; 33; 64 |].(Random.State.int rng 7) in
+    let rmax =
+      if Random.State.bool rng then max_int
+      else Wgraph.total_node_weight g / k
+    in
+    let bmax =
+      match Random.State.int rng 3 with
+      | 0 -> 0
+      | 1 -> Wgraph.total_edge_weight g / (2 * k)
+      | _ -> max_int
+    in
+    let c = Types.constraints ~k ~bmax ~rmax in
+    let max_iterations = 1 + Random.State.int rng 8 in
+    let workspace = if seed mod 2 = 0 then Some ws else None in
+    let name =
+      Printf.sprintf "%s n=%d %s weights k=%d rmax=%d bmax=%d iters=%d seed=%d"
+        family n weights k rmax bmax max_iterations seed
+    in
+    let (part, st), snap =
+      Ppnpart_obs.Obs.with_registry (fun () ->
+          Stream.partition ?workspace ~max_iterations g c)
+    in
+    let opart, ost = Stream_oracle.partition ~max_iterations g c in
+    check_bool (name ^ ": labels") true (part = opart);
+    check_int (name ^ ": iterations") ost.Stream.iterations
+      st.Stream.iterations;
+    check_bool (name ^ ": moved") true (st.Stream.moved = ost.Stream.moved);
+    (* Seed a partial labelling: the oracle's answer with holes. *)
+    let holes =
+      Array.map (fun p -> if Random.State.int rng 4 = 0 then -1 else p) opart
+    in
+    let mine = Array.copy holes and theirs = Array.copy holes in
+    let seeded, snap' =
+      Ppnpart_obs.Obs.with_registry (fun () ->
+          Stream.seed_partial ?workspace g c mine)
+    in
+    check_int (name ^ ": seeded")
+      (Stream_oracle.seed_partial g c theirs)
+      seeded;
+    check_bool (name ^ ": seed_partial labels") true (mine = theirs);
+    count snap;
+    count snap'
+  done;
+  check_bool
+    (Printf.sprintf "exact rescore ran (%d visits)" !exact)
+    true (!exact > 0)
 
 (* --- incremental repartitioning vs the from-scratch oracle --- *)
 
@@ -1421,6 +1553,8 @@ let () =
             test_stream_vs_multilevel_feasibility;
           Alcotest.test_case "sequential stream vs multilevel" `Quick
             test_sequential_stream_vs_multilevel;
+          Alcotest.test_case "stream kernel vs oracle" `Quick
+            test_stream_kernel_vs_oracle;
           Alcotest.test_case "repartition vs scratch oracle" `Quick
             test_repartition_vs_scratch;
           Alcotest.test_case "resident state vs rebuild" `Quick

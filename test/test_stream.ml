@@ -83,7 +83,7 @@ let test_stream_state_words () =
   let g, c = random_instance 3 in
   let n = Wgraph.n_nodes g and k = c.Types.k in
   let _, stats = Stream.partition g c in
-  check_int "O(n + k + k^2) live state" (n + (k * k) + (3 * k))
+  check_int "O(n + k + k^2) live state" (n + (k * k) + (3 * k) + 1)
     stats.Stream.state_words
 
 let test_stream_respects_rmax_under_slack () =
