@@ -12,26 +12,15 @@
 
 module C = Ppnpart_bench_compare.Compare_core
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-  with Sys_error msg -> Error msg
-
 let die msg =
   Printf.eprintf "compare: %s\n" msg;
   exit 2
 
 let load path =
-  match read_file path with
-  | Error msg -> die msg
-  | Ok text -> (
-    match C.parse text with
-    | Ok j -> j
-    | Error msg -> die (Printf.sprintf "%s: %s" path msg))
+  match Ppnpart_server.Json.parse (Ppnpart_graph.Graph_io.read_file path) with
+  | Ok j -> j
+  | Error msg -> die (Printf.sprintf "%s: %s" path msg)
+  | exception Sys_error msg -> die msg
 
 let usage () =
   prerr_endline

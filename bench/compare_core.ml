@@ -1,8 +1,6 @@
-(* Snapshot comparison for the BENCH_*.json records: a minimal JSON
-   reader (the container ships no JSON library, and the records are
-   machine-written by this repo, so the subset below is the whole
-   grammar they use) plus a rule table mapping dotted paths to
-   per-row regression thresholds.
+(* Snapshot comparison for the BENCH_*.json records: a rule table
+   mapping dotted paths to per-row regression thresholds, applied to
+   documents read with the daemon's [Ppnpart_server.Json] reader.
 
    A rule names a path into the document — object fields separated by
    dots, [*] fanning out over every element of an array (elements are
@@ -30,183 +28,7 @@
    CLI turns into exit 2 (broken setup) as opposed to exit 1 (honest
    regression). *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-(* ------------------------------------------------------------------ *)
-(* Parsing.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-exception Bad of string
-
-let parse (s : string) : (json, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect ch =
-    match peek () with
-    | Some c when c = ch -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" ch)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some 'n' ->
-          Buffer.add_char b '\n';
-          advance ();
-          go ()
-        | Some 't' ->
-          Buffer.add_char b '\t';
-          advance ();
-          go ()
-        | Some 'r' ->
-          Buffer.add_char b '\r';
-          advance ();
-          go ()
-        | Some 'b' ->
-          Buffer.add_char b '\b';
-          advance ();
-          go ()
-        | Some 'f' ->
-          Buffer.add_char b '\012';
-          advance ();
-          go ()
-        | Some 'u' ->
-          (* The records are pure ASCII; pass the escape through
-             verbatim rather than transcoding. *)
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          Buffer.add_string b (String.sub s (!pos - 1) 6);
-          pos := !pos + 5;
-          go ()
-        | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-        | None -> fail "unterminated escape")
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (key, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements ();
-        Arr (List.rev !items)
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Bad msg -> Error msg
-
-let member name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
+module Json = Ppnpart_server.Json
 
 (* ------------------------------------------------------------------ *)
 (* Rules.                                                              *)
@@ -242,25 +64,25 @@ let expand path j =
     | [] -> [ (List.rev rev_steps, j) ]
     | "*" :: rest -> (
       match j with
-      | Arr items ->
+      | Json.Arr items ->
         List.concat
           (List.mapi
              (fun i item ->
                let nm =
-                 match member "name" item with
-                 | Some (Str s) -> Some s
+                 match Json.member "name" item with
+                 | Some (Json.Str s) -> Some s
                  | _ -> None
                in
                go item (Elem (i, nm) :: rev_steps) rest)
              items)
-      | Obj fields ->
+      | Json.Obj fields ->
         List.concat
           (List.map
              (fun (k, v) -> go v (Field k :: rev_steps) rest)
              fields)
       | _ -> [])
     | seg :: rest -> (
-      match member seg j with
+      match Json.member seg j with
       | Some v -> go v (Field seg :: rev_steps) rest
       | None -> [])
   in
@@ -269,15 +91,15 @@ let expand path j =
 let resolve steps j =
   let rec go j = function
     | [] -> Some j
-    | Field f :: rest -> Option.bind (member f j) (fun v -> go v rest)
+    | Field f :: rest -> Option.bind (Json.member f j) (fun v -> go v rest)
     | Elem (i, nm) :: rest -> (
       match j with
-      | Arr items -> (
+      | Json.Arr items -> (
         let picked =
           match nm with
           | Some name ->
             List.find_opt
-              (fun item -> member "name" item = Some (Str name))
+              (fun item -> Json.member "name" item = Some (Json.Str name))
               items
           | None -> List.nth_opt items i
         in
@@ -346,15 +168,15 @@ let check_rule rule ~baseline ~current =
             detail = "path absent from current" }
         | Some cval -> (
           match (rule.dir, bval, cval) with
-          | Must_stay_true, Bool true, Bool true ->
+          | Must_stay_true, Json.Bool true, Json.Bool true ->
             { rule; concrete; status = Pass; detail = "true" }
-          | Must_stay_true, Bool true, _ ->
+          | Must_stay_true, Json.Bool true, _ ->
             { rule; concrete; status = Regression;
               detail = "was true in baseline, not true now" }
           | Must_stay_true, _, _ ->
             { rule; concrete; status = Skipped;
               detail = "not true in baseline" }
-          | _, Num b, Num c ->
+          | _, Json.Num b, Json.Num c ->
             let status, detail = check_numeric rule b c in
             { rule; concrete; status; detail }
           | _, _, _ ->
@@ -463,4 +285,4 @@ let rules_for_schema = function
   | _ -> None
 
 let schema_of j =
-  match member "schema" j with Some (Str s) -> Some s | _ -> None
+  match Json.member "schema" j with Some (Json.Str s) -> Some s | _ -> None

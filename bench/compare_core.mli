@@ -1,27 +1,12 @@
 (** Rule-driven comparison of two BENCH_*.json snapshots.
 
-    Backs the [compare.exe] CLI behind the [@bench-compare] alias: a
-    minimal JSON reader (the records are machine-written by
-    [bench/main.ml]; no external JSON dependency) plus per-row
-    regression thresholds keyed by dotted paths. Structural rows
+    Backs the [compare.exe] CLI behind the [@bench-compare] alias:
+    per-row regression thresholds keyed by dotted paths, applied to
+    documents read with {!Ppnpart_server.Json.parse}. Structural rows
     (cuts, determinism booleans) are seeded-deterministic across
     machines and gate tightly; wall-clock rows get loose advisory
     bounds. Paths missing from either snapshot are skipped so an old
     baseline never bricks the gate. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse : string -> (json, string) result
-(** Parse one JSON document. [Error msg] carries a byte offset. *)
-
-val member : string -> json -> json option
-(** Field lookup; [None] on non-objects. *)
 
 type direction =
   | Lower_better of { pct : float; abs : float }
@@ -56,7 +41,10 @@ type row = {
 }
 
 val compare_snapshots :
-  rules:rule list -> baseline:json -> current:json -> row list
+  rules:rule list ->
+  baseline:Ppnpart_server.Json.t ->
+  current:Ppnpart_server.Json.t ->
+  row list
 
 val has_regression : row list -> bool
 
@@ -71,4 +59,4 @@ val partition_rules : rule list
 val rules_for_schema : string -> rule list option
 (** Built-in rule table for a snapshot's "schema" value, if known. *)
 
-val schema_of : json -> string option
+val schema_of : Ppnpart_server.Json.t -> string option

@@ -6,65 +6,20 @@ type t = {
   vwgt : int array;
 }
 
-let build ?vwgt el =
-  let n = Edge_list.n_nodes el in
-  let vwgt =
-    match vwgt with
-    | None -> Array.make n 1
-    | Some w ->
-      if Array.length w <> n then
-        invalid_arg "Wgraph.build: vwgt length mismatch";
-      Array.iter
-        (fun x -> if x < 0 then invalid_arg "Wgraph.build: negative vwgt")
-        w;
-      Array.copy w
-  in
-  let edges = Edge_list.normalized el in
-  let deg = Array.make n 0 in
-  Array.iter
-    (fun (u, v, _) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edges;
-  let xadj = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    xadj.(i + 1) <- xadj.(i) + deg.(i)
-  done;
-  let m2 = xadj.(n) in
-  let adjncy = Array.make m2 0 in
-  let adjwgt = Array.make m2 0 in
-  let cursor = Array.sub xadj 0 n in
-  Array.iter
-    (fun (u, v, w) ->
-      adjncy.(cursor.(u)) <- v;
-      adjwgt.(cursor.(u)) <- w;
-      cursor.(u) <- cursor.(u) + 1;
-      adjncy.(cursor.(v)) <- u;
-      adjwgt.(cursor.(v)) <- w;
-      cursor.(v) <- cursor.(v) + 1)
-    edges;
-  (* Sort every adjacency slice by neighbour id so that edge_weight and
-     mem_edge can binary-search in O(log deg). Neighbour ids are unique
-     within a slice (Edge_list merges parallel edges). *)
-  for u = 0 to n - 1 do
-    Int_sort.sort_pairs adjncy adjwgt ~lo:xadj.(u)
-      ~len:(xadj.(u + 1) - xadj.(u))
-  done;
-  { n; xadj; adjncy; adjwgt; vwgt }
+let check_vwgt ~who n w =
+  if Array.length w <> n then invalid_arg (who ^ ": vwgt length mismatch");
+  Array.iter (fun x -> if x < 0 then invalid_arg (who ^ ": negative vwgt")) w
 
-let checked_vwgt ~who n vwgt =
-  match vwgt with
+let checked_vwgt ~who n = function
   | None -> Array.make n 1
   | Some w ->
-    if Array.length w <> n then
-      invalid_arg (who ^ ": vwgt length mismatch");
-    Array.iter
-      (fun x -> if x < 0 then invalid_arg (who ^ ": negative vwgt"))
-      w;
+    check_vwgt ~who n w;
     Array.copy w
 
-let of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
-  let fail fmt = Format.kasprintf invalid_arg ("Wgraph.of_csr: " ^^ fmt) in
+(* The one CSR checker, behind both [of_csr] and [validate]: O(n + m),
+   messages prefixed with [who]. *)
+let check_csr ~who ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
+  let fail fmt = Format.kasprintf (fun s -> invalid_arg (who ^ ": " ^ s)) fmt in
   if n < 0 then fail "negative node count";
   if Array.length xadj <> n + 1 then fail "xadj length <> n + 1";
   if xadj.(0) <> 0 then fail "xadj.(0) <> 0";
@@ -74,7 +29,7 @@ let of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
   let m2 = Array.length adjncy in
   if xadj.(n) <> m2 then fail "xadj.(n) <> |adjncy|";
   if Array.length adjwgt <> m2 then fail "adjwgt length <> |adjncy|";
-  let vwgt = checked_vwgt ~who:"Wgraph.of_csr" n vwgt in
+  Option.iter (check_vwgt ~who n) vwgt;
   (* Symmetry (ids and weights) in the same ascending sweep: rows are
      visited in order, so the edges [(u, v)] with [u < v] reach [v]'s
      slice in ascending [u] — the order of [v]'s lower neighbours, a
@@ -104,22 +59,24 @@ let of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
         cursor.(v) <- j + 1
       end
     done
-  done;
+  done
+
+let of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
+  check_csr ~who:"Wgraph.of_csr" ?vwgt ~n ~xadj ~adjncy ~adjwgt ();
+  let vwgt = match vwgt with None -> Array.make n 1 | Some w -> Array.copy w in
   { n; xadj; adjncy; adjwgt; vwgt }
 
 let unsafe_of_csr ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
   let vwgt = match vwgt with None -> Array.make n 1 | Some w -> w in
   { n; xadj; adjncy; adjwgt; vwgt }
 
-let of_soa_edges ?vwgt n ~src ~dst ~wgt =
-  let fail fmt =
-    Format.kasprintf invalid_arg ("Wgraph.of_soa_edges: " ^^ fmt)
-  in
+let soa_build ~who ?vwgt n ~src ~dst ~wgt =
+  let fail fmt = Format.kasprintf (fun s -> invalid_arg (who ^ ": " ^ s)) fmt in
   if n < 0 then fail "negative node count";
   let m = Array.length src in
   if Array.length dst <> m || Array.length wgt <> m then
     fail "src/dst/wgt length mismatch";
-  let vwgt = checked_vwgt ~who:"Wgraph.of_soa_edges" n vwgt in
+  let vwgt = checked_vwgt ~who n vwgt in
   let deg = Array.make (max n 1) 0 in
   for e = 0 to m - 1 do
     let u = src.(e) and v = dst.(e) in
@@ -175,6 +132,12 @@ let of_soa_edges ?vwgt n ~src ~dst ~wgt =
   let adjncy = if !wp = m2 then adjncy else Array.sub adjncy 0 !wp in
   let adjwgt = if !wp = m2 then adjwgt else Array.sub adjwgt 0 !wp in
   { n; xadj = out_xadj; adjncy; adjwgt; vwgt }
+
+let of_soa_edges = soa_build ~who:"Wgraph.of_soa_edges"
+
+let build ?vwgt el =
+  let src, dst, wgt = Edge_list.to_soa el in
+  soa_build ~who:"Wgraph.build" ?vwgt (Edge_list.n_nodes el) ~src ~dst ~wgt
 
 let of_edges ?vwgt n edges =
   let el = Edge_list.create n in
@@ -406,25 +369,8 @@ let relabel g perm =
   build ~vwgt el
 
 let validate g =
-  let fail fmt = Format.kasprintf failwith fmt in
-  if Array.length g.xadj <> g.n + 1 then fail "xadj length";
-  if g.xadj.(0) <> 0 then fail "xadj.(0) <> 0";
-  for u = 0 to g.n - 1 do
-    if g.xadj.(u) > g.xadj.(u + 1) then fail "xadj not monotone at %d" u
-  done;
-  let m2 = Array.length g.adjncy in
-  if g.xadj.(g.n) <> m2 then fail "xadj.(n) <> |adjncy|";
-  if Array.length g.adjwgt <> m2 then fail "adjwgt length";
-  if Array.length g.vwgt <> g.n then fail "vwgt length";
-  Array.iter (fun w -> if w < 0 then fail "negative vwgt") g.vwgt;
-  Array.iter (fun w -> if w < 0 then fail "negative adjwgt") g.adjwgt;
-  for u = 0 to g.n - 1 do
-    iter_neighbors g u (fun v w ->
-        if v < 0 || v >= g.n then fail "neighbor out of range at %d" u;
-        if v = u then fail "self loop at %d" u;
-        if edge_weight g v u <> w then
-          fail "asymmetric edge (%d, %d)" u v)
-  done
+  check_csr ~who:"Wgraph.validate" ~vwgt:g.vwgt ~n:g.n ~xadj:g.xadj
+    ~adjncy:g.adjncy ~adjwgt:g.adjwgt ()
 
 let equal a b =
   a.n = b.n && a.vwgt = b.vwgt && edges a = edges b

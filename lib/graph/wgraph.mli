@@ -8,8 +8,10 @@
     edge weights model sustained FIFO bandwidth between two processes
     (Section I of the paper).
 
-    Values of type {!t} are immutable once built; all mutation happens in
-    {!Edge_list} before construction. *)
+    Values of type {!t} are immutable once built. Every edge-list
+    constructor ({!build}, {!of_edges}, {!induced}, {!relabel}) normalizes
+    through {!of_soa_edges}; {!of_csr} and {!validate} share one O(n + m)
+    checker. *)
 
 type t = private {
   n : int;  (** number of nodes *)
@@ -20,10 +22,11 @@ type t = private {
 }
 
 val build : ?vwgt:int array -> Edge_list.t -> t
-(** [build ~vwgt edges] constructs the CSR graph from a normalized edge list.
-    [vwgt] defaults to all-ones.
-    @raise Invalid_argument if [vwgt] has the wrong length or a negative
-    entry. *)
+(** [build ~vwgt edges] is {!of_soa_edges} over the recorded edges:
+    parallel edges merged by weight addition, self loops dropped, every
+    adjacency slice sorted. [vwgt] defaults to all-ones.
+    @raise Invalid_argument ["Wgraph.build: ..."] if [vwgt] has the wrong
+    length or a negative entry. *)
 
 val of_edges : ?vwgt:int array -> int -> (int * int * int) list -> t
 (** [of_edges n edges] is [build] over a fresh edge list; convenience for
@@ -96,8 +99,8 @@ val of_soa_edges :
   ?vwgt:int array -> int -> src:int array -> dst:int array -> wgt:int array -> t
 (** [of_soa_edges n ~src ~dst ~wgt] bulk-builds the graph from one
     undirected edge per index of the three parallel arrays, with
-    {!Edge_list}'s normalization semantics — parallel edges (either
-    orientation) merge by weight addition, self loops are dropped — but
+    the normalization every edge-list constructor shares — parallel edges
+    (either orientation) merge by weight addition, self loops are dropped —
     without materializing a single tuple: counting sort into CSR, then an
     in-place int-key sort and merge per adjacency slice.
     @raise Invalid_argument on length mismatch, out-of-range node or
@@ -161,9 +164,12 @@ val relabel : t -> int array -> t
     permutation). Used to randomize node order in tests. *)
 
 val validate : t -> unit
-(** Internal consistency check: CSR sanity, symmetry of adjacency and of edge
-    weights, no self loops, non-negative weights.
-    @raise Failure describing the first violation found. *)
+(** Internal consistency check: {!of_csr}'s O(n + m) sweep over [g]'s
+    arrays — row pointers, strictly ascending slices, neighbours in range,
+    no self loops, non-negative weights, symmetric ids and weights — plus
+    the length and sign of [vwgt].
+    @raise Invalid_argument naming the first violation with {!of_csr}'s
+    message, under the prefix ["Wgraph.validate: "]. *)
 
 val equal : t -> t -> bool
 (** Structural equality up to neighbour ordering. *)

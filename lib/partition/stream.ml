@@ -29,10 +29,11 @@ open Ppnpart_graph
      (edge-unit) discount left 24/24 streamed seeds infeasible where
      the [a0]-scaled one leaves 9/24 feasible outright.
 
-   Candidate targets are the parts u has assigned neighbours in, plus
-   the least-loaded part (the best zero-affinity target under the
-   penalty; evaluating every empty-affinity part would make the step
-   O(k^2) for nothing). Ties keep the lowest part id.
+   Candidate targets are the parts u has assigned neighbours in over
+   edges of nonzero weight, plus the least-loaded part (the best
+   zero-affinity target under the penalty; evaluating every
+   empty-affinity part would make the step O(k^2) for nothing). Ties
+   keep the lowest part id.
 
    Iteration 0 streams onto an unassigned graph (only already-assigned
    neighbours contribute affinity); iterations 1 .. max_iterations - 1
@@ -148,11 +149,14 @@ let sweep g (c : Types.constraints) ws run part ~rscale ~a ~holes =
         let q = part.(adjncy.(e)) in
         if q >= 0 then begin
           (* [touched] has a spare slot, so the append is unconditional
-             and only the count depends on [q] being new. *)
-          let prev = conn.(q) in
+             and only the count depends on [q] being new: [q] counts
+             when its affinity first turns nonzero, once per visit. A
+             weight-0 edge adds no affinity and lists no part, like an
+             absent edge. *)
+          let prev = conn.(q) and w = adjwgt.(e) in
           touched.(!nt) <- q;
-          nt := !nt + Bool.to_int (prev = 0);
-          conn.(q) <- prev + adjwgt.(e)
+          nt := !nt + (Bool.to_int (prev = 0) land Bool.to_int (w <> 0));
+          conn.(q) <- prev + w
         end
       done;
       let nt = !nt in

@@ -1,8 +1,8 @@
 (** Minimal JSON for the daemon's newline-delimited protocol.
 
-    The container ships no JSON library (house rule: no new
-    dependencies), so — like the bench snapshot comparator — the daemon
-    carries its own reader/printer for the subset the protocol uses:
+    The build has no JSON library dependency, so the daemon carries its
+    own reader/printer (which the bench snapshot comparator also reads
+    with) for the subset the protocol uses:
     objects, arrays, strings with the common escapes, numbers, [true]/
     [false]/[null]. Integers survive a round trip exactly (printed
     without a decimal point up to 2^53). *)

@@ -452,7 +452,9 @@ let test_sequential_stream_vs_multilevel () =
    agree on labels, iterations and per-pass moves bit for bit, over
    heavy-tailed, uniform and symmetric graphs (symmetry and zero node
    weights make exact ties, which only the exact rescore may break),
-   every kind of bound, 1 to 8 passes and fresh or reused workspaces.
+   edge weights as drawn, a third of them 0 or all 0 (a weight-0 edge
+   must list no candidate part, however many lead to one part), every
+   kind of bound, 1 to 8 passes and fresh or reused workspaces.
    The stage also requires the exact rescore to have run, so a margin
    too wide to ever fail cannot pass it vacuously. *)
 let stream_family rng seed =
@@ -487,6 +489,12 @@ let with_node_weights g vw =
   Wgraph.of_csr ~vwgt:(Array.make n vw) ~n ~xadj:(Array.copy g.Wgraph.xadj)
     ~adjncy:(Array.copy g.Wgraph.adjncy) ~adjwgt:(Array.copy g.Wgraph.adjwgt)
     ()
+
+(* [g] with each edge's weight set to 0 where [zero ()] says so. *)
+let with_zero_edges g zero =
+  Wgraph.of_edges ~vwgt:g.Wgraph.vwgt (Wgraph.n_nodes g)
+    (List.map (fun (u, v, w) -> (u, v, if zero () then 0 else w))
+       (Wgraph.edges g))
 
 (* A crafted near-tie: with k = 2 and no bounds, node 2's two candidate
    parts differ only in load (ratios one ulp apart), [**] rounds their
@@ -526,6 +534,14 @@ let test_stream_kernel_vs_oracle () =
       | 1 -> ("uniform", with_node_weights g 1)
       | _ -> ("zero", with_node_weights g 0)
     in
+    let edges, g =
+      let zrng = Random.State.make [| 0x0e; seed |] in
+      match (seed / 15) mod 4 with
+      | 2 ->
+        ("third-0", with_zero_edges g (fun () -> Random.State.int zrng 3 = 0))
+      | 3 -> ("all-0", with_zero_edges g (fun () -> true))
+      | _ -> ("drawn", g)
+    in
     let n = Wgraph.n_nodes g in
     let k = [| 2; 3; 4; 7; 16; 33; 64 |].(Random.State.int rng 7) in
     let rmax =
@@ -542,8 +558,9 @@ let test_stream_kernel_vs_oracle () =
     let max_iterations = 1 + Random.State.int rng 8 in
     let workspace = if seed mod 2 = 0 then Some ws else None in
     let name =
-      Printf.sprintf "%s n=%d %s weights k=%d rmax=%d bmax=%d iters=%d seed=%d"
-        family n weights k rmax bmax max_iterations seed
+      Printf.sprintf
+        "%s n=%d %s weights %s edges k=%d rmax=%d bmax=%d iters=%d seed=%d"
+        family n weights edges k rmax bmax max_iterations seed
     in
     let (part, st), snap =
       Ppnpart_obs.Obs.with_registry (fun () ->

@@ -5,7 +5,9 @@
    through a per-visit [score] closure, the least-loaded part is found
    by a scan of all k loads on every visit, and [seed_partial] holds its
    own copy of the scorer. Only the workspace and the observability
-   calls are gone: the state is freshly allocated per call.
+   calls are gone: the state is freshly allocated per call. A weight-0
+   edge is skipped like an absent one, so a part enters [touched] only
+   when its affinity turns nonzero.
 
    Usage: [Stream_oracle.partition ~max_iterations g c] against
    [Stream.partition] — labels, [iterations] and [moved] must agree bit
@@ -50,7 +52,7 @@ let partition ?(max_iterations = Stream.default_iterations) g
     let nt = ref 0 in
     Wgraph.iter_neighbors g u (fun v w ->
         let q = part.(v) in
-        if q >= 0 then begin
+        if q >= 0 && w > 0 then begin
           if conn.(q) = 0 then begin
             touched.(!nt) <- q;
             incr nt
@@ -187,7 +189,7 @@ let seed_partial g (c : Types.constraints) part =
       let nt = ref 0 in
       Wgraph.iter_neighbors g u (fun v w ->
           let q = part.(v) in
-          if q >= 0 then begin
+          if q >= 0 && w > 0 then begin
             if conn.(q) = 0 then begin
               touched.(!nt) <- q;
               incr nt

@@ -3,6 +3,7 @@
 open Ppnpart_graph
 module Metis_oracle = Ppnpart_test_oracle.Metis_oracle
 module Csr_rows = Ppnpart_test_oracle.Csr_rows
+module Build_oracle = Ppnpart_test_oracle.Build_oracle
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -16,24 +17,28 @@ let sample () =
 
 (* --- Edge_list --- *)
 
+(* The edges [Wgraph.build] makes of [el]: each unordered pair once as
+   [(u, v, w)] with [u < v], sorted. *)
+let built_edges el = Wgraph.edges (Wgraph.build el)
+
 let test_el_dedup_merges_weights () =
   let el = Edge_list.create 3 in
   Edge_list.add el 0 1 2;
   Edge_list.add el 1 0 3;
   Edge_list.add el 0 1 1;
-  let edges = Edge_list.normalized el in
-  check_int "one edge" 1 (Array.length edges);
+  let edges = built_edges el in
+  check_int "one edge" 1 (List.length edges);
   Alcotest.check
     (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int)
-    "merged" (0, 1, 6) edges.(0)
+    "merged" (0, 1, 6) (List.hd edges)
 
 let test_el_drops_self_loops () =
   let el = Edge_list.create 2 in
   Edge_list.add el 0 0 9;
   Edge_list.add el 0 1 1;
   Edge_list.add el 1 1 4;
-  let edges = Edge_list.normalized el in
-  check_int "self loops gone" 1 (Array.length edges)
+  let edges = built_edges el in
+  check_int "self loops gone" 1 (List.length edges)
 
 let test_el_bounds () =
   let el = Edge_list.create 2 in
@@ -49,9 +54,8 @@ let test_el_sorted_output () =
   Edge_list.add el 3 2 1;
   Edge_list.add el 1 0 1;
   Edge_list.add el 2 0 1;
-  let edges = Edge_list.normalized el in
-  check_bool "sorted" true
-    (edges = [| (0, 1, 1); (0, 2, 1); (2, 3, 1) |])
+  let edges = built_edges el in
+  check_bool "sorted" true (edges = [ (0, 1, 1); (0, 2, 1); (2, 3, 1) ])
 
 (* --- Wgraph construction and accessors --- *)
 
@@ -96,6 +100,19 @@ let test_iter_edges_each_once () =
 
 let test_validate_ok () =
   Wgraph.validate (sample ())
+
+(* The sample graph with node 0's slice written descending: still
+   symmetric in ids and weights, but binary-search lookups on it miss. *)
+let test_validate_rejects_unsorted_slice () =
+  let g =
+    Wgraph.unsafe_of_csr ~vwgt:[| 2; 4; 1; 7 |] ~n:4 ~xadj:[| 0; 2; 4; 7; 8 |]
+      ~adjncy:[| 2; 1; 0; 2; 0; 1; 3; 2 |] ~adjwgt:[| 1; 3; 3; 2; 1; 2; 5; 5 |]
+      ()
+  in
+  Alcotest.check_raises "descending slice"
+    (Invalid_argument
+       "Wgraph.validate: adjacency slice of node 0 not strictly ascending")
+    (fun () -> Wgraph.validate g)
 
 let test_components () =
   let g = Wgraph.of_edges 5 [ (0, 1, 1); (2, 3, 1) ] in
@@ -710,6 +727,8 @@ let prop_rows_split_matches_whole =
         (String.sub text pos (String.length text - pos));
       Wgraph.equal (Graph_io.Rows.finish r) (Graph_io.of_metis text))
 
+(* [iter_edges] walks rows in order and each slice ascending, so on a
+   normalized graph it yields strictly increasing [(u, v)] pairs. *)
 let prop_normalized_sorted =
   QCheck2.Test.make
     ~name:"normalized output is sorted and duplicate-free" ~count:200
@@ -717,39 +736,38 @@ let prop_normalized_sorted =
     (fun edges ->
       let el = Edge_list.create 12 in
       List.iter (fun (u, v, w) -> Edge_list.add el u v w) edges;
-      let out = Edge_list.normalized el in
-      let ok = ref true in
-      for i = 1 to Array.length out - 1 do
-        let u0, v0, _ = out.(i - 1) and u1, v1, _ = out.(i) in
-        if not (u0 < u1 || (u0 = u1 && v0 < v1)) then ok := false
-      done;
+      let prev = ref (-1, -1) and ok = ref true in
+      Wgraph.iter_edges (Wgraph.build el) (fun u v _ ->
+          if compare (u, v) !prev <= 0 then ok := false;
+          prev := (u, v));
       !ok)
 
-(* The SoA bulk constructor must agree with the Edge_list path not just
-   up to isomorphism but array for array — both sort slices by neighbour
-   id and sum duplicate weights. *)
-let prop_of_soa_edges_matches_edge_list =
-  QCheck2.Test.make ~name:"of_soa_edges = Edge_list build" ~count:200
-    (arbitrary_edges 12 9)
-    (fun edges ->
-      let el = Edge_list.create 12 in
-      List.iter (fun (u, v, w) -> Edge_list.add el u v w) edges;
-      let a = Wgraph.build el in
-      let m = List.length edges in
-      let src = Array.make m 0
-      and dst = Array.make m 0
-      and wgt = Array.make m 0 in
-      List.iteri
-        (fun i (u, v, w) ->
-          src.(i) <- u;
-          dst.(i) <- v;
-          wgt.(i) <- w)
-        edges;
-      let b = Wgraph.of_soa_edges 12 ~src ~dst ~wgt in
-      a.Wgraph.xadj = b.Wgraph.xadj
-      && a.Wgraph.adjncy = b.Wgraph.adjncy
-      && a.Wgraph.adjwgt = b.Wgraph.adjwgt
-      && a.Wgraph.vwgt = b.Wgraph.vwgt)
+(* Edge lists over [n] in [0, 12] nodes with weights from 0, self loops,
+   and a repeated prefix in both orientations so parallel edges merge. *)
+let edge_list_with_repeats =
+  QCheck2.Gen.(
+    int_bound 12 >>= fun n ->
+    (if n = 0 then return []
+     else
+       list_size (int_bound (3 * n))
+         (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 9)))
+    >>= fun edges ->
+    int_bound (List.length edges) >|= fun r ->
+    let again = List.filteri (fun i _ -> i < r) edges in
+    let flip i (u, v, w) = if i land 1 = 0 then (v, u, w) else (u, v, w) in
+    (n, edges @ List.mapi flip again))
+
+(* The shipped builder must agree with the tuple reference not just up
+   to isomorphism but array for array — both sort slices by neighbour id
+   and sum duplicate weights. *)
+let prop_build_matches_tuple_reference =
+  QCheck2.Test.make ~name:"Wgraph.build = tuple reference" ~count:300
+    edge_list_with_repeats
+    (fun (n, edges) ->
+      let g = Wgraph.of_edges n edges in
+      let xadj, adjncy, adjwgt = Build_oracle.csr n edges in
+      g.Wgraph.xadj = xadj && g.Wgraph.adjncy = adjncy
+      && g.Wgraph.adjwgt = adjwgt)
 
 let prop_relabel_preserves_structure =
   QCheck2.Test.make ~name:"relabel by reversal preserves totals" ~count:100
@@ -770,7 +788,7 @@ let qcheck_cases =
       prop_build_valid;
       prop_total_edge_weight_matches_list;
       prop_normalized_sorted;
-      prop_of_soa_edges_matches_edge_list;
+      prop_build_matches_tuple_reference;
       prop_metis_roundtrip;
       prop_rows_reader_matches_of_metis;
       prop_rows_split_matches_whole;
@@ -801,6 +819,8 @@ let () =
           Alcotest.test_case "iter_edges once" `Quick
             test_iter_edges_each_once;
           Alcotest.test_case "validate ok" `Quick test_validate_ok;
+          Alcotest.test_case "validate rejects unsorted slice" `Quick
+            test_validate_rejects_unsorted_slice;
           Alcotest.test_case "components" `Quick test_components;
           Alcotest.test_case "bfs order" `Quick test_bfs_order;
           Alcotest.test_case "induced" `Quick test_induced;

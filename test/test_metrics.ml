@@ -11,6 +11,7 @@ module Reg = Ppnpart_obs.Metrics_registry
 module Gc_stats = Ppnpart_obs.Gc_stats
 module Trace_export = Ppnpart_obs.Trace_export
 module CC = Ppnpart_bench_compare.Compare_core
+module Json = Ppnpart_server.Json
 module PG = Ppnpart_workloads.Paper_graphs
 
 let check_int = Alcotest.(check int)
@@ -272,7 +273,7 @@ let regressed_doc =
      "rows": [ { "name": "r2", "v": 2.0 }, { "name": "r1", "v": 0.2 } ] }|}
 
 let parse_ok doc =
-  match CC.parse doc with
+  match Json.parse doc with
   | Ok j -> j
   | Error msg -> Alcotest.fail ("parse: " ^ msg)
 
@@ -306,9 +307,9 @@ let test_compare_self_is_clean () =
   check_bool "no regression against self" false (CC.has_regression rows)
 
 let test_compare_parse_errors () =
-  check_bool "truncated" true (Result.is_error (CC.parse "{\"a\": "));
-  check_bool "trailing" true (Result.is_error (CC.parse "{} x"));
-  check_bool "bare number ok" true (CC.parse "42" = Ok (CC.Num 42.))
+  check_bool "truncated" true (Result.is_error (Json.parse "{\"a\": "));
+  check_bool "trailing" true (Result.is_error (Json.parse "{} x"));
+  check_bool "bare number ok" true (Json.parse "42" = Ok (Json.Num 42.))
 
 let () =
   Alcotest.run "metrics"

@@ -226,6 +226,22 @@ let test_repartition_degenerate_edits () =
   check_int "empty graph, empty labelling" 0
     (Array.length rp0.Gp.rp_result.Gp.part)
 
+(* An added node whose every edge weighs 0 is seeded by
+   [Stream.seed_partial]: no neighbour part gains affinity, so it is
+   placed like an isolated node, however many such edges it has. *)
+let test_repartition_seeds_zero_weight_node () =
+  let g, c = random_instance 3 in
+  let prev = (Gp.partition g c).Gp.part in
+  let neighbors = List.init (2 * c.Types.k + 2) (fun u -> (u, 0)) in
+  let rp =
+    Gp.repartition ~prev g c [ Graph_edit.Add_node { weight = 1; neighbors } ]
+  in
+  check_bool "incremental" true rp.Gp.rp_incremental;
+  check_int "one node seeded" 1 rp.Gp.rp_seeded;
+  Types.check_partition
+    ~n:(Wgraph.n_nodes rp.Gp.rp_graph)
+    ~k:c.Types.k rp.Gp.rp_result.Gp.part
+
 let test_repartition_rejects_bad_prev () =
   let g, c = random_instance 5 in
   let bad_len = Array.make (Wgraph.n_nodes g + 1) 0 in
@@ -364,6 +380,8 @@ let tests =
       test_repartition_degenerate_edits;
     Alcotest.test_case "repartition rejects bad prev" `Quick
       test_repartition_rejects_bad_prev;
+    Alcotest.test_case "repartition seeds zero-weight node" `Quick
+      test_repartition_seeds_zero_weight_node;
     Alcotest.test_case "dse labels pinned" `Quick test_dse_labels_pinned;
     Alcotest.test_case "graph_edit allocation" `Quick
       test_graph_edit_allocation ]
