@@ -396,27 +396,6 @@ let alloc_words f =
   let after = Gc.allocated_bytes () in
   (r, (after -. before) /. float_of_int (Sys.word_size / 8))
 
-(* The seed's O(n k) move selection (the heart of its O(n^2 k) fm_pass):
-   scan every unlocked node for the globally best tentative move. Kept
-   here as the reference the bucket-queue implementation is measured
-   against. *)
-let quadratic_select st locked conn =
-  let n = Wgraph.n_nodes st.Part_state.g in
-  let chosen = ref None in
-  for u = 0 to n - 1 do
-    if not locked.(u) then begin
-      Part_state.connectivity st conn u;
-      let v, cut', t = Part_state.best_target st conn u in
-      if t >= 0 then
-        match !chosen with
-        | Some (_, _, v', cut'')
-          when v' < v || (v' = v && cut'' <= cut') ->
-          ()
-        | _ -> chosen := Some (u, t, v, cut')
-    end
-  done;
-  !chosen
-
 let fm_bench ~n ~m ~k =
   let rng = Random.State.make [| n; k; 0x464d |] in
   let g =
@@ -442,9 +421,13 @@ let fm_bench ~n ~m ~k =
   let (), ref_s =
     time (fun () ->
         for _ = 1 to ref_moves do
-          match quadratic_select st' locked conn with
+          (* The seed's O(n k) move selection, the heart of its
+             O(n^2 k) fm_pass: the exact global scan. *)
+          match
+            Part_state.best_global_move ~skip:(fun u -> locked.(u)) st' conn
+          with
           | None -> ()
-          | Some (u, t, _, _) ->
+          | Some (u, t) ->
             Part_state.connectivity st' conn u;
             Part_state.apply_move st' u t conn;
             locked.(u) <- true

@@ -18,7 +18,8 @@ let src = Logs.Src.create "ppnpart.gp" ~doc:"GP partitioner"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Seed + refine the coarsest graph, then project down to the finest graph
-   refining at every level. Returns the finest-level partition.
+   refining at every level. Returns the finest-level partition and its
+   goodness, read from the refinement state (O(k²), no graph pass).
 
    Two seedings compete on the coarsest graph: the paper's greedy
    resource-bounded growth (Section IV.B) and — the "partitioning phase
@@ -94,7 +95,7 @@ let descend (cfg : Config.t) ?workspace rng hierarchy c =
             c fine_st.Part_state.part;
         st := fine_st)
   done;
-  Part_state.snapshot !st
+  (Part_state.snapshot !st, Part_state.goodness !st)
 
 (* One speculative partial V-cycle. Every cycle draws its randomness from
    a private stream derived from [(seed, cycle_index)] and re-coarsens
@@ -103,7 +104,7 @@ let descend (cfg : Config.t) ?workspace rng hierarchy c =
    outcome is independent of the domain count. A cycle runs as a pool
    task, so its inner phases see a pool width of 1 — the parallelism
    budget is already spent on the cycles themselves. *)
-let run_cycle (cfg : Config.t) ?workspace g (c : Types.constraints)
+let run_cycle (cfg : Config.t) ?workspace (c : Types.constraints)
     base_hierarchy i =
   Ppnpart_obs.Span.phase_result
     ~args:(fun () -> [ ("cycle", Ppnpart_obs.Obs.Int i) ])
@@ -137,8 +138,8 @@ let run_cycle (cfg : Config.t) ?workspace g (c : Types.constraints)
     Coarsen.extend ?workspace ~target ~strategies:cfg.Config.strategies rng
       base_hierarchy ~from_level
   in
-  let part = descend cfg ?workspace rng h c in
-  (part, Metrics.goodness g c part, from_level)
+  let part, gd = descend cfg ?workspace rng h c in
+  (part, gd, from_level)
 
 (* With at least as many parts as nodes, one node per part is *not*
    automatically right: it cuts every edge, and the pairwise traffic can
@@ -171,28 +172,66 @@ let parallel_cycle_threshold = 4096
 let tabu_rescue_limit = 512
 
 (* The rescue, shared by every path that can end infeasible: on a
-   small infeasible [!best], polish it with tabu search and keep the
-   result only if it compares better, recording its goodness in
-   [history]. [workspace] is forced only when the polish runs. Returns
-   whether it replaced [!best]. *)
-let tabu_rescue ~site ~workspace g c ~best ~best_goodness ~history =
+   small infeasible answer [(part, goodness, history)], polish it with
+   tabu search and keep the result only if it compares better, with its
+   goodness pushed on [history] (newest first). [workspace] is forced
+   only when the polish runs. Also returns whether it replaced the
+   answer. [site] names the mode in check sites. *)
+let tabu_rescue ~site ~workspace g c ((part, gd, history) as answer) =
   let n = Wgraph.n_nodes g in
-  !best_goodness.Metrics.violation > 0
-  && n <= tabu_rescue_limit
-  &&
-  let rescued, gd =
-    Refine_tabu.refine ~iterations:(100 + (20 * n))
-      ~workspace:(Lazy.force workspace) g c !best
-  in
-  Metrics.compare_goodness gd !best_goodness < 0
-  && begin
-    if Ppnpart_check.Check.enabled () then
-      Ppnpart_check.Check.partition ~site g c rescued;
-    best := rescued;
-    best_goodness := gd;
-    history := gd :: !history;
-    true
-  end
+  if gd.Metrics.violation = 0 || n > tabu_rescue_limit then (answer, false)
+  else
+    let rescued, gd' =
+      Refine_tabu.refine ~iterations:(100 + (20 * n))
+        ~workspace:(Lazy.force workspace) g c part
+    in
+    if Metrics.compare_goodness gd' gd >= 0 then (answer, false)
+    else begin
+      if Ppnpart_check.Check.enabled () then
+        Ppnpart_check.Check.partition ~site:(site ^ ".rescue") g c rescued;
+      ((rescued, gd', gd' :: history), true)
+    end
+
+(* The step hybrid mode and the incremental repartition share: refine
+   the state in place, snapshot it, then the rescue. Goodness comes from
+   the state throughout; the seed's opens the history. *)
+let refine_and_rescue ~site ~workspace rng (st : Part_state.t) =
+  let g = st.Part_state.g and c = st.Part_state.c in
+  let seed_goodness = Part_state.goodness st in
+  Refine_constrained.refine_state rng st;
+  if Ppnpart_check.Check.enabled () then begin
+    Ppnpart_check.Check.part_state ~site:(site ^ ".refined") st;
+    Ppnpart_check.Check.partition ~site:(site ^ ".refined") g c
+      st.Part_state.part
+  end;
+  tabu_rescue ~site ~workspace g c
+    (Part_state.snapshot st, Part_state.goodness st, [ seed_goodness ])
+
+(* The one result builder. The final labels' [Metrics.quality] is the
+   answer's certificate, and the reported goodness, feasibility and
+   report come from it. A disagreement with the goodness the search
+   kept ([search]) is counted and logged. *)
+let finish ~t0 g c ?search ?(history = []) ?(cycles = 0) ?(levels = 0) part =
+  let q = Metrics.quality g c part in
+  let goodness = Metrics.goodness_of_quality c q in
+  (match search with
+  | Some s when Metrics.compare_goodness goodness s <> 0 ->
+    Ppnpart_obs.Counters.incr "gp.certificate_mismatch";
+    Log.err (fun m ->
+        m "certificate %a disagrees with the search's %a" Metrics.pp_goodness
+          goodness Metrics.pp_goodness s)
+  | _ -> ());
+  let runtime_s = Unix.gettimeofday () -. t0 in
+  {
+    part;
+    feasible = goodness.Metrics.violation = 0;
+    goodness;
+    report = Metrics.report_of_quality ~runtime_s q;
+    cycles_used = cycles;
+    levels;
+    runtime_s;
+    history = List.rev history;
+  }
 
 let exhaustive_best g (c : Types.constraints) =
   let n = Wgraph.n_nodes g in
@@ -219,7 +258,7 @@ let exhaustive_best g (c : Types.constraints) =
       done
   in
   go 0 0;
-  !best
+  (!best, !best_gd)
 
 let run_partition ~(config : Config.t) g (c : Types.constraints) =
   Config.validate config;
@@ -241,23 +280,7 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
   let t0 = Unix.gettimeofday () in
   let rng = Random.State.make [| config.Config.seed; 0x6770 |] in
   let n = Wgraph.n_nodes g in
-  let finish ?(history = []) part cycles levels =
-    (* One quality pass feeds goodness and the report; the same record
-       backs the CLI tables and the run report downstream. *)
-    let q = Metrics.quality g c part in
-    let goodness = Metrics.goodness_of_quality c q in
-    let runtime_s = Unix.gettimeofday () -. t0 in
-    {
-      part;
-      feasible = goodness.Metrics.violation = 0;
-      goodness;
-      report = Metrics.report_of_quality ~runtime_s q;
-      cycles_used = cycles;
-      levels;
-      runtime_s;
-      history = List.rev history;
-    }
-  in
+  let finish = finish ~t0 g c in
   (* Degenerate dispatch, shared by every mode so that
      [--mode stream|hybrid|multilevel] agree by construction on the
      cases where heuristics have nothing to decide (the n <= k class is
@@ -273,57 +296,38 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
        and the objective is load placement only): the multilevel
        pipeline is the canonical path regardless of the requested
        mode. *)
-  if n = 0 then finish [||] 0 0
-  else if c.Types.k = 1 then finish (Array.make n 0) 0 0
+  if n = 0 then finish [||]
+  else if c.Types.k = 1 then finish (Array.make n 0)
   else if n <= c.Types.k && n <= exhaustive_limit then
-    finish (exhaustive_best g c) 0 0
+    let part, search = exhaustive_best g c in
+    finish ~search part
   else
     let mode =
       if n <= c.Types.k || Wgraph.n_edges g = 0 then Config.Multilevel
       else config.Config.mode
     in
     match mode with
-    | Config.Stream ->
-        let part, _stats =
-          Stream.partition ~max_iterations:config.Config.stream_iterations g c
-        in
-        if Ppnpart_check.Check.enabled () then
-          Ppnpart_check.Check.partition ~site:"gp.stream" g c part;
-        finish part 0 0
-    | Config.Hybrid ->
-        (* Stream once, then hand the labels straight to the
-           boundary-driven refiner — no coarsening, no V-cycle. The
-           refiner only ever commits strict improvements, so the result
-           is never worse than the streaming seed; its goodness is kept
-           as the single [history] entry so callers can see what
-           refinement bought. Pool-free and sequential, like the
-           stream itself. *)
-        let checking = Ppnpart_check.Check.enabled () in
+    | Config.Stream | Config.Hybrid ->
         let ws = Workspace.create () in
-        let seed_part, _stats =
+        let part, stats =
           Stream.partition ~workspace:ws
             ~max_iterations:config.Config.stream_iterations g c
         in
-        if checking then
-          Ppnpart_check.Check.partition ~site:"gp.stream" g c seed_part;
-        let seed_goodness = Metrics.goodness g c seed_part in
-        let st = Part_state.init ~workspace:ws g c seed_part in
-        Refine_constrained.refine_state rng st;
-        if checking then begin
-          Ppnpart_check.Check.part_state ~site:"gp.hybrid.refined" st;
-          Ppnpart_check.Check.partition ~site:"gp.hybrid.refined" g c
-            st.Part_state.part
-        end;
-        let best_part = ref (Part_state.snapshot st) in
-        let best_goodness = ref (Metrics.goodness g c !best_part) in
-        let history = ref [ seed_goodness ] in
-        (* Same feasibility rescue as the multilevel path: single-move FM
-           from a streaming seed can be stuck one basin away from the
-           feasible set on small tight instances. *)
-        ignore
-          (tabu_rescue ~site:"gp.hybrid.rescue" ~workspace:(Lazy.from_val ws)
-             g c ~best:best_part ~best_goodness ~history);
-        finish ~history:!history !best_part 0 0
+        if Ppnpart_check.Check.enabled () then
+          Ppnpart_check.Check.partition ~site:"gp.stream" g c part;
+        if mode = Config.Stream then finish ~search:stats.Stream.goodness part
+        else
+          (* Hybrid: refine and rescue the streamed labels, with no
+             coarsening and no V-cycle. The refiner commits only strict
+             improvements, so the answer is never worse than the
+             streaming seed, whose goodness opens [history]. Pool-free
+             and sequential, like the stream itself. *)
+          let (part, search, history), _ =
+            refine_and_rescue ~site:"gp.hybrid" ~workspace:(Lazy.from_val ws)
+              rng
+              (Part_state.init ~workspace:ws g c part)
+          in
+          finish ~search ~history part
     | Config.Multilevel -> begin
     (* A wave is as wide as the pool, which never exceeds the hardware:
        wave cycles beyond the domains that can run them would buy nothing
@@ -344,11 +348,8 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
         ~target:config.Config.coarsen_target
         ~strategies:config.Config.strategies rng g
     in
-    let best_part =
-      ref (descend config ~workspace:workspaces.(0) rng hierarchy c)
-    in
-    let best_goodness = ref (Metrics.goodness g c !best_part) in
-    let history = ref [ !best_goodness ] in
+    let best = ref (descend config ~workspace:workspaces.(0) rng hierarchy c) in
+    let history = ref [ snd !best ] in
     let cycles = ref 0 in
     (* Partial V-cycles until feasible or the iteration budget runs out.
        Cycles are evaluated speculatively in waves of [wave_width];
@@ -356,7 +357,7 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
        cycle that leaves the best candidate feasible, so any work past
        that point is discarded and the outcome matches the sequential
        schedule exactly. *)
-    let stop = ref (!best_goodness.Metrics.violation = 0) in
+    let stop = ref ((snd !best).Metrics.violation = 0) in
     (* From here on slot [w] runs cycles [w + 1], [w + 1 + wave_width],
        ...: what it allocates depends on the width, so the slots keep
        their allocation counters out of the trace. *)
@@ -368,7 +369,7 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
       let results, deferred =
         Pool.run_deferred
           (Array.init wave (fun w () ->
-               run_cycle config ~workspace:workspaces.(w) g c hierarchy
+               run_cycle config ~workspace:workspaces.(w) c hierarchy
                  (first + w)))
       in
       let consumed = ref 0 in
@@ -380,12 +381,10 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
             Log.debug (fun m ->
                 m "cycle %d (from level %d): %a" (first + w) from_level
                   Metrics.pp_goodness gd);
-            if Metrics.compare_goodness gd !best_goodness < 0 then begin
-              best_part := candidate;
-              best_goodness := gd
-            end;
-            history := !best_goodness :: !history;
-            if !best_goodness.Metrics.violation = 0 then stop := true
+            if Metrics.compare_goodness gd (snd !best) < 0 then
+              best := (candidate, gd);
+            history := snd !best :: !history;
+            if (snd !best).Metrics.violation = 0 then stop := true
           end)
         results;
       (* Cycles past the stopping point never ran in the sequential
@@ -394,17 +393,22 @@ let run_partition ~(config : Config.t) g (c : Types.constraints) =
       Ppnpart_obs.Obs.commit ~keep:!consumed deferred;
       next := first + wave
     done;
-    ignore
-      (tabu_rescue ~site:"gp.multilevel.rescue"
-         ~workspace:(Lazy.from_val workspaces.(0)) g c ~best:best_part
-         ~best_goodness ~history);
-    finish ~history:!history !best_part !cycles (Coarsen.levels hierarchy)
+    let (part, search, history), _ =
+      tabu_rescue ~site:"gp.multilevel"
+        ~workspace:(Lazy.from_val workspaces.(0)) g c
+        (fst !best, snd !best, !history)
+    in
+    finish ~search ~history ~cycles:!cycles
+      ~levels:(Coarsen.levels hierarchy) part
   end
 
+(* [config.debug_checks] installs the validators for the call. *)
+let checked (config : Config.t) f =
+  if config.Config.debug_checks then Ppnpart_check.Check.with_checks f
+  else f ()
+
 let partition ?(config = Config.default) g c =
-  if config.Config.debug_checks then
-    Ppnpart_check.Check.with_checks (fun () -> run_partition ~config g c)
-  else run_partition ~config g c
+  checked config (fun () -> run_partition ~config g c)
 
 let partition_exn ?config g c =
   let r = partition ?config g c in
@@ -583,20 +587,9 @@ let run_repartition ~(config : Config.t) ?workspace ?resident ~prev g c ops =
     in
     if checking then
       Ppnpart_check.Check.part_state ~site:"gp.repartition.state" st;
-    (* Seed and refined goodness come from the maintained state, O(k²)
-       each; the one O(m) pass below is the answer's certificate. *)
-    let seed_goodness = Part_state.goodness st in
     let rng = Random.State.make [| config.Config.seed; 0x6770; 0x7270 |] in
-    Refine_constrained.refine_state rng st;
-    if checking then
-      Ppnpart_check.Check.partition ~site:"gp.repartition.refined" g' c
-        st.Part_state.part;
-    let best_part = ref (Part_state.snapshot st) in
-    let best_goodness = ref (Part_state.goodness st) in
-    let history = ref [ seed_goodness ] in
-    let rescued =
-      tabu_rescue ~site:"gp.repartition.rescue" ~workspace:side_ws g' c
-        ~best:best_part ~best_goodness ~history
+    let (best_part, best_goodness, history), rescued =
+      refine_and_rescue ~site:"gp.repartition" ~workspace:side_ws rng st
     in
     (* Feasibility agreement with the from-scratch oracle: whenever the
        incremental path ends infeasible, the full pipeline gets its say,
@@ -604,50 +597,30 @@ let run_repartition ~(config : Config.t) ?workspace ?resident ~prev g c ops =
        can solve is never reported infeasible just because it arrived as
        an edit. *)
     let full =
-      if !best_goodness.Metrics.violation > 0 then
+      if best_goodness.Metrics.violation > 0 then
         Some (run_partition ~config g' c)
       else None
     in
     match full with
-    | Some full when Metrics.compare_goodness full.goodness !best_goodness < 0
+    | Some full when Metrics.compare_goodness full.goodness best_goodness < 0
       ->
       drop "fallback";
       mk ~seeded full
     | _ ->
-      let q = Metrics.quality g' c !best_part in
-      let goodness = Metrics.goodness_of_quality c q in
-      if Metrics.compare_goodness goodness !best_goodness <> 0 then begin
-        Ppnpart_obs.Counters.incr "gp.repartition.certificate_mismatch";
-        Log.err (fun m ->
-            m "repartition certificate %a disagrees with the search's %a"
-              Metrics.pp_goodness goodness Metrics.pp_goodness
-              !best_goodness);
+      let result = finish ~t0 g' c ~search:best_goodness ~history best_part in
+      if Metrics.compare_goodness result.goodness best_goodness <> 0 then
         drop "certificate"
-      end
       else if rescued then drop "fallback"
       else
         Option.iter
           (fun r ->
             r.held <-
-              Some { h_graph = g'; h_labels = !best_part; h_state = st })
+              Some { h_graph = g'; h_labels = best_part; h_state = st })
           resident;
-      let runtime_s = Unix.gettimeofday () -. t0 in
-      mk ~incremental:true ~seeded
-        {
-          part = !best_part;
-          feasible = goodness.Metrics.violation = 0;
-          goodness;
-          report = Metrics.report_of_quality ~runtime_s q;
-          cycles_used = 0;
-          levels = 0;
-          runtime_s;
-          history = List.rev !history;
-        }
+      mk ~incremental:true ~seeded result
   end
 
 let repartition ?(config = Config.default) ?workspace ?resident ~prev g c ops
     =
-  if config.Config.debug_checks then
-    Ppnpart_check.Check.with_checks (fun () ->
-        run_repartition ~config ?workspace ?resident ~prev g c ops)
-  else run_repartition ~config ?workspace ?resident ~prev g c ops
+  checked config (fun () ->
+      run_repartition ~config ?workspace ?resident ~prev g c ops)

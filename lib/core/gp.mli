@@ -24,6 +24,12 @@
 open Ppnpart_graph
 open Ppnpart_partition
 
+(** The one O(m) pass per answer is a
+    {!Ppnpart_partition.Metrics.quality} recomputation of its labels,
+    the {e certificate}: [feasible], [goodness] and [report] come from
+    it. Every search keeps a goodness of its own (the refinement
+    state's, the stream state's, the enumeration's); a disagreement
+    bumps [gp.certificate_mismatch]. *)
 type result = {
   part : int array;
   feasible : bool;
@@ -70,14 +76,7 @@ val partition_metis :
     infeasible is raced against a full from-scratch run with the better
     goodness kept, so feasibility is never lost to the shortcut.
     Sequential except for that fallback, hence — like {!partition} —
-    bit-identical at every pool width.
-
-    Seed and refined goodness are read from the refinement state; the
-    one O(m) pass per answer is a {!Ppnpart_partition.Metrics.quality}
-    recomputation of the final labels, the {e certificate}: the
-    reported goodness, feasibility and report come from it, and a
-    disagreement with the search's own goodness bumps
-    [gp.repartition.certificate_mismatch]. *)
+    bit-identical at every pool width. *)
 
 type repartition = {
   rp_result : result;  (** labelling of the {e edited} graph *)

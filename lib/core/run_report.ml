@@ -21,10 +21,7 @@ let schema = "ppnpart-run-report/1"
 let js = Ppnpart_obs.Trace_export.json_string
 
 let jfloat f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  if Float.is_nan f then "null" else Ppnpart_obs.Trace_export.finite_float f
 
 let jint_array a =
   "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"

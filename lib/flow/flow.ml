@@ -13,11 +13,7 @@ type options = {
   algorithm : algorithm;
   topology : Platform.topology;
   link_bandwidth : int;
-  resource_headroom : float;
-  bandwidth_headroom : float;
-  bandwidth_scale : int;
   explicit_constraints : Types.constraints option;
-  fifo_capacity : int;
   simulate : bool;
   seed : int;
 }
@@ -28,11 +24,7 @@ let default_options ~k =
     algorithm = Gp Ppnpart_core.Config.default;
     topology = Platform.All_to_all;
     link_bandwidth = 2;
-    resource_headroom = 1.5;
-    bandwidth_headroom = 4. /. 3.;
-    bandwidth_scale = 1;
     explicit_constraints = None;
-    fifo_capacity = 64;
     simulate = true;
     seed = 0;
   }
@@ -49,6 +41,11 @@ type t = {
   simulation : (Sim.result, Sim.error) result option;
 }
 
+(* Derived bounds: Rmax is the balanced load times this headroom, Bmax
+   the spectral probe's bandwidth times that one. *)
+let resource_headroom = 1.5
+let bandwidth_headroom = 4. /. 3.
+
 let derive_constraints opts g =
   match opts.explicit_constraints with
   | Some c ->
@@ -62,14 +59,14 @@ let derive_constraints opts g =
     let balanced = float_of_int total /. float_of_int opts.k in
     let rmax =
       max
-        (int_of_float (ceil (balanced *. opts.resource_headroom)))
+        (int_of_float (ceil (balanced *. resource_headroom)))
         (Metrics.max_resource g ~k:opts.k probe)
     in
     let probe_bw = Metrics.max_local_bandwidth g ~k:opts.k probe in
     let bmax =
       max 1
         (int_of_float
-           (ceil (float_of_int probe_bw *. opts.bandwidth_headroom)))
+           (ceil (float_of_int probe_bw *. bandwidth_headroom)))
     in
     Types.constraints ~k:opts.k ~bmax ~rmax
 
@@ -87,9 +84,7 @@ let partition_with opts g c =
 
 let map_ppn opts ppn =
   if opts.k < 1 then invalid_arg "Flow: k < 1";
-  let graph =
-    Ppnpart_ppn.Ppn.to_graph ~bandwidth_scale:opts.bandwidth_scale ppn
-  in
+  let graph = Ppnpart_ppn.Ppn.to_graph ppn in
   let constraints = derive_constraints opts graph in
   let t0 = Unix.gettimeofday () in
   let assignment = partition_with opts graph constraints in
@@ -112,8 +107,7 @@ let map_ppn opts ppn =
         Platform.make ~topology:opts.topology ~n_fpgas:opts.k
           ~rmax:constraints.Types.rmax ~bmax:opts.link_bandwidth ()
       in
-      Some
-        (Sim.run ~fifo_capacity:opts.fifo_capacity platform ppn ~assignment)
+      Some (Sim.run platform ppn ~assignment)
     end
     else None
   in

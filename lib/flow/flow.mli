@@ -5,10 +5,12 @@
     This is the "tool to automatically map tasks to FPGAs" the paper's
     abstract calls for, as one library call. Constraint bounds are derived
     from the instance itself unless given explicitly: a spectral probe
-    partition anchors what a reasonable mapping achieves, and headroom
-    factors turn that into budgets (the same recipe as
-    {!Ppnpart_workloads.Ppn_suite}, so derived instances are feasible by
-    construction under the pairwise model). *)
+    partition anchors what a reasonable mapping achieves, and fixed
+    headroom factors turn that into budgets: Rmax is 1.5x the balanced
+    load, Bmax 4/3 of the probe's largest pairwise bandwidth (the recipe
+    of {!Ppnpart_workloads.Ppn_suite}, so derived instances are feasible
+    by construction under the pairwise model). Channel volumes are not
+    scaled, and the simulation's FIFOs hold 64 tokens. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -23,19 +25,15 @@ type options = {
   algorithm : algorithm;
   topology : Ppnpart_fpga.Platform.topology;
   link_bandwidth : int;  (** data units per cycle per link (simulation) *)
-  resource_headroom : float;  (** [rmax = balanced load * headroom] *)
-  bandwidth_headroom : float;  (** [bmax = probe bandwidth * headroom] *)
-  bandwidth_scale : int;  (** channel-volume divisor when lowering *)
   explicit_constraints : Types.constraints option;
       (** overrides the derived bounds entirely when set *)
-  fifo_capacity : int;
   simulate : bool;
   seed : int;
 }
 
 val default_options : k:int -> options
-(** GP with default config, all-to-all links of bandwidth 2/cycle, 1.5x
-    resource and 1.34x bandwidth headroom, simulation on. *)
+(** GP with default config, all-to-all links of bandwidth 2/cycle,
+    derived bounds, simulation on. *)
 
 type t = {
   ppn : Ppnpart_ppn.Ppn.t;

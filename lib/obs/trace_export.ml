@@ -7,8 +7,8 @@
    track 0, every task buffer gets the next free id — so ids depend only
    on the task structure, never on the domain schedule. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_json_string b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -21,9 +21,12 @@ let escape s =
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
+  Buffer.add_char b '"'
 
-let json_string s = "\"" ^ escape s ^ "\""
+let json_string s =
+  let b = Buffer.create (String.length s + 10) in
+  add_json_string b s;
+  Buffer.contents b
 
 let json_value = function
   | Obs.Int i -> string_of_int i
@@ -168,13 +171,15 @@ let sanitize_metric_name name =
 
 let om_name name = "ppnpart_" ^ sanitize_metric_name name
 
+let finite_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f
+
 let om_float f =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "+Inf"
   else if f = Float.neg_infinity then "-Inf"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  else finite_float f
 
 let to_openmetrics (snap : Metrics_registry.snapshot) =
   let b = Buffer.create 4096 in

@@ -28,6 +28,15 @@ val to_openmetrics : Metrics_registry.snapshot -> string
     sanitized (dots become underscores). Deterministic: metrics appear
     sorted by name. *)
 
+val add_json_string : Buffer.t -> string -> unit
+(** Appends [s] as a quoted JSON string literal (quote, backslash, [\n],
+    [\r] and [\t] by name, other bytes below 0x20 as [\u00XX]): the one
+    escaper of the exporters, the run report and the daemon's JSON. *)
+
 val json_string : string -> string
-(** A quoted, escaped JSON string literal, with the escaping rules of
-    the trace exporters; shared by {!Ppnpart_core.Run_report}. *)
+(** {!add_json_string} into a fresh string. *)
+
+val finite_float : float -> string
+(** The float format of the OpenMetrics dump and the run report: [%.1f]
+    for an integral value below 1e15 in magnitude, [%.17g] otherwise.
+    Callers spell NaN their own way first. *)

@@ -449,6 +449,29 @@ let best_target st conn u =
   done;
   (!best_v, !best_cut, !best_t)
 
+(* Exact global selection, shared by the exact FM pass and tabu search. *)
+let best_global_move ?(skip = fun _ -> false) ?(admit = fun _ _ _ -> true) st
+    conn =
+  let best_u = ref (-1) and best_t = ref (-1) in
+  let best_v = ref 0 and best_cut = ref 0 in
+  for u = 0 to Wgraph.n_nodes st.g - 1 do
+    if not (skip u) then begin
+      connectivity st conn u;
+      let v, cut', t = best_target st conn u in
+      if
+        t >= 0
+        && (!best_u < 0 || v < !best_v || (v = !best_v && cut' < !best_cut))
+        && admit u v cut'
+      then begin
+        best_u := u;
+        best_t := t;
+        best_v := v;
+        best_cut := cut'
+      end
+    end
+  done;
+  if !best_u < 0 then None else Some (!best_u, !best_t)
+
 (* A node's weighted degree is its external degree plus its
    connectivity toward its own part; both caches are exact after every
    [init], [init_projected], [rebase] and [apply_move], so the maximum

@@ -102,6 +102,17 @@ val best_target : t -> int array -> int -> int * int * int
     interior ([ed u = 0]) the scan runs a closed-form O(k) fast path
     that is algebraically identical to the general O(k²) one. *)
 
+val best_global_move :
+  ?skip:(int -> bool) ->
+  ?admit:(int -> int -> int -> bool) ->
+  t ->
+  int array ->
+  (int * int) option
+(** [Some (u, target)]: of every node [u] that [skip u] does not rule
+    out before scoring, the {!best_target} of lowest [(violation', cut')]
+    for which [admit u violation' cut'] holds, lowest [u] on ties; [None]
+    when there is none. O(n·k) to O(n·k²); clobbers [conn]. *)
+
 val max_weighted_degree : t -> int
 (** [max 1 (max_u (Wgraph.weighted_degree st.g u))], read from the
     caches ([ed u] plus [u]'s connectivity toward its own part) in one

@@ -240,23 +240,11 @@ let exact_fm_pass (st : Part_state.t) =
   let start = Part_state.goodness st in
   let best = ref start and best_prefix = ref 0 in
   let continue = ref true in
+  let skip u = locked.(u) in
   while !continue && !n_moves < n do
-    let chosen = ref None in
-    for u = 0 to n - 1 do
-      if not locked.(u) then begin
-        Part_state.connectivity st conn u;
-        let v, cut', t = Part_state.best_target st conn u in
-        if t >= 0 then
-          match !chosen with
-          | Some (_, _, v', cut'')
-            when v' < v || (v' = v && cut'' <= cut') ->
-            ()
-          | _ -> chosen := Some (u, t, v, cut')
-      end
-    done;
-    match !chosen with
+    match Part_state.best_global_move ~skip st conn with
     | None -> continue := false
-    | Some (u, t, _, _) ->
+    | Some (u, t) ->
       let from = st.Part_state.part.(u) in
       Part_state.connectivity st conn u;
       Part_state.apply_move st u t conn;

@@ -32,27 +32,18 @@ let refine ?iterations ?workspace g
   let continue = ref (n > 1 && k > 1) in
   while !continue && !step < iterations && !stall < stall_limit do
     incr step;
-    (* Globally best move; tabu nodes are skipped unless the move beats
-       the best goodness seen so far (aspiration criterion). *)
-    let chosen = ref None in
-    for u = 0 to n - 1 do
-      Part_state.connectivity st conn u;
-      let v, cut', t = Part_state.best_target st conn u in
-      if t >= 0 then begin
-        let candidate = { Metrics.violation = v; cut_value = cut' } in
-        let tabu = tabu_until.(u) > !step in
-        let aspirated = Metrics.compare_goodness candidate !best < 0 in
-        if (not tabu) || aspirated then
-          match !chosen with
-          | Some (_, _, v', cut'')
-            when v' < v || (v' = v && cut'' <= cut') ->
-            ()
-          | _ -> chosen := Some (u, t, v, cut')
-      end
-    done;
-    match !chosen with
+    (* Globally best move; tabu nodes are admitted only when the move
+       beats the best goodness seen so far (aspiration criterion). *)
+    let admit u v cut' =
+      tabu_until.(u) <= !step
+      || Metrics.compare_goodness
+           { Metrics.violation = v; cut_value = cut' }
+           !best
+         < 0
+    in
+    match Part_state.best_global_move ~admit st conn with
     | None -> continue := false
-    | Some (u, t, _, _) ->
+    | Some (u, t) ->
       Part_state.connectivity st conn u;
       Part_state.apply_move st u t conn;
       tabu_until.(u) <- !step + tenure;

@@ -50,6 +50,7 @@ type stats = {
   moved : int array;
   converged : bool;
   state_words : int;
+  goodness : Metrics.goodness;
 }
 
 let default_iterations = 3
@@ -274,6 +275,26 @@ let setup ws g (c : Types.constraints) =
   in
   (rscale, if a0 <= 0.0 then sqrt 2.0 else a0)
 
+(* The goodness of the labels behind [ws]'s stream state, from its loads
+   and pairwise bandwidth matrix alone: every crossing edge sits in
+   exactly one pair, so the cut is the sum over pairs. O(k²). *)
+let state_goodness ws (c : Types.constraints) =
+  let k = c.Types.k in
+  let bw = ws.Workspace.st_bw and load = ws.Workspace.st_load in
+  let cut = ref 0 and bw_excess = ref 0 and res_excess = ref 0 in
+  for p = 0 to k - 1 do
+    for q = p + 1 to k - 1 do
+      let b = bw.((p * k) + q) in
+      cut := !cut + b;
+      bw_excess := !bw_excess + excess_over c.Types.bmax b
+    done;
+    res_excess := !res_excess + excess_over c.Types.rmax load.(p)
+  done;
+  { Metrics.violation =
+      Metrics.normalized_violation c ~bw_excess:!bw_excess
+        ~res_excess:!res_excess;
+    cut_value = !cut }
+
 let partition ?workspace ?(max_iterations = default_iterations) g
     (c : Types.constraints) =
   if max_iterations < 1 then
@@ -338,6 +359,7 @@ let partition ?workspace ?(max_iterations = default_iterations) g
       moved = Array.sub moved_per_iter 0 !iterations;
       converged = !converged;
       state_words;
+      goodness = state_goodness ws c;
     } )
 
 (* Partial seeding for incremental repartitioning: the label array

@@ -44,6 +44,9 @@ type stats = {
   state_words : int;
       (** live partitioner state in words: n + k² + 3k + 1 — the
           O(n + k + k²) bound, measured *)
+  goodness : Metrics.goodness;
+      (** the labels' goodness, read from the stream's own loads and
+          bandwidth matrix in O(k²) *)
 }
 
 val default_iterations : int

@@ -213,20 +213,6 @@ let parse (s : string) : (t, string) result =
   | v -> Ok v
   | exception Bad msg -> Error msg
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 (* Integers are most of what the daemon prints (one per label), so they
    skip [Printf] and [string_of_int]: the digits go into the buffer one
    by one, most significant first (at most 16 deep below 2^53). *)
@@ -264,10 +250,7 @@ let to_buffer b v =
     | Bool true -> Buffer.add_string b "true"
     | Bool false -> Buffer.add_string b "false"
     | Num f -> add_num b f
-    | Str s ->
-      Buffer.add_char b '"';
-      escape b s;
-      Buffer.add_char b '"'
+    | Str s -> Ppnpart_obs.Trace_export.add_json_string b s
     | Arr items ->
       Buffer.add_char b '[';
       List.iteri
@@ -281,9 +264,8 @@ let to_buffer b v =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          escape b k;
-          Buffer.add_string b "\":";
+          Ppnpart_obs.Trace_export.add_json_string b k;
+          Buffer.add_char b ':';
           go v)
         fields;
       Buffer.add_char b '}'

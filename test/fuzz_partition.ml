@@ -571,6 +571,8 @@ let test_stream_kernel_vs_oracle () =
     check_int (name ^ ": iterations") ost.Stream.iterations
       st.Stream.iterations;
     check_bool (name ^ ": moved") true (st.Stream.moved = ost.Stream.moved);
+    check_bool (name ^ ": goodness") true
+      (st.Stream.goodness = ost.Stream.goodness);
     (* Seed a partial labelling: the oracle's answer with holes. *)
     let holes =
       Array.map (fun p -> if Random.State.int rng 4 = 0 then -1 else p) opart
@@ -851,7 +853,7 @@ let test_resident_vs_rebuild () =
       (List.assoc_opt name snap.Ppnpart_obs.Metrics_registry.counters)
   in
   check_int "certificate mismatches" 0
-    (count "gp.repartition.certificate_mismatch");
+    (count "gp.certificate_mismatch");
   let patched = count "gp.repartition.resident" in
   check_bool
     (Printf.sprintf "resident state patched on most steps (%d of %d)" patched
@@ -871,6 +873,79 @@ let test_resident_vs_rebuild () =
      [Wgraph.validate] sweep behind the edit-local check. *)
   check_int "every checked edit fully validated" (sequences * steps)
     (count "check.graph_edit.apply")
+
+(* --- the certificate agrees with the search --- *)
+
+(* Every answer's reported goodness comes from one [Metrics.quality]
+   recomputation of its final labels, the certificate. The search
+   keeps a goodness of its own: the refinement state's in multilevel
+   and hybrid mode and in the incremental repartition, the stream
+   state's in stream mode, the enumeration's for tiny [n <= k]. Where
+   the two disagree, [gp.certificate_mismatch] counts it. Every mode
+   runs here on random instances, half of them with a Bmax a third of
+   the loose one so that V-cycles and the tabu rescue run, plus a
+   resident repartition chain per instance under the loose bounds,
+   where the answers stay incremental. The counter must stay 0, and
+   every path must have produced answers. *)
+let test_certificate_agrees () =
+  let module Gp = Ppnpart_core.Gp in
+  let module Config = Ppnpart_core.Config in
+  let seeds = match mode with `Quick -> 6 | `Default -> 24 | `Full -> 100 in
+  let config = { Config.default with Config.max_cycles = 3 } in
+  let modes = [ Config.Multilevel; Config.Hybrid; Config.Stream ] in
+  let tiny = ref 0 and infeasible = ref 0 in
+  let ((), snap) =
+    Ppnpart_obs.Obs.with_registry @@ fun () ->
+    for seed = 1 to seeds do
+      let rng = Random.State.make [| 0xCE27; seed |] in
+      let k = 2 + Random.State.int rng 7 in
+      (* Every fourth instance has n <= k: the exhaustive dispatch. *)
+      let n =
+        if seed mod 4 = 0 then 2 + Random.State.int rng (k - 1)
+        else 12 + Random.State.int rng 200
+      in
+      if n <= k then incr tiny;
+      let g, loose, _ = random_instance ~n ~k rng in
+      let c =
+        if seed mod 2 = 1 then
+          Types.constraints ~k ~bmax:(loose.Types.bmax / 3)
+            ~rmax:loose.Types.rmax
+        else loose
+      in
+      List.iter
+        (fun m ->
+          let r = Gp.partition ~config:{ config with Config.mode = m } g c in
+          if not r.Gp.feasible then incr infeasible)
+        modes;
+      let resident = Gp.resident () in
+      let chain = ref (g, (Gp.partition ~config g loose).Gp.part) in
+      for _ = 1 to 4 do
+        let g, prev = !chain in
+        let ops =
+          List.filter
+            (function
+              | Graph_edit.Add_node _ | Graph_edit.Remove_node _ -> false
+              | _ -> true)
+            (random_edits rng g)
+        in
+        let rp = Gp.repartition ~config ~resident ~prev g loose ops in
+        chain := (rp.Gp.rp_graph, rp.Gp.rp_result.Gp.part)
+      done
+    done
+  in
+  let count name =
+    Option.value ~default:0
+      (List.assoc_opt name snap.Ppnpart_obs.Metrics_registry.counters)
+  in
+  check_int "certificate mismatches" 0 (count "gp.certificate_mismatch");
+  List.iter
+    (fun (what, ran) -> check_bool (what ^ " exercised") true ran)
+    [ ("exhaustive dispatch", !tiny > 0);
+      ("infeasible answers", !infeasible > 0);
+      ("V-cycles", count "gp.cycles" > 0);
+      ("tabu rescue", count "tabu.steps" > 0);
+      ("incremental repartition", count "gp.repartition.incremental" > 0);
+      ("resident state", count "gp.repartition.resident" > 0) ]
 
 (* --- the one-sweep certificate vs the composed metrics --- *)
 
@@ -1576,6 +1651,8 @@ let () =
             test_repartition_vs_scratch;
           Alcotest.test_case "resident state vs rebuild" `Quick
             test_resident_vs_rebuild;
+          Alcotest.test_case "certificate agrees with search" `Quick
+            test_certificate_agrees;
           Alcotest.test_case "graph_edit splice vs oracle" `Quick
             test_graph_edit_splice;
           Alcotest.test_case "metis reader vs oracle" `Quick

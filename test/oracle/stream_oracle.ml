@@ -143,6 +143,7 @@ let partition ?(max_iterations = Stream.default_iterations) g
       moved = Array.sub moved_per_iter 0 !iterations;
       converged = !converged;
       state_words = n + (k * k) + (3 * k);
+      goodness = Metrics.goodness g c part;
     } )
 
 let seed_partial g (c : Types.constraints) part =

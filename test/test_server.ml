@@ -806,7 +806,7 @@ let test_service_resident_state () =
   check_int "first step builds a new state" 1
     (count snap "gp.repartition.rebuilt.new_state");
   check_int "certificates agree" 0
-    (count snap "gp.repartition.certificate_mismatch");
+    (count snap "gp.certificate_mismatch");
   (* A new partition, or a re-submit, drops the state: the next
      repartition rebuilds it and answers what a fresh service answers
      to the same graph, partition and batch. (After two steps the graph
