@@ -17,7 +17,7 @@ let die msg =
   exit 2
 
 let load path =
-  match Ppnpart_server.Json.parse (Ppnpart_graph.Graph_io.read_file path) with
+  match Ppnpart_obs.Json.parse (Ppnpart_graph.Graph_io.read_file path) with
   | Ok j -> j
   | Error msg -> die (Printf.sprintf "%s: %s" path msg)
   | exception Sys_error msg -> die msg

@@ -1,6 +1,6 @@
 (* Snapshot comparison for the BENCH_*.json records: a rule table
    mapping dotted paths to per-row regression thresholds, applied to
-   documents read with the daemon's [Ppnpart_server.Json] reader.
+   documents read with the repository's one JSON reader, [Ppnpart_obs.Json].
 
    A rule names a path into the document — object fields separated by
    dots, [*] fanning out over every element of an array (elements are
@@ -28,7 +28,7 @@
    CLI turns into exit 2 (broken setup) as opposed to exit 1 (honest
    regression). *)
 
-module Json = Ppnpart_server.Json
+module Json = Ppnpart_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Rules.                                                              *)

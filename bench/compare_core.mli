@@ -2,7 +2,7 @@
 
     Backs the [compare.exe] CLI behind the [@bench-compare] alias:
     per-row regression thresholds keyed by dotted paths, applied to
-    documents read with {!Ppnpart_server.Json.parse}. Structural rows
+    documents read with {!Ppnpart_obs.Json.parse}. Structural rows
     (cuts, determinism booleans) are seeded-deterministic across
     machines and gate tightly; wall-clock rows get loose advisory
     bounds. Paths missing from either snapshot are skipped so an old
@@ -42,8 +42,8 @@ type row = {
 
 val compare_snapshots :
   rules:rule list ->
-  baseline:Ppnpart_server.Json.t ->
-  current:Ppnpart_server.Json.t ->
+  baseline:Ppnpart_obs.Json.t ->
+  current:Ppnpart_obs.Json.t ->
   row list
 
 val has_regression : row list -> bool
@@ -59,4 +59,4 @@ val partition_rules : rule list
 val rules_for_schema : string -> rule list option
 (** Built-in rule table for a snapshot's "schema" value, if known. *)
 
-val schema_of : Ppnpart_server.Json.t -> string option
+val schema_of : Ppnpart_obs.Json.t -> string option

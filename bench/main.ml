@@ -3,8 +3,12 @@
    DESIGN.md §4.
 
    Usage:  dune exec bench/main.exe [-- SECTION]
-   where SECTION is one of: tables figures kernels ablation-matching
-   ablation-seeds ablation-cycles scaling timing all (default: all). *)
+   where SECTION is one of: tables figures kernels matrix sweep
+   ablation-matching ablation-seeds ablation-cycles scaling json
+   json-smoke smoke timing all (default: all). [json] rewrites
+   bench_out/BENCH_partition.json and [json-smoke] bench_out/BENCH_smoke.json
+   (each also appends a line to bench_out/history/); [smoke] runs the
+   shrunk rows and writes nothing. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -14,6 +18,7 @@ module Config = Ppnpart_core.Config
 module Pool = Ppnpart_exec.Pool
 module Report = Ppnpart_core.Report
 module Run_report = Ppnpart_core.Run_report
+module Json = Ppnpart_obs.Json
 module Metis_like = Ppnpart_baselines.Metis_like
 module Coarsen_oracle = Ppnpart_test_oracle.Coarsen_oracle
 module Refine_oracle = Ppnpart_test_oracle.Refine_oracle
@@ -23,39 +28,23 @@ let out_dir = "bench_out"
 let ensure_out_dir () =
   if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755
 
-(* Strip all whitespace outside string literals: a pretty-printed JSON
-   document becomes one line, suitable for a JSONL history file. *)
-let minify_json s =
-  let b = Buffer.create (String.length s) in
-  let in_str = ref false and escaped = ref false in
-  String.iter
-    (fun ch ->
-      if !in_str then begin
-        Buffer.add_char b ch;
-        if !escaped then escaped := false
-        else if ch = '\\' then escaped := true
-        else if ch = '"' then in_str := false
-      end
-      else
-        match ch with
-        | ' ' | '\t' | '\n' | '\r' -> ()
-        | '"' ->
-          in_str := true;
-          Buffer.add_char b ch
-        | _ -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
-(* Every JSON snapshot rewrite also appends its minified form to
-   [bench_out/history/<name>.jsonl], so the perf trajectory across PRs
-   survives the snapshot being overwritten in place. *)
+(* Every JSON snapshot rewrite also appends it, reprinted on one line
+   by [Json], to [bench_out/history/<name>.jsonl], so the perf
+   trajectory across PRs survives the snapshot being overwritten in
+   place. A snapshot that does not parse fails the run here. *)
 let append_history name json =
+  let line =
+    match Json.parse json with
+    | Ok doc -> Json.to_string doc
+    | Error msg ->
+      failwith (Printf.sprintf "%s snapshot is not JSON: %s" name msg)
+  in
   ensure_out_dir ();
   let dir = Filename.concat out_dir "history" in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let path = Filename.concat dir (name ^ ".jsonl") in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc (minify_json json);
+  output_string oc line;
   output_char oc '\n';
   close_out oc;
   Printf.printf "  appended %s\n" path
@@ -556,7 +545,7 @@ let report_determinism_row ~n ~k () =
   let run width = Pool.with_width width (fun () -> Gp.partition g c) in
   let r1 = run 1 and r4 = run 4 in
   let report r =
-    Run_report.of_result ~deterministic:true ~algo:"gp" g c r
+    Json.to_string (Run_report.of_result ~deterministic:true ~algo:"gp" g c r)
   in
   let identical = report r1 = report r4 in
   let row =

@@ -225,7 +225,7 @@ let det_report_arg =
           "Render $(b,--report-json) in deterministic mode: spans are \
            timed on the logical event clock and every field whose value \
            depends on the schedule or heap history (wall seconds, \
-           collection counts, promoted/major words, heap sizes) is \
+           collection counts, minor/promoted/major words, heap sizes) is \
            dropped, so the report is byte-identical on any number of \
            CPUs. Traces written alongside use the logical clock too.")
 
@@ -477,7 +477,8 @@ let partition_cmd =
                 part
           in
           with_output ~flag:"--report-json" path (fun path ->
-              Graph_io.write_file path (json ^ "\n")))
+              Graph_io.write_file path
+                (Ppnpart_obs.Json.to_string json ^ "\n")))
         report_json;
       if report.Metrics.bandwidth_ok && report.Metrics.resource_ok then 0
       else 4

@@ -2,38 +2,32 @@
    one JSON document unifying the partition-quality record
    (Metrics.quality — the same record behind goodness, the CLI tables
    and bench rows) with the per-phase wall/GC statistics accumulated in
-   the metrics registry.
+   the metrics registry. It is built as a [Json.t] and printed by
+   [Json]'s one printer, like every other document the repository
+   writes.
 
-   Everything is emitted in sorted, fixed order with deterministic
-   number formatting, so two runs that observed the same values produce
-   byte-identical documents. [~deterministic:true] additionally drops
-   every field whose value is schedule- or heap-history-dependent (wall
-   seconds, collection counts, promoted/major words, heap sizes),
-   leaving a document that is byte-identical at every pool width for the
-   gated-small graphs the tests use. *)
+   Everything is emitted in sorted, fixed order, so two runs that
+   observed the same values produce byte-identical documents.
+   [~deterministic:true] additionally drops every field whose value is
+   schedule- or heap-history-dependent (wall seconds, collection counts,
+   minor/promoted/major words, heap sizes), leaving a document that is
+   byte-identical at every pool width. Minor words belong on that list
+   because OCaml 5 counts them per domain: a span opened around work
+   that runs on pool domains sees only its own domain's share. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
 module Obs = Ppnpart_obs
+module Json = Ppnpart_obs.Json
 
 let schema = "ppnpart-run-report/1"
-
-let js = Ppnpart_obs.Trace_export.json_string
-
-let jfloat f =
-  if Float.is_nan f then "null" else Ppnpart_obs.Trace_export.finite_float f
-
-let jint_array a =
-  "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"
-
-let jmatrix m =
-  "[" ^ String.concat "," (List.map jint_array (Array.to_list m)) ^ "]"
 
 (* Registry names that depend on heap history or schedule, not on the
    algorithm: excluded under [~deterministic]. *)
 let nondeterministic_name name =
   let suffixed s = Filename.check_suffix name s in
-  suffixed ".major_words" || suffixed ".promoted_words"
+  suffixed ".minor_words" || suffixed ".major_words"
+  || suffixed ".promoted_words"
   || suffixed ".minor_collections"
   || suffixed ".major_collections"
   || name = "gc.heap_words"
@@ -141,90 +135,95 @@ let pp_stats ~clock ppf (snap : Obs.Metrics_registry.snapshot) =
       samples
   end
 
-let quantiles_json (h : Obs.Histogram.snapshot) =
-  Printf.sprintf "\"p50\":%s,\"p90\":%s,\"p99\":%s"
-    (jfloat (Obs.Histogram.quantile h 0.50))
-    (jfloat (Obs.Histogram.quantile h 0.90))
-    (jfloat (Obs.Histogram.quantile h 0.99))
+(* Non-finite values (the quantiles of an empty histogram) are null. *)
+let num f = if Float.is_finite f then Json.Num f else Json.Null
+
+let quantiles (h : Obs.Histogram.snapshot) =
+  [ ("p50", num (Obs.Histogram.quantile h 0.50));
+    ("p90", num (Obs.Histogram.quantile h 0.90));
+    ("p99", num (Obs.Histogram.quantile h 0.99)) ]
 
 let phase_json ~deterministic p =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":%s,\"calls\":%d,\"total_us\":%s,%s" (js p.name)
-       p.us.count (jfloat p.us.sum) (quantiles_json p.us));
-  Buffer.add_string b
-    (Printf.sprintf ",\"minor_words\":%s" (jfloat p.minor_words));
-  if not deterministic then
-    Buffer.add_string b
-      (Printf.sprintf
-         ",\"major_words\":%s,\"promoted_words\":%s,\"minor_collections\":%d,\"major_collections\":%d"
-         (jfloat p.major_words)
-         (jfloat p.promoted_words)
-         p.minor_collections p.major_collections);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.Obj
+    ([ ("name", Json.Str p.name);
+       ("calls", Json.int p.us.count);
+       ("total_us", num p.us.sum) ]
+    @ quantiles p.us
+    @
+    if deterministic then []
+    else
+      [ ("minor_words", num p.minor_words);
+        ("major_words", num p.major_words);
+        ("promoted_words", num p.promoted_words);
+        ("minor_collections", Json.int p.minor_collections);
+        ("major_collections", Json.int p.major_collections) ])
 
 let hist_json (h : Obs.Histogram.snapshot) =
-  Printf.sprintf "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,%s}" h.count
-    (jfloat h.sum) (jfloat h.min) (jfloat h.max) (quantiles_json h)
+  Json.Obj
+    ([ ("count", Json.int h.count);
+       ("sum", num h.sum);
+       ("min", num h.min);
+       ("max", num h.max) ]
+    @ quantiles h)
+
+let ints a = Json.Arr (List.map Json.int (Array.to_list a))
 
 let to_json ?(deterministic = false) ?(algo = "multilevel") ?runtime_s
     ?cycles ?levels ?(snapshot = Obs.Metrics_registry.empty_snapshot) g
     (c : Types.constraints) part =
   let q = Metrics.quality g c part in
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"schema\":%s,\"algo\":%s" (js schema) (js algo);
-  add ",\"graph\":{\"nodes\":%d,\"edges\":%d}" (Wgraph.n_nodes g)
-    (Wgraph.n_edges g);
-  add ",\"constraints\":{\"k\":%d,\"bmax\":%d,\"rmax\":%d}" c.Types.k
-    c.Types.bmax c.Types.rmax;
-  (match runtime_s with
-  | Some t when not deterministic -> add ",\"runtime_s\":%s" (jfloat t)
-  | _ -> ());
-  (match cycles with Some n -> add ",\"cycles\":%d" n | None -> ());
-  (match levels with Some n -> add ",\"levels\":%d" n | None -> ());
-  add
-    ",\"quality\":{\"cut\":%d,\"max_bandwidth\":%d,\"bandwidth_ok\":%b,\"bw_excess\":%d,\"max_resources\":%d,\"resource_ok\":%b,\"res_excess\":%d,\"feasible\":%b,\"imbalance\":%s,\"loads\":%s,\"bandwidth_matrix\":%s}"
-    q.Metrics.cut q.Metrics.max_bandwidth
-    (q.Metrics.bw_excess = 0)
-    q.Metrics.bw_excess q.Metrics.max_resources
-    (q.Metrics.res_excess = 0)
-    q.Metrics.res_excess
-    (q.Metrics.bw_excess = 0 && q.Metrics.res_excess = 0)
-    (jfloat q.Metrics.imbalance)
-    (jint_array q.Metrics.loads)
-    (jmatrix q.Metrics.bandwidth);
   let keep name = not (deterministic && nondeterministic_name name) in
-  let phases = phases_of_snapshot snapshot in
-  add ",\"phases\":[%s]"
-    (String.concat ","
-       (List.map (phase_json ~deterministic) phases));
-  add ",\"counters\":{%s}"
-    (String.concat ","
-       (List.filter_map
-          (fun (name, v) ->
-            if keep name then Some (Printf.sprintf "%s:%d" (js name) v)
-            else None)
-          snapshot.counters));
-  add ",\"gauges\":{%s}"
-    (String.concat ","
-       (List.filter_map
-          (fun (name, v) ->
-            if keep name then
-              Some (Printf.sprintf "%s:%s" (js name) (jfloat v))
-            else None)
-          snapshot.gauges));
-  add ",\"histograms\":{%s}"
-    (String.concat ","
-       (List.filter_map
-          (fun (name, h) ->
-            if keep name then
-              Some (Printf.sprintf "%s:%s" (js name) (hist_json h))
-            else None)
-          snapshot.histograms));
-  add "}";
-  Buffer.contents b
+  let named value entries =
+    Json.Obj
+      (List.filter_map
+         (fun (name, v) -> if keep name then Some (name, value v) else None)
+         entries)
+  in
+  let optional key = function
+    | Some n -> [ (key, Json.int n) ]
+    | None -> []
+  in
+  Json.Obj
+    ([ ("schema", Json.Str schema);
+       ("algo", Json.Str algo);
+       ( "graph",
+         Json.Obj
+           [ ("nodes", Json.int (Wgraph.n_nodes g));
+             ("edges", Json.int (Wgraph.n_edges g)) ] );
+       ( "constraints",
+         Json.Obj
+           [ ("k", Json.int c.Types.k);
+             ("bmax", Json.int c.Types.bmax);
+             ("rmax", Json.int c.Types.rmax) ] ) ]
+    @ (match runtime_s with
+      | Some t when not deterministic -> [ ("runtime_s", num t) ]
+      | _ -> [])
+    @ optional "cycles" cycles
+    @ optional "levels" levels
+    @ [ ( "quality",
+          Json.Obj
+            [ ("cut", Json.int q.Metrics.cut);
+              ("max_bandwidth", Json.int q.Metrics.max_bandwidth);
+              ("bandwidth_ok", Json.Bool (q.Metrics.bw_excess = 0));
+              ("bw_excess", Json.int q.Metrics.bw_excess);
+              ("max_resources", Json.int q.Metrics.max_resources);
+              ("resource_ok", Json.Bool (q.Metrics.res_excess = 0));
+              ("res_excess", Json.int q.Metrics.res_excess);
+              ( "feasible",
+                Json.Bool (q.Metrics.bw_excess = 0 && q.Metrics.res_excess = 0)
+              );
+              ("imbalance", num q.Metrics.imbalance);
+              ("loads", ints q.Metrics.loads);
+              ( "bandwidth_matrix",
+                Json.Arr (List.map ints (Array.to_list q.Metrics.bandwidth)) )
+            ] );
+        ( "phases",
+          Json.Arr
+            (List.map (phase_json ~deterministic) (phases_of_snapshot snapshot))
+        );
+        ("counters", named Json.int snapshot.counters);
+        ("gauges", named num snapshot.gauges);
+        ("histograms", named hist_json snapshot.histograms) ])
 
 let of_result ?deterministic ?algo ?snapshot g c (r : Gp.result) =
   to_json ?deterministic ?algo ~runtime_s:r.Gp.runtime_s

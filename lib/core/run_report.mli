@@ -8,12 +8,14 @@
     duration, p50/p90/p99 latency quantiles, and
     minor/major/promoted-word allocation deltas.
 
-    Output is fully deterministic in structure (sorted names, fixed
-    number formatting). With [~deterministic:true], fields whose values
-    depend on the schedule or heap history (wall seconds, collection
-    counts, promoted/major words, heap sizes) are dropped, so reports of
-    runs under the {!Ppnpart_obs.Obs.Logical} clock are byte-identical
-    at every pool width — the property the tests pin down. *)
+    The report is a {!Ppnpart_obs.Json.t}; {!Ppnpart_obs.Json.to_string}
+    prints it (integers exact, other numbers with [%.12g]). Its structure
+    is fully deterministic (sorted names, fixed field order). With
+    [~deterministic:true], fields whose values depend on the schedule or
+    heap history (wall seconds, collection counts, minor/promoted/major
+    words, heap sizes) are dropped, so reports of runs under the
+    {!Ppnpart_obs.Obs.Logical} clock are byte-identical at every pool
+    width and graph size. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -31,7 +33,7 @@ val to_json :
   Wgraph.t ->
   Types.constraints ->
   int array ->
-  string
+  Ppnpart_obs.Json.t
 (** [to_json g c part] renders the report for labelling [part].
     [snapshot] defaults to empty (quality-only report). *)
 
@@ -42,7 +44,7 @@ val of_result :
   Wgraph.t ->
   Types.constraints ->
   Gp.result ->
-  string
+  Ppnpart_obs.Json.t
 (** Report for a finished {!Gp} run (runtime, cycles and level count
     taken from the result). *)
 

@@ -1,11 +1,13 @@
-(** Minimal JSON for the daemon's newline-delimited protocol.
+(** The one JSON module of the repository: every document it writes or
+    reads goes through here — the daemon's newline-delimited protocol,
+    the run report behind [--report-json], the bench snapshots and their
+    comparator, and (through {!quote}) the trace exporters.
 
-    The build has no JSON library dependency, so the daemon carries its
-    own reader/printer (which the bench snapshot comparator also reads
-    with) for the subset the protocol uses:
-    objects, arrays, strings with the common escapes, numbers, [true]/
-    [false]/[null]. Integers survive a round trip exactly (printed
-    without a decimal point up to 2^53). *)
+    The build has no JSON library dependency, so this is a small strict
+    reader/printer for the subset those documents use: objects, arrays,
+    strings with the common escapes, numbers, [true]/[false]/[null].
+    Integers survive a round trip exactly (printed without a decimal
+    point up to 2^53); other numbers print with [%.12g]. *)
 
 type t =
   | Null
@@ -27,6 +29,12 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 (** {!to_string}, appended to a buffer. *)
+
+val quote : string -> string
+(** [s] as a quoted JSON string literal: quote, backslash, [\n], [\r]
+    and [\t] by name, other bytes below 0x20 as [\u00XX]. The one
+    string escaper of every JSON the repository writes; {!to_string}
+    quotes strings and keys the same way. *)
 
 val add_int_array : Buffer.t -> int array -> unit
 (** Append the array as a JSON array of integers, byte-identical to

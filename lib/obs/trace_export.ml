@@ -7,37 +7,16 @@
    track 0, every task buffer gets the next free id — so ids depend only
    on the task structure, never on the domain schedule. *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let json_string s =
-  let b = Buffer.create (String.length s + 10) in
-  add_json_string b s;
-  Buffer.contents b
-
 let json_value = function
   | Obs.Int i -> string_of_int i
   | Obs.Float f -> Printf.sprintf "%.6g" f
-  | Obs.Str s -> json_string s
+  | Obs.Str s -> Json.quote s
   | Obs.Bool b -> string_of_bool b
 
 let json_args args =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> json_string k ^ ":" ^ json_value v) args)
+      (List.map (fun (k, v) -> Json.quote k ^ ":" ^ json_value v) args)
   ^ "}"
 
 (* --- Chrome trace-event format --- *)
@@ -59,7 +38,7 @@ let to_chrome (cap : Obs.capture) =
       (Printf.sprintf
          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%s}}"
          tid
-         (json_string (if tid = 0 then "main" else "task")));
+         (Json.quote (if tid = 0 then "main" else "task")));
     List.iter
       (fun (ev : Obs.event) ->
         match ev with
@@ -70,7 +49,7 @@ let to_chrome (cap : Obs.capture) =
           line
             (Printf.sprintf
                "{\"name\":%s,\"cat\":\"ppnpart\",\"ph\":\"B\",\"ts\":%d,\"pid\":1,\"tid\":%d%s}"
-               (json_string name) ts tid args_field)
+               (Json.quote name) ts tid args_field)
         | Obs.End { ts; args } ->
           let args_field =
             if args = [] then "" else ",\"args\":" ^ json_args args
@@ -86,7 +65,7 @@ let to_chrome (cap : Obs.capture) =
           line
             (Printf.sprintf
                "{\"name\":%s,\"cat\":\"ppnpart\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":1,\"tid\":%d%s}"
-               (json_string name) ts tid args_field)
+               (Json.quote name) ts tid args_field)
         | Obs.Count { name; ts; delta } ->
           let cum =
             delta
@@ -96,12 +75,12 @@ let to_chrome (cap : Obs.capture) =
           line
             (Printf.sprintf
                "{\"name\":%s,\"ph\":\"C\",\"ts\":%d,\"pid\":1,\"tid\":0,\"args\":{\"value\":%d}}"
-               (json_string name) ts cum)
+               (Json.quote name) ts cum)
         | Obs.Sample { name; ts; value } ->
           line
             (Printf.sprintf
                "{\"name\":%s,\"ph\":\"C\",\"ts\":%d,\"pid\":1,\"tid\":0,\"args\":{\"value\":%s}}"
-               (json_string name) ts
+               (Json.quote name) ts
                (Printf.sprintf "%.6g" value))
         | Obs.Child child -> walk child)
       (Obs.events buf)
@@ -132,7 +111,7 @@ let to_jsonl (cap : Obs.capture) =
           Buffer.add_string b
             (Printf.sprintf
                "{\"ev\":\"begin\",\"vt\":%d,\"name\":%s,\"ts\":%d%s}\n" vt
-               (json_string name) ts (args_field args))
+               (Json.quote name) ts (args_field args))
         | Obs.End { ts; args } ->
           Buffer.add_string b
             (Printf.sprintf "{\"ev\":\"end\",\"vt\":%d,\"ts\":%d%s}\n" vt ts
@@ -141,17 +120,17 @@ let to_jsonl (cap : Obs.capture) =
           Buffer.add_string b
             (Printf.sprintf
                "{\"ev\":\"instant\",\"vt\":%d,\"name\":%s,\"ts\":%d%s}\n" vt
-               (json_string name) ts (args_field args))
+               (Json.quote name) ts (args_field args))
         | Obs.Count { name; ts; delta } ->
           Buffer.add_string b
             (Printf.sprintf
                "{\"ev\":\"count\",\"vt\":%d,\"name\":%s,\"ts\":%d,\"delta\":%d}\n"
-               vt (json_string name) ts delta)
+               vt (Json.quote name) ts delta)
         | Obs.Sample { name; ts; value } ->
           Buffer.add_string b
             (Printf.sprintf
                "{\"ev\":\"sample\",\"vt\":%d,\"name\":%s,\"ts\":%d,\"value\":%s}\n"
-               vt (json_string name) ts
+               vt (Json.quote name) ts
                (Printf.sprintf "%.6g" value))
         | Obs.Child child -> walk vt child)
       (Obs.events buf)
@@ -171,15 +150,12 @@ let sanitize_metric_name name =
 
 let om_name name = "ppnpart_" ^ sanitize_metric_name name
 
-let finite_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
-
 let om_float f =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "+Inf"
   else if f = Float.neg_infinity then "-Inf"
-  else finite_float f
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f
 
 let to_openmetrics (snap : Metrics_registry.snapshot) =
   let b = Buffer.create 4096 in

@@ -24,7 +24,7 @@ val last_writer_maps :
 (** For each array, the map from written index vectors to the index (in
     the input list) of the statement that writes them last — the producer
     attribution all channel volumes rest on. Exposed for the operational
-    validation in {!Dataflow_check}. *)
+    validation in the test oracle [Dataflow_check] (test/oracle/). *)
 
 type flow = {
   src : int;  (** index of the producing statement in the input list *)

@@ -187,6 +187,3 @@ let ok_with ?id fields (key, add) =
   add b;
   Buffer.add_char b '}';
   Buffer.contents b
-
-let ok_with_raw ?id fields (key, raw) =
-  ok_with ?id fields (key, fun b -> Buffer.add_string b raw)

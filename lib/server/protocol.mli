@@ -82,8 +82,3 @@ val ok_with :
     [key] whose value [add] writes straight into the response buffer —
     for values too large to build as a {!Json.t} first, such as a
     labelling ({!Json.add_int_array}). *)
-
-val ok_with_raw : ?id:Json.t -> (string * Json.t) list -> string * string -> string
-(** [ok_with_raw fields (key, raw)] appends [key] whose value is [raw]
-    spliced in verbatim — for embedding an already-rendered JSON
-    document (the run report) without reparsing it. *)

@@ -14,8 +14,8 @@ type entry = {
   mutable labels : int array option;
   mutable c : Types.constraints option;
   mutable config : Config.t option;
-  mutable report : string Lazy.t option;
-      (** rendered on the first [report] request, then memoized: most
+  mutable report : Json.t Lazy.t option;
+      (** built on the first [report] request, then memoized: most
           answers are never asked for their report *)
   resident : Gp.resident;
       (** refinement state of the last incremental answer, patched by
@@ -209,9 +209,8 @@ let do_report t ~id ~graph =
                graph)
         | Some report ->
           Ok
-            (Protocol.ok_with_raw ?id
-               [ ("graph", Json.Str graph) ]
-               ("report", Lazy.force report)))
+            (Protocol.ok ?id
+               [ ("graph", Json.Str graph); ("report", Lazy.force report) ]))
 
 let stats t =
   with_lock t.lock (fun () ->

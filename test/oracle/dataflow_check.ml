@@ -1,3 +1,5 @@
+open Ppnpart_poly
+
 type channel_count = { src : int; dst : int; array : string; tokens : int }
 
 type report = {

@@ -14,6 +14,8 @@
       derivation assumes — violations are detected and reported, not
       silently mis-attributed). *)
 
+open Ppnpart_poly
+
 type channel_count = { src : int; dst : int; array : string; tokens : int }
 
 type report = {

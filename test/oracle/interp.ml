@@ -1,3 +1,5 @@
+open Ppnpart_poly
+
 type env = (string, (int array, int) Hashtbl.t) Hashtbl.t
 type semantics = int array -> int list -> int
 

@@ -8,6 +8,8 @@
     final stores, the dependence analysis used to derive channel volumes is
     operationally correct on that program. *)
 
+open Ppnpart_poly
+
 type env = (string, (int array, int) Hashtbl.t) Hashtbl.t
 (** Array name -> (index vector -> value). *)
 

@@ -7,20 +7,8 @@
    and string literals: as [M.x] or [open M] with M in scope (a module of
    the file's own library, or of a library the file opens), or by its
    full path [Ppnpart_lib.M]. A reached module's .ml and .mli are scanned
-   in turn. Prints every unreached module that is not allowlisted, and
-   every allowlisted module that is reached or gone, and exits 1 if there
-   is any. *)
-
-(* Modules no entry point reaches that stay on purpose. *)
-let allowlist =
-  [
-    ( "Interp",
-      "doc/language.md documents it as the user's validator for .pn \
-       programs" );
-    ( "Dataflow_check",
-      "doc/language.md documents it as the user's validator for .pn \
-       programs" );
-  ]
+   in turn. Prints every unreached module and exits 1 if there is any:
+   code only the tests call belongs in test/oracle/, not in lib/. *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -201,26 +189,10 @@ let () =
     (fun p -> if dir_of p = "bin" || dir_of p = "bench" then visit p)
     files;
   let unreached =
-    List.filter
-      (fun ((_, m) as lm) ->
-        not (Hashtbl.mem reached lm || List.mem_assoc m allowlist))
-      modules
-  in
-  (* An allowlist entry whose module is gone or now reached must go. *)
-  let stale =
-    List.filter
-      (fun (m, _) ->
-        not
-          (List.exists
-             (fun ((_, m') as lm) -> m' = m && not (Hashtbl.mem reached lm))
-             modules))
-      allowlist
+    List.filter (fun lm -> not (Hashtbl.mem reached lm)) modules
   in
   List.iter
     (fun (l, m) ->
       Printf.printf "unreached: %s.%s (no path from bin/ or bench/)\n" l m)
     unreached;
-  List.iter
-    (fun (m, _) -> Printf.printf "allowlisted but reached or absent: %s\n" m)
-    stale;
-  if unreached <> [] || stale <> [] then exit 1
+  if unreached <> [] then exit 1

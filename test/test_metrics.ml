@@ -11,7 +11,7 @@ module Reg = Ppnpart_obs.Metrics_registry
 module Gc_stats = Ppnpart_obs.Gc_stats
 module Trace_export = Ppnpart_obs.Trace_export
 module CC = Ppnpart_bench_compare.Compare_core
-module Json = Ppnpart_server.Json
+module Json = Ppnpart_obs.Json
 module PG = Ppnpart_workloads.Paper_graphs
 
 let check_int = Alcotest.(check int)
@@ -124,13 +124,13 @@ let test_commit_keep_discards () =
 let gp_config =
   { Config.default with Config.coarsen_target = 30; max_cycles = 20 }
 
-let registry_run ~width g c =
+let registry_run ?(config = gp_config) ~width g c =
   Obs.install_registry ();
   let r = ref None in
   let (), _cap =
     Ppnpart_exec.Pool.with_width width (fun () ->
         Obs.with_capture ~clock:Obs.Logical (fun () ->
-            r := Some (Gp.partition ~config:gp_config g c)))
+            r := Some (Gp.partition ~config g c)))
   in
   (Option.get !r, Option.get (Obs.finish_registry ()))
 
@@ -153,10 +153,57 @@ let test_registry_deterministic_across_jobs () =
   (* The consolidated report in deterministic mode must be
      byte-identical — quality, quantiles, per-phase rows and all. *)
   let report snap (r : Gp.result) =
-    Run_report.of_result ~deterministic:true ~algo:"gp" ~snapshot:snap g c r
+    Json.to_string
+      (Run_report.of_result ~deterministic:true ~algo:"gp" ~snapshot:snap g c
+         r)
   in
   check_string "deterministic run report byte-identical" (report s1 r1)
     (report s4 r4)
+
+let test_report_deterministic_wide_waves () =
+  (* Above [Gp.parallel_cycle_threshold] (4096 nodes) the V-cycles run
+     in waves of [Pool.width ()], and the matchings and growth attempts
+     on pool domains. OCaml 5 counts minor words per domain, so a span
+     around that work sees a width-dependent share; the deterministic
+     report must leave allocation out. This instance turns feasible in
+     its first V-cycle, so width 2 also discards a speculative cycle. *)
+  let rng = Random.State.make [| 1 |] in
+  let g =
+    Ppnpart_workloads.Rand_graph.layered ~vw_range:(10, 50) ~ew_range:(1, 9)
+      rng ~layers:50 ~width:100
+  in
+  check_bool "above the wave threshold" true
+    (Ppnpart_graph.Wgraph.n_nodes g > 4096);
+  let c = Ppnpart_partition.Types.constraints ~k:4 ~bmax:600 ~rmax:50_000 in
+  let report width =
+    let r, snap = registry_run ~config:Config.default ~width g c in
+    check_bool "feasible after V-cycles" true
+      (r.Gp.feasible && r.Gp.cycles_used > 0);
+    Json.to_string
+      (Run_report.of_result ~deterministic:true ~algo:"gp" ~snapshot:snap g c
+         r)
+  in
+  let r1 = report 1 in
+  check_string "report byte-identical at width 1 and 2" r1 (report 2)
+
+(* Every report prints as JSON that [Json.parse] reads back, and
+   printing the parsed document again gives the same bytes. *)
+let test_report_roundtrip () =
+  let e = PG.experiment2 in
+  let g = e.PG.graph and c = e.PG.constraints in
+  let r, snap = registry_run ~width:1 g c in
+  List.iter
+    (fun deterministic ->
+      let text =
+        Json.to_string
+          (Run_report.of_result ~deterministic ~algo:"gp" ~snapshot:snap g c r)
+      in
+      let name = if deterministic then "deterministic" else "wall" in
+      match Json.parse text with
+      | Ok doc ->
+        check_string (name ^ " report reprints") text (Json.to_string doc)
+      | Error msg -> Alcotest.failf "%s report does not parse: %s" name msg)
+    [ false; true ]
 
 (* --- GC deltas --- *)
 
@@ -334,6 +381,10 @@ let () =
             test_commit_keep_discards;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_registry_deterministic_across_jobs;
+          Alcotest.test_case "deterministic report above 4096 nodes" `Quick
+            test_report_deterministic_wide_waves;
+          Alcotest.test_case "report round-trips" `Quick
+            test_report_roundtrip;
         ] );
       ( "gc",
         [
