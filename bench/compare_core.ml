@@ -20,7 +20,15 @@
      measured in the same process): the current value must stay at or
      below 1 + tol regardless of what the baseline recorded. The
      baseline only supplies the row's existence; the bound does not
-     drift as baselines are refreshed.
+     drift as baselines are refreshed;
+   - [At_most { than; factor }]: an ordering inside one document: the
+     value at the path may not exceed [factor] times the value at
+     [than], both measured in the same run. Like [Never_worse_ratio]
+     it ignores the baseline's value.
+
+   The [Must_stay_true] and [At_most] rows are the blocking gate: the
+   bench builder runs {!gate} on every document it produces, and a row
+   that is false or missing there fails the run.
 
    A path missing on either side is skipped, not failed: rows are
    added to the records over time and an old baseline must not brick
@@ -40,6 +48,7 @@ type direction =
   | Max_abs of float
   | Must_stay_true
   | Never_worse_ratio of { tol : float }
+  | At_most of { than : string; factor : float }
 
 type rule = { path : string; dir : direction }
 
@@ -138,7 +147,7 @@ let check_numeric rule base cur =
     if Float.abs (cur -. base) > tol then
       (Regression, fmt "|%.6g - %.6g| > %.6g" cur base tol)
     else (Pass, fmt "%.6g vs baseline %.6g" cur base)
-  | Must_stay_true -> (Skipped, "boolean rule on numeric value")
+  | Must_stay_true | At_most _ -> (Skipped, "not a two-snapshot rule")
   | Never_worse_ratio { tol } ->
     let limit = 1. +. tol in
     if cur > limit then
@@ -146,6 +155,18 @@ let check_numeric rule base cur =
        fmt "ratio %.6g > allowed %.6g (absolute bound; baseline %.6g)" cur
          limit base)
     else (Pass, fmt "ratio %.6g <= %.6g" cur limit)
+
+(* [At_most] at one concrete target of [doc]; [None] when either side
+   is absent or not a number. *)
+let check_ordering ~than ~factor doc steps =
+  match (resolve steps doc, expand than doc) with
+  | Some (Json.Num a), [ (_, Json.Num b) ] ->
+    let limit = factor *. b in
+    Some
+      (if a <= limit then (Pass, Printf.sprintf "%.6g <= %.6g" a limit)
+       else (Regression, Printf.sprintf "%.6g > %.6g (%g x %s)" a limit
+               factor than))
+  | _ -> None
 
 let check_rule rule ~baseline ~current =
   let targets = expand rule.path baseline in
@@ -168,6 +189,12 @@ let check_rule rule ~baseline ~current =
             detail = "path absent from current" }
         | Some cval -> (
           match (rule.dir, bval, cval) with
+          | At_most { than; factor }, _, _ -> (
+            match check_ordering ~than ~factor current steps with
+            | Some (status, detail) -> { rule; concrete; status; detail }
+            | None ->
+              { rule; concrete; status = Skipped;
+                detail = "not two numbers (" ^ than ^ ")" })
           | Must_stay_true, Json.Bool true, Json.Bool true ->
             { rule; concrete; status = Pass; detail = "true" }
           | Must_stay_true, Json.Bool true, _ ->
@@ -190,6 +217,32 @@ let compare_snapshots ~rules ~baseline ~current =
 let has_regression rows =
   List.exists (fun r -> r.status = Regression) rows
 
+let gate ~rules doc =
+  let target rule (steps, v) =
+    let status, detail =
+      match (rule.dir, v) with
+      | At_most { than; factor }, _ ->
+        Option.value
+          (check_ordering ~than ~factor doc steps)
+          ~default:(Regression, "not two numbers (" ^ than ^ ")")
+      | _, Json.Bool true -> (Pass, "true")
+      | _ -> (Regression, "not true")
+    in
+    { rule; concrete = concrete_of_steps steps; status; detail }
+  in
+  List.concat_map
+    (fun rule ->
+      match rule.dir with
+      | Must_stay_true | At_most _ -> (
+        match expand rule.path doc with
+        | [] ->
+          [ { rule; concrete = rule.path; status = Regression;
+              detail = "missing" } ]
+        | targets -> List.map (target rule) targets)
+      | Lower_better _ | Higher_better _ | Max_abs _ | Never_worse_ratio _ ->
+        [])
+    rules
+
 (* ------------------------------------------------------------------ *)
 (* Built-in rule tables, keyed by the snapshot's "schema" field.       *)
 (* ------------------------------------------------------------------ *)
@@ -208,16 +261,18 @@ let stay_true path = { path; dir = Must_stay_true }
 
 let never_worse ?(tol = 0.) path = { path; dir = Never_worse_ratio { tol } }
 
+let at_most ?(factor = 1.) path ~than = { path; dir = At_most { than; factor } }
+
 let smoke_rules =
   [
     lower ~pct:5. ~abs:2. "fm_600.refine_cut";
     lower "fm_600.refine_violation";
     higher ~pct:60. ~abs:0.5 "fm_600.fm_pass_speedup";
     stay_true "refine_4k.same_goodness";
+    at_most "refine_4k.boundary_refine_s" ~than:"refine_4k.legacy_refine_s";
     lower ~pct:5. ~abs:2. "refine_4k.cut";
     lower "refine_4k.violation";
     higher ~pct:60. ~abs:0.5 "refine_4k.speedup";
-    stay_true "report_2k.report_identical_across_jobs";
     stay_true "coarsen_4k.bit_identical";
     higher ~pct:50. "coarsen_4k.alloc_ratio";
     stay_true "obs_overhead.same_partition";
@@ -226,13 +281,19 @@ let smoke_rules =
     stay_true "vcycles_5.deterministic_across_jobs";
     stay_true "stream_20k.deterministic_across_jobs";
     lower ~pct:10. ~abs:5. "stream_20k.stream_cut";
+    (* ~13x at this shape; a broken streaming objective lands at
+       random-placement quality, ~40x. *)
+    at_most ~factor:20. "stream_20k.stream_cut"
+      ~than:"stream_20k.multilevel_cut";
     lower "stream_20k.stream_violation";
     lower ~pct:10. ~abs:5. "hybrid_20k.hybrid_cut";
+    at_most "hybrid_20k.hybrid_s" ~than:"hybrid_20k.multilevel_s";
     higher ~pct:60. "ingest_8k.mb_per_s";
     stay_true "repartition_4k.incremental";
     stay_true "repartition_4k.feasible_agree";
     stay_true "repartition_4k.never_worse";
     stay_true "repartition_4k.deterministic_across_jobs";
+    at_most "repartition_4k.incremental_s" ~than:"repartition_4k.scratch_s";
     higher ~pct:60. ~abs:0.5 "repartition_4k.speedup";
   ]
 
@@ -265,22 +326,18 @@ let partition_rules =
     stay_true "repartition_50k.never_worse";
     stay_true "repartition_50k.deterministic_across_jobs";
     higher ~pct:50. ~abs:1. "repartition_50k.speedup";
-    higher ~pct:60. "daemon.req_per_s_1";
-    higher ~pct:60. "daemon.req_per_s_4";
-    lower ~pct:150. ~abs:5. "daemon.p99_ms_1";
-    lower ~pct:150. ~abs:5. "daemon.p99_ms_4";
-    higher ~pct:50. ~abs:1. "daemon.incremental_vs_scratch_speedup";
   ]
 
 let rules_for_schema = function
   | "ppnpart-bench-smoke/1" | "ppnpart-bench-smoke/2"
   | "ppnpart-bench-smoke/3" | "ppnpart-bench-smoke/4"
-  | "ppnpart-bench-smoke/5" | "ppnpart-bench-smoke/6" ->
+  | "ppnpart-bench-smoke/5" | "ppnpart-bench-smoke/6"
+  | "ppnpart-bench-smoke/7" ->
     Some smoke_rules
   | "ppnpart-bench-partition/5" | "ppnpart-bench-partition/6"
   | "ppnpart-bench-partition/7" | "ppnpart-bench-partition/8"
   | "ppnpart-bench-partition/9" | "ppnpart-bench-partition/10"
-  | "ppnpart-bench-partition/11" ->
+  | "ppnpart-bench-partition/11" | "ppnpart-bench-partition/12" ->
     Some partition_rules
   | _ -> None
 

@@ -25,6 +25,11 @@ type direction =
           as baselines are refreshed. A negative [tol] demands the new
           path beat the reference by a margin ("faster than", not
           "never worse than"). *)
+  | At_most of { than : string; factor : float }
+      (** ordering inside one snapshot: the value at [path] may not
+          exceed [factor] times the value at [than] (a dotted path
+          without [*]) in the same document. Like [Never_worse_ratio]
+          it ignores the baseline's value. *)
 
 type rule = { path : string; dir : direction }
 (** [path] is dot-separated; a [*] segment fans out over every array
@@ -48,10 +53,18 @@ val compare_snapshots :
 
 val has_regression : row list -> bool
 
+val gate : rules:rule list -> Ppnpart_obs.Json.t -> row list
+(** The blocking check of one document: every [Must_stay_true] and
+    [At_most] rule of [rules] evaluated on it alone. A boolean that is
+    not [true], an ordering that does not hold, and a path that is
+    missing are all [Regression]s; other directions yield no rows. *)
+
 val lower : ?pct:float -> ?abs:float -> string -> rule
 val higher : ?pct:float -> ?abs:float -> string -> rule
 val stay_true : string -> rule
 val never_worse : ?tol:float -> string -> rule
+val at_most : ?factor:float -> string -> than:string -> rule
+(** [factor] defaults to 1. *)
 
 val smoke_rules : rule list
 val partition_rules : rule list

@@ -5,10 +5,16 @@
    Usage:  dune exec bench/main.exe [-- SECTION]
    where SECTION is one of: tables figures kernels matrix sweep
    ablation-matching ablation-seeds ablation-cycles scaling json
-   json-smoke smoke timing all (default: all). [json] rewrites
-   bench_out/BENCH_partition.json and [json-smoke] bench_out/BENCH_smoke.json
-   (each also appends a line to bench_out/history/); [smoke] runs the
-   shrunk rows and writes nothing. *)
+   json-smoke smoke timing all (default: all).
+
+   [smoke] and [json-smoke] run one builder: the micro-benchmarks at
+   shrunk sizes, as one JSON document. The builder checks the document
+   against the blocking rows of [Compare_core.smoke_rules] (every
+   [Must_stay_true] and [At_most] row) and fails the run if one is false
+   or missing. [smoke] then prints the rows; [json-smoke] also rewrites
+   bench_out/BENCH_smoke.json. [json] builds the full-size record
+   bench_out/BENCH_partition.json. Both record sections append the
+   document to bench_out/history/. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -17,8 +23,8 @@ module Gp = Ppnpart_core.Gp
 module Config = Ppnpart_core.Config
 module Pool = Ppnpart_exec.Pool
 module Report = Ppnpart_core.Report
-module Run_report = Ppnpart_core.Run_report
 module Json = Ppnpart_obs.Json
+module C = Ppnpart_bench_compare.Compare_core
 module Metis_like = Ppnpart_baselines.Metis_like
 module Coarsen_oracle = Ppnpart_test_oracle.Coarsen_oracle
 module Refine_oracle = Ppnpart_test_oracle.Refine_oracle
@@ -28,23 +34,16 @@ let out_dir = "bench_out"
 let ensure_out_dir () =
   if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755
 
-(* Every JSON snapshot rewrite also appends it, reprinted on one line
-   by [Json], to [bench_out/history/<name>.jsonl], so the perf
-   trajectory across PRs survives the snapshot being overwritten in
-   place. A snapshot that does not parse fails the run here. *)
-let append_history name json =
-  let line =
-    match Json.parse json with
-    | Ok doc -> Json.to_string doc
-    | Error msg ->
-      failwith (Printf.sprintf "%s snapshot is not JSON: %s" name msg)
-  in
+(* Every JSON snapshot rewrite also appends it, on one line, to
+   [bench_out/history/<name>.jsonl], so the perf trajectory across PRs
+   survives the snapshot being overwritten in place. *)
+let append_history name doc =
   ensure_out_dir ();
   let dir = Filename.concat out_dir "history" in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let path = Filename.concat dir (name ^ ".jsonl") in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc line;
+  output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc;
   Printf.printf "  appended %s\n" path
@@ -353,10 +352,14 @@ let scaling () =
 (* Machine-readable benchmark record: BENCH_partition.json.            *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-instance results plus the two headline micro-benchmarks (bucket
-   FM vs the seed's quadratic move selection, and speculative V-cycles
-   at pool width 1 vs 4), written as JSON next to the human tables so
-   future PRs can track the perf trajectory. *)
+(* Per-instance results plus the headline micro-benchmarks, written as
+   JSON next to the human tables so future PRs can track the perf
+   trajectory. Every row is a [Json.t] built from constructors. *)
+
+let int = Json.int
+
+(* A ratio over a timer that read 0 is not a number JSON can hold. *)
+let num f = if Float.is_finite f then Json.Num f else Json.Null
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -429,15 +432,14 @@ let fm_bench ~n ~m ~k =
   let (_, gd), refine_s =
     time (fun () -> Refine_constrained.refine rng' g c (Array.copy part0))
   in
-  ( g, c,
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "fm_pass_bucket_s": %.6f, "fm_pass_quadratic_est_s": %.6f,
-      "fm_pass_speedup": %.1f,
-      "refine_s": %.6f, "refine_violation": %d, "refine_cut": %d }|}
-      n (Wgraph.n_edges g) k bucket_pass_s quadratic_est_s
-      (quadratic_est_s /. bucket_pass_s)
-      refine_s gd.Metrics.violation gd.Metrics.cut_value )
+  Json.Obj
+    [ ("n", int n); ("m", int (Wgraph.n_edges g)); ("k", int k);
+      ("fm_pass_bucket_s", num bucket_pass_s);
+      ("fm_pass_quadratic_est_s", num quadratic_est_s);
+      ("fm_pass_speedup", num (quadratic_est_s /. bucket_pass_s));
+      ("refine_s", num refine_s);
+      ("refine_violation", int gd.Metrics.violation);
+      ("refine_cut", int gd.Metrics.cut_value) ]
 
 (* Boundary-driven constrained refinement vs the legacy full-scan path
    ([Refine_oracle], the cache-less refiner kept in test/oracle/).
@@ -499,18 +501,18 @@ let refine_bench ?(reps = 3) ~n ~k () =
       (h.count, h.sum /. float_of_int h.count, h.max)
     | _ -> (0, 0., 0.)
   in
-  let row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "legacy_refine_s": %.4f, "boundary_refine_s": %.4f, "speedup": %.1f,
-      "same_goodness": %b, "violation": %d, "cut": %d,
-      "active_sweeps": %d, "active_size_total": %d,
-      "active_fraction_mean": %.4f, "active_fraction_max": %.4f }|}
-      n (Wgraph.n_edges g) k legacy_s boundary_s (legacy_s /. boundary_s)
-      same_goodness bg.Metrics.violation bg.Metrics.cut_value frac_count
-      active_size_total frac_mean frac_max
-  in
-  (row, legacy_s, boundary_s)
+  Json.Obj
+    [ ("n", int n); ("m", int (Wgraph.n_edges g)); ("k", int k);
+      ("legacy_refine_s", num legacy_s);
+      ("boundary_refine_s", num boundary_s);
+      ("speedup", num (legacy_s /. boundary_s));
+      ("same_goodness", Json.Bool same_goodness);
+      ("violation", int bg.Metrics.violation);
+      ("cut", int bg.Metrics.cut_value);
+      ("active_sweeps", int frac_count);
+      ("active_size_total", int active_size_total);
+      ("active_fraction_mean", num frac_mean);
+      ("active_fraction_max", num frac_max) ]
 
 (* The serial boundary refiner at scale, on the same mostly-converged
    shape as [refine_bench] (a perturbed planted clustering): one wall
@@ -530,30 +532,11 @@ let serial_refine_bench ?(reps = 3) ~n ~k () =
   in
   ignore (run () (* warm the workspace *));
   let (_, gd), serial_s = compacted_min ~reps run in
-  Printf.sprintf
-    {|{ "n": %d, "m": %d, "k": %d, "serial_refine_s": %.4f,
-      "violation": %d, "cut": %d }|}
-    n (Wgraph.n_edges g) k serial_s gd.Metrics.violation gd.Metrics.cut_value
-
-(* The consolidated deterministic run report must be byte-identical
-   when only the execution width changes. Runs the full GP pipeline
-   twice — pool width 1 vs 4 — and byte-compares the [~deterministic]
-   reports. *)
-let report_determinism_row ~n ~k () =
-  let rng = Random.State.make [| n; k; 0x5253 |] in
-  let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
-  let run width = Pool.with_width width (fun () -> Gp.partition g c) in
-  let r1 = run 1 and r4 = run 4 in
-  let report r =
-    Json.to_string (Run_report.of_result ~deterministic:true ~algo:"gp" g c r)
-  in
-  let identical = report r1 = report r4 in
-  let row =
-    Printf.sprintf
-      {|{ "n": %d, "k": %d, "report_identical_across_jobs": %b }|} n k
-      identical
-  in
-  (row, identical)
+  Json.Obj
+    [ ("n", int n); ("m", int (Wgraph.n_edges g)); ("k", int k);
+      ("serial_refine_s", num serial_s);
+      ("violation", int gd.Metrics.violation);
+      ("cut", int gd.Metrics.cut_value) ]
 
 (* Hierarchy construction: the legacy Edge_list pipeline (boxed tuples,
    polymorphic sorts; [Coarsen_oracle] in test/oracle/) vs the direct CSR
@@ -599,15 +582,15 @@ let coarsen_bench ~n ~m =
     done;
     !ok
   in
-  Printf.sprintf
-    {|{ "n": %d, "m": %d, "levels": %d,
-      "legacy_build_s": %.4f, "fast_build_s": %.4f, "speedup": %.1f,
-      "legacy_alloc_words": %.0f, "fast_alloc_words": %.0f,
-      "alloc_ratio": %.1f, "bit_identical": %b }|}
-    n (Wgraph.n_edges g) (Coarsen.levels h_fast) legacy_s fast_s
-    (legacy_s /. fast_s) legacy_words fast_words
-    (legacy_words /. fast_words)
-    identical
+  Json.Obj
+    [ ("n", int n); ("m", int (Wgraph.n_edges g));
+      ("levels", int (Coarsen.levels h_fast));
+      ("legacy_build_s", num legacy_s); ("fast_build_s", num fast_s);
+      ("speedup", num (legacy_s /. fast_s));
+      ("legacy_alloc_words", num (Float.round legacy_words));
+      ("fast_alloc_words", num (Float.round fast_words));
+      ("alloc_ratio", num (legacy_words /. fast_words));
+      ("bit_identical", Json.Bool identical) ]
 
 let vcycle_instance ~layers ~width =
   (* Infeasible by construction (bmax = 0 on a connected graph), so every
@@ -628,7 +611,7 @@ let vcycle_instance ~layers ~width =
    noise and heap drift hit both sides alike, and keep the minimum of
    each: measuring all width-1 runs first skewed the ratio by whole
    percents either way on a loaded host. *)
-let vcycle_pair ~reps ~max_cycles g c =
+let vcycle_row ~reps ~max_cycles (g, c) =
   let run width =
     let config = { Config.default with Config.max_cycles } in
     Pool.with_width width (fun () -> Gp.partition ~config g c)
@@ -644,7 +627,12 @@ let vcycle_pair ~reps ~max_cycles g c =
     t1 := min !t1 (b -. a);
     t4 := min !t4 (d -. b)
   done;
-  (!r1, !t1, !r4, !t4)
+  [ ("n", int (Wgraph.n_nodes g)); ("m", int (Wgraph.n_edges g));
+    ("k", int c.Types.k); ("max_cycles", int max_cycles);
+    ("cycles_used", int !r1.Gp.cycles_used);
+    ("jobs1_s", num !t1); ("jobs4_s", num !t4);
+    ("jobs4_speedup", num (!t1 /. !t4));
+    ("deterministic_across_jobs", Json.Bool (!r1.Gp.part = !r4.Gp.part)) ]
 
 let vcycle_bench () =
   (* Two instances straddling [Gp.parallel_cycle_threshold]. Below it
@@ -659,23 +647,13 @@ let vcycle_bench () =
      is 1 by construction. The speedup is printed with one decimal
      because run-to-run noise (a few percent) makes a second decimal
      false precision either way. *)
-  let g_small, c_small = vcycle_instance ~layers:40 ~width:15 in
-  let r1s, t1s, r4s, t4s = vcycle_pair ~reps:4 ~max_cycles:20 g_small c_small in
-  let g_large, c_large = vcycle_instance ~layers:80 ~width:60 in
-  let r1l, t1l, r4l, t4l = vcycle_pair ~reps:3 ~max_cycles:20 g_large c_large in
-  Printf.sprintf
-    {|{ "n": %d, "m": %d, "k": 4, "max_cycles": 20,
-      "cycles_used": %d, "jobs1_s": %.3f, "jobs4_s": %.3f,
-      "jobs4_speedup": %.1f, "deterministic_across_jobs": %b,
-      "gated_small": { "n": %d, "m": %d, "cycles_used": %d,
-        "jobs1_s": %.3f, "jobs4_s": %.3f, "jobs4_speedup": %.1f,
-        "deterministic_across_jobs": %b } }|}
-    (Wgraph.n_nodes g_large) (Wgraph.n_edges g_large) r1l.Gp.cycles_used t1l
-    t4l (t1l /. t4l)
-    (r1l.Gp.part = r4l.Gp.part)
-    (Wgraph.n_nodes g_small) (Wgraph.n_edges g_small) r1s.Gp.cycles_used t1s
-    t4s (t1s /. t4s)
-    (r1s.Gp.part = r4s.Gp.part)
+  let small =
+    vcycle_row ~reps:4 ~max_cycles:20 (vcycle_instance ~layers:40 ~width:15)
+  in
+  let large =
+    vcycle_row ~reps:3 ~max_cycles:20 (vcycle_instance ~layers:80 ~width:60)
+  in
+  Json.Obj (large @ [ ("gated_small", Json.Obj small) ])
 
 (* Wall seconds spent under spans of a given name, from the span's
    [<name>.us] histogram in a registry snapshot. *)
@@ -748,17 +726,16 @@ let obs_overhead ?(reps = 9) () =
   let pct_over ratio = Float.max 0. ((ratio -. 1.) *. 100.) in
   (* The gated rows: medians of same-rep ratios, unclamped, so the bound
      is absolute rather than relative to a noisy baseline. *)
-  Printf.sprintf
-    {|{ "disabled_s": %.4f, "enabled_s": %.4f, "overhead_pct": %.2f,
-      "metrics_enabled_s": %.4f, "metrics_overhead_pct": %.2f,
-      "trace_ratio": %.4f, "metrics_ratio": %.4f,
-      "same_partition": %b }|}
-    (Array.fold_left min infinity offs)
-    (Array.fold_left min infinity ons)
-    (pct_over trace_ratio)
-    (Array.fold_left min infinity mets)
-    (pct_over metrics_ratio) trace_ratio metrics_ratio
-    (r_off.Gp.part = r_on.Gp.part && r_off.Gp.part = r_met.Gp.part)
+  let fastest a = num (Array.fold_left min infinity a) in
+  Json.Obj
+    [ ("disabled_s", fastest offs); ("enabled_s", fastest ons);
+      ("overhead_pct", num (pct_over trace_ratio));
+      ("metrics_enabled_s", fastest mets);
+      ("metrics_overhead_pct", num (pct_over metrics_ratio));
+      ("trace_ratio", num trace_ratio); ("metrics_ratio", num metrics_ratio);
+      ( "same_partition",
+        Json.Bool
+          (r_off.Gp.part = r_on.Gp.part && r_off.Gp.part = r_met.Gp.part) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Streaming partitioner: the O(edges) path vs the multilevel V-cycle. *)
@@ -806,33 +783,23 @@ let mode_bench ~n_target ~reps =
   in
   let cut (r : Gp.result) = r.Gp.goodness.Metrics.cut_value
   and viol (r : Gp.result) = r.Gp.goodness.Metrics.violation in
-  let ratio a b = float_of_int a /. float_of_int (max 1 b) in
-  let stream_row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "stream_s": %.4f, "multilevel_s": %.4f, "speedup": %.1f,
-      "nodes_per_s": %.0f, "deterministic_across_jobs": %b,
-      "stream_cut": %d, "multilevel_cut": %d, "cut_ratio": %.2f,
-      "stream_violation": %d, "multilevel_violation": %d }|}
-      n (Wgraph.n_edges g) c.Types.k stream_s ml_s (ml_s /. stream_s)
-      (float_of_int n /. stream_s)
-      (st.Gp.part = st4.Gp.part)
-      (cut st) (cut ml)
-      (ratio (cut st) (cut ml))
-      (viol st) (viol ml)
+  let ratio a b = num (float_of_int a /. float_of_int (max 1 b)) in
+  (* One row per mode against the same multilevel run. *)
+  let row name (r : Gp.result) secs extra =
+    Json.Obj
+      ([ ("n", int n); ("m", int (Wgraph.n_edges g)); ("k", int c.Types.k);
+         (name ^ "_s", num secs); ("multilevel_s", num ml_s);
+         ("speedup", num (ml_s /. secs)) ]
+      @ extra
+      @ [ (name ^ "_cut", int (cut r)); ("multilevel_cut", int (cut ml));
+          ("cut_ratio", ratio (cut r) (cut ml));
+          (name ^ "_violation", int (viol r));
+          ("multilevel_violation", int (viol ml)) ])
   in
-  let hybrid_row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d,
-      "hybrid_s": %.4f, "multilevel_s": %.4f, "speedup": %.1f,
-      "hybrid_cut": %d, "multilevel_cut": %d, "cut_ratio": %.2f,
-      "hybrid_violation": %d, "multilevel_violation": %d }|}
-      n (Wgraph.n_edges g) c.Types.k hybrid_s ml_s (ml_s /. hybrid_s)
-      (cut hy) (cut ml)
-      (ratio (cut hy) (cut ml))
-      (viol hy) (viol ml)
-  in
-  (stream_row, hybrid_row, ml_s, hybrid_s, cut st, cut ml)
+  ( row "stream" st stream_s
+      [ ("nodes_per_s", num (float_of_int n /. stream_s));
+        ("deterministic_across_jobs", Json.Bool (st.Gp.part = st4.Gp.part)) ],
+    row "hybrid" hy hybrid_s [] )
 
 (* The headline scale row: an R-MAT instance past what the V-cycle can
    touch at all — a single multilevel descent at a *quarter* of this
@@ -890,28 +857,29 @@ let stream_1m_bench ?(scale = 20) ?(m = 4_200_000) ?(ref_scale = 14) ~reps ()
   let st_ref, _ = Stream.partition g_ref c_ref in
   let gd_ref = Metrics.goodness g_ref c_ref st_ref in
   let ml_ref_cut = ml_ref.Gp.goodness.Metrics.cut_value in
-  Printf.sprintf
-    {|{ "scale": %d, "n": %d, "m": %d, "k": %d,
-      "generate_s": %.4f, "stream_s": %.4f, "nodes_per_s": %.0f,
-      "passes": %d, "converged": %b,
-      "workspace_words": %d, "state_words": %d,
-      "violation": %d, "cut": %d,
-      "e2e_bytes": %d, "e2e_parse_then_stream_s": %.4f,
-      "multilevel_ref": { "scale": %d, "n": %d, "m": %d,
-        "multilevel_s": %.4f, "multilevel_cut": %d, "stream_cut": %d,
-        "cut_ratio": %.2f,
-        "multilevel_violation": %d, "stream_violation": %d } }|}
-    scale n (Wgraph.n_edges g) k gen_s stream_s
-    (float_of_int n /. stream_s)
-    stats.Stream.iterations stats.Stream.converged (Workspace.words ws)
-    stats.Stream.state_words gd.Metrics.violation gd.Metrics.cut_value
-    e2e_bytes e2e_parse_s
-    ref_scale
-    (Wgraph.n_nodes g_ref)
-    (Wgraph.n_edges g_ref)
-    ml_ref_s ml_ref_cut gd_ref.Metrics.cut_value
-    (float_of_int gd_ref.Metrics.cut_value /. float_of_int (max 1 ml_ref_cut))
-    ml_ref.Gp.goodness.Metrics.violation gd_ref.Metrics.violation
+  Json.Obj
+    [ ("scale", int scale); ("n", int n); ("m", int (Wgraph.n_edges g));
+      ("k", int k); ("generate_s", num gen_s); ("stream_s", num stream_s);
+      ("nodes_per_s", num (float_of_int n /. stream_s));
+      ("passes", int stats.Stream.iterations);
+      ("converged", Json.Bool stats.Stream.converged);
+      ("workspace_words", int (Workspace.words ws));
+      ("state_words", int stats.Stream.state_words);
+      ("violation", int gd.Metrics.violation);
+      ("cut", int gd.Metrics.cut_value); ("e2e_bytes", int e2e_bytes);
+      ("e2e_parse_then_stream_s", num e2e_parse_s);
+      ( "multilevel_ref",
+        Json.Obj
+          [ ("scale", int ref_scale); ("n", int (Wgraph.n_nodes g_ref));
+            ("m", int (Wgraph.n_edges g_ref)); ("multilevel_s", num ml_ref_s);
+            ("multilevel_cut", int ml_ref_cut);
+            ("stream_cut", int gd_ref.Metrics.cut_value);
+            ( "cut_ratio",
+              num
+                (float_of_int gd_ref.Metrics.cut_value
+                /. float_of_int (max 1 ml_ref_cut)) );
+            ("multilevel_violation", int ml_ref.Gp.goodness.Metrics.violation);
+            ("stream_violation", int gd_ref.Metrics.violation) ] ) ]
 
 (* METIS text ingest: [Graph_io.of_metis] (the [Graph_io.Rows] reader)
    is how large streamed instances arrive, so its throughput is part of
@@ -933,13 +901,11 @@ let ingest_bench ~scale ~reps =
     || Wgraph.n_edges g2 <> Wgraph.n_edges g
   then failwith "ingest_bench: of_metis roundtrip changed the graph shape";
   let bytes = String.length text in
-  Printf.sprintf
-    {|{ "n": %d, "m": %d, "bytes": %d,
-      "to_metis_s": %.4f, "of_metis_s": %.4f,
-      "mb_per_s": %.1f, "edges_per_s": %.0f }|}
-    (Wgraph.n_nodes g) (Wgraph.n_edges g) bytes to_s of_s
-    (float_of_int bytes /. of_s /. 1e6)
-    (float_of_int (Wgraph.n_edges g) /. of_s)
+  Json.Obj
+    [ ("n", int (Wgraph.n_nodes g)); ("m", int (Wgraph.n_edges g));
+      ("bytes", int bytes); ("to_metis_s", num to_s); ("of_metis_s", num of_s);
+      ("mb_per_s", num (float_of_int bytes /. of_s /. 1e6));
+      ("edges_per_s", num (float_of_int (Wgraph.n_edges g) /. of_s)) ]
 
 (* Incremental repartitioning vs from-scratch on a planted instance
    with a small edit (DESIGN.md §6.7): the daemon's steady-state
@@ -1041,351 +1007,146 @@ let repartition_bench ~n ~k ~edit_pct ~reps () =
   let feasible_agree =
     rp.Gp.rp_result.Gp.feasible || not scratch.Gp.feasible
   in
-  let row =
-    Printf.sprintf
-      {|{ "n": %d, "m": %d, "k": %d, "ops": %d, "touched": %d,
-      "scratch_s": %.4f, "incremental_s": %.4f, "apply_s": %.6f,
-      "speedup": %.2f,
-      "incremental": %b, "seeded": %d,
-      "violation": %d, "cut": %d, "scratch_cut": %d,
-      "feasible": %b, "feasible_agree": %b, "never_worse": %b,
-      "deterministic_across_jobs": %b }|}
-      n (Wgraph.n_edges g) k (List.length ops) edit.Graph_edit.touched
-      scratch_s incr_s apply_s
-      (scratch_s /. incr_s)
-      rp.Gp.rp_incremental rp.Gp.rp_seeded gd.Metrics.violation
-      gd.Metrics.cut_value scratch.Gp.goodness.Metrics.cut_value
-      rp.Gp.rp_result.Gp.feasible feasible_agree never_worse
-      (rp.Gp.rp_result.Gp.part = rp4.Gp.rp_result.Gp.part)
-  in
-  (row, scratch_s, incr_s, rp.Gp.rp_incremental)
+  Json.Obj
+    [ ("n", int n); ("m", int (Wgraph.n_edges g)); ("k", int k);
+      ("ops", int (List.length ops)); ("touched", int edit.Graph_edit.touched);
+      ("scratch_s", num scratch_s); ("incremental_s", num incr_s);
+      ("apply_s", num apply_s); ("speedup", num (scratch_s /. incr_s));
+      ("incremental", Json.Bool rp.Gp.rp_incremental);
+      ("seeded", int rp.Gp.rp_seeded); ("violation", int gd.Metrics.violation);
+      ("cut", int gd.Metrics.cut_value);
+      ("scratch_cut", int scratch.Gp.goodness.Metrics.cut_value);
+      ("feasible", Json.Bool rp.Gp.rp_result.Gp.feasible);
+      ("feasible_agree", Json.Bool feasible_agree);
+      ("never_worse", Json.Bool never_worse);
+      ( "deterministic_across_jobs",
+        Json.Bool (rp.Gp.rp_result.Gp.part = rp4.Gp.rp_result.Gp.part) ) ]
 
-(* Daemon throughput: an in-process [Daemon.serve] on a temp socket,
-   [clients] connections each owning its own submitted graph (the
-   service serializes per graph, so distinct graphs are what the worker
-   domains parallelize over), each streaming [requests] one-op
-   repartition requests and reading the response before sending the
-   next. Sustained request rate plus p99 latency; the protocol,
-   framing, scheduling and compute are all on the measured path. *)
-let daemon_bench ~workers ~clients ~requests ~n ~k () =
-  let module Daemon = Ppnpart_server.Daemon in
-  let socket_path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ppnpartd-bench-%d-%d.sock" (Unix.getpid ()) workers)
-  in
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let is_ready = ref false in
-  let daemon =
-    Thread.create
-      (fun () ->
-        Daemon.serve
-          ~ready:(fun () ->
-            Mutex.lock ready_m;
-            is_ready := true;
-            Condition.broadcast ready_c;
-            Mutex.unlock ready_m)
-          { Daemon.socket_path; workers; queue_limit = 64 })
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !is_ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  let metis =
-    let rng = Random.State.make [| 0xDA; n |] in
-    let g, _ = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
-    String.concat "\\n" (String.split_on_char '\n' (Graph_io.to_metis g))
-  in
-  let latencies = Array.make (clients * requests) 0. in
-  let request oc ic line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    input_line ic
-  in
-  let client_thread ci =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX socket_path);
-    let oc = Unix.out_channel_of_descr fd in
-    let ic = Unix.in_channel_of_descr fd in
-    let name = Printf.sprintf "g%d" ci in
-    ignore
-      (request oc ic
-         (Printf.sprintf "{\"op\":\"submit\",\"graph\":%S,\"metis\":\"%s\"}"
-            name metis));
-    ignore
-      (request oc ic
-         (Printf.sprintf
-            "{\"op\":\"partition\",\"graph\":%S,\"k\":%d,\"seed\":1}" name k));
-    for r = 0 to requests - 1 do
-      (* Alternate a node weight up and down: a minimal real edit, so
-         every request exercises apply/seed/refine end to end. *)
-      let line =
-        Printf.sprintf
-          "{\"op\":\"repartition\",\"graph\":%S,\"edits\":[{\"op\":\"set_node_weight\",\"node\":%d,\"w\":%d}]}"
-          name (r mod n)
-          (1 + (r mod 2))
-      in
-      let t0 = Unix.gettimeofday () in
-      let resp = request oc ic line in
-      latencies.((ci * requests) + r) <- Unix.gettimeofday () -. t0;
-      if String.length resp < 11 || String.sub resp 0 11 <> "{\"ok\":true," then
-        failwith ("daemon_bench: request failed: " ^ resp)
-    done;
-    Unix.close fd
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init clients (fun ci -> Thread.create client_thread ci) in
-  List.iter Thread.join threads;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (* Clean shutdown through the protocol, so the socket file goes away. *)
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket_path);
-  let oc = Unix.out_channel_of_descr fd in
-  ignore (request oc (Unix.in_channel_of_descr fd) "{\"op\":\"shutdown\"}");
-  Unix.close fd;
-  Thread.join daemon;
-  Array.sort compare latencies;
-  let p99 = latencies.(min (Array.length latencies - 1)
-                         (Array.length latencies * 99 / 100)) in
-  let total = clients * requests in
-  (float_of_int total /. elapsed, p99 *. 1000., elapsed)
+(* The record sections: print [doc] one top-level row per line, write
+   it to bench_out/BENCH_<name>.json and append it to the history. *)
+let print_doc doc =
+  match doc with
+  | Json.Obj rows ->
+    List.iter
+      (fun (key, v) -> Printf.printf "  %s: %s\n" key (Json.to_string v))
+      rows
+  | _ -> invalid_arg "print_doc: not an object"
 
-let daemon_row ~clients ~requests ~n ~k ~speedup () =
-  let rps1, p99_1, _ = daemon_bench ~workers:1 ~clients ~requests ~n ~k () in
-  let rps4, p99_4, _ = daemon_bench ~workers:4 ~clients ~requests ~n ~k () in
-  Printf.sprintf
-    {|{ "n": %d, "k": %d, "clients": %d, "requests_per_client": %d,
-      "req_per_s_1": %.1f, "p99_ms_1": %.3f,
-      "req_per_s_4": %.1f, "p99_ms_4": %.3f,
-      "incremental_vs_scratch_speedup": %.2f }|}
-    n k clients requests rps1 p99_1 rps4 p99_4 speedup
+let record name doc =
+  ensure_out_dir ();
+  print_doc doc;
+  let path = Filename.concat out_dir ("BENCH_" ^ name ^ ".json") in
+  Graph_io.write_file path (Json.to_string doc ^ "\n");
+  Printf.printf "  wrote %s\n" path;
+  append_history name doc
 
 let bench_json () =
   section "Machine-readable benchmark record (BENCH_partition.json)";
-  ensure_out_dir ();
-  let instance_rows =
-    List.map
-      (fun (e : PG.experiment) ->
-        let r, snap =
-          Ppnpart_obs.Obs.with_registry (fun () ->
-              Gp.partition e.PG.graph e.PG.constraints)
-        in
-        let p = phase_seconds snap in
-        Printf.sprintf
-          {|    { "name": %S, "n": %d, "m": %d, "k": %d, "cut": %d,
-      "feasible": %b, "runtime_s": %.4f, "cycles": %d, "levels": %d,
-      "jobs": %d,
-      "phases": { "coarsen_s": %.6f, "initial_s": %.6f,
-        "refine_s": %.6f, "vcycle_s": %.6f } }|}
-          e.PG.name
-          (Wgraph.n_nodes e.PG.graph)
-          (Wgraph.n_edges e.PG.graph)
-          e.PG.constraints.Types.k r.Gp.report.Metrics.total_cut
-          r.Gp.feasible r.Gp.runtime_s r.Gp.cycles_used r.Gp.levels
-          (Pool.width ()) (p "coarsen.level")
-          (p "initial.greedy")
-          (p "refine.constrained" +. p "refine.tabu"
-          +. p "refine.state_init")
-          (p "gp.cycle"))
-      PG.all
+  let instance_row (e : PG.experiment) =
+    let r, snap =
+      Ppnpart_obs.Obs.with_registry (fun () ->
+          Gp.partition e.PG.graph e.PG.constraints)
+    in
+    let p name = num (phase_seconds snap name) in
+    Json.Obj
+      [ ("name", Json.Str e.PG.name);
+        ("n", int (Wgraph.n_nodes e.PG.graph));
+        ("m", int (Wgraph.n_edges e.PG.graph));
+        ("k", int e.PG.constraints.Types.k);
+        ("cut", int r.Gp.report.Metrics.total_cut);
+        ("feasible", Json.Bool r.Gp.feasible);
+        ("runtime_s", num r.Gp.runtime_s); ("cycles", int r.Gp.cycles_used);
+        ("levels", int r.Gp.levels); ("jobs", int (Pool.width ()));
+        ( "phases",
+          Json.Obj
+            [ ("coarsen_s", p "coarsen.level");
+              ("initial_s", p "initial.greedy");
+              ( "refine_s",
+                num
+                  (phase_seconds snap "refine.constrained"
+                  +. phase_seconds snap "refine.tabu"
+                  +. phase_seconds snap "refine.state_init") );
+              ("vcycle_s", p "gp.cycle") ] ) ]
   in
+  let instances = List.map instance_row PG.all in
   (* The headline micro-benchmarks stay observability-free so their
      numbers remain comparable with earlier records. *)
-  let _, _, fm_row = fm_bench ~n:5000 ~m:20000 ~k:8 in
-  let refine_row, _, _ = refine_bench ~n:50_000 ~k:8 () in
-  let refine_1m_row = serial_refine_bench ~n:1_000_000 ~k:16 ~reps:2 () in
-  let coarsen_row = coarsen_bench ~n:50_000 ~m:200_000 in
-  let vc_row = vcycle_bench () in
-  let obs_row = obs_overhead () in
-  let stream_row, hybrid_row, _, _, _, _ =
-    mode_bench ~n_target:200_000 ~reps:3
-  in
-  let stream_1m_row = stream_1m_bench ~reps:3 () in
-  let ingest_row = ingest_bench ~scale:17 ~reps:3 in
-  let repartition_row, scratch_s, incr_s, _ =
-    repartition_bench ~n:50_000 ~k:8 ~edit_pct:1 ~reps:3 ()
-  in
-  let daemon_row =
-    daemon_row ~clients:4 ~requests:50 ~n:2_000 ~k:4
-      ~speedup:(scratch_s /. incr_s) ()
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "schema": "ppnpart-bench-partition/11",
-  "generated_unix": %.0f,
-  "instances": [
-%s
-  ],
-  "fm_5k": %s,
-  "refine_50k": %s,
-  "refine_1m": %s,
-  "coarsen_50k": %s,
-  "vcycles_20": %s,
-  "obs_overhead": %s,
-  "stream_1m": %s,
-  "stream_200k": %s,
-  "hybrid_200k": %s,
-  "ingest_131k": %s,
-  "repartition_50k": %s,
-  "daemon": %s
-}
-|}
-      (Unix.time ())
-      (String.concat ",\n" instance_rows)
-      fm_row refine_row refine_1m_row coarsen_row vc_row obs_row
-      stream_1m_row stream_row hybrid_row ingest_row repartition_row
-      daemon_row
-  in
-  let path = Filename.concat out_dir "BENCH_partition.json" in
-  Graph_io.write_file path json;
-  print_string json;
-  Printf.printf "  wrote %s\n" path;
-  append_history "partition" json
+  let fm = fm_bench ~n:5000 ~m:20000 ~k:8 in
+  let refine = refine_bench ~n:50_000 ~k:8 () in
+  let refine_1m = serial_refine_bench ~n:1_000_000 ~k:16 ~reps:2 () in
+  let coarsen = coarsen_bench ~n:50_000 ~m:200_000 in
+  let vcycles = vcycle_bench () in
+  let obs = obs_overhead () in
+  let stream, hybrid = mode_bench ~n_target:200_000 ~reps:3 in
+  let stream_1m = stream_1m_bench ~reps:3 () in
+  let ingest = ingest_bench ~scale:17 ~reps:3 in
+  let repartition = repartition_bench ~n:50_000 ~k:8 ~edit_pct:1 ~reps:3 () in
+  record "partition"
+    (Json.Obj
+       [ ("schema", Json.Str "ppnpart-bench-partition/12");
+         ("generated_unix", num (Unix.time ()));
+         ("instances", Json.Arr instances); ("fm_5k", fm);
+         ("refine_50k", refine); ("refine_1m", refine_1m);
+         ("coarsen_50k", coarsen); ("vcycles_20", vcycles);
+         ("obs_overhead", obs); ("stream_1m", stream_1m);
+         ("stream_200k", stream); ("hybrid_200k", hybrid);
+         ("ingest_131k", ingest); ("repartition_50k", repartition) ])
 
 (* ------------------------------------------------------------------ *)
-(* Smoke: the micro-benchmarks at shrunk sizes, for CI.                 *)
+(* Smoke: the micro-benchmarks at shrunk sizes, gated.                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Runs the same measurement code as the JSON record on instances small
-   enough for a CI runner, prints the rows, and rewrites nothing — its
-   only job is to catch a benchmark that stopped building, crashed, or
-   lost a structural property (bit-identity, determinism). *)
+(* The shrunk-size counterpart of BENCH_partition.json, cheap enough for
+   a CI runner: the same measurement code on smaller instances. The
+   structural fields (cuts, violations, determinism and bit-identity
+   booleans) are seeded-deterministic and machine-independent, which is
+   what `compare.exe` keys its tight thresholds on; timing fields get
+   loose advisory bounds there. The blocking gate is
+   [Compare_core.gate] over [smoke_rules]: every determinism and
+   bit-identity boolean, plus the same-run orderings boundary refine <=
+   legacy, hybrid <= multilevel, stream cut <= 20x multilevel cut and
+   incremental repartition <= scratch. A row that is false or missing
+   fails the run before anything is printed or written, so no baseline
+   is ever recorded with a broken structural row. *)
+let smoke_doc () =
+  let fm = fm_bench ~n:600 ~m:2400 ~k:4 in
+  let refine = refine_bench ~n:4_000 ~k:8 () in
+  let coarsen = coarsen_bench ~n:4_000 ~m:16_000 in
+  let obs = obs_overhead () in
+  let vcycles =
+    vcycle_row ~reps:1 ~max_cycles:5 (vcycle_instance ~layers:20 ~width:10)
+  in
+  let stream, hybrid = mode_bench ~n_target:20_000 ~reps:2 in
+  let ingest = ingest_bench ~scale:13 ~reps:2 in
+  let repartition = repartition_bench ~n:4_000 ~k:8 ~edit_pct:1 ~reps:2 () in
+  let doc =
+    Json.Obj
+      [ ("schema", Json.Str "ppnpart-bench-smoke/7");
+        ("generated_unix", num (Unix.time ())); ("fm_600", fm);
+        ("refine_4k", refine); ("coarsen_4k", coarsen);
+        ("obs_overhead", obs); ("vcycles_5", Json.Obj vcycles);
+        ("stream_20k", stream); ("hybrid_20k", hybrid);
+        ("ingest_8k", ingest); ("repartition_4k", repartition) ]
+  in
+  let failed =
+    List.filter
+      (fun (r : C.row) -> r.C.status <> C.Pass)
+      (C.gate ~rules:C.smoke_rules doc)
+  in
+  List.iter
+    (fun (r : C.row) ->
+      Printf.eprintf "gate FAIL %s: %s\n" r.C.concrete r.C.detail)
+    failed;
+  if failed <> [] then failwith "smoke: a blocking row of smoke_rules failed";
+  doc
+
 let smoke () =
-  section "Bench smoke (shrunk sizes, no JSON rewrite)";
-  let _, _, fm_row = fm_bench ~n:600 ~m:2400 ~k:4 in
-  Printf.printf "  fm_600: %s\n%!" fm_row;
-  (* Boundary vs legacy at CI size: bit-identity is asserted inside
-     refine_bench on every run, and the boundary path must additionally
-     never be slower than the full-scan path it replaces (min over reps
-     on each side, so a noise spike can't fake a regression). *)
-  let refine_row, legacy_s, boundary_s = refine_bench ~n:4_000 ~k:8 () in
-  Printf.printf "  refine_4k: %s\n%!" refine_row;
-  if boundary_s > legacy_s then
-    failwith
-      (Printf.sprintf
-         "smoke: boundary refine slower than legacy (%.4fs > %.4fs)"
-         boundary_s legacy_s);
-  (* Width-determinism of the consolidated report: the deterministic
-     report must be byte-identical between pool widths 1 and 4. *)
-  let report_row, report_identical = report_determinism_row ~n:2_000 ~k:8 () in
-  Printf.printf "  report_2k: %s\n%!" report_row;
-  if not report_identical then
-    failwith
-      "smoke: deterministic run report differs between widths 1 and 4";
-  let coarsen_row = coarsen_bench ~n:4_000 ~m:16_000 in
-  Printf.printf "  coarsen_4k: %s\n%!" coarsen_row;
-  let obs_row = obs_overhead ~reps:2 () in
-  Printf.printf "  obs_overhead: %s\n%!" obs_row;
-  let g, c = vcycle_instance ~layers:20 ~width:10 in
-  let r1, t1, r4, t4 = vcycle_pair ~reps:1 ~max_cycles:5 g c in
-  Printf.printf
-    "  vcycles_5: jobs1_s=%.3f jobs4_s=%.3f deterministic=%b cycles=%d\n%!"
-    t1 t4
-    (r1.Gp.part = r4.Gp.part)
-    r1.Gp.cycles_used;
-  (* The stream/hybrid gates at CI scale, same measurement code as the
-     200k JSON rows. Hybrid replaces the full V-cycle wholesale on big
-     graphs, so it must never be the slower side; streaming alone trades
-     quality for an order of magnitude of speed, and the factor it is
-     allowed to trade is fixed here. Both sides are deterministic, so
-     the measured ratio is exact: ~13x at this shrunk shape (4x at the
-     200k JSON scale — multilevel's relative advantage shrinks with
-     size), where a broken streaming objective lands at random-placement
-     quality, ~40x. The gate sits between the two. *)
-  let stream_row, hybrid_row, ml_s, hybrid_s, stream_cut, ml_cut =
-    mode_bench ~n_target:20_000 ~reps:2
-  in
-  Printf.printf "  stream_20k: %s\n%!" stream_row;
-  Printf.printf "  hybrid_20k: %s\n%!" hybrid_row;
-  if hybrid_s > ml_s then
-    failwith
-      (Printf.sprintf
-         "smoke: hybrid slower than the multilevel V-cycle (%.4fs > %.4fs)"
-         hybrid_s ml_s);
-  if stream_cut > 20 * max 1 ml_cut then
-    failwith
-      (Printf.sprintf
-         "smoke: streaming cut %d more than 20x the multilevel cut %d"
-         stream_cut ml_cut);
-  let ingest_row = ingest_bench ~scale:13 ~reps:2 in
-  Printf.printf "  ingest_8k: %s\n%!" ingest_row;
-  (* Incremental repartitioning at CI scale: same measurement code as
-     the 50k JSON row. The whole point of the daemon's steady state is
-     that a small-edit request is cheaper than a scratch run, so the
-     incremental side must never be the slower one. *)
-  let repart_row, scratch_s, incr_s, incremental =
-    repartition_bench ~n:4_000 ~k:8 ~edit_pct:1 ~reps:2 ()
-  in
-  Printf.printf "  repartition_4k: %s\n%!" repart_row;
-  if not incremental then
-    failwith "smoke: 1%-edit repartition fell back to the full pipeline";
-  if incr_s > scratch_s then
-    failwith
-      (Printf.sprintf
-         "smoke: incremental repartition slower than scratch (%.4fs > %.4fs)"
-         incr_s scratch_s)
+  section "Bench smoke (shrunk sizes, gated, no file written)";
+  print_doc (smoke_doc ())
 
-(* The smoke rows, machine-readable: the shrunk-size counterpart of
-   BENCH_partition.json, cheap enough to regenerate on a CI runner.
-   Every row is produced by the same measurement code as the full
-   record; the structural fields (cuts, violations, determinism and
-   bit-identity booleans) are seeded-deterministic and therefore
-   machine-independent, which is what `compare.exe` keys its tight
-   thresholds on — the timing fields only get loose advisory bounds. *)
 let bench_json_smoke () =
   section "Machine-readable smoke record (BENCH_smoke.json)";
-  ensure_out_dir ();
-  let _, _, fm_row = fm_bench ~n:600 ~m:2400 ~k:4 in
-  let refine_row, _, _ = refine_bench ~n:4_000 ~k:8 () in
-  let report_row, _ = report_determinism_row ~n:2_000 ~k:8 () in
-  let coarsen_row = coarsen_bench ~n:4_000 ~m:16_000 in
-  let obs_row = obs_overhead () in
-  let g, c = vcycle_instance ~layers:20 ~width:10 in
-  let r1, t1, r4, t4 = vcycle_pair ~reps:1 ~max_cycles:5 g c in
-  let vc_row =
-    Printf.sprintf
-      {|{ "jobs1_s": %.4f, "jobs4_s": %.4f, "cycles_used": %d,
-      "deterministic_across_jobs": %b }|}
-      t1 t4 r1.Gp.cycles_used
-      (r1.Gp.part = r4.Gp.part)
-  in
-  let stream_row, hybrid_row, _, _, _, _ =
-    mode_bench ~n_target:20_000 ~reps:2
-  in
-  let ingest_row = ingest_bench ~scale:13 ~reps:2 in
-  let repart_row, _, _, _ =
-    repartition_bench ~n:4_000 ~k:8 ~edit_pct:1 ~reps:2 ()
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "schema": "ppnpart-bench-smoke/6",
-  "generated_unix": %.0f,
-  "fm_600": %s,
-  "refine_4k": %s,
-  "report_2k": %s,
-  "coarsen_4k": %s,
-  "obs_overhead": %s,
-  "vcycles_5": %s,
-  "stream_20k": %s,
-  "hybrid_20k": %s,
-  "ingest_8k": %s,
-  "repartition_4k": %s
-}
-|}
-      (Unix.time ()) fm_row refine_row report_row coarsen_row obs_row vc_row
-      stream_row hybrid_row ingest_row repart_row
-  in
-  let path = Filename.concat out_dir "BENCH_smoke.json" in
-  Graph_io.write_file path json;
-  print_string json;
-  Printf.printf "  wrote %s\n" path;
-  append_history "smoke" json
+  record "smoke" (smoke_doc ())
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table.                 *)

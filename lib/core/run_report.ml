@@ -179,6 +179,9 @@ let to_json ?(deterministic = false) ?(algo = "multilevel") ?runtime_s
          (fun (name, v) -> if keep name then Some (name, value v) else None)
          entries)
   in
+  (* [max_int] ([Types.unconstrained]) is past 2^53, so it would print
+     as an inexact float; it prints as [null] instead. *)
+  let bound b = if b = max_int then Json.Null else Json.int b in
   let optional key = function
     | Some n -> [ (key, Json.int n) ]
     | None -> []
@@ -193,8 +196,8 @@ let to_json ?(deterministic = false) ?(algo = "multilevel") ?runtime_s
        ( "constraints",
          Json.Obj
            [ ("k", Json.int c.Types.k);
-             ("bmax", Json.int c.Types.bmax);
-             ("rmax", Json.int c.Types.rmax) ] ) ]
+             ("bmax", bound c.Types.bmax);
+             ("rmax", bound c.Types.rmax) ] ) ]
     @ (match runtime_s with
       | Some t when not deterministic -> [ ("runtime_s", num t) ]
       | _ -> [])

@@ -15,7 +15,11 @@
     heap history (wall seconds, collection counts, minor/promoted/major
     words, heap sizes) are dropped, so reports of runs under the
     {!Ppnpart_obs.Obs.Logical} clock are byte-identical at every pool
-    width and graph size. *)
+    width and graph size.
+
+    A bound equal to [max_int] ({!Ppnpart_partition.Types.unconstrained})
+    prints as [null] in [constraints.bmax]/[constraints.rmax]; every other
+    bound prints as an exact integer. *)
 
 open Ppnpart_graph
 open Ppnpart_partition

@@ -65,6 +65,57 @@ let greedy_sweeps max_passes rng (st : Part_state.t) =
    fm_pass explores unboundedly instead of early-exiting. *)
 let exact_fallback_limit = 512
 
+(* The move journal both FM passes keep: every tentative move in order,
+   each moved node locked, and the prefix after which goodness was best.
+   Closing it rolls the suffix back, so a pass never leaves the state
+   worse than it found it. *)
+type journal = {
+  st : Part_state.t;
+  start : Metrics.goodness;
+  mutable best : Metrics.goodness;
+  mutable best_prefix : int;
+  mutable n_moves : int;
+}
+
+let journal_open (st : Part_state.t) =
+  Array.fill st.Part_state.ws.Workspace.rf_locked 0
+    (Wgraph.n_nodes st.Part_state.g)
+    false;
+  let start = Part_state.goodness st in
+  { st; start; best = start; best_prefix = 0; n_moves = 0 }
+
+(* Move [u] to [t] ([conn] holds u's connectivity), lock and record it. *)
+let journal_move j u t conn =
+  let st = j.st in
+  let ws = st.Part_state.ws in
+  let from = st.Part_state.part.(u) in
+  Part_state.apply_move st u t conn;
+  ws.Workspace.rf_locked.(u) <- true;
+  ws.Workspace.rf_moves_u.(j.n_moves) <- u;
+  ws.Workspace.rf_moves_from.(j.n_moves) <- from;
+  j.n_moves <- j.n_moves + 1;
+  let now = Part_state.goodness st in
+  if Metrics.compare_goodness now j.best < 0 then begin
+    j.best <- now;
+    j.best_prefix <- j.n_moves
+  end
+
+(* Roll back to the best prefix; true when the pass improved on its
+   start. *)
+let journal_close ~site j =
+  let st = j.st in
+  let ws = st.Part_state.ws in
+  let conn = ws.Workspace.rf_conn in
+  for i = j.n_moves - 1 downto j.best_prefix do
+    let u = ws.Workspace.rf_moves_u.(i) in
+    Part_state.connectivity st conn u;
+    Part_state.apply_move st u ws.Workspace.rf_moves_from.(i) conn
+  done;
+  Ppnpart_obs.Counters.add "fm.moves.applied" j.best_prefix;
+  Ppnpart_obs.Counters.add "fm.moves.rolled_back" (j.n_moves - j.best_prefix);
+  Debug_hooks.validate ~site st;
+  Metrics.compare_goodness j.best j.start < 0
+
 (* One FM pass: tentative moves (worsening allowed), each node moved at
    most once, rollback to the best state seen.
 
@@ -130,12 +181,7 @@ let fm_pass (st : Part_state.t) =
   let logical_max_gain = (violation_cap + 1) * scale in
   let bucket = Workspace.bucket ws ~n ~max_gain:logical_max_gain in
   let locked = ws.Workspace.rf_locked in
-  Array.fill locked 0 n false;
-  let moves_u = ws.Workspace.rf_moves_u
-  and moves_from = ws.Workspace.rf_moves_from in
-  let n_moves = ref 0 in
-  let start = Part_state.goodness st in
-  let best = ref start and best_prefix = ref 0 in
+  let j = journal_open st in
   let seed u =
     match best_move u with
     | Some (gain, _) -> Bucket.insert bucket u gain
@@ -167,8 +213,8 @@ let fm_pass (st : Part_state.t) =
   in
   let continue = ref true in
   while
-    !continue && !n_moves < n && !pops < pop_budget
-    && !n_moves - !best_prefix < stall_limit
+    !continue && j.n_moves < n && !pops < pop_budget
+    && j.n_moves - j.best_prefix < stall_limit
   do
     incr pops;
     match Bucket.pop_max bucket with
@@ -182,17 +228,7 @@ let fm_pass (st : Part_state.t) =
           Bucket.insert bucket u fresh
         end
         else begin
-          let from = st.Part_state.part.(u) in
-          Part_state.apply_move st u t conn;
-          locked.(u) <- true;
-          moves_u.(!n_moves) <- u;
-          moves_from.(!n_moves) <- from;
-          incr n_moves;
-          let now = Part_state.goodness st in
-          if Metrics.compare_goodness now !best < 0 then begin
-            best := now;
-            best_prefix := !n_moves
-          end;
+          journal_move j u t conn;
           Wgraph.iter_neighbors g u (fun v _ ->
               if not locked.(v) then begin
                 incr regains;
@@ -203,19 +239,10 @@ let fm_pass (st : Part_state.t) =
               end)
         end)
   done;
-  (* Roll back to the best prefix. *)
-  for i = !n_moves - 1 downto !best_prefix do
-    let u = moves_u.(i) and from = moves_from.(i) in
-    Part_state.connectivity st conn u;
-    Part_state.apply_move st u from conn
-  done;
   Ppnpart_obs.Counters.add "fm.pops" !pops;
   Ppnpart_obs.Counters.add "fm.stale_requeues" !stale;
   Ppnpart_obs.Counters.add "fm.regains" !regains;
-  Ppnpart_obs.Counters.add "fm.moves.applied" !best_prefix;
-  Ppnpart_obs.Counters.add "fm.moves.rolled_back" (!n_moves - !best_prefix);
-  Debug_hooks.validate ~site:"fm_pass.rollback" st;
-  Metrics.compare_goodness !best start < 0
+  journal_close ~site:"fm_pass.rollback" j
 
 (* One FM pass with exact global move selection: rescan every unlocked
    node before each move. O(n^2 k) — used only as an escape hatch (see
@@ -230,43 +257,19 @@ let exact_fm_pass (st : Part_state.t) =
     "refine.exact_pass"
   @@ fun () ->
   let n = Wgraph.n_nodes st.Part_state.g in
-  let ws = st.Part_state.ws in
-  let conn = ws.Workspace.rf_conn in
-  let locked = ws.Workspace.rf_locked in
-  Array.fill locked 0 n false;
-  let moves_u = ws.Workspace.rf_moves_u
-  and moves_from = ws.Workspace.rf_moves_from in
-  let n_moves = ref 0 in
-  let start = Part_state.goodness st in
-  let best = ref start and best_prefix = ref 0 in
+  let conn = st.Part_state.ws.Workspace.rf_conn in
+  let locked = st.Part_state.ws.Workspace.rf_locked in
+  let j = journal_open st in
   let continue = ref true in
   let skip u = locked.(u) in
-  while !continue && !n_moves < n do
+  while !continue && j.n_moves < n do
     match Part_state.best_global_move ~skip st conn with
     | None -> continue := false
     | Some (u, t) ->
-      let from = st.Part_state.part.(u) in
       Part_state.connectivity st conn u;
-      Part_state.apply_move st u t conn;
-      locked.(u) <- true;
-      moves_u.(!n_moves) <- u;
-      moves_from.(!n_moves) <- from;
-      incr n_moves;
-      let now = Part_state.goodness st in
-      if Metrics.compare_goodness now !best < 0 then begin
-        best := now;
-        best_prefix := !n_moves
-      end
+      journal_move j u t conn
   done;
-  for i = !n_moves - 1 downto !best_prefix do
-    let u = moves_u.(i) and from = moves_from.(i) in
-    Part_state.connectivity st conn u;
-    Part_state.apply_move st u from conn
-  done;
-  Ppnpart_obs.Counters.add "fm.moves.applied" !best_prefix;
-  Ppnpart_obs.Counters.add "fm.moves.rolled_back" (!n_moves - !best_prefix);
-  Debug_hooks.validate ~site:"exact_pass.rollback" st;
-  Metrics.compare_goodness !best start < 0
+  journal_close ~site:"exact_pass.rollback" j
 
 let observe_active (st : Part_state.t) n =
   if Ppnpart_obs.Obs.recording () then begin

@@ -187,7 +187,8 @@ let test_report_deterministic_wide_waves () =
   check_string "report byte-identical at width 1 and 2" r1 (report 2)
 
 (* Every report prints as JSON that [Json.parse] reads back, and
-   printing the parsed document again gives the same bytes. *)
+   printing the parsed document again gives the same bytes; an
+   unconstrained bound reads back as null, not as a rounded float. *)
 let test_report_roundtrip () =
   let e = PG.experiment2 in
   let g = e.PG.graph and c = e.PG.constraints in
@@ -203,7 +204,30 @@ let test_report_roundtrip () =
       | Ok doc ->
         check_string (name ^ " report reprints") text (Json.to_string doc)
       | Error msg -> Alcotest.failf "%s report does not parse: %s" name msg)
-    [ false; true ]
+    [ false; true ];
+  (* Bounds read back exactly: constrained ones as integers, the
+     unconstrained [max_int] as null. *)
+  let bounds c r =
+    let text = Json.to_string (Run_report.of_result ~algo:"gp" g c r) in
+    match Json.parse text with
+    | Ok doc ->
+      check_string "report reprints" text (Json.to_string doc);
+      let field key =
+        Option.bind (Json.member "constraints" doc) (Json.member key)
+      in
+      (field "bmax", field "rmax")
+    | Error msg -> Alcotest.failf "report does not parse: %s" msg
+  in
+  let module T = Ppnpart_partition.Types in
+  let bmax, rmax = bounds c r in
+  check_bool "constrained bmax exact" true
+    (Option.bind bmax Json.to_int = Some c.T.bmax);
+  check_bool "constrained rmax exact" true
+    (Option.bind rmax Json.to_int = Some c.T.rmax);
+  let cu = T.unconstrained ~k:c.T.k in
+  let bmax, rmax = bounds cu (Gp.partition g cu) in
+  check_bool "unconstrained bmax is null" true (bmax = Some Json.Null);
+  check_bool "unconstrained rmax is null" true (rmax = Some Json.Null)
 
 (* --- GC deltas --- *)
 
