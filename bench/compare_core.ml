@@ -315,7 +315,10 @@ let partition_rules =
     stay_true "obs_overhead.same_partition";
     never_worse ~tol:0.06 "obs_overhead.trace_ratio";
     never_worse ~tol:0.07 "obs_overhead.metrics_ratio";
-    stay_true "stream_1m.converged";
+    (* The restream's pass count is seeded and exact (3 at the
+       committed record); [converged] is false there, so a
+       [stay_true] on it would gate nothing. *)
+    lower "stream_1m.passes";
     lower "stream_1m.violation";
     stay_true "stream_200k.deterministic_across_jobs";
     lower ~pct:25. ~abs:0.5 "stream_200k.cut_ratio";

@@ -8,13 +8,14 @@
    json-smoke smoke timing all (default: all).
 
    [smoke] and [json-smoke] run one builder: the micro-benchmarks at
-   shrunk sizes, as one JSON document. The builder checks the document
-   against the blocking rows of [Compare_core.smoke_rules] (every
-   [Must_stay_true] and [At_most] row) and fails the run if one is false
-   or missing. [smoke] then prints the rows; [json-smoke] also rewrites
-   bench_out/BENCH_smoke.json. [json] builds the full-size record
-   bench_out/BENCH_partition.json. Both record sections append the
-   document to bench_out/history/. *)
+   shrunk sizes, as one JSON document. [smoke] prints the rows;
+   [json-smoke] also rewrites bench_out/BENCH_smoke.json. [json] builds
+   the full-size record bench_out/BENCH_partition.json. Both record
+   sections append the document to bench_out/history/. Each of the
+   three then checks its document against the blocking rows of its
+   rule table ([Compare_core.smoke_rules] or [partition_rules]: every
+   [Must_stay_true] and [At_most] row) and fails the run if one is
+   false or missing. *)
 
 open Ppnpart_graph
 open Ppnpart_partition
@@ -444,8 +445,10 @@ let fm_bench ~n ~m ~k =
 (* Boundary-driven constrained refinement vs the legacy full-scan path
    ([Refine_oracle], the cache-less refiner kept in test/oracle/).
    The two consume identical rng draws and promise a bit-identical
-   partition, so equality is asserted on *every* benchmark run (not only
-   in the fuzz harness) and the timing difference is pure
+   partition, so equality is checked on *every* benchmark run (not only
+   in the fuzz harness): a divergence writes [same_goodness: false] and
+   names the first quantity that differs in [diverged], and the gate
+   fails the run once the record is out. The timing difference is pure
    implementation: active-set sweeps and cached connectivity rows vs
    full-node scans with per-node neighbour sweeps. The boundary side is
    measured in its steady state against a warmed workspace, which is how
@@ -477,19 +480,12 @@ let refine_bench ?(reps = 3) ~n ~k () =
   ignore (run_boundary () (* warm the workspace *));
   let (bp, bg), boundary_s = compacted_min ~reps run_boundary in
   let (lp, lg), legacy_s = compacted_min ~reps:(max 2 (reps - 1)) run_legacy in
-  let same_goodness =
-    bp = lp
-    && bg.Metrics.violation = lg.Metrics.violation
-    && bg.Metrics.cut_value = lg.Metrics.cut_value
+  let diverged =
+    if bg.Metrics.violation <> lg.Metrics.violation then Some "violation"
+    else if bg.Metrics.cut_value <> lg.Metrics.cut_value then Some "cut"
+    else if bp <> lp then Some "labels"
+    else None
   in
-  if not same_goodness then
-    failwith
-      (Printf.sprintf
-         "refine_bench n=%d: boundary diverged from legacy (violation %d \
-          vs %d, cut %d vs %d, partitions %s)"
-         n bg.Metrics.violation lg.Metrics.violation bg.Metrics.cut_value
-         lg.Metrics.cut_value
-         (if bp = lp then "equal" else "differ"));
   let _, snap = Ppnpart_obs.Obs.with_registry run_boundary in
   let active_size_total =
     Option.value ~default:0
@@ -502,17 +498,20 @@ let refine_bench ?(reps = 3) ~n ~k () =
     | _ -> (0, 0., 0.)
   in
   Json.Obj
-    [ ("n", int n); ("m", int (Wgraph.n_edges g)); ("k", int k);
-      ("legacy_refine_s", num legacy_s);
-      ("boundary_refine_s", num boundary_s);
-      ("speedup", num (legacy_s /. boundary_s));
-      ("same_goodness", Json.Bool same_goodness);
-      ("violation", int bg.Metrics.violation);
-      ("cut", int bg.Metrics.cut_value);
-      ("active_sweeps", int frac_count);
-      ("active_size_total", int active_size_total);
-      ("active_fraction_mean", num frac_mean);
-      ("active_fraction_max", num frac_max) ]
+    ([ ("n", int n); ("m", int (Wgraph.n_edges g)); ("k", int k);
+       ("legacy_refine_s", num legacy_s);
+       ("boundary_refine_s", num boundary_s);
+       ("speedup", num (legacy_s /. boundary_s));
+       ("same_goodness", Json.Bool (diverged = None)) ]
+    @ (match diverged with
+      | Some what -> [ ("diverged", Json.Str what) ]
+      | None -> [])
+    @ [ ("violation", int bg.Metrics.violation);
+        ("cut", int bg.Metrics.cut_value);
+        ("active_sweeps", int frac_count);
+        ("active_size_total", int active_size_total);
+        ("active_fraction_mean", num frac_mean);
+        ("active_fraction_max", num frac_max) ])
 
 (* The serial boundary refiner at scale, on the same mostly-converged
    shape as [refine_bench] (a perturbed planted clustering): one wall
@@ -1040,6 +1039,21 @@ let record name doc =
   Printf.printf "  wrote %s\n" path;
   append_history name doc
 
+(* The blocking gate: every [Must_stay_true] and [At_most] row of
+   [rules] must hold in [doc]. Runs after the document is printed or
+   written, so a failing run still leaves the rows that show why. *)
+let enforce ~rules doc =
+  let failed =
+    List.filter
+      (fun (r : C.row) -> r.C.status <> C.Pass)
+      (C.gate ~rules doc)
+  in
+  List.iter
+    (fun (r : C.row) ->
+      Printf.eprintf "gate FAIL %s: %s\n" r.C.concrete r.C.detail)
+    failed;
+  if failed <> [] then failwith "bench: a blocking gate row failed"
+
 let bench_json () =
   section "Machine-readable benchmark record (BENCH_partition.json)";
   let instance_row (e : PG.experiment) =
@@ -1081,16 +1095,19 @@ let bench_json () =
   let stream_1m = stream_1m_bench ~reps:3 () in
   let ingest = ingest_bench ~scale:17 ~reps:3 in
   let repartition = repartition_bench ~n:50_000 ~k:8 ~edit_pct:1 ~reps:3 () in
-  record "partition"
-    (Json.Obj
-       [ ("schema", Json.Str "ppnpart-bench-partition/12");
-         ("generated_unix", num (Unix.time ()));
-         ("instances", Json.Arr instances); ("fm_5k", fm);
-         ("refine_50k", refine); ("refine_1m", refine_1m);
-         ("coarsen_50k", coarsen); ("vcycles_20", vcycles);
-         ("obs_overhead", obs); ("stream_1m", stream_1m);
-         ("stream_200k", stream); ("hybrid_200k", hybrid);
-         ("ingest_131k", ingest); ("repartition_50k", repartition) ])
+  let doc =
+    Json.Obj
+      [ ("schema", Json.Str "ppnpart-bench-partition/12");
+        ("generated_unix", num (Unix.time ()));
+        ("instances", Json.Arr instances); ("fm_5k", fm);
+        ("refine_50k", refine); ("refine_1m", refine_1m);
+        ("coarsen_50k", coarsen); ("vcycles_20", vcycles);
+        ("obs_overhead", obs); ("stream_1m", stream_1m);
+        ("stream_200k", stream); ("hybrid_200k", hybrid);
+        ("ingest_131k", ingest); ("repartition_50k", repartition) ]
+  in
+  record "partition" doc;
+  enforce ~rules:C.partition_rules doc
 
 (* ------------------------------------------------------------------ *)
 (* Smoke: the micro-benchmarks at shrunk sizes, gated.                 *)
@@ -1106,8 +1123,8 @@ let bench_json () =
    bit-identity boolean, plus the same-run orderings boundary refine <=
    legacy, hybrid <= multilevel, stream cut <= 20x multilevel cut and
    incremental repartition <= scratch. A row that is false or missing
-   fails the run before anything is printed or written, so no baseline
-   is ever recorded with a broken structural row. *)
+   fails the run, after the rows are printed (and, in [json-smoke],
+   written), so a failing run keeps the record of what diverged. *)
 let smoke_doc () =
   let fm = fm_bench ~n:600 ~m:2400 ~k:4 in
   let refine = refine_bench ~n:4_000 ~k:8 () in
@@ -1119,34 +1136,25 @@ let smoke_doc () =
   let stream, hybrid = mode_bench ~n_target:20_000 ~reps:2 in
   let ingest = ingest_bench ~scale:13 ~reps:2 in
   let repartition = repartition_bench ~n:4_000 ~k:8 ~edit_pct:1 ~reps:2 () in
-  let doc =
-    Json.Obj
-      [ ("schema", Json.Str "ppnpart-bench-smoke/7");
-        ("generated_unix", num (Unix.time ())); ("fm_600", fm);
-        ("refine_4k", refine); ("coarsen_4k", coarsen);
-        ("obs_overhead", obs); ("vcycles_5", Json.Obj vcycles);
-        ("stream_20k", stream); ("hybrid_20k", hybrid);
-        ("ingest_8k", ingest); ("repartition_4k", repartition) ]
-  in
-  let failed =
-    List.filter
-      (fun (r : C.row) -> r.C.status <> C.Pass)
-      (C.gate ~rules:C.smoke_rules doc)
-  in
-  List.iter
-    (fun (r : C.row) ->
-      Printf.eprintf "gate FAIL %s: %s\n" r.C.concrete r.C.detail)
-    failed;
-  if failed <> [] then failwith "smoke: a blocking row of smoke_rules failed";
-  doc
+  Json.Obj
+    [ ("schema", Json.Str "ppnpart-bench-smoke/7");
+      ("generated_unix", num (Unix.time ())); ("fm_600", fm);
+      ("refine_4k", refine); ("coarsen_4k", coarsen);
+      ("obs_overhead", obs); ("vcycles_5", Json.Obj vcycles);
+      ("stream_20k", stream); ("hybrid_20k", hybrid);
+      ("ingest_8k", ingest); ("repartition_4k", repartition) ]
 
 let smoke () =
   section "Bench smoke (shrunk sizes, gated, no file written)";
-  print_doc (smoke_doc ())
+  let doc = smoke_doc () in
+  print_doc doc;
+  enforce ~rules:C.smoke_rules doc
 
 let bench_json_smoke () =
   section "Machine-readable smoke record (BENCH_smoke.json)";
-  record "smoke" (smoke_doc ())
+  let doc = smoke_doc () in
+  record "smoke" doc;
+  enforce ~rules:C.smoke_rules doc
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table.                 *)

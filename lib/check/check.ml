@@ -93,12 +93,14 @@ let part_state ?(site = "part_state") (st : Part_state.t) =
      by a neighbour sweep and diff against the incremental cache. *)
   let row = Array.make k 0 in
   let n_active = ref 0 in
+  let max_wdeg = ref 1 in
   for u = 0 to n - 1 do
     Array.fill row 0 k 0;
     let wdeg = ref 0 in
     Wgraph.iter_neighbors g u (fun v w ->
         row.(part.(v)) <- row.(part.(v)) + w;
         wdeg := !wdeg + w);
+    if !wdeg > !max_wdeg then max_wdeg := !wdeg;
     for q = 0 to k - 1 do
       diff_int ~site
         ~field:(Printf.sprintf "conn.(%d).(%d)" u q)
@@ -132,6 +134,9 @@ let part_state ?(site = "part_state") (st : Part_state.t) =
   done;
   diff_int ~site ~field:"n_active" ~expected:!n_active
     ~actual:st.Part_state.n_active;
+  (* The FM gain scale: the cached maximum weighted degree. *)
+  diff_int ~site ~field:"max_wdeg" ~expected:!max_wdeg
+    ~actual:st.Part_state.max_wdeg;
   (* Part member chains: every part's chain holds exactly its members,
      all correctly labelled, and the chains cover every node. *)
   let total = ref 0 in

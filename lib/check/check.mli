@@ -33,7 +33,9 @@ val part_state : ?site:string -> Part_state.t -> unit
 (** Recompute every maintained quantity of the state from scratch and
     diff. Fields are compared in dependency order — partition validity,
     bandwidth matrix, loads, member counts, cut, bandwidth excess,
-    resource excess — so [field] names the most upstream divergence.
+    resource excess, then the per-node caches (connectivity rows,
+    external degrees, active set), the maximum weighted degree and the
+    member chains — so [field] names the most upstream divergence.
     Bumps the obs counter ["check.<site>"]. *)
 
 val partition : ?site:string -> Wgraph.t -> Types.constraints -> int array -> unit

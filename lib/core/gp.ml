@@ -7,6 +7,7 @@ type result = {
   feasible : bool;
   goodness : Metrics.goodness;
   report : Metrics.report;
+  quality : Metrics.quality;
   cycles_used : int;
   levels : int;
   runtime_s : float;
@@ -227,6 +228,7 @@ let finish ~t0 g c ?search ?(history = []) ?(cycles = 0) ?(levels = 0) part =
     feasible = goodness.Metrics.violation = 0;
     goodness;
     report = Metrics.report_of_quality ~runtime_s q;
+    quality = q;
     cycles_used = cycles;
     levels;
     runtime_s;

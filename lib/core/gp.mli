@@ -26,15 +26,17 @@ open Ppnpart_partition
 
 (** The one O(m) pass per answer is a
     {!Ppnpart_partition.Metrics.quality} recomputation of its labels,
-    the {e certificate}: [feasible], [goodness] and [report] come from
-    it. Every search keeps a goodness of its own (the refinement
-    state's, the stream state's, the enumeration's); a disagreement
-    bumps [gp.certificate_mismatch]. *)
+    the {e certificate}, kept as [quality]: [feasible], [goodness],
+    [report] and {!Run_report.of_result} come from it. Every search
+    keeps a goodness of its own (the refinement state's, the stream
+    state's, the enumeration's); a disagreement bumps
+    [gp.certificate_mismatch]. *)
 type result = {
   part : int array;
   feasible : bool;
   goodness : Metrics.goodness;
   report : Metrics.report;
+  quality : Metrics.quality;  (** the certificate of [part] *)
   cycles_used : int;  (** V-cycles beyond the first descent *)
   levels : int;  (** depth of the base hierarchy *)
   runtime_s : float;
@@ -96,7 +98,7 @@ type resident
     behind the last incremental answer, kept between requests on one
     graph (a daemon keeps one per graph). It owns a workspace of its
     own, empty until the first {!repartition} that fills the slot grows
-    it to about [(k + 12) · n] words. *)
+    it to about [(k + 13) · n] words. *)
 
 val resident : unit -> resident
 (** An empty slot. *)

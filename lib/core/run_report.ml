@@ -168,10 +168,9 @@ let hist_json (h : Obs.Histogram.snapshot) =
 
 let ints a = Json.Arr (List.map Json.int (Array.to_list a))
 
-let to_json ?(deterministic = false) ?(algo = "multilevel") ?runtime_s
-    ?cycles ?levels ?(snapshot = Obs.Metrics_registry.empty_snapshot) g
-    (c : Types.constraints) part =
-  let q = Metrics.quality g c part in
+let render ?(deterministic = false) ?(algo = "multilevel") ?runtime_s ?cycles
+    ?levels ?(snapshot = Obs.Metrics_registry.empty_snapshot) g
+    (c : Types.constraints) (q : Metrics.quality) =
   let keep name = not (deterministic && nondeterministic_name name) in
   let named value entries =
     Json.Obj
@@ -228,6 +227,12 @@ let to_json ?(deterministic = false) ?(algo = "multilevel") ?runtime_s
         ("gauges", named num snapshot.gauges);
         ("histograms", named hist_json snapshot.histograms) ])
 
+let to_json ?deterministic ?algo ?runtime_s ?cycles ?levels ?snapshot g c part
+    =
+  render ?deterministic ?algo ?runtime_s ?cycles ?levels ?snapshot g c
+    (Metrics.quality g c part)
+
+(* The answer's certificate is already in the result: no graph sweep. *)
 let of_result ?deterministic ?algo ?snapshot g c (r : Gp.result) =
-  to_json ?deterministic ?algo ~runtime_s:r.Gp.runtime_s
-    ~cycles:r.Gp.cycles_used ~levels:r.Gp.levels ?snapshot g c r.Gp.part
+  render ?deterministic ?algo ~runtime_s:r.Gp.runtime_s
+    ~cycles:r.Gp.cycles_used ~levels:r.Gp.levels ?snapshot g c r.Gp.quality

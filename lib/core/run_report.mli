@@ -38,8 +38,9 @@ val to_json :
   Types.constraints ->
   int array ->
   Ppnpart_obs.Json.t
-(** [to_json g c part] renders the report for labelling [part].
-    [snapshot] defaults to empty (quality-only report). *)
+(** [to_json g c part] renders the report for labelling [part], whose
+    quality it computes in one O(n + m) sweep. [snapshot] defaults to
+    empty (quality-only report). *)
 
 val of_result :
   ?deterministic:bool ->
@@ -50,7 +51,10 @@ val of_result :
   Gp.result ->
   Ppnpart_obs.Json.t
 (** Report for a finished {!Gp} run (runtime, cycles and level count
-    taken from the result). *)
+    taken from the result), rendered from the result's certificate
+    ([Gp.result.quality]) without sweeping the graph: the same bytes as
+    [to_json] on [r.part] with the same arguments. [g] and [c] must be
+    the graph and constraints [r] answers. *)
 
 val pp_stats :
   clock:Ppnpart_obs.Obs.clock ->

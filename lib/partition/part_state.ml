@@ -15,6 +15,9 @@ open Ppnpart_graph
    - [pl_next]/[pl_prev]/[pl_head] chain the members of each part
      (intrusive doubly linked lists, head marked [-p - 1] in [pl_prev])
      so an Rmax crossing can refresh exactly the affected part's members.
+   - [max_wdeg] is the largest weighted degree (floor 1), the FM gain
+     scale. Moves never change a node's weighted degree, so only the
+     sweeps that rebuild rows ([build_node_caches], [rebase]) touch it.
 
    test/oracle/refine_oracle.ml keeps a cache-less full-scan state as
    the differential oracle for all of this. *)
@@ -38,6 +41,7 @@ type t = {
   pl_next : int array;
   pl_prev : int array;
   pl_head : int array;
+  mutable max_wdeg : int;
 }
 
 let excess_over bound v = if v > bound then v - bound else 0
@@ -95,7 +99,7 @@ let chain_push st p u =
   st.pl_head.(p) <- u
 
 (* u's connectivity row and external degree, from its neighbours'
-   current labels. *)
+   current labels; returns u's weighted degree. *)
 let fill_row st u =
   let k = st.c.Types.k in
   let row = u * k in
@@ -105,20 +109,29 @@ let fill_row st u =
       let q = st.part.(v) in
       st.conn.(row + q) <- st.conn.(row + q) + w;
       wdeg := !wdeg + w);
-  st.ed.(u) <- !wdeg - st.conn.(row + st.part.(u))
+  st.ed.(u) <- !wdeg - st.conn.(row + st.part.(u));
+  !wdeg
+
+(* A node's weighted degree from its caches: external degree plus
+   connectivity toward its own part. *)
+let cached_wdeg st u = st.ed.(u) + st.conn.((u * st.c.Types.k) + st.part.(u))
 
 (* One O(m + nk) sweep filling connectivity rows, external degrees,
-   member chains and the active set from the current labels and loads. *)
+   the maximum weighted degree, member chains and the active set from
+   the current labels and loads. *)
 let build_node_caches st =
   let k = st.c.Types.k in
   let n = Wgraph.n_nodes st.g in
   Array.fill st.pl_head 0 k (-1);
   st.n_active <- 0;
+  let best = ref 1 in
   for u = n - 1 downto 0 do
-    fill_row st u;
+    let d = fill_row st u in
+    if d > !best then best := d;
     chain_push st st.part.(u) u;
     st.apos.(u) <- -1
   done;
+  st.max_wdeg <- !best;
   for u = 0 to n - 1 do
     if should_be_active st u then active_add st u
   done
@@ -185,6 +198,7 @@ let init ?workspace g (c : Types.constraints) part0 =
       pl_next = ws.Workspace.pl_next;
       pl_prev = ws.Workspace.pl_prev;
       pl_head = ws.Workspace.pl_head;
+      max_wdeg = 1;
     }
   in
   build_node_caches st;
@@ -240,6 +254,7 @@ let init_projected ~map coarse fine_g =
       pl_next = ws.Workspace.pl_next;
       pl_prev = ws.Workspace.pl_prev;
       pl_head = ws.Workspace.pl_head;
+      max_wdeg = 1;
     }
   in
   build_node_caches st;
@@ -254,7 +269,10 @@ let init_projected ~map coarse fine_g =
    touched nodes' weights, and their own cache rows; an untouched node
    keeps its row and external degree, and can change activity only
    through an Rmax crossing of its part, which the member chains
-   refresh exactly as in [apply_move]. *)
+   refresh exactly as in [apply_move]. Only a touched node's weighted
+   degree can change, so the maximum is patched from the touched rows,
+   and rescanned in O(n) only when a touched node that held it got
+   lighter. *)
 let rebase st g ~touched =
   let n = Wgraph.n_nodes g in
   if Wgraph.n_nodes st.g <> n then
@@ -294,11 +312,25 @@ let rebase st g ~touched =
     touched;
   let bw_excess, res_excess = excess_totals c st.bw st.load in
   let st = { st with g; bw_excess; res_excess; cut = !cut } in
+  let old_max = st.max_wdeg in
+  let touched_max = ref 1 and lost_max = ref false in
   Array.iter
     (fun u ->
-      fill_row st u;
+      let before = cached_wdeg st u in
+      let d = fill_row st u in
+      if d > !touched_max then touched_max := d;
+      if before = old_max && d < old_max then lost_max := true;
       active_refresh st u)
     touched;
+  if not !lost_max then st.max_wdeg <- max old_max !touched_max
+  else begin
+    let best = ref 1 in
+    for u = 0 to n - 1 do
+      let d = cached_wdeg st u in
+      if d > !best then best := d
+    done;
+    st.max_wdeg <- !best
+  end;
   for p = 0 to k - 1 do
     if was_over.(p) <> (st.load.(p) > c.Types.rmax) then refresh_members st p
   done;
@@ -308,17 +340,31 @@ let connectivity st conn u =
   let k = st.c.Types.k in
   Array.blit st.conn (u * k) conn 0 k
 
-let move_deltas st u t conn =
-  let c = st.c in
-  let k = c.Types.k in
-  let p = st.part.(u) in
-  let bmax = c.Types.bmax and rmax = c.Types.rmax in
-  let d_bw = ref 0 in
-  for q = 0 to k - 1 do
-    if q <> p && q <> t && conn.(q) <> 0 then
+(* The parts [u] is connected to, from its connectivity vector, into
+   the state's scratch; returns how many. *)
+let nonzero_parts st conn =
+  let nz = st.ws.Workspace.rf_nz in
+  let nnz = ref 0 in
+  for q = 0 to st.c.Types.k - 1 do
+    if conn.(q) <> 0 then begin
+      nz.(!nnz) <- q;
+      incr nnz
+    end
+  done;
+  !nnz
+
+(* The bandwidth-excess delta of moving a node from part [p] to part
+   [t], given its connectivity [conn] and the parts [nz.(0 .. nnz-1)]
+   where [conn] is nonzero: O(nnz) instead of O(k). *)
+let bw_delta st p t conn nz nnz =
+  let bmax = st.c.Types.bmax in
+  let d = ref 0 in
+  for i = 0 to nnz - 1 do
+    let q = nz.(i) in
+    if q <> p && q <> t then
       (* pair (p, q) loses conn q; pair (t, q) gains conn q *)
-      d_bw :=
-        !d_bw
+      d :=
+        !d
         + excess_over bmax (st.bw.(p).(q) - conn.(q))
         - excess_over bmax st.bw.(p).(q)
         + excess_over bmax (st.bw.(t).(q) + conn.(q))
@@ -327,23 +373,30 @@ let move_deltas st u t conn =
   (* pair (p, t): edges to t become internal, edges to p become crossing *)
   let pt = st.bw.(p).(t) in
   let pt' = pt - conn.(t) + conn.(p) in
-  d_bw := !d_bw + excess_over bmax pt' - excess_over bmax pt;
-  let w_u = Wgraph.node_weight st.g u in
-  let d_res =
-    excess_over rmax (st.load.(p) - w_u)
-    - excess_over rmax st.load.(p)
-    + excess_over rmax (st.load.(t) + w_u)
-    - excess_over rmax st.load.(t)
-  in
-  let d_cut = conn.(p) - conn.(t) in
-  (!d_bw, d_res, d_cut)
+  !d + excess_over bmax pt' - excess_over bmax pt
+
+(* The resource-excess deltas of taking weight [w] out of part [p] and
+   of putting it into part [t]. *)
+let res_out st p w =
+  let rmax = st.c.Types.rmax in
+  excess_over rmax (st.load.(p) - w) - excess_over rmax st.load.(p)
+
+let res_in st t w =
+  let rmax = st.c.Types.rmax in
+  excess_over rmax (st.load.(t) + w) - excess_over rmax st.load.(t)
 
 let apply_move st u t conn =
   let p = st.part.(u) in
-  let d_bw, d_res, d_cut = move_deltas st u t conn in
+  let nz = st.ws.Workspace.rf_nz in
+  let nnz = nonzero_parts st conn in
+  let w_u = Wgraph.node_weight st.g u in
+  let d_bw = bw_delta st p t conn nz nnz in
+  let d_res = res_out st p w_u + res_in st t w_u in
+  let d_cut = conn.(p) - conn.(t) in
   let k = st.c.Types.k in
-  for q = 0 to k - 1 do
-    if q <> p && q <> t && conn.(q) <> 0 then begin
+  for i = 0 to nnz - 1 do
+    let q = nz.(i) in
+    if q <> p && q <> t then begin
       st.bw.(p).(q) <- st.bw.(p).(q) - conn.(q);
       st.bw.(q).(p) <- st.bw.(p).(q);
       st.bw.(t).(q) <- st.bw.(t).(q) + conn.(q);
@@ -353,7 +406,6 @@ let apply_move st u t conn =
   let pt' = st.bw.(p).(t) - conn.(t) + conn.(p) in
   st.bw.(p).(t) <- pt';
   st.bw.(t).(p) <- pt';
-  let w_u = Wgraph.node_weight st.g u in
   let rmax = st.c.Types.rmax in
   let p_was_over = st.load.(p) > rmax in
   let t_was_over = st.load.(t) > rmax in
@@ -397,6 +449,9 @@ let violation st =
 
 let goodness st = { Metrics.violation = violation st; cut_value = st.cut }
 
+(* Every target is scored from the parts [u] touches, collected once:
+   O(k · nnz) per node instead of O(k²). An interior node ([ed u = 0])
+   touches only its own part, so its scan is O(k). *)
 let best_target st conn u =
   let k = st.c.Types.k in
   let p = st.part.(u) in
@@ -409,34 +464,19 @@ let best_target st conn u =
      exactly when doing so strictly reduces the violation. *)
   let singleton = st.members.(p) = 1 in
   let cur_v = if singleton then violation st else max_int in
-  (* Interior fast path: with every neighbour in [p], [conn] is zero
-     everywhere but at [p], so [move_deltas] degenerates to a closed
-     form — only the (p, t) bandwidth pair and the two loads change.
-     Algebraically identical to the general case, O(1) per target. *)
-  let interior = st.ed.(u) = 0 in
-  let bmax = st.c.Types.bmax and rmax = st.c.Types.rmax in
+  let nz = st.ws.Workspace.rf_nz in
+  let nnz = nonzero_parts st conn in
   let w_u = Wgraph.node_weight st.g u in
-  let cp = conn.(p) in
-  let d_res_p = excess_over rmax (st.load.(p) - w_u) - excess_over rmax st.load.(p) in
+  let res_excess = st.res_excess + res_out st p w_u in
+  let cut = st.cut + conn.(p) in
   for t = 0 to k - 1 do
     if t <> p then begin
-      let d_bw, d_res, d_cut =
-        if interior then begin
-          let pt = st.bw.(p).(t) in
-          ( excess_over bmax (pt + cp) - excess_over bmax pt,
-            d_res_p
-            + excess_over rmax (st.load.(t) + w_u)
-            - excess_over rmax st.load.(t),
-            cp )
-        end
-        else move_deltas st u t conn
-      in
       let v =
         Metrics.normalized_violation st.c
-          ~bw_excess:(st.bw_excess + d_bw)
-          ~res_excess:(st.res_excess + d_res)
+          ~bw_excess:(st.bw_excess + bw_delta st p t conn nz nnz)
+          ~res_excess:(res_excess + res_in st t w_u)
       in
-      let cut' = st.cut + d_cut in
+      let cut' = cut - conn.(t) in
       if
         ((not singleton) || v < cur_v)
         && (v < !best_v || (v = !best_v && cut' < !best_cut))
@@ -471,18 +511,5 @@ let best_global_move ?(skip = fun _ -> false) ?(admit = fun _ _ _ -> true) st
     end
   done;
   if !best_u < 0 then None else Some (!best_u, !best_t)
-
-(* A node's weighted degree is its external degree plus its
-   connectivity toward its own part; both caches are exact after every
-   [init], [init_projected], [rebase] and [apply_move], so the maximum
-   needs no adjacency read. *)
-let max_weighted_degree st =
-  let k = st.c.Types.k in
-  let best = ref 1 in
-  for u = 0 to Wgraph.n_nodes st.g - 1 do
-    let d = st.ed.(u) + st.conn.((u * k) + st.part.(u)) in
-    if d > !best then best := d
-  done;
-  !best
 
 let snapshot st = Array.copy st.part

@@ -37,6 +37,11 @@ type t = private {
   pl_next : int array;  (** part member chains, forward links *)
   pl_prev : int array;  (** back links; [−p − 1] marks head of part [p] *)
   pl_head : int array;  (** chain head per part, −1 when empty *)
+  mutable max_wdeg : int;
+      (** [max 1 (max_u (Wgraph.weighted_degree g u))], the FM gain-scale
+          bound of {!Refine_constrained}: computed by the sweeps that
+          build the connectivity rows, patched by {!rebase}, and
+          unchanged by moves, which never change a weighted degree *)
 }
 
 val init :
@@ -65,6 +70,9 @@ val rebase : t -> Wgraph.t -> touched:int array -> t
     [init g' st.c (snapshot st)], at a cost of
     O(Σ_touched degree · log |touched| + |touched| · k + k²) plus the
     members of any part whose load crosses Rmax, instead of O(n·k + m).
+    The maximum weighted degree is patched from the touched rows; it is
+    rescanned in O(n) only when a touched node that held it got
+    lighter.
     Active-list and chain order may differ from [init]'s; no consumer
     reads them. Like {!init_projected} it patches [st]'s storage in
     place: [st] is consumed and must not be used afterwards.
@@ -73,11 +81,6 @@ val rebase : t -> Wgraph.t -> touched:int array -> t
 val connectivity : t -> int array -> int -> unit
 (** [connectivity st conn u] fills [conn] (length [k]) with [u]'s total
     edge weight toward every part — a blit of the cached row. *)
-
-val move_deltas : t -> int -> int -> int array -> int * int * int
-(** [move_deltas st u target conn] is
-    [(d_bw_excess, d_res_excess, d_cut)] of moving [u] to [target], given
-    [u]'s connectivity vector. Pure. *)
 
 val apply_move : t -> int -> int -> int array -> unit
 (** Applies the move and updates every maintained quantity. [conn] must be
@@ -98,9 +101,10 @@ val best_target : t -> int array -> int -> int * int * int
     that would empty [u]'s part is considered only when it strictly
     reduces the violation — otherwise every part stays occupied, but a
     frozen singleton may always evacuate to repair an Rmax/Bmax
-    violation (relevant on coarse graphs with n close to k). When [u] is
-    interior ([ed u = 0]) the scan runs a closed-form O(k) fast path
-    that is algebraically identical to the general O(k²) one. *)
+    violation (relevant on coarse graphs with n close to k). The parts
+    [u] is connected to are collected once (into the workspace's [rf_nz]
+    scratch), and each target is scored from them: O(k · nnz), so O(k)
+    for an interior node ([ed u = 0]). Ties keep the lowest target. *)
 
 val best_global_move :
   ?skip:(int -> bool) ->
@@ -112,12 +116,6 @@ val best_global_move :
     out before scoring, the {!best_target} of lowest [(violation', cut')]
     for which [admit u violation' cut'] holds, lowest [u] on ties; [None]
     when there is none. O(n·k) to O(n·k²); clobbers [conn]. *)
-
-val max_weighted_degree : t -> int
-(** [max 1 (max_u (Wgraph.weighted_degree st.g u))], read from the
-    caches ([ed u] plus [u]'s connectivity toward its own part) in one
-    O(n) loop: no adjacency read, no allocation. The FM gain-scale
-    bound of {!Refine_constrained}. *)
 
 val snapshot : t -> int array
 (** Copy of the current partition. *)

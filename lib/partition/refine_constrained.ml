@@ -68,9 +68,12 @@ let exact_fallback_limit = 512
 (* The move journal both FM passes keep: every tentative move in order,
    each moved node locked, and the prefix after which goodness was best.
    Closing it rolls the suffix back, so a pass never leaves the state
-   worse than it found it. *)
+   worse than it found it. A node is locked when its [rf_lock] stamp is
+   the journal's [epoch]: opening a journal starts a new epoch, which
+   unlocks every node without an O(n) fill. *)
 type journal = {
   st : Part_state.t;
+  epoch : int;
   start : Metrics.goodness;
   mutable best : Metrics.goodness;
   mutable best_prefix : int;
@@ -78,11 +81,13 @@ type journal = {
 }
 
 let journal_open (st : Part_state.t) =
-  Array.fill st.Part_state.ws.Workspace.rf_locked 0
-    (Wgraph.n_nodes st.Part_state.g)
-    false;
+  let ws = st.Part_state.ws in
+  ws.Workspace.rf_epoch <- ws.Workspace.rf_epoch + 1;
+  let epoch = ws.Workspace.rf_epoch in
   let start = Part_state.goodness st in
-  { st; start; best = start; best_prefix = 0; n_moves = 0 }
+  { st; epoch; start; best = start; best_prefix = 0; n_moves = 0 }
+
+let locked j u = j.st.Part_state.ws.Workspace.rf_lock.(u) = j.epoch
 
 (* Move [u] to [t] ([conn] holds u's connectivity), lock and record it. *)
 let journal_move j u t conn =
@@ -90,7 +95,7 @@ let journal_move j u t conn =
   let ws = st.Part_state.ws in
   let from = st.Part_state.part.(u) in
   Part_state.apply_move st u t conn;
-  ws.Workspace.rf_locked.(u) <- true;
+  ws.Workspace.rf_lock.(u) <- j.epoch;
   ws.Workspace.rf_moves_u.(j.n_moves) <- u;
   ws.Workspace.rf_moves_from.(j.n_moves) <- from;
   j.n_moves <- j.n_moves + 1;
@@ -142,10 +147,16 @@ let journal_close ~site j =
    churn activates join the bucket then. What the restriction drops is
    tentative worsening churn through untouched interior regions, which
    is exactly the work that made a pass O(n) even on a converged
-   partition. The full-scan oracle (test/oracle/refine_oracle.ml) seeds
-   the same set in the same ascending-u order, recomputing the predicate
-   per node by neighbour sweep where this pass reads the membership
-   table in O(1), so the two stay bit-identical, move for move. *)
+   partition. Seeding changes no state, so the bucket is filled from
+   the active list sorted ascending: the same nodes in the same
+   insertion order as a scan of every u, in O(a log a) for an active
+   set of a nodes. The full-scan oracle (test/oracle/refine_oracle.ml)
+   seeds exactly that way, recomputing the predicate per node by
+   neighbour sweep, so the two stay bit-identical, move for move.
+
+   Nothing else in a pass is O(n) either: the gain scale is the state's
+   cached maximum weighted degree, locks are epoch stamps, and clearing
+   the reused bucket costs its occupied words plus the nodes left. *)
 
 let violation_cap = 32
 
@@ -157,7 +168,7 @@ let fm_pass (st : Part_state.t) =
   let g = st.Part_state.g in
   let n = Wgraph.n_nodes g in
   let ws = st.Part_state.ws in
-  let cut_cap = Part_state.max_weighted_degree st in
+  let cut_cap = st.Part_state.max_wdeg in
   let scale = (2 * cut_cap) + 3 in
   let clamp lo hi v = if v < lo then lo else if v > hi then hi else v in
   let conn = ws.Workspace.rf_conn in
@@ -180,7 +191,6 @@ let fm_pass (st : Part_state.t) =
      never [Bucket.max_gain]. *)
   let logical_max_gain = (violation_cap + 1) * scale in
   let bucket = Workspace.bucket ws ~n ~max_gain:logical_max_gain in
-  let locked = ws.Workspace.rf_locked in
   let j = journal_open st in
   let seed u =
     match best_move u with
@@ -190,9 +200,25 @@ let fm_pass (st : Part_state.t) =
   (* Small graphs seed every node: there the exhaustive pass is cheap
      and pairs with the exact rescue, and restricting it only shifts
      exploration onto that costlier rescue. *)
-  for u = 0 to n - 1 do
-    if n <= exact_fallback_limit || st.Part_state.apos.(u) >= 0 then seed u
-  done;
+  let seeded =
+    if n <= exact_fallback_limit then begin
+      for u = 0 to n - 1 do
+        seed u
+      done;
+      n
+    end
+    else begin
+      let a = st.Part_state.n_active in
+      let order = ws.Workspace.rf_seed in
+      Array.blit st.Part_state.active 0 order 0 a;
+      Int_sort.sort_keys order ~lo:0 ~len:a;
+      for i = 0 to a - 1 do
+        seed order.(i)
+      done;
+      a
+    end
+  in
+  Ppnpart_obs.Counters.add "fm.seeded" seeded;
   (* Stale re-queues strictly lower a node's priority, so they terminate;
      the budget is a safety net against pathological thrashing. *)
   let pops = ref 0 in
@@ -230,7 +256,7 @@ let fm_pass (st : Part_state.t) =
         else begin
           journal_move j u t conn;
           Wgraph.iter_neighbors g u (fun v _ ->
-              if not locked.(v) then begin
+              if not (locked j v) then begin
                 incr regains;
                 if Bucket.mem bucket v then Bucket.remove bucket v;
                 match best_move v with
@@ -258,10 +284,9 @@ let exact_fm_pass (st : Part_state.t) =
   @@ fun () ->
   let n = Wgraph.n_nodes st.Part_state.g in
   let conn = st.Part_state.ws.Workspace.rf_conn in
-  let locked = st.Part_state.ws.Workspace.rf_locked in
   let j = journal_open st in
   let continue = ref true in
-  let skip u = locked.(u) in
+  let skip u = locked j u in
   while !continue && j.n_moves < n do
     match Part_state.best_global_move ~skip st conn with
     | None -> continue := false

@@ -48,7 +48,10 @@ type t = {
   mutable pl_prev : int array;
   (* Per-call refinement scratch. *)
   mutable rf_order : int array;
-  mutable rf_locked : bool array;
+  mutable rf_lock : int array;
+  mutable rf_epoch : int;
+  mutable rf_seed : int array;
+  mutable rf_nz : int array;
   mutable rf_moves_u : int array;
   mutable rf_moves_from : int array;
   mutable rf_conn : int array;
@@ -92,7 +95,10 @@ let create () =
     pl_next = [||];
     pl_prev = [||];
     rf_order = [||];
-    rf_locked = [||];
+    rf_lock = [||];
+    rf_epoch = 0;
+    rf_seed = [||];
+    rf_nz = [||];
     rf_moves_u = [||];
     rf_moves_from = [||];
     rf_conn = [||];
@@ -156,6 +162,7 @@ let ensure_state t ~n ~k =
   t.ps_members <- grow grown t.ps_members k;
   t.pl_head <- grow grown t.pl_head k;
   t.rf_conn <- grow grown t.rf_conn k;
+  t.rf_nz <- grow grown t.rf_nz k;
   t.ps_conn <- grow grown t.ps_conn (n * k);
   t.ps_ed <- grow grown t.ps_ed n;
   t.ps_active <- grow grown t.ps_active n;
@@ -166,11 +173,8 @@ let ensure_state t ~n ~k =
   t.rf_moves_u <- grow grown t.rf_moves_u n;
   t.rf_moves_from <- grow grown t.rf_moves_from n;
   t.rf_tabu <- grow grown t.rf_tabu n;
-  if Array.length t.rf_locked < n then begin
-    let cap = max n (2 * Array.length t.rf_locked) in
-    grown := !grown + cap;
-    t.rf_locked <- Array.make cap false
-  end;
+  t.rf_lock <- grow grown t.rf_lock n;
+  t.rf_seed <- grow grown t.rf_seed n;
   if Array.length t.ps_bw < k then begin
     let cap = max k (2 * Array.length t.ps_bw) in
     grown := !grown + (cap * cap);
@@ -231,7 +235,8 @@ let words t =
   + Array.length t.pl_head + Array.length t.ps_conn + Array.length t.ps_ed
   + Array.length t.ps_active + Array.length t.ps_apos
   + Array.length t.pl_next + Array.length t.pl_prev
-  + Array.length t.rf_order + Array.length t.rf_locked
+  + Array.length t.rf_order + Array.length t.rf_lock
+  + Array.length t.rf_seed + Array.length t.rf_nz
   + Array.length t.rf_moves_u + Array.length t.rf_moves_from
   + Array.length t.rf_conn + Array.length t.rf_tabu
   + Array.length t.st_load + Array.length t.st_bw + Array.length t.st_conn

@@ -62,7 +62,17 @@ type t = {
   mutable pl_prev : int array;
       (** member-chain back links; [−p − 1] marks the head of part [p] *)
   mutable rf_order : int array;  (** greedy sweep visit order, length ≥ n *)
-  mutable rf_locked : bool array;  (** FM per-pass lock flags *)
+  mutable rf_lock : int array;
+      (** FM lock stamps: node [u] is locked in the current pass iff
+          [rf_lock.(u) = rf_epoch] *)
+  mutable rf_epoch : int;
+      (** the current FM pass's lock stamp; each pass bumps it, which
+          unlocks every node. 0 only before the first pass, so a grown
+          (zeroed) [rf_lock] locks nothing. *)
+  mutable rf_seed : int array;
+      (** FM seed list (the active set, sorted), length ≥ n *)
+  mutable rf_nz : int array;
+      (** parts a node is connected to, for move scoring, length ≥ k *)
   mutable rf_moves_u : int array;  (** FM move journal: moved node *)
   mutable rf_moves_from : int array;  (** FM move journal: source part *)
   mutable rf_conn : int array;  (** shared connectivity row, length ≥ k *)

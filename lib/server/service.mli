@@ -33,7 +33,7 @@ val handle :
 
     The refinement state of a graph's last incremental answer is kept
     with the graph, in a {!Ppnpart_core.Gp.resident} slot that owns its
-    own workspace (about [(k + 12) · n] words, allocated by the first
+    own workspace (about [(k + 13) · n] words, allocated by the first
     [repartition]). The next [repartition] of that graph whose batch
     keeps node ids stable patches it instead of rebuilding it
     ({!Ppnpart_core.Gp.repartition}). A [partition] of the graph drops

@@ -1006,12 +1006,104 @@ let test_quality_vs_composed () =
       (Float.equal (Metrics.imbalance g ~k part) q.Metrics.imbalance)
   done
 
+(* --- gain bucket vs a list reference --- *)
+
+(* The reference holds the present nodes as [(node, gain, stamp)], the
+   stamp counting insertions. The bucket keeps each gain slot as a
+   stack, so a pop returns, among the nodes of maximal gain, the one
+   inserted last. Random insert, remove, adjust, pop_max and clear
+   sequences run against both, in rounds that each take the bucket from
+   one [Workspace] at a fresh size and gain bound, sometimes smaller
+   than the last (the reuse path), after a partial drain or none. *)
+let test_bucket_vs_reference () =
+  let seeds = match mode with `Quick -> 8 | `Default -> 24 | `Full -> 64 in
+  let steps = match mode with `Quick -> 200 | `Default -> 500 | `Full -> 1000 in
+  for seed = 1 to seeds do
+    let rng = Random.State.make [| 0xB0; seed |] in
+    let ws = Workspace.create () in
+    for round = 1 to 4 do
+      let n = 1 + Random.State.int rng 200 in
+      let max_gain = Random.State.int rng 300 in
+      let b = Workspace.bucket ws ~n ~max_gain in
+      let name what = Printf.sprintf "seed %d round %d: %s" seed round what in
+      let reference = ref [] and stamp = ref 0 in
+      let gain () = Random.State.int rng ((2 * max_gain) + 1) - max_gain in
+      let top () =
+        List.fold_left
+          (fun best ((_, g, s) as e) ->
+            match best with
+            | Some (_, bg, bs) when bg > g || (bg = g && bs > s) -> best
+            | _ -> Some e)
+          None !reference
+        |> Option.map (fun (u, g, _) -> (u, g))
+      in
+      let add u g =
+        incr stamp;
+        reference := (u, g, !stamp) :: !reference
+      in
+      let drop u = reference := List.filter (fun (v, _, _) -> v <> u) !reference in
+      let present u = List.exists (fun (v, _, _) -> v = u) !reference in
+      let same what =
+        check_int (name (what ^ ": cardinal")) (List.length !reference)
+          (Bucket.cardinal b);
+        for u = 0 to n - 1 do
+          if Bucket.mem b u <> present u then
+            Alcotest.failf "%s" (name (Printf.sprintf "%s: mem %d" what u))
+        done;
+        List.iter
+          (fun (u, g, _) -> check_int (name (what ^ ": gain")) g (Bucket.gain b u))
+          !reference;
+        check_bool (name (what ^ ": peek_max")) true (Bucket.peek_max b = top ())
+      in
+      same "fresh";
+      for step = 1 to steps do
+        let u = Random.State.int rng n in
+        let what = Printf.sprintf "step %d" step in
+        (match Random.State.int rng 10 with
+        | 0 | 1 | 2 ->
+          if not (present u) then begin
+            let g = gain () in
+            Bucket.insert b u g;
+            add u g
+          end
+        | 3 | 4 ->
+          if present u then begin
+            Bucket.remove b u;
+            drop u
+          end
+        | 5 | 6 ->
+          if present u then begin
+            let g = gain () in
+            Bucket.adjust b u g;
+            drop u;
+            add u g
+          end
+        | 7 | 8 ->
+          let expect = top () in
+          check_bool (name (what ^ ": pop_max")) true (Bucket.pop_max b = expect);
+          Option.iter (fun (v, _) -> drop v) expect
+        | _ ->
+          if Random.State.int rng 8 = 0 then begin
+            Bucket.clear b;
+            reference := []
+          end);
+        same what
+      done;
+      (* A partial drain; the next round's [Workspace.bucket] clears
+         what is left. *)
+      for _ = 1 to Random.State.int rng (List.length !reference + 1) do
+        let expect = top () in
+        check_bool (name "drain: pop_max") true (Bucket.pop_max b = expect);
+        Option.iter (fun (v, _) -> drop v) expect
+      done
+    done
+  done
+
 (* --- the FM gain cap read from the state vs the graph --- *)
 
-(* [Part_state.max_weighted_degree] reads each node's weighted degree
-   from the caches (external degree plus connectivity toward its own
-   part). It must equal [max 1] of [Wgraph.weighted_degree] over the
-   state's graph after every way a state comes about: [init],
+(* [Part_state]'s cached maximum weighted degree ([max_wdeg]) must
+   equal [max 1] of [Wgraph.weighted_degree] over the state's graph
+   after every way a state comes about: [init],
    [init_projected] down a coarsening hierarchy, [rebase] on random
    id-stable batches, and random [apply_move] sequences. *)
 let test_max_weighted_degree () =
@@ -1032,7 +1124,7 @@ let test_max_weighted_degree () =
       check_int
         (Printf.sprintf "seed %d (n=%d k=%d): %s" seed n k what)
         !expect
-        (Part_state.max_weighted_degree st)
+        st.Part_state.max_wdeg
     in
     let st = ref (Part_state.init g c part0) in
     check "init" !st;
@@ -1660,7 +1752,9 @@ let () =
           Alcotest.test_case "quality sweep vs composed metrics" `Quick
             test_quality_vs_composed;
           Alcotest.test_case "max weighted degree from state" `Quick
-            test_max_weighted_degree ] );
+            test_max_weighted_degree;
+          Alcotest.test_case "bucket vs list reference" `Quick
+            test_bucket_vs_reference ] );
       ( "structure",
         [ Alcotest.test_case "matching validity" `Quick
             test_matching_validity;

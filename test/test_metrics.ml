@@ -229,6 +229,40 @@ let test_report_roundtrip () =
   check_bool "unconstrained bmax is null" true (bmax = Some Json.Null);
   check_bool "unconstrained rmax is null" true (rmax = Some Json.Null)
 
+(* [of_result] renders from the result's certificate instead of
+   sweeping the graph again; with the same arguments it must print the
+   same bytes as [to_json] on the result's labels, for every way a
+   result comes about: the multilevel pipeline, the streaming mode and
+   an incremental repartition of an edited graph. *)
+let test_report_of_certificate () =
+  let e = PG.experiment2 in
+  let g = e.PG.graph and c = e.PG.constraints in
+  let same name g c (r : Gp.result) =
+    List.iter
+      (fun deterministic ->
+        let direct =
+          Run_report.to_json ~deterministic ~algo:"gp"
+            ~runtime_s:r.Gp.runtime_s ~cycles:r.Gp.cycles_used
+            ~levels:r.Gp.levels g c r.Gp.part
+        in
+        check_string
+          (Printf.sprintf "%s (deterministic %b)" name deterministic)
+          (Json.to_string direct)
+          (Json.to_string (Run_report.of_result ~deterministic ~algo:"gp" g c r)))
+      [ false; true ]
+  in
+  let ml = Gp.partition ~config:gp_config g c in
+  same "multilevel" g c ml;
+  same "stream" g c
+    (Gp.partition ~config:{ gp_config with Config.mode = Config.Stream } g c);
+  let rp =
+    Gp.repartition ~prev:ml.Gp.part g c
+      [ Ppnpart_partition.Graph_edit.Set_node_weight (0, 7);
+        Ppnpart_partition.Graph_edit.Add_edge (1, 5, 3) ]
+  in
+  check_bool "incremental" true rp.Gp.rp_incremental;
+  same "incremental repartition" rp.Gp.rp_graph c rp.Gp.rp_result
+
 (* --- GC deltas --- *)
 
 let test_gc_delta_idle_zero () =
@@ -409,6 +443,8 @@ let () =
             test_report_deterministic_wide_waves;
           Alcotest.test_case "report round-trips" `Quick
             test_report_roundtrip;
+          Alcotest.test_case "report from the certificate" `Quick
+            test_report_of_certificate;
         ] );
       ( "gc",
         [

@@ -906,6 +906,62 @@ let test_cache_exact_after_fm_rollback () =
       Ppnpart_check.Check.part_state ~site:"test.exact_rollback" st)
     [ (40, 2, 7); (120, 4, 8); (300, 6, 9) ]
 
+(* Counters one [f ()] run records. *)
+let counters_of f =
+  let _, snap = Ppnpart_obs.Obs.with_registry f in
+  fun name -> Option.value ~default:0 (List.assoc_opt name snap.counters)
+
+(* Above 512 nodes an FM pass seeds its bucket from the active set
+   only: on a converged 10k-node state that is the boundary, a small
+   fraction of the graph. *)
+let test_fm_seeds_active_set () =
+  let n = 10_000 and k = 8 in
+  let rng = Random.State.make [| 0x5EED |] in
+  let g, c = Ppnpart_workloads.Rand_graph.random_partitionable rng ~n ~k in
+  let part, _ =
+    Refine_constrained.refine (Random.State.make [| 1 |]) g c
+      (Array.init n (fun u -> u * k / n))
+  in
+  let st = Part_state.init g c part in
+  let active = st.Part_state.n_active in
+  check_bool "converged: a proper boundary" true (active > 0 && active < n / 10);
+  let counter = counters_of (fun () -> Refine_constrained.fm_pass st) in
+  check_int "fm.seeded = active set size" active (counter "fm.seeded")
+
+(* A pass locks each node it moves by stamping it with the pass's
+   epoch; the next pass must start with every node unlocked, also
+   after a pass that rolled moves back, and must then run exactly as
+   on a fresh workspace. *)
+let test_locks_clear_between_passes () =
+  let rolled_back = ref 0 in
+  List.iter
+    (fun (n, k, seed) ->
+      let g, c, part0 = fm_instance ~n ~k ~seed in
+      let ws = Workspace.create () in
+      let st = Part_state.init ~workspace:ws g c (Array.copy part0) in
+      List.iter
+        (fun pass ->
+          let counter = counters_of (fun () -> pass st) in
+          rolled_back := !rolled_back + counter "fm.moves.rolled_back";
+          let epoch = ws.Workspace.rf_epoch + 1 in
+          for u = 0 to n - 1 do
+            if ws.Workspace.rf_lock.(u) = epoch then
+              Alcotest.failf "n=%d seed=%d: node %d locked before the pass" n
+                seed u
+          done;
+          let fresh = Part_state.init g c (Array.copy st.Part_state.part) in
+          let a = Refine_constrained.fm_pass st in
+          let b = Refine_constrained.fm_pass fresh in
+          check_bool
+            (Printf.sprintf "n=%d seed=%d: next pass as on a fresh workspace"
+               n seed)
+            true
+            (a = b && st.Part_state.part = fresh.Part_state.part))
+        [ (fun st -> ignore (Refine_constrained.fm_pass st));
+          (fun st -> ignore (Refine_constrained.exact_fm_pass st)) ])
+    [ (60, 3, 21); (300, 4, 22); (2000, 6, 23) ];
+  check_bool "some pass rolled moves back" true (!rolled_back > 0)
+
 let test_refine_workspace_reuse () =
   (* Two consecutive refine calls against one workspace must return
      exactly what fresh-workspace calls return, and the second call
@@ -1090,6 +1146,10 @@ let () =
             test_cache_exact_after_fm_rollback;
           Alcotest.test_case "workspace reuse across refines" `Quick
             test_refine_workspace_reuse;
+          Alcotest.test_case "fm seeds the active set" `Quick
+            test_fm_seeds_active_set;
+          Alcotest.test_case "locks clear between passes" `Quick
+            test_locks_clear_between_passes;
         ] );
       ( "initial",
         [
