@@ -884,8 +884,8 @@ let stream_1m_bench ?(scale = 20) ?(m = 4_200_000) ?(ref_scale = 14) ~reps ()
    is how large streamed instances arrive, so its throughput is part of
    the streaming story. Serialize a mid-size R-MAT instance and time the
    parse (validation included — that *is* the ingest path); the
-   roundtrip shape check turns a silent tokenizer regression into a loud
-   one. *)
+   round trip must give back an equal graph, so a silent tokenizer
+   regression (a swapped weight or neighbour, say) is a loud one. *)
 let ingest_bench ~scale ~reps =
   let m = 4 * (1 lsl scale) in
   let rng = Random.State.make [| 0x494f; scale |] in
@@ -895,10 +895,8 @@ let ingest_bench ~scale ~reps =
   in
   let text, to_s = time (fun () -> Graph_io.to_metis g) in
   let g2, of_s = compacted_min ~reps (fun () -> Graph_io.of_metis text) in
-  if
-    Wgraph.n_nodes g2 <> Wgraph.n_nodes g
-    || Wgraph.n_edges g2 <> Wgraph.n_edges g
-  then failwith "ingest_bench: of_metis roundtrip changed the graph shape";
+  if not (Wgraph.equal g2 g) then
+    failwith "ingest_bench: of_metis roundtrip changed the graph";
   let bytes = String.length text in
   Json.Obj
     [ ("n", int (Wgraph.n_nodes g)); ("m", int (Wgraph.n_edges g));

@@ -71,6 +71,9 @@ let ints_of_line line =
 (* The METIS reader (DESIGN.md §6.9).                                  *)
 (* ------------------------------------------------------------------ *)
 
+let is_digit c = c >= '0' && c <= '9'
+let is_hspace c = c = ' ' || c = '\t' || c = '\r'
+
 (* [Builder]: the CSR accumulator behind {!Rows}. Rows arrive in node
    order and each mention is range/self-loop checked on arrival. At
    [finish], unsorted rows are sorted and the whole graph is validated
@@ -177,6 +180,68 @@ module Builder = struct
     A.unsafe_set t.adjwgt t.m2 w;
     t.m2 <- t.m2 + 1
 
+  (* The fused row loop (DESIGN.md §6.9): the current row's mentions,
+     read from [text] straight into the buffers while they come as
+     plain pairs. [text.[pos]] is the first byte of a token or the
+     row's end (['\n'], or [hi], which is always a line end). A plain
+     pair is 1-18 decimal digits, one space, 1-18 digits, then the
+     row's end or one space before a byte that is not a blank; its
+     neighbour is in range and not [u], and the buffers have room for
+     it. The loop stops at the row's end or at the first byte of the
+     first pair it does not take, and returns that position with its
+     state written back. From there the per-token path ([Rows.token_int]
+     and {!mention}) accepts or rejects the pair exactly as it would
+     have without this loop. *)
+  let plain_pairs t text pos hi =
+    let n = t.n and u = t.next_u in
+    let adjncy = t.adjncy and adjwgt = t.adjwgt in
+    let cap = A.dim adjncy in
+    let m2 = ref t.m2 and last_v = ref t.last_v and sorted = ref t.sorted in
+    let p = ref pos and go = ref true in
+    while !go do
+      (* The neighbour's digits are [q, r), the weight's [r + 1, s). *)
+      let q = !p in
+      let r = ref q and v = ref 0 in
+      while !r < hi && is_digit (String.unsafe_get text !r) do
+        v := (10 * !v) + Char.code (String.unsafe_get text !r) - 48;
+        incr r
+      done;
+      let r = !r in
+      let s = ref (r + 1) and w = ref 0 in
+      if r < hi && String.unsafe_get text r = ' ' then
+        while !s < hi && is_digit (String.unsafe_get text !s) do
+          w := (10 * !w) + Char.code (String.unsafe_get text !s) - 48;
+          incr s
+        done;
+      let s = !s and v = !v - 1 in
+      let next =
+        if
+          r - q < 1 || r - q > 18 || s - r < 2 || s - r > 19 || v < 0
+          || v >= n || v = u || !m2 >= cap
+        then q
+        else if s >= hi || String.unsafe_get text s = '\n' then s
+        else if
+          String.unsafe_get text s = ' '
+          && (s + 1 >= hi || not (is_hspace (String.unsafe_get text (s + 1))))
+        then s + 1
+        else q
+      in
+      if next = q then go := false
+      else begin
+        if v <= !last_v then sorted := false;
+        last_v := v;
+        A.unsafe_set adjncy !m2 v;
+        A.unsafe_set adjwgt !m2 !w;
+        incr m2;
+        p := next;
+        if next = s then go := false
+      end
+    done;
+    t.m2 <- !m2;
+    t.last_v <- !last_v;
+    t.sorted <- !sorted;
+    !p
+
   let set_vwgt t w = t.vwgt.{t.next_u} <- w
 
   let end_row t =
@@ -275,7 +340,15 @@ end
    Complete lines are tokenized in place (incomplete trailing lines
    wait in a carry buffer for the next [feed]), each finished
    adjacency row goes into the {!Builder}, and [finish] runs the
-   deferred whole-graph validation. *)
+   deferred whole-graph validation. In rows with edge weights the
+   neighbour/weight pairs go through {!Builder.plain_pairs}, which
+   takes plain pairs (1-18 digits, one space, 1-18 digits, one space
+   or the newline) straight into the buffers; it hands any other pair
+   (blank runs, tabs, [\r], signs, other integer spellings, longer
+   tokens, a neighbour out of range or equal to the row's node, a full
+   buffer) to the per-token path below at the pair's first byte, and
+   takes over again after it. [process] sees only whole lines, so the
+   one-shot and the chunked reader run the same loop. *)
 module Rows = struct
   type phase =
     | Header
@@ -311,8 +384,6 @@ module Rows = struct
      [hi <= String.length text], so every read below [hi] is in
      bounds. *)
   type cursor = { mutable pos : int }
-
-  let is_hspace c = c = ' ' || c = '\t' || c = '\r'
 
   let skip_hspace cur text hi =
     let p = ref cur.pos in
@@ -408,16 +479,20 @@ module Rows = struct
         failwith "Graph_io.of_metis: missing vertex weight";
       Builder.set_vwgt b (token_int cur text hi)
     end;
-    if t.has_ewgt then
+    if t.has_ewgt then begin
+      cur.pos <- Builder.plain_pairs b text cur.pos hi;
       while not (at_eol cur text hi) do
+        (* A pair the fused loop did not take, token by token. *)
         let v = token_int cur text hi in
         if at_eol cur text hi then
           failwith
             (Printf.sprintf
                "Graph_io.of_metis: neighbour of node %d without a weight"
                (u + 1));
-        Builder.mention b (v - 1) (token_int cur text hi)
+        Builder.mention b (v - 1) (token_int cur text hi);
+        cur.pos <- Builder.plain_pairs b text cur.pos hi
       done
+    end
     else
       while not (at_eol cur text hi) do
         Builder.mention b (token_int cur text hi - 1) 1

@@ -35,28 +35,33 @@ let check_csr ~who ?vwgt ~n ~xadj ~adjncy ~adjwgt () =
      slice in ascending [u] — the order of [v]'s lower neighbours, a
      prefix of its sorted slice. A cursor per node pairs each with its
      mirror, and a lower neighbour the cursor has not passed by the time
-     its own row is visited is an entry listed on one side only. *)
+     its own row is visited is an entry listed on one side only. The
+     checks above keep every index in bounds: slice positions lie in
+     [0, m2), and [v] is range checked before it indexes [cursor] or
+     [xadj]. *)
   let cursor = Array.sub xadj 0 n in
   for u = 0 to n - 1 do
-    for i = xadj.(u) to xadj.(u + 1) - 1 do
-      let v = adjncy.(i) in
+    let lo = Array.unsafe_get xadj u in
+    for i = lo to Array.unsafe_get xadj (u + 1) - 1 do
+      let v = Array.unsafe_get adjncy i and w = Array.unsafe_get adjwgt i in
       if v < 0 || v >= n then fail "neighbour out of range at node %d" u;
       if v = u then fail "self loop at node %d" u;
-      if i > xadj.(u) && adjncy.(i - 1) >= v then
+      if i > lo && Array.unsafe_get adjncy (i - 1) >= v then
         fail "adjacency slice of node %d not strictly ascending" u;
-      if adjwgt.(i) < 0 then fail "negative edge weight at node %d" u;
+      if w < 0 then fail "negative edge weight at node %d" u;
       if v < u then begin
-        if i >= cursor.(u) then fail "edge (%d, %d) missing its mirror" v u
+        if i >= Array.unsafe_get cursor u then
+          fail "edge (%d, %d) missing its mirror" v u
       end
       else begin
-        let j = cursor.(v) in
-        if j >= xadj.(v + 1) || adjncy.(j) > u then
-          fail "edge (%d, %d) missing its mirror" u v;
-        if adjncy.(j) < u then
-          fail "edge (%d, %d) missing its mirror" adjncy.(j) v;
-        if adjwgt.(j) <> adjwgt.(i) then
+        let j = Array.unsafe_get cursor v in
+        if j >= Array.unsafe_get xadj (v + 1) || Array.unsafe_get adjncy j > u
+        then fail "edge (%d, %d) missing its mirror" u v;
+        if Array.unsafe_get adjncy j < u then
+          fail "edge (%d, %d) missing its mirror" (Array.unsafe_get adjncy j) v;
+        if Array.unsafe_get adjwgt j <> w then
           fail "asymmetric weight on edge (%d, %d)" u v;
-        cursor.(v) <- j + 1
+        Array.unsafe_set cursor v (j + 1)
       end
     done
   done

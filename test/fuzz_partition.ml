@@ -1512,7 +1512,72 @@ let mutate rng text =
     if npairs = 0 then None
     else Some (l, toks, 1 + (2 * Random.State.int rng npairs))
   in
-  match Random.State.int rng 13 with
+  (* [text] with a pair of neighbour [f l] and weight 1 inserted at a
+     random place in a random row [l] (so [l] is its 1-based node id):
+     one defect, which either reader reports first. *)
+  let insert_pair what f =
+    let l = 1 + Random.State.int rng (n_lines - 2) in
+    let toks = String.split_on_char ' ' lines.(l) in
+    let slots = ((List.length toks - 1) / 2) + 1 in
+    let at = 1 + (2 * Random.State.int rng slots) in
+    let before = List.filteri (fun i _ -> i < at) toks
+    and after = List.filteri (fun i _ -> i >= at) toks in
+    lines.(l) <- String.concat " " (before @ (f l :: "1" :: after));
+    (what, join ())
+  in
+  (* The offset of a random space: the header always has two. *)
+  let space () =
+    let sp =
+      List.init (String.length text) Fun.id
+      |> List.filter (fun i -> text.[i] = ' ')
+    in
+    List.nth sp (Random.State.int rng (List.length sp))
+  in
+  (* A random token respelled by [f]. *)
+  let respell f =
+    let pos, len = pick rng spans in
+    splice text pos len (f (String.sub text pos len))
+  in
+  let rec binary i =
+    if i < 2 then string_of_int i else binary (i / 2) ^ string_of_int (i mod 2)
+  in
+  match Random.State.int rng 25 with
+  (* 13-24: the token and separator forms the fused row loop hands
+     over to the per-token path, and the neighbours it hands over. *)
+  | 13 -> ("tab separator", splice text (space ()) 1 "\t")
+  | 14 ->
+    ("blank run", splice text (space ()) 1 (pick rng [| "  "; " \t"; "\t " |]))
+  | 15 ->
+    let l = Random.State.int rng n_lines in
+    lines.(l) <- lines.(l) ^ pick rng [| " "; "  "; "\t"; " \t" |];
+    ("trailing blanks", join ())
+  | 16 -> ("crlf line ends", String.concat "\r\n" (Array.to_list lines))
+  | 17 -> ("plus sign", respell (fun tok -> "+" ^ tok))
+  | 18 ->
+    let radix = Random.State.int rng 3 in
+    ( "radix spelling",
+      respell (fun tok ->
+          match int_of_string_opt tok with
+          | None -> tok
+          | Some i when radix = 0 -> Printf.sprintf "0x%x" i
+          | Some i when radix = 1 -> Printf.sprintf "0o%o" i
+          | Some i -> "0b" ^ binary i) )
+  | 19 ->
+    ( "underscore spelling",
+      respell (fun tok ->
+          String.sub tok 0 1 ^ "_" ^ String.sub tok 1 (String.length tok - 1)) )
+  | 20 ->
+    (* Zero-padded, the same value; padded with nines, over [max_int]. *)
+    let pad = if Random.State.bool rng then '0' else '9' in
+    ( "19-digit token",
+      respell (fun tok ->
+          String.make (max 0 (19 - String.length tok)) pad ^ tok) )
+  | 21 -> ("digits glued to a letter", respell (fun tok -> tok ^ "a"))
+  | 22 -> insert_pair "neighbour 0" (fun _ -> "0")
+  | 23 ->
+    let n = int_of_string (String.sub text (fst spans.(0)) (snd spans.(0))) in
+    insert_pair "neighbour n+1" (fun _ -> string_of_int (n + 1))
+  | 24 -> insert_pair "self loop" string_of_int
   | 0 ->
     let pos, len = pick rng spans in
     ("delete a token", splice text pos len "")
@@ -1647,6 +1712,7 @@ let test_metis_reader_vs_oracle () =
     match mode with `Quick -> 300 | `Default -> 1500 | `Full -> 20000
   in
   let accepted = ref 0 and same_msg = ref 0 and multi = ref 0 in
+  let kinds = Hashtbl.create 32 in
   for seed = 1 to seeds do
     let rng = Random.State.make [| 0x3E715; seed |] in
     let n = 2 + Random.State.int rng 14 in
@@ -1657,6 +1723,8 @@ let test_metis_reader_vs_oracle () =
         rng ~n ~m
     in
     let what, text = mutate rng (Graph_io.to_metis g) in
+    Hashtbl.replace kinds what
+      (1 + Option.value ~default:0 (Hashtbl.find_opt kinds what));
     let name = Printf.sprintf "seed %d (%s): %S" seed what text in
     let run f =
       match f () with g -> Ok g | exception Failure msg -> Error msg
@@ -1693,7 +1761,17 @@ let test_metis_reader_vs_oracle () =
     | Ok _, Error b -> Alcotest.failf "%s: accepted, oracle raised %S" name b
     | Error a, Ok _ -> Alcotest.failf "%s: raised %S, oracle accepted" name a
   done;
-  (* Both outcomes must be well represented, or the stage is vacuous. *)
+  (* Every hand-over form must have run, and both outcomes must be well
+     represented, or the stage is vacuous. *)
+  List.iter
+    (fun what ->
+      check_bool
+        (Printf.sprintf "mutation %S ran (%d times)" what
+           (Option.value ~default:0 (Hashtbl.find_opt kinds what)))
+        true (Hashtbl.mem kinds what))
+    [ "tab separator"; "blank run"; "trailing blanks"; "crlf line ends";
+      "plus sign"; "radix spelling"; "underscore spelling"; "19-digit token";
+      "digits glued to a letter"; "neighbour 0"; "neighbour n+1"; "self loop" ];
   check_bool
     (Printf.sprintf "accepted %d, same message %d, multi-defect %d of %d"
        !accepted !same_msg !multi seeds)

@@ -545,6 +545,93 @@ let test_rows_split_feed () =
         (Wgraph.equal g (feed_pieces ~piece text)))
     [ 1; 2; 3; 7; 64; max 1 (String.length text) ]
 
+(* Node 1 of an 8-node star under fmt code [fmt], its pairs given as
+   (neighbour token, blanks, weight token, blanks after); the other
+   rows list node 1 back in plain tokens with weight [u + 10]. The
+   header declares [m] edges: below 7, the reader's buffers start
+   small and grow in the middle of node 1's row. *)
+let star_text ~m fmt row =
+  let vsize = fmt / 100 mod 10 = 1
+  and vwgt = fmt / 10 mod 10 = 1
+  and ewgt = fmt mod 10 = 1 in
+  let b = Buffer.create 256 in
+  Printf.bprintf b "8 %d %03d\n" m fmt;
+  let head u =
+    if vsize then Buffer.add_string b "1 ";
+    if vwgt then Printf.bprintf b "%d " u
+  in
+  head 1;
+  List.iter
+    (fun (v, blanks, w, after) ->
+      Buffer.add_string b v;
+      if ewgt then (Buffer.add_string b blanks; Buffer.add_string b w);
+      Buffer.add_string b after)
+    row;
+  Buffer.add_char b '\n';
+  for u = 2 to 8 do
+    head u;
+    Buffer.add_char b '1';
+    if ewgt then Printf.bprintf b " %d" (u + 10);
+    Buffer.add_char b '\n'
+  done;
+  Buffer.contents b
+
+(* Plain pairs around every form the fused row loop hands over to the
+   per-token path: a tab, a blank run, a sign, radix and underscore
+   spellings, a 19-digit token, trailing blanks and a carriage
+   return. *)
+let mixed_row =
+  [ ("2", " ", "12", " "); ("3", "\t", "13", " "); ("4", " ", "14", "  ");
+    ("5", " ", "15", " "); ("+6", " ", "0x10", " ");
+    ("0000000000000000007", " ", "1_7", " "); ("8", " ", "0o22", " \r") ]
+
+(* The mixed row with its plain pair to node 5 replaced by one with a
+   rejected neighbour or weight. *)
+let rejected_rows =
+  List.map
+    (fun (v, w) ->
+      List.map
+        (fun ((n, b, _, a) as p) -> if n = "5" then (v, b, w, a) else p)
+        mixed_row)
+    [ ("12a", "15"); ("0", "15"); ("9", "15"); ("1", "15"); ("-5", "15");
+      ("9999999999999999999", "15"); ("5", "9999999999999999999") ]
+
+let test_rows_split_mixed_row () =
+  (* Fed split at every byte offset, under every fmt code, with and
+     without buffer growth: the same graph or the same message as the
+     one-shot reader and the oracle. *)
+  let run f = match f () with g -> Ok g | exception Failure msg -> Error msg in
+  let same name a b =
+    match (a, b) with
+    | Ok a, Ok b -> check_bool name true (Wgraph.equal a b)
+    | Error a, Error b -> Alcotest.(check string) name a b
+    | _ -> Alcotest.failf "%s: acceptance differs" name
+  in
+  List.iter
+    (fun (m, fmt) ->
+      List.iter
+        (fun row ->
+          let text = star_text ~m fmt row in
+          let whole = run (fun () -> Graph_io.of_metis text) in
+          if row == mixed_row && m = 7 then
+            check_bool (Printf.sprintf "%S accepted" text) true
+              (Result.is_ok whole);
+          same (Printf.sprintf "%S: oracle" text) whole
+            (run (fun () -> Metis_oracle.of_metis text));
+          let len = String.length text in
+          for i = 0 to len do
+            same (Printf.sprintf "%S split at %d" text i) whole
+              (run (fun () ->
+                   let r = Graph_io.Rows.create () in
+                   Graph_io.Rows.feed r (String.sub text 0 i);
+                   Graph_io.Rows.feed r (String.sub text i (len - i));
+                   Graph_io.Rows.finish r))
+          done)
+        (mixed_row :: rejected_rows))
+    (List.concat_map
+       (fun fmt -> [ (7, fmt); (1, fmt) ])
+       [ 0; 1; 10; 11; 100; 111 ])
+
 let test_rows_hostile_headers () =
   (* A header's counts are only claims: the first cannot index an array
      and is rejected outright; the second is legal but never backed by
@@ -871,6 +958,8 @@ let () =
           Alcotest.test_case "malformed parity with of_metis" `Quick
             test_rows_malformed_parity;
           Alcotest.test_case "split feed" `Quick test_rows_split_feed;
+          Alcotest.test_case "split feed, mixed row" `Quick
+            test_rows_split_mixed_row;
           Alcotest.test_case "hostile headers" `Quick
             test_rows_hostile_headers;
           Alcotest.test_case "to_metis_chunks bytes" `Quick

@@ -235,6 +235,45 @@ let test_gp_large_modes_are_sequential () =
   check_parts "hybrid mode = refined stream seed" (Part_state.snapshot st)
     hybrid.Gp.part
 
+(* --- stream labels pinned across commits --- *)
+
+(* The inputs perfbench's stream-rmat-8k workload runs its ops on at
+   seed 1 (its last set-up, sub 4): four scale-13 R-MAT graphs, k = 16,
+   built through the library API the way its [stream_pool] builds them.
+   Each goes through its METIS text, as an op does. The digest of the
+   four stream labellings is a constant recorded before the METIS
+   reader's fused row loop: a reader change that alters a graph, or a
+   streamer change that moves a label, fails here. *)
+let stream_digest = "cd123cf6134d3c6c6193e237bc930ca5"
+
+let test_stream_labels_pinned () =
+  let buf = Buffer.create (4 * 8192) in
+  for i = 0 to 3 do
+    let r = Random.State.make [| 1; 4; 0x524d; i |] in
+    let g =
+      Rand_graph.rmat ~vw_range:(1, 8) ~ew_range:(1, 9) r ~scale:13 ~m:32_768
+    in
+    let k = 16 in
+    let c =
+      Types.constraints ~k
+        ~rmax:((Wgraph.total_node_weight g / k * 4 / 3) + 1)
+        ~bmax:((Wgraph.total_edge_weight g / (2 * k)) + 1)
+    in
+    let text = Graph_io.to_metis g in
+    let g', res =
+      Gp.partition_metis
+        ~config:{ Config.default with Config.mode = Config.Stream }
+        text c
+    in
+    check_bool
+      (Printf.sprintf "text %d round-trips" i)
+      true (Wgraph.equal g g');
+    Array.iter (fun p -> Buffer.add_char buf (Char.chr (48 + p))) res.Gp.part
+  done;
+  Alcotest.(check string)
+    "label digest of the four seed-1 texts" stream_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- scale smoke: the point of the whole exercise --- *)
 
 let test_stream_scale_smoke () =
@@ -281,6 +320,8 @@ let () =
             test_gp_stream_iterations_validation;
           Alcotest.test_case "large stream and hybrid = sequential oracle"
             `Quick test_gp_large_modes_are_sequential;
+          Alcotest.test_case "stream labels pinned" `Quick
+            test_stream_labels_pinned;
         ] );
       ( "scale",
         [ Alcotest.test_case "rmat smoke" `Slow test_stream_scale_smoke ] );
